@@ -259,6 +259,15 @@ def _validate(cfg: RunConfig) -> None:
         n_theta == "auto" or (isinstance(n_theta, int) and n_theta >= 1),
         "key 'grid.n_theta' must be 'auto' or a positive integer",
     )
+    if n_theta != "auto" and n_theta % cfg.n_antennas:
+        # The coarse grid evaluates angles on a polyphase lattice of q
+        # phases per element spacing.
+        below = n_theta - n_theta % cfg.n_antennas
+        nearest = [count for count in (below, below + cfg.n_antennas) if count > 0]
+        raise ConfigError(
+            f"key 'grid.n_theta' = {n_theta} must be a multiple of n_antennas = "
+            f"{cfg.n_antennas}; nearest valid: {' or '.join(map(str, nearest))}"
+        )
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:
@@ -291,10 +300,10 @@ def write_csv(path: str, header: list[str], rows: list[list], seed: int, command
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, bool):
+    if isinstance(cell, (bool, np.bool_)):
         return "1" if cell else "0"
-    if isinstance(cell, float):
-        return repr(cell)
+    if isinstance(cell, (float, np.floating)):
+        return repr(float(cell))
     return str(cell)
 
 

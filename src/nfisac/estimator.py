@@ -13,9 +13,13 @@ pilot-compensated correlation at element k:
     L(d, theta) = s |beta|^2 sum_k 1/r_k^2  -  2 Re{ beta sum_k conj(xi_k) },
 
 with s = N M P_t lambda^2 / (16 pi^2 n_a) shared with the Fisher module.
-When the angle grid size is a multiple of the element count, every
+The angle grid size must be a multiple of the element count: then every
 element's angular response is a circular shift of one per-row template,
-and the angle stage collapses to FFT-sized circular correlations.
+and on the polyphase lattice (angle index j = p + q*l, q = n_theta / n_a)
+each angle sum is a batch of length-n_a circular correlations, evaluated
+as circulant matmuls. The search streams over blocks of GRID_BLOCK_ROWS
+range rows and keeps a running top list of basins, so its memory is
+O(GRID_BLOCK_ROWS * n_theta) however many range rows the grid has.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .geometry import (
 from .signal import Observation, OfdmConfig, delay_phases, pilot_doppler_grid
 
 TWO_PI = 2.0 * np.pi
+# Range rows per coarse-grid block: the search holds two blocks' costs at a time.
+GRID_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,11 @@ class GridSpec:
     ``d_nodes`` array is supplied (the harness builds curvature-adaptive
     nodes: the range correlation narrows like 2 lambda d^2 / R^2 in the
     deep near field, far below the delay lobe, so uniform spacing either
-    misses close-in peaks or wastes rows far out).
+    misses close-in peaks or wastes rows far out). ``n_theta`` must be a
+    multiple of the element count of the array searched:
+    ``coarse_grid_search`` evaluates the angles as n_theta / n_a polyphase
+    components of n_a angles each, streaming over blocks of range rows,
+    and raises ValueError otherwise.
     """
 
     d_min_m: float
@@ -222,112 +232,126 @@ def scores(
     return f_d, f_theta
 
 
-def _cost_rows_direct(
-    obs: Observation,
-    geom: UcaGeometry,
-    bank: MatchedFilterBank,
-    d_values: np.ndarray,
-    theta_values: np.ndarray,
-) -> np.ndarray:
-    """Reference evaluation of the cost over the full grid, vectorized per row."""
-    config = obs.config
-    scale = mean_product_scale(config, geom)
-    psi = TWO_PI * np.arange(geom.n_a) / geom.n_a
-    phi = theta_values[:, None] - psi[None, :]
-    cosphi = np.cos(phi)
-    out = np.empty((d_values.size, theta_values.size))
-    for i, d in enumerate(d_values):
-        collapsed = _delay_collapsed(bank, config, d)
-        r = np.sqrt(d * d + geom.radius_m**2 - 2.0 * d * geom.radius_m * cosphi)
-        a = np.exp(1j * TWO_PI * (d - r) / geom.wavelength_m) / np.sqrt(geom.n_a)
-        g = geom.wavelength_m / (4.0 * np.pi * r)
-        beta = a @ obs.beamformer
-        deterministic = scale * np.abs(beta) ** 2 * np.sum(1.0 / r**2, axis=1)
-        # sum_k conj(xi_k) = sum_k g a conj(collapsed_k)
-        data = 2.0 * np.real(beta * ((g * a) @ np.conj(collapsed)))
-        out[i] = deterministic - data
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """e^{j phase}, written as cos and sin into one complex array."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
     return out
 
 
-def _cost_rows_fft(
+def _circulants(v: np.ndarray) -> np.ndarray:
+    """Circulant pair [C | C'] of shape (..., n, 2n) for each vector v (..., n).
+
+    C[m, l] = v[(l - m) mod n] convolves a template row with v;
+    C'[m, l] = v[(l + 1 + m) mod n] does the same for the reversed row.
+    """
+    n = v.shape[-1]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([v, v], axis=-1), n, axis=-1
+    )
+    return np.concatenate([windows[..., n:0:-1, :], windows[..., 1 : n + 1, :]], axis=-1)
+
+
+def _cost_rows(
     obs: Observation,
     geom: UcaGeometry,
     bank: MatchedFilterBank,
     d_values: np.ndarray,
     theta_values: np.ndarray,
-    chunk: int = 32,
 ) -> np.ndarray:
-    """FFT evaluation of the same grid when n_theta is a multiple of n_a.
+    """Cost at every (range row, lattice angle) pair, shape (rows, n_theta).
 
-    On the aligned lattice theta_j = 2 pi j / n_theta the relative angle
-    of element k is the grid offset j - k * (n_theta / n_a), so every
-    k-sum over elements is a circular correlation of one per-row angular
-    template with a sparse weight comb; those correlations are computed
-    with length-n_theta FFTs, batched over blocks of range rows.
+    ``theta_values`` must be the uniform lattice theta_j = 2 pi j / n_theta
+    with n_theta a multiple of n_a; only its size is read. Writing
+    j = p + q*l with q = n_theta / n_a puts the relative angle of element
+    k at lattice index p + q*(l - k), so for each phase p both element
+    sums are length-n_a circular correlations along l: matmuls against
+    circulant matrices. Since rho(u) = rho(2 pi - u), phase q - p is phase
+    p with l reversed, so the steering templates are built on phases
+    p <= q/2 only, and one matmul against [C | C'] (see ``_circulants``)
+    yields each phase and its mirror side by side.
     """
     config = obs.config
-    n_theta = theta_values.size
     n_a = geom.n_a
+    n_theta = theta_values.size
+    if n_theta % n_a:
+        raise ValueError(
+            f"n_theta={n_theta} must be a multiple of the element count {n_a}"
+        )
     q = n_theta // n_a
-    scale = mean_product_scale(config, geom)
-    u = TWO_PI * np.arange(n_theta) / n_theta
-    cosu = np.cos(u)
-    # Sparse combs: weights at positions q*k reduce to length-n_a DFTs tiled q times.
-    comb_f = np.tile(np.fft.fft(obs.beamformer), q)
+    half = q // 2 + 1
+    rows = d_values.size
+    cosu = np.cos(TWO_PI * (np.arange(half)[:, None] + q * np.arange(n_a)) / n_theta)
+
+    tau = 2.0 * d_values[:, None] / SPEED_OF_LIGHT
     m = np.arange(config.m_subcarriers)
-    out = np.empty((d_values.size, n_theta))
-    for start in range(0, d_values.size, chunk):
-        d = d_values[start : start + chunk][:, None]
-        tau = 2.0 * d / SPEED_OF_LIGHT
-        delay_comp = np.exp(
-            1j * TWO_PI * m[None, :] * config.delta_f_hz * (config.t_cp_s + tau)
-        )
-        collapsed = delay_comp @ bank.aggregates.T  # rows x n_a
-        rho_u = np.sqrt(d * d + geom.radius_m**2 - 2.0 * d * geom.radius_m * cosu[None, :])
-        a_u = np.exp(1j * TWO_PI * (d - rho_u) / geom.wavelength_m) / np.sqrt(n_a)
-        ga_u = (geom.wavelength_m / (4.0 * np.pi * rho_u)) * a_u
-        beta = np.fft.ifft(np.fft.fft(a_u, axis=1) * comb_f[None, :], axis=1)
-        comb_y = np.tile(np.fft.fft(np.conj(collapsed), axis=1), (1, q))
-        data_sum = np.fft.ifft(np.fft.fft(ga_u, axis=1) * comb_y, axis=1)
-        # sum_k 1/r_k^2 is q-periodic across the angle grid: sum it on one
-        # period and tile.
-        inv2 = 1.0 / rho_u**2
-        period = inv2.reshape(-1, n_a, q).sum(axis=1)
-        inv_sum = np.tile(period, (1, n_a))
-        out[start : start + chunk] = scale * np.abs(beta) ** 2 * inv_sum - 2.0 * np.real(
-            beta * data_sum
-        )
-    return out
+    delay_comp = _phasor(TWO_PI * m[None, :] * config.delta_f_hz * (config.t_cp_s + tau))
+    collapsed = delay_comp @ bank.aggregates.T  # rows x n_a
+    d = d_values[:, None, None]
+    rho = np.sqrt(d * d + geom.radius_m**2 - 2.0 * d * geom.radius_m * cosu)
+    # Steering templates e^{j 2 pi (d - rho) / lambda}; the 1 / sqrt(n_a)
+    # of the steering vector is folded into the circulants.
+    a_u = _phasor(TWO_PI * (d - rho) / geom.wavelength_m)
+    ga_u = a_u * (geom.wavelength_m / (4.0 * np.pi) / rho)
+    inv_sum = (1.0 / rho**2).sum(axis=2)[:, :, None]
+    beta = a_u.reshape(rows * half, n_a) @ _circulants(obs.beamformer / np.sqrt(n_a))
+    beta = beta.reshape(rows, half, 2 * n_a)
+    data_sum = ga_u @ _circulants(np.conj(collapsed) / np.sqrt(n_a))
+
+    # L = s |beta|^2 sum_k 1/r_k^2 - 2 Re{beta * data_sum}, in place.
+    b_re, b_im = beta.real, beta.imag
+    cost = b_re * b_re
+    cost += b_im * b_im
+    cost *= mean_product_scale(config, geom) * inv_sum
+    cross = b_re * data_sum.real
+    cross -= b_im * data_sum.imag
+    cross *= 2.0
+    cost -= cross
+
+    # cost[:, p, :n_a] is phase p and cost[:, p, n_a:] phase q - p; lay
+    # them out by angle index j = p + q*l.
+    out = np.empty((rows, n_a, q))
+    out[:, :, :half] = cost[:, :, :n_a].transpose(0, 2, 1)
+    out[:, :, half:] = cost[:, q - half : 0 : -1, n_a:].transpose(0, 2, 1)
+    return out.reshape(rows, n_theta)
 
 
-def _local_minima(costs: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Boolean mask of 8-neighborhood local minima; angles wrap, ranges clip.
+def _row_min(costs: np.ndarray) -> np.ndarray:
+    """Min over each cell and its two angular neighbours; angles wrap."""
+    out = np.minimum(np.roll(costs, 1, axis=1), np.roll(costs, -1, axis=1))
+    return np.minimum(out, costs, out=out)
 
-    Separable: c is a local minimum iff c equals the min over its 3x3
-    neighborhood (self included), evaluated as a theta-wise 3-min pass
-    followed by a range-wise 3-min pass, block by block to keep
-    temporaries small.
+
+def _block_minima(
+    start: int,
+    costs: np.ndarray,
+    row_min: np.ndarray,
+    above: np.ndarray | None,
+    below: np.ndarray | None,
+    n_basins: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """8-neighbourhood local minima of one row block that can still rank.
+
+    ``above``/``below`` are the row-minima of the rows adjacent to the
+    block (None at the grid edge: ranges clip). A cell is a minimum iff it
+    equals the min over its 3x3 neighbourhood. Only minima no larger than
+    the block's ``n_basins``-th smallest are returned (ties kept), as
+    (values, range indices, angle indices).
     """
-    n_d, _ = costs.shape
-    is_min = np.empty(costs.shape, dtype=bool)
-    row_min = np.empty(costs.shape)
-    for start in range(0, n_d, chunk):
-        block = costs[start : start + chunk]
-        np.minimum(np.roll(block, 1, axis=1), np.roll(block, -1, axis=1), out=row_min[start : start + chunk])
-        np.minimum(row_min[start : start + chunk], block, out=row_min[start : start + chunk])
-    for start in range(0, n_d, chunk):
-        stop = min(start + chunk, n_d)
-        neigh = row_min[start:stop].copy()
-        if start > 0:
-            np.minimum(neigh, row_min[start - 1 : stop - 1], out=neigh)
-        else:
-            np.minimum(neigh[1:], row_min[0 : stop - 1], out=neigh[1:])
-        if stop < n_d:
-            np.minimum(neigh, row_min[start + 1 : stop + 1], out=neigh)
-        else:
-            np.minimum(neigh[:-1], row_min[start + 1 : n_d], out=neigh[:-1])
-        is_min[start:stop] = costs[start:stop] <= neigh
-    return is_min
+    neigh = row_min.copy()
+    np.minimum(neigh[1:], row_min[:-1], out=neigh[1:])
+    np.minimum(neigh[:-1], row_min[1:], out=neigh[:-1])
+    if above is not None:
+        np.minimum(neigh[0], above, out=neigh[0])
+    if below is not None:
+        np.minimum(neigh[-1], below, out=neigh[-1])
+    d_idx, t_idx = np.nonzero(costs <= neigh)
+    values = costs[d_idx, t_idx]
+    if values.size > n_basins:
+        keep = values <= np.partition(values, n_basins - 1)[n_basins - 1]
+        values, d_idx, t_idx = values[keep], d_idx[keep], t_idx[keep]
+    return values, d_idx + start, t_idx
 
 
 def coarse_grid_search(
@@ -339,26 +363,43 @@ def coarse_grid_search(
     """Rank grid-local minima of the cost surface, lowest cost first.
 
     Returns at most ``spec.n_basins`` basins; ties break on the lowest
-    (range index, angle index) pair so the output is deterministic.
+    (range index, angle index) pair so the output is deterministic. Range
+    rows are evaluated in blocks of GRID_BLOCK_ROWS; a block's minima are
+    settled once the next block's first row is known, and merged into a
+    running top-``n_basins``, so memory stays O(GRID_BLOCK_ROWS * n_theta).
     """
     d_values = spec.d_values()
     theta_values = spec.theta_values()
-    if spec.n_theta % geom.n_a == 0:
-        costs = _cost_rows_fft(obs, geom, bank, d_values, theta_values)
-    else:
-        costs = _cost_rows_direct(obs, geom, bank, d_values, theta_values)
-    mask = _local_minima(costs)
-    d_idx, t_idx = np.nonzero(mask)
-    values = costs[d_idx, t_idx]
-    order = np.lexsort((t_idx, d_idx, values))[: spec.n_basins]
+    n_d = d_values.size
+    best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+    def merge(found):
+        values, d_idx, t_idx = (np.concatenate(pair) for pair in zip(best, found))
+        order = np.lexsort((t_idx, d_idx, values))[: spec.n_basins]
+        return values[order], d_idx[order], t_idx[order]
+
+    pending = None  # (start, costs, row-min) of the block awaiting its lower halo
+    above = None  # row-min of the row just above the pending block
+    for start in range(0, n_d, GRID_BLOCK_ROWS):
+        costs = _cost_rows(
+            obs, geom, bank, d_values[start : start + GRID_BLOCK_ROWS], theta_values
+        )
+        row_min = _row_min(costs)
+        if pending is not None:
+            best = merge(_block_minima(*pending, above, row_min[0], spec.n_basins))
+            above = pending[2][-1]
+        pending = (start, costs, row_min)
+    best = merge(_block_minima(*pending, above, None, spec.n_basins))
+
+    values, d_idx, t_idx = best
     return [
         GridBasin(
-            position=PolarPosition(float(d_values[d_idx[i]]), float(theta_values[t_idx[i]])),
-            cost=float(values[i]),
-            d_index=int(d_idx[i]),
-            theta_index=int(t_idx[i]),
+            position=PolarPosition(float(d_values[d]), float(theta_values[t])),
+            cost=float(v),
+            d_index=int(d),
+            theta_index=int(t),
         )
-        for i in order
+        for v, d, t in zip(values, d_idx, t_idx)
     ]
 
 

@@ -152,7 +152,7 @@ def auto_n_theta(geom: UcaGeometry, nodes_per_lobe: float = 4.0) -> int:
     The coherence main lobe of the circular aperture has half-width
     about 2.405 * lambda / (2 pi R); the grid places ``nodes_per_lobe``
     nodes across the full lobe and rounds up to a multiple of the
-    element count so the FFT evaluation path applies. Keeping several
+    element count, which the polyphase coarse grid requires. Keeping several
     nodes per lobe bounds every node's angular offset well inside the
     basin the downstream polish and refinement can recover from.
     """

@@ -1,0 +1,74 @@
+"""CLI: configuration checks, exit codes and the records CSV."""
+
+import csv
+import json
+
+import pytest
+
+from nfisac.cli import EXIT_OK, EXIT_USAGE, ConfigError, main, parse_config
+from nfisac.harness import run_trials
+
+# A sweep small enough for tier-1: 8 elements, 16 subcarriers, two trials.
+TINY = {
+    "n_antennas": 8,
+    "subcarriers": 16,
+    "ofdm_symbols": 2,
+    "radii_m": [0.5],
+    "distances_m": [10.0],
+    "trials_per_point": 2,
+    "master_seed": 17,
+    "grid": {"d_max_m": 40.0, "n_basins": 4},
+    "optimizer": {"max_iters": 200},
+}
+
+
+def write_config(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestAngleGridCheck:
+    def test_rejects_n_theta_off_the_element_lattice(self):
+        message = "multiple of n_antennas = 64; nearest valid: 64 or 128"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(overrides={"grid": {"n_theta": 100}})
+
+    def test_below_one_period_names_only_the_element_count(self):
+        with pytest.raises(ConfigError, match="nearest valid: 64$"):
+            parse_config(overrides={"grid": {"n_theta": 10}})
+
+    def test_accepts_multiples_and_auto(self):
+        assert parse_config(overrides={"grid": {"n_theta": 192}}).grid["n_theta"] == 192
+        assert parse_config(overrides={"grid": {"n_theta": "auto"}}).grid["n_theta"] == "auto"
+
+    def test_main_exits_with_usage_code(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"n_antennas": 8, "grid": {"n_theta": 100}})
+        code = main(["--config", config, "crlb-sweep", "--output", str(tmp_path / "out.csv")])
+        assert code == EXIT_USAGE
+        assert "nearest valid: 96 or 104" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestRecordsCsv:
+    def test_records_parse_back_bit_identical(self, tmp_path):
+        config = write_config(tmp_path, TINY)
+        records_path = tmp_path / "records.csv"
+        code = main([
+            "--config", config, "monte-carlo",
+            "--output", str(tmp_path / "summary.csv"), "--records", str(records_path),
+        ])
+        assert code == EXIT_OK
+        expected = run_trials(parse_config(config).sweep_config())
+
+        lines = records_path.read_text().splitlines()
+        assert lines[0].startswith("# nfisac")
+        rows = list(csv.DictReader(lines[1:]))
+        assert len(rows) == len(expected) == 2
+        for row, record in zip(rows, expected):
+            for name in ("radius_m", "d_true_m", "theta_true_rad", "d_hat_m",
+                         "theta_hat_rad", "snr_db", "rate_est_bps", "rate_opt_bps"):
+                assert float(row[name]).hex() == float(getattr(record, name)).hex(), name
+            assert row["converged"] == ("1" if record.converged else "0")
+            assert row["success"] == ("1" if record.success else "0")
+            assert int(row["seed"]) == record.seed

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from nfisac import (
     synthesize_observation,
     xi,
 )
-from nfisac.estimator import _cost_rows_direct, _cost_rows_fft
+from nfisac.estimator import GRID_BLOCK_ROWS, _cost_rows as _cost_rows_fft, _delay_collapsed
 from nfisac.geometry import SPEED_OF_LIGHT
 from nfisac.signal import Observation, phase_factor_grid
 
@@ -73,6 +74,50 @@ def brute_scores(candidate, obs, geom):
         float(np.real(np.vdot(residual, dmu_d))),
         float(np.real(np.vdot(residual, dmu_t))),
     )
+
+
+def _cost_rows_direct(obs, geom, bank, d_values, theta_values):
+    """Oracle: the cost over the full grid from the steering vectors, one row at a time."""
+    config = obs.config
+    scale = mean_product_scale(config, geom)
+    psi = 2 * math.pi * np.arange(geom.n_a) / geom.n_a
+    phi = theta_values[:, None] - psi[None, :]
+    cosphi = np.cos(phi)
+    out = np.empty((d_values.size, theta_values.size))
+    for i, d in enumerate(d_values):
+        collapsed = _delay_collapsed(bank, config, d)
+        r = np.sqrt(d * d + geom.radius_m**2 - 2.0 * d * geom.radius_m * cosphi)
+        a = np.exp(1j * 2 * math.pi * (d - r) / geom.wavelength_m) / np.sqrt(geom.n_a)
+        g = geom.wavelength_m / (4.0 * np.pi * r)
+        beta = a @ obs.beamformer
+        deterministic = scale * np.abs(beta) ** 2 * np.sum(1.0 / r**2, axis=1)
+        # sum_k conj(xi_k) = sum_k g a conj(collapsed_k)
+        data = 2.0 * np.real(beta * ((g * a) @ np.conj(collapsed)))
+        out[i] = deterministic - data
+    return out
+
+
+def _local_minima(costs):
+    """Oracle: boolean mask of 8-neighborhood local minima; angles wrap, ranges clip."""
+    row_min = np.minimum(np.roll(costs, 1, axis=1), np.roll(costs, -1, axis=1))
+    np.minimum(row_min, costs, out=row_min)
+    neigh = row_min.copy()
+    np.minimum(neigh[1:], row_min[:-1], out=neigh[1:])
+    np.minimum(neigh[:-1], row_min[1:], out=neigh[:-1])
+    return costs <= neigh
+
+
+def oracle_search(obs, geom, bank, spec):
+    """Full-surface search: every cost, the minima mask, one global lexsort.
+
+    Returns (range index, angle index, cost) for the best ``spec.n_basins``
+    minima, lowest cost first, ties on the lowest index pair.
+    """
+    costs = _cost_rows_direct(obs, geom, bank, spec.d_values(), spec.theta_values())
+    d_idx, t_idx = np.nonzero(_local_minima(costs))
+    values = costs[d_idx, t_idx]
+    order = np.lexsort((t_idx, d_idx, values))[: spec.n_basins]
+    return [(int(d_idx[i]), int(t_idx[i]), float(values[i])) for i in order]
 
 
 class TestMatchedFilterBank:
@@ -366,6 +411,92 @@ class TestCoarseGridSearch:
         fft_rows = _cost_rows_fft(obs, geom, bank, d_values, theta_values)
         direct_rows = _cost_rows_direct(obs, geom, bank, d_values, theta_values)
         assert np.max(np.abs(fft_rows - direct_rows)) / np.max(np.abs(direct_rows)) < 1e-11
+
+
+def assert_matches_oracle(obs, geom, spec):
+    """Streamed search and full-surface oracle agree on indices; costs to 1e-11."""
+    bank = matched_filter_bank(obs)
+    got = coarse_grid_search(obs, geom, bank, spec)
+    want = oracle_search(obs, geom, bank, spec)
+    assert [(b.d_index, b.theta_index) for b in got] == [(d, t) for d, t, _ in want]
+    costs = np.array([b.cost for b in got])
+    oracle_costs = np.array([c for _, _, c in want])
+    assert np.max(np.abs(costs - oracle_costs)) <= 1e-11 * np.max(np.abs(oracle_costs))
+    return want
+
+
+class TestStreamedGridSearch:
+    """The row-block search against the full-surface oracle."""
+
+    @pytest.mark.parametrize("n_d", [77, 13, 1, 2 * GRID_BLOCK_ROWS + 1])
+    def test_row_counts_around_the_block_size(self, n_d):
+        rng = np.random.default_rng(60 + n_d)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8, sigma2=1e-7)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=n_d, n_theta=64, n_basins=15)
+        assert_matches_oracle(obs, geom, spec)
+
+    @pytest.mark.parametrize("row, angle", [(0, 0), (69, 63)])
+    def test_minimum_on_an_edge_row_at_the_angle_wrap(self, row, angle):
+        # A return on a node of the first (last) row at the first (last)
+        # angle: its 3x3 neighbourhood clips in range and wraps in angle. A
+        # little noise breaks the mirror symmetry of the noiseless surface,
+        # whose mirrored minima tie to rounding.
+        config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 1e-11, 60e9)
+        geom = UcaGeometry(8, 0.5, 0.005)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=70, n_theta=64, n_basins=15)
+        pos = PolarPosition(float(spec.d_values()[row]), float(spec.theta_values()[angle]))
+        f = conjugate_focus_beamformer(geom, pos)
+        pilots = generate_pilots(config, 12)
+        obs = synthesize_observation(geom, pos, f, config, pilots, 13)
+        want = assert_matches_oracle(obs, geom, spec)
+        assert want[0][:2] == (row, angle)
+
+    def test_exact_tie_across_a_block_boundary(self):
+        # Repeating the range node at the end of the first block makes the
+        # last row of one block and the first row of the next identical.
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        geom = UcaGeometry(8, 0.5, 0.005)
+        nodes = list(np.linspace(6.0, 18.0, 70))
+        edge = GRID_BLOCK_ROWS - 1
+        nodes.insert(edge + 1, nodes[edge])
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_theta=64, n_basins=15,
+                        d_nodes=tuple(nodes))
+        pos = PolarPosition(nodes[edge], float(spec.theta_values()[21]))
+        f = conjugate_focus_beamformer(geom, pos)
+        pilots = generate_pilots(config, 13)
+        obs = synthesize_observation(geom, pos, f, config, pilots, 14)
+        want = assert_matches_oracle(obs, geom, spec)
+        assert [(d, t) for d, t, _ in want[:2]] == [(edge, 21), (edge + 1, 21)]
+        assert want[0][2] == want[1][2]
+
+    def test_budget_larger_than_the_minima(self):
+        rng = np.random.default_rng(61)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=5, n_theta=16, n_basins=80)
+        want = assert_matches_oracle(obs, geom, spec)
+        assert len(want) < spec.n_basins
+
+    def test_angle_count_must_be_a_multiple_of_the_elements(self):
+        rng = np.random.default_rng(62)
+        config, geom, pos, f, obs = small_observation(rng, n_a=8)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=4, n_theta=60)
+        with pytest.raises(ValueError, match="multiple"):
+            coarse_grid_search(obs, geom, matched_filter_bank(obs), spec)
+
+    def test_memory_stays_bounded(self):
+        # The full float64 surface would be n_d * n_theta * 8 = 32 MB.
+        rng = np.random.default_rng(63)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=4, n_a=8)
+        spec = GridSpec(d_min_m=2.0, d_max_m=40.0, n_d=4000, n_theta=1024, n_basins=15)
+        bank = matched_filter_bank(obs)
+        tracemalloc.start()
+        try:
+            basins = coarse_grid_search(obs, geom, bank, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(basins) == 15
+        assert peak < spec.n_d * spec.n_theta * 8 / 4
 
 
 class TestLmRefine:
