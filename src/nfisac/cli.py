@@ -2,8 +2,9 @@
 
 Configuration values are written in natural units (GHz, kHz, mW, dBm,
 mm, m, degrees) and normalized to SI internally; every run writes the
-fully-resolved config plus master seed to a JSON sidecar next to its
-output so any CSV can be regenerated bit-for-bit. Exit codes: 0 success,
+fully-resolved config, master seed and command arguments to a JSON
+sidecar next to its output, so any CSV can be regenerated byte for byte
+from the sidecar alone (see ``write_sidecar``). Exit codes: 0 success,
 1 usage/config error, 2 runtime error.
 """
 
@@ -278,11 +279,22 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def write_sidecar(output_path: str, cfg: RunConfig, seed: int, command: str) -> None:
+def write_sidecar(
+    output_path: str, cfg: RunConfig, seed: int, command: str, arguments: dict
+) -> None:
+    """JSON sidecar: config, seed, and the command's resolved arguments.
+
+    ``arguments`` maps each argument's dest to its resolved value (flags as
+    booleans); output paths are left out. Rerunning ``command`` with
+    ``--config`` holding ``config``, ``--seed master_seed`` and
+    ``--<dest with - for _> value`` for each argument (a bare flag when True)
+    regenerates the output byte for byte.
+    """
     sidecar = {
         "tool": f"nfisac {__version__}",
         "command": command,
         "master_seed": seed,
+        "arguments": arguments,
         "config": resolved_config_dict(cfg),
     }
     with open(str(output_path) + ".config.json", "w") as handle:
@@ -382,7 +394,7 @@ def _cmd_crlb_sweep(args, cfg: RunConfig) -> int:
         for r in rows
     ]
     write_csv(args.output, header, data, seed, "crlb-sweep")
-    write_sidecar(args.output, cfg, seed, "crlb-sweep")
+    write_sidecar(args.output, cfg, seed, "crlb-sweep", {})
     return EXIT_OK
 
 
@@ -397,7 +409,8 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
         for k, v in enumerate(result.beamformer)
     ]
     write_csv(args.output, header, data, seed, "optimize-beamformer")
-    write_sidecar(args.output, cfg, seed, "optimize-beamformer")
+    arguments = {"radius": args.radius, "distance": args.distance, "theta_deg": args.theta_deg}
+    write_sidecar(args.output, cfg, seed, "optimize-beamformer", arguments)
     print(
         f"trace={result.trace_history[-1]!r} iterations={result.iterations} "
         f"converged={result.converged} grad_norm={result.final_grad_norm!r}"
@@ -430,7 +443,11 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
         result.converged, result.iterations, result.basin_index,
     ]]
     write_csv(args.output, header, data, seed, "estimate")
-    write_sidecar(args.output, cfg, seed, "estimate")
+    arguments = {
+        "radius": args.radius, "distance": args.distance, "theta_deg": args.theta_deg,
+        "zero_noise": args.zero_noise, "reduced_m": args.reduced_m,
+    }
+    write_sidecar(args.output, cfg, seed, "estimate", arguments)
     print(
         f"d_hat={result.d_hat_m!r} m  theta_hat={np.rad2deg(result.theta_hat_rad)!r} deg  "
         f"converged={result.converged}"
@@ -457,6 +474,15 @@ def _summary_rows(points) -> list[list]:
     ]
 
 
+def _sweep_arguments(args, sweep: SweepConfig) -> dict:
+    """Resolved arguments of a Monte Carlo command, defaults filled in."""
+    return {
+        "trials": sweep.trials_per_point,
+        "reduced_m": args.reduced_m,
+        "workers": sweep.workers,
+    }
+
+
 def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.master_seed
     sweep = cfg.sweep_config(
@@ -466,7 +492,7 @@ def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
     records = run_trials(sweep)
     points = summarize(sweep, records)
     write_csv(args.output, _SUMMARY_HEADER, _summary_rows(points), seed, "monte-carlo")
-    write_sidecar(args.output, cfg, seed, "monte-carlo")
+    write_sidecar(args.output, cfg, seed, "monte-carlo", _sweep_arguments(args, sweep))
     if args.records:
         header = [
             "radius_m", "d_true_m", "theta_true_rad", "d_hat_m", "theta_hat_rad",
@@ -496,7 +522,7 @@ def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
         for p in points
     ]
     write_csv(args.output, header, rows, seed, "rate-sweep")
-    write_sidecar(args.output, cfg, seed, "rate-sweep")
+    write_sidecar(args.output, cfg, seed, "rate-sweep", _sweep_arguments(args, sweep))
     return EXIT_OK
 
 

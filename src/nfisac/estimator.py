@@ -3,9 +3,14 @@
 Pipeline: a matched-filter bank collapses the symbol axis once per
 observation; a two-stage grid search (delay compensation per range row,
 then an O(n_a) correlation per angle cell) ranks candidate basins of the
-negative-log-likelihood surface; Levenberg-Marquardt iterations on the
-analytic score pair (F_d, F_theta) polish the best basins; the lowest
-final cost wins.
+negative-log-likelihood surface; windowed cost scans, then
+Levenberg-Marquardt iterations on the analytic score pair (F_d, F_theta),
+polish the best basins; the lowest final cost wins. Off the grid, every
+cost, score and xi comes from one candidate evaluator, ``_evaluate``, which
+takes a batch of (range, angle) candidates as (n, n_a) arrays and collapses
+the bank over the subcarriers once per distinct range in the batch: a scan
+window or the Jacobian stencil is one call. ``cost``, ``scores`` and
+``xi`` are its one-candidate views.
 
 Cost factorization, for candidate (d, theta) with xi_k the delay- and
 pilot-compensated correlation at element k:
@@ -28,17 +33,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crlb import beam_coupling, fim, gamma_coefficients, mean_product_scale
+from .crlb import BeamCoupling, fim, gamma_coefficients, mean_product_scale
 from .geometry import (
     SPEED_OF_LIGHT,
+    GeometrySensitivities,
     PolarPosition,
     UcaGeometry,
+    element_angles,
     element_gains,
     element_ranges,
-    sensitivities,
-    steering_vector,
 )
-from .signal import Observation, OfdmConfig, delay_phases, pilot_doppler_grid
+from .signal import (
+    Observation,
+    OfdmConfig,
+    delay_phases,
+    pilot_doppler_grid,
+    require_unit_norm,
+)
 
 TWO_PI = 2.0 * np.pi
 # Range rows per coarse-grid block: the search holds two blocks' costs at a time.
@@ -84,6 +95,8 @@ class GridSpec:
                 f"need 0 < d_min_m < d_max_m, got ({self.d_min_m}, {self.d_max_m})"
             )
         if self.d_nodes is not None:
+            # A tuple keeps the spec hashable (the harness memoises specs).
+            object.__setattr__(self, "d_nodes", tuple(self.d_nodes))
             object.__setattr__(self, "n_d", len(self.d_nodes))
         if self.n_d < 1 or self.n_theta < 1:
             raise ValueError("grid sizes must be positive")
@@ -158,11 +171,90 @@ def matched_filter_bank(obs: Observation) -> MatchedFilterBank:
     return MatchedFilterBank(aggregates)
 
 
-def _delay_collapsed(bank: MatchedFilterBank, config: OfdmConfig, d_m: float) -> np.ndarray:
-    """Per-element sum_m e^{+j 2 pi m df (Tcp + tau)} Z[k, m] at delay tau = 2d/c."""
-    tau0 = 2.0 * d_m / SPEED_OF_LIGHT
-    comp = np.conj(delay_phases(config, tau0))
-    return bank.aggregates @ comp
+@dataclass(frozen=True)
+class _Evaluation:
+    """One candidate batch: xi per (candidate, element), and on request costs and scores."""
+
+    xi: np.ndarray  # (n, n_a)
+    cost: np.ndarray | None  # (n,)
+    scores: np.ndarray | None  # (n, 2): F_d, F_theta
+
+
+def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows[i] @ v for every row, each as its own dot product.
+
+    A stacked matmul gives every candidate bit for bit the value a batch of
+    one gives; a single matrix-vector product would round differently.
+    """
+    return (rows[:, None, :] @ v)[:, 0]
+
+
+def _evaluate(
+    d_m: np.ndarray,
+    theta_rad: np.ndarray,
+    bank: MatchedFilterBank,
+    geom: UcaGeometry,
+    config: OfdmConfig,
+    beamformer: np.ndarray | None = None,
+    with_scores: bool = False,
+) -> _Evaluation:
+    """Matched-filter outputs, costs and score pairs of n candidates at once.
+
+    Candidate i sits at (d_m[i], theta_rad[i]); ranges, steering vectors,
+    couplings and derivative factors are (n, n_a) arrays. The delay
+    compensation of the bank is one length-M collapse per *distinct*
+    range, so an angle scan or the two angle points of a Jacobian stencil
+    share one. Every product is taken per candidate (see ``_row_dots``),
+    so a candidate's values do not depend on the batch it comes in.
+    Without a beamformer only xi is computed; with one, also the costs,
+    and with ``with_scores`` the scores too. Raises ValueError for a
+    candidate on or inside the array circle.
+    """
+    d_m = np.asarray(d_m, dtype=float)
+    inside = d_m <= geom.radius_m
+    if np.any(inside):
+        raise ValueError(
+            f"candidate distance {d_m[inside][0]} must exceed the radius {geom.radius_m}"
+        )
+    distinct, inverse = np.unique(d_m, return_inverse=True)
+    comp = np.conj(delay_phases(config, 2.0 * distinct[:, None] / SPEED_OF_LIGHT))
+    collapsed = (bank.aggregates @ comp[:, :, None])[inverse, :, 0]
+    d = d_m[:, None]
+    phi = np.asarray(theta_rad, dtype=float)[:, None] - element_angles(geom)
+    radius = geom.radius_m
+    cos_phi = np.cos(phi)
+    ranges = np.sqrt(d * d + radius * radius - 2.0 * d * radius * cos_phi)
+    a = np.exp(1j * (2.0 * np.pi * (d - ranges) / geom.wavelength_m)) / np.sqrt(geom.n_a)
+    gains = element_gains(ranges, geom.wavelength_m)
+    xis = gains * np.conj(a) * collapsed
+    if beamformer is None:
+        return _Evaluation(xis, None, None)
+
+    beta = _row_dots(a, beamformer)
+    scale = mean_product_scale(config, geom)
+    costs = scale * np.abs(beta) ** 2 * np.sum(1.0 / ranges**2, axis=1)
+    # Re{beta * sum_k conj(xi_k)}, spelled out: numpy's vector complex
+    # product may fuse multiply-adds, and the scalar product does not.
+    data = np.sum(np.conj(xis), axis=1)
+    costs -= 2.0 * (beta.real * data.real - beta.imag * data.imag)
+    if not with_scores:
+        return _Evaluation(xis, costs, None)
+
+    f = require_unit_norm(beamformer)
+    alpha_d = (d - radius * cos_phi) / ranges
+    alpha_theta = d * radius * np.sin(phi) / ranges
+    sens = GeometrySensitivities(ranges, alpha_d, alpha_theta, gains)
+    coupling = BeamCoupling(
+        beta[:, None],
+        _row_dots(a * (1.0 - alpha_d), f)[:, None],
+        _row_dots(a * alpha_theta, f)[:, None],
+    )
+    gammas = gamma_coefficients(sens, coupling, geom.wavelength_m)
+    rho = xis - scale * coupling.beta / ranges**2
+    scores = np.empty((d_m.size, 2))
+    scores[:, 0] = np.real(np.sum(np.conj(gammas.gamma_d) * rho, axis=1))
+    scores[:, 1] = np.real(np.sum(np.conj(gammas.gamma_theta) * rho, axis=1))
+    return _Evaluation(xis, costs, scores)
 
 
 def xi(
@@ -173,18 +265,11 @@ def xi(
 ) -> np.ndarray:
     """Matched-filter outputs xi_k = g_k conj(a_k) * delay-compensated bank.
 
-    For a noiseless observation evaluated at its own truth this equals
-    s * beta / r_k^2 with s = N M P_t lambda^2 / (16 pi^2 n_a).
+    The delay-compensated bank is sum_m e^{+j 2 pi m df (Tcp + tau)} Z[k, m]
+    at tau = 2d/c. For a noiseless observation evaluated at its own truth
+    xi_k equals s * beta / r_k^2 with s = N M P_t lambda^2 / (16 pi^2 n_a).
     """
-    if candidate.d_m <= geom.radius_m:
-        raise ValueError(
-            f"candidate distance {candidate.d_m} must exceed the radius {geom.radius_m}"
-        )
-    collapsed = _delay_collapsed(bank, config, candidate.d_m)
-    ranges = element_ranges(geom, candidate)
-    gains = element_gains(ranges, geom.wavelength_m)
-    a = steering_vector(geom, candidate)
-    return gains * np.conj(a) * collapsed
+    return _evaluate([candidate.d_m], [candidate.theta_rad], bank, geom, config).xi[0]
 
 
 def cost(
@@ -198,15 +283,10 @@ def cost(
     Equals ||r - mu||^2 - ||r||^2 for the candidate's model mean; the
     deterministic term needs O(n_a) work, the data term O(n_a * M).
     """
-    config = obs.config
-    ranges = element_ranges(geom, candidate)
-    a = steering_vector(geom, candidate)
-    beta = a @ obs.beamformer
-    scale = mean_product_scale(config, geom)
-    deterministic = scale * float(np.abs(beta) ** 2) * float(np.sum(1.0 / ranges**2))
-    xis = xi(candidate, bank, geom, config)
-    data = 2.0 * float(np.real(beta * np.sum(np.conj(xis))))
-    return deterministic - data
+    batch = _evaluate(
+        [candidate.d_m], [candidate.theta_rad], bank, geom, obs.config, obs.beamformer
+    )
+    return float(batch.cost[0])
 
 
 def scores(
@@ -222,14 +302,12 @@ def scores(
     the shared derivative factors gamma_k; both vanish together at a
     noiseless observation's truth.
     """
-    sens = sensitivities(geom, candidate)
-    coupling = beam_coupling(geom, candidate, obs.beamformer)
-    gammas = gamma_coefficients(sens, coupling, geom.wavelength_m)
-    scale = mean_product_scale(config, geom)
-    rho = xi(candidate, bank, geom, config) - scale * coupling.beta / sens.ranges_m**2
-    f_d = float(np.real(np.sum(np.conj(gammas.gamma_d) * rho)))
-    f_theta = float(np.real(np.sum(np.conj(gammas.gamma_theta) * rho)))
-    return f_d, f_theta
+    batch = _evaluate(
+        [candidate.d_m], [candidate.theta_rad], bank, geom, config, obs.beamformer,
+        with_scores=True,
+    )
+    f_d, f_theta = batch.scores[0]
+    return float(f_d), float(f_theta)
 
 
 def _phasor(phase: np.ndarray) -> np.ndarray:
@@ -436,21 +514,28 @@ def lm_refine(
     """Damped Gauss-Newton iterations driving the score pair to zero.
 
     The 2x2 Jacobian of (F_d, F_theta) comes from central finite
-    differences; steps are solved from the Marquardt-scaled normal
-    equations. Step control uses the likelihood cost as merit: a trial
-    step is accepted only if it does not increase the candidate's cost.
-    The score norm cannot play that role here, because it also decays
-    wherever the matched-filter correlation fades, so norm descent can
-    march straight out of the basin along the range-angle ridge. Steps
-    are additionally capped at half a correlation lobe per axis; range
-    iterates are clamped to (R(1+1e-6), d_max_m), angles wrapped
-    modulo 2*pi.
+    differences, its four stencil points evaluated as one candidate batch
+    (the two angle points share one range collapse); steps are solved from
+    the Marquardt-scaled normal equations. Each trial step's scores and
+    cost come from one more batch of one. Step control uses the likelihood
+    cost as merit: a trial step is accepted only if it does not increase
+    the candidate's cost. The score norm cannot play that role here,
+    because it also decays wherever the matched-filter correlation fades,
+    so norm descent can march straight out of the basin along the
+    range-angle ridge. Steps are additionally capped at half a correlation
+    lobe per axis; range iterates are clamped to (R(1+1e-6), d_max_m),
+    angles wrapped modulo 2*pi.
     """
     d_lo = geom.radius_m * (1.0 + 1e-6)
     d_hi = lm.d_max_m
 
     def clamped(d: float, theta: float) -> PolarPosition:
         return PolarPosition(min(max(d, d_lo), d_hi), wrap_angle(theta))
+
+    def evaluate(d_m, theta_rad) -> _Evaluation:
+        return _evaluate(
+            d_m, theta_rad, bank, geom, config, obs.beamformer, with_scores=True
+        )
 
     current = clamped(basin.d_m, basin.theta_rad)
     f_scale = _score_scale(geom, config, current)
@@ -469,27 +554,26 @@ def lm_refine(
         )
         score_floor = np.maximum(score_floor, 4.0 * noise_floor)
 
-    def score_vec(p: PolarPosition) -> np.ndarray:
-        return np.asarray(scores(p, obs, geom, bank, config))
-
-    current_f = score_vec(current)
-    current_cost = cost(current, obs, geom, bank)
+    at = evaluate([current.d_m], [current.theta_rad])
+    current_f, current_cost = at.scores[0], float(at.cost[0])
     damping = lm.lambda_init
     converged = False
     iterations = 0
     tiny_steps = 0
+    # Central-difference stencil: (d + hd, d - hd) at theta, then
+    # (theta + ht, theta - ht) at d.
+    hd, ht = lm.fd_step_d_m, lm.fd_step_theta_rad
+    stencil_d = np.array([hd, -hd, 0.0, 0.0])
+    stencil_t = np.array([0.0, 0.0, ht, -ht])
 
     for iterations in range(1, lm.max_iters + 1):
-        hd, ht = lm.fd_step_d_m, lm.fd_step_theta_rad
+        stencil = evaluate(
+            np.clip(current.d_m + stencil_d, d_lo, d_hi),
+            np.mod(current.theta_rad + stencil_t, TWO_PI),
+        ).scores
         jac = np.empty((2, 2))
-        jac[:, 0] = (
-            score_vec(clamped(current.d_m + hd, current.theta_rad))
-            - score_vec(clamped(current.d_m - hd, current.theta_rad))
-        ) / (2.0 * hd)
-        jac[:, 1] = (
-            score_vec(clamped(current.d_m, current.theta_rad + ht))
-            - score_vec(clamped(current.d_m, current.theta_rad - ht))
-        ) / (2.0 * ht)
+        jac[:, 0] = (stencil[0] - stencil[1]) / (2.0 * hd)
+        jac[:, 1] = (stencil[2] - stencil[3]) / (2.0 * ht)
         jtj = jac.T @ jac
         jtf = jac.T @ current_f
         diag = np.diag(np.maximum(np.diag(jtj), np.finfo(float).tiny))
@@ -504,8 +588,8 @@ def lm_refine(
         )
         step = step * shrink
         candidate = clamped(current.d_m + step[0], current.theta_rad + step[1])
-        candidate_f = score_vec(candidate)
-        candidate_cost = cost(candidate, obs, geom, bank)
+        at = evaluate([candidate.d_m], [candidate.theta_rad])
+        candidate_f, candidate_cost = at.scores[0], float(at.cost[0])
         accepted = candidate_cost <= current_cost + cost_slack
         if accepted:
             actual_step_d = abs(candidate.d_m - current.d_m)
@@ -554,7 +638,8 @@ def polish_basin(
     range and angle cell, with the window shrinking to a few steps of
     the previous resolution each round, deterministically walks into the
     narrow peak and hands the score iteration an initialization inside
-    its quadratic region.
+    its quadratic region. Each n_scan-point window is one candidate batch;
+    an angle window shares a single range collapse of the bank.
     """
     d_values = spec.d_values()
     if d_values.size > 1:
@@ -567,21 +652,20 @@ def polish_basin(
     t_window = TWO_PI / spec.n_theta
     d_lo = geom.radius_m * (1.0 + 1e-6)
     current = basin
+
+    def window_costs(d_m, theta_rad) -> np.ndarray:
+        return _evaluate(d_m, theta_rad, bank, geom, obs.config, obs.beamformer).cost
+
     for _ in range(rounds):
         offsets_d = np.linspace(-d_window, d_window, n_scan)
         cand_d = np.clip(current.d_m + offsets_d, d_lo, None)
-        costs_d = [
-            cost(PolarPosition(float(dc), current.theta_rad), obs, geom, bank)
-            for dc in cand_d
-        ]
+        costs_d = window_costs(cand_d, np.full(n_scan, current.theta_rad))
         current = PolarPosition(
             float(cand_d[int(np.argmin(costs_d))]), current.theta_rad
         )
         offsets_t = np.linspace(-t_window, t_window, n_scan)
-        costs_t = [
-            cost(PolarPosition(current.d_m, wrap_angle(current.theta_rad + dt)), obs, geom, bank)
-            for dt in offsets_t
-        ]
+        cand_t = np.mod(current.theta_rad + offsets_t, TWO_PI)
+        costs_t = window_costs(np.full(n_scan, current.d_m), cand_t)
         current = PolarPosition(
             current.d_m,
             wrap_angle(current.theta_rad + float(offsets_t[int(np.argmin(costs_t))])),

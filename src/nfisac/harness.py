@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,18 +195,42 @@ def adaptive_d_nodes(
     return tuple(nodes)
 
 
-def grid_for_radius(cfg: SweepConfig, radius_m: float) -> GridSpec:
-    """Anchor the grid template to one radius."""
-    geom = cfg.geometry(radius_m)
+# Grid specs kept per process: one per (template, numerology, array, radius).
+GRID_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid_spec(
+    grid: GridSpec,
+    ofdm: OfdmConfig,
+    n_a: int,
+    wavelength_m: float,
+    n_theta_auto: bool,
+    radius_m: float,
+) -> GridSpec:
     d_min = max(2.0 * radius_m, 1.0)
-    spec = replace(cfg.grid, d_min_m=d_min)
-    if cfg.n_theta_auto:
+    spec = replace(grid, d_min_m=d_min)
+    if n_theta_auto:
+        geom = UcaGeometry(n_a, radius_m, wavelength_m)
         spec = replace(
             spec,
             n_theta=auto_n_theta(geom),
-            d_nodes=adaptive_d_nodes(geom, cfg.ofdm, d_min, spec.d_max_m),
+            d_nodes=adaptive_d_nodes(geom, ofdm, d_min, spec.d_max_m),
         )
     return spec
+
+
+def grid_for_radius(cfg: SweepConfig, radius_m: float) -> GridSpec:
+    """Anchor the grid template to one radius.
+
+    The spec is built once per radius and reused: it is memoised on the
+    inputs it reads (grid template, OFDM numerology, element count,
+    wavelength, ``n_theta_auto`` and radius), not on the whole sweep, so
+    sweeps that differ only in seed or trial count share it.
+    """
+    return _grid_spec(
+        cfg.grid, cfg.ofdm, cfg.n_a, cfg.wavelength_m, cfg.n_theta_auto, radius_m
+    )
 
 
 def _angle_error(est: float, true: float) -> float:
@@ -245,15 +270,16 @@ def run_trial(
     rate_opt = achievable_rate(
         geom, truth, conjugate_focus_beamformer(geom, truth), cfg.ofdm
     )
+    # Plain Python scalars, so a record is JSON-serializable as it stands.
     return TrialRecord(
-        radius_m=radius_m,
-        d_true_m=d_true_m,
+        radius_m=float(radius_m),
+        d_true_m=float(d_true_m),
         theta_true_rad=truth.theta_rad,
-        d_hat_m=result.d_hat_m,
+        d_hat_m=float(result.d_hat_m),
         theta_hat_rad=wrap_angle(result.theta_hat_rad),
-        converged=result.converged,
-        success=success,
-        snr_db=10.0 * np.log10(snr) if snr > 0.0 else -np.inf,
+        converged=bool(result.converged),
+        success=bool(success),
+        snr_db=float(10.0 * np.log10(snr)) if snr > 0.0 else -np.inf,
         rate_est_bps=rate_est,
         rate_opt_bps=rate_opt,
         seed=seed,

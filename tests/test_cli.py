@@ -72,3 +72,40 @@ class TestRecordsCsv:
             assert row["converged"] == ("1" if record.converged else "0")
             assert row["success"] == ("1" if record.success else "0")
             assert int(row["seed"]) == record.seed
+
+
+def rerun_argv(sidecar, config_path, outputs):
+    """The command line a sidecar describes, with fresh output paths."""
+    argv = ["--config", config_path, "--seed", str(sidecar["master_seed"]), sidecar["command"]]
+    for dest, value in sidecar["arguments"].items():
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, str(value)]
+    return argv + outputs
+
+
+class TestSidecar:
+    def test_rerun_from_the_sidecar_alone_is_byte_identical(self, tmp_path):
+        config = write_config(tmp_path, TINY)
+        first = tmp_path / "first"
+        first.mkdir()
+        code = main([
+            "--config", config, "monte-carlo", "--reduced-m", "--trials", "1",
+            "--output", str(first / "summary.csv"), "--records", str(first / "records.csv"),
+        ])
+        assert code == EXIT_OK
+        sidecar = json.loads((first / "summary.csv.config.json").read_text())
+        assert sidecar["arguments"] == {"trials": 1, "reduced_m": True, "workers": 1}
+
+        second = tmp_path / "second"
+        second.mkdir()
+        config_again = second / "config.json"
+        config_again.write_text(json.dumps(sidecar["config"]))
+        code = main(rerun_argv(sidecar, str(config_again), [
+            "--output", str(second / "summary.csv"), "--records", str(second / "records.csv"),
+        ]))
+        assert code == EXIT_OK
+        for name in ("summary.csv", "records.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name

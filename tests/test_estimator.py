@@ -26,15 +26,16 @@ from nfisac import (
     matched_filter_bank,
     mean_product_scale,
     noiseless_mean,
+    polish_basin,
     scores,
     sensitivities,
     steering_vector,
     synthesize_observation,
     xi,
 )
-from nfisac.estimator import GRID_BLOCK_ROWS, _cost_rows as _cost_rows_fft, _delay_collapsed
-from nfisac.geometry import SPEED_OF_LIGHT
-from nfisac.signal import Observation, phase_factor_grid
+from nfisac.estimator import GRID_BLOCK_ROWS, _cost_rows as _cost_rows_fft, _evaluate
+from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
+from nfisac.signal import Observation, delay_phases, phase_factor_grid
 
 from conftest import random_unit_vector
 
@@ -74,6 +75,71 @@ def brute_scores(candidate, obs, geom):
         float(np.real(np.vdot(residual, dmu_d))),
         float(np.real(np.vdot(residual, dmu_t))),
     )
+
+
+def _delay_collapsed(bank, config, d_m):
+    """Oracle: per-element sum_m e^{+j 2 pi m df (Tcp + tau)} Z[k, m] at tau = 2d/c."""
+    return bank.aggregates @ np.conj(delay_phases(config, 2.0 * d_m / SPEED_OF_LIGHT))
+
+
+def oracle_xi(candidate, bank, geom, config):
+    """Oracle: xi_k = g_k conj(a_k) * delay-compensated bank, one candidate."""
+    collapsed = _delay_collapsed(bank, config, candidate.d_m)
+    gains = element_gains(element_ranges(geom, candidate), geom.wavelength_m)
+    return gains * np.conj(steering_vector(geom, candidate)) * collapsed
+
+
+def oracle_cost(candidate, obs, geom, bank):
+    """Oracle: L = s |beta|^2 sum_k 1/r_k^2 - 2 Re{beta sum_k conj(xi_k)}, one candidate."""
+    ranges = element_ranges(geom, candidate)
+    beta = steering_vector(geom, candidate) @ obs.beamformer
+    scale = mean_product_scale(obs.config, geom)
+    deterministic = scale * float(np.abs(beta) ** 2) * float(np.sum(1.0 / ranges**2))
+    xis = oracle_xi(candidate, bank, geom, obs.config)
+    return deterministic - 2.0 * float(np.real(beta * np.sum(np.conj(xis))))
+
+
+def oracle_scores(candidate, obs, geom, bank, config):
+    """Oracle: (F_d, F_theta) from rho_k = xi_k - s beta / r_k^2 and gamma_k, one candidate."""
+    sens = sensitivities(geom, candidate)
+    coupling = beam_coupling(geom, candidate, obs.beamformer)
+    gammas = gamma_coefficients(sens, coupling, geom.wavelength_m)
+    scale = mean_product_scale(config, geom)
+    rho = oracle_xi(candidate, bank, geom, config) - scale * coupling.beta / sens.ranges_m**2
+    return (
+        float(np.real(np.sum(np.conj(gammas.gamma_d) * rho))),
+        float(np.real(np.sum(np.conj(gammas.gamma_theta) * rho))),
+    )
+
+
+def oracle_polish(basin, obs, geom, bank, spec, rounds=2, n_scan=65):
+    """Oracle: the windowed coordinate descent with one oracle cost call per candidate."""
+    d_values = spec.d_values()
+    idx = int(np.argmin(np.abs(d_values - basin.d_m)))
+    d_window = float(np.max(np.diff(d_values)[max(idx - 1, 0) : idx + 1]))
+    t_window = 2 * math.pi / spec.n_theta
+    d_lo = geom.radius_m * (1.0 + 1e-6)
+    current = basin
+    for _ in range(rounds):
+        cand_d = np.clip(current.d_m + np.linspace(-d_window, d_window, n_scan), d_lo, None)
+        costs_d = [
+            oracle_cost(PolarPosition(float(dc), current.theta_rad), obs, geom, bank)
+            for dc in cand_d
+        ]
+        current = PolarPosition(float(cand_d[int(np.argmin(costs_d))]), current.theta_rad)
+        offsets_t = np.linspace(-t_window, t_window, n_scan)
+        costs_t = [
+            oracle_cost(
+                PolarPosition(current.d_m, float(np.mod(current.theta_rad + dt, 2 * math.pi))),
+                obs, geom, bank,
+            )
+            for dt in offsets_t
+        ]
+        best = current.theta_rad + float(offsets_t[int(np.argmin(costs_t))])
+        current = PolarPosition(current.d_m, float(np.mod(best, 2 * math.pi)))
+        d_window = 4.0 * (2.0 * d_window / (n_scan - 1))
+        t_window = 4.0 * (2.0 * t_window / (n_scan - 1))
+    return current
 
 
 def _cost_rows_direct(obs, geom, bank, d_values, theta_values):
@@ -344,6 +410,80 @@ class TestScores:
             expected = np.array([-0.5 * grad_d, -0.5 * grad_t])
             worst = max(worst, np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
         assert worst < 1e-5
+
+
+def assert_batch_matches_oracle(d_m, theta_rad, obs, geom):
+    """Batched xi, costs and scores against the one-candidate oracles, to 1e-12."""
+    bank = matched_filter_bank(obs)
+    config = obs.config
+    batch = _evaluate(d_m, theta_rad, bank, geom, config, obs.beamformer, with_scores=True)
+    candidates = [PolarPosition(float(d), float(t)) for d, t in zip(d_m, theta_rad)]
+    want_xi = np.array([oracle_xi(c, bank, geom, config) for c in candidates])
+    want_cost = np.array([oracle_cost(c, obs, geom, bank) for c in candidates])
+    want_scores = np.array([oracle_scores(c, obs, geom, bank, config) for c in candidates])
+    assert batch.xi.shape == want_xi.shape
+    assert batch.cost.shape == (len(candidates),)
+    assert batch.scores.shape == (len(candidates), 2)
+    for got, want in ((batch.xi, want_xi), (batch.cost, want_cost), (batch.scores, want_scores)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+class TestBatchedEvaluator:
+    """``_evaluate`` on candidate batches against the per-candidate oracles."""
+
+    def test_random_candidates(self):
+        rng = np.random.default_rng(70)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8)
+        d_m = pos.d_m + rng.uniform(-2.0, 2.0, size=40)
+        theta_rad = rng.uniform(0.0, 2 * math.pi, size=40)
+        assert_batch_matches_oracle(d_m, theta_rad, obs, geom)
+
+    def test_angle_wrap(self):
+        rng = np.random.default_rng(71)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8, theta=0.01)
+        theta_rad = np.array([0.0, 1e-9, 2 * math.pi - 1e-9, 2 * math.pi, 2 * math.pi + 0.3, 0.3])
+        d_m = np.full(theta_rad.size, pos.d_m)
+        assert_batch_matches_oracle(d_m, theta_rad, obs, geom)
+        batch = _evaluate(d_m, theta_rad, matched_filter_bank(obs), geom, config, f)
+        assert batch.cost[3] == pytest.approx(batch.cost[0], rel=1e-12)
+        assert batch.cost[4] == pytest.approx(batch.cost[5], rel=1e-12)
+
+    def test_range_just_outside_the_array(self):
+        rng = np.random.default_rng(72)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8)
+        d_lo = geom.radius_m * (1.0 + 1e-6)
+        d_m = np.array([d_lo, d_lo, 2.0 * d_lo, pos.d_m])
+        theta_rad = np.array([0.0, 1.3, 2.9, pos.theta_rad])
+        assert_batch_matches_oracle(d_m, theta_rad, obs, geom)
+
+    def test_batch_of_one(self):
+        rng = np.random.default_rng(73)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8)
+        assert_batch_matches_oracle(np.array([pos.d_m + 0.1]), np.array([pos.theta_rad]), obs, geom)
+
+    def test_repeated_ranges_share_one_collapse(self):
+        rng = np.random.default_rng(74)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8)
+        d_m = np.array([pos.d_m, pos.d_m + 0.5, pos.d_m, pos.d_m + 0.5, pos.d_m, pos.d_m - 0.2])
+        theta_rad = pos.theta_rad + np.array([0.0, 0.0, 0.01, -0.02, -0.01, 0.0])
+        assert_batch_matches_oracle(d_m, theta_rad, obs, geom)
+
+    def test_candidate_on_the_array_circle_raises(self):
+        rng = np.random.default_rng(75)
+        config, geom, pos, f, obs = small_observation(rng, n_a=8)
+        bank = matched_filter_bank(obs)
+        with pytest.raises(ValueError, match="must exceed the radius"):
+            _evaluate(np.array([pos.d_m, geom.radius_m]), np.zeros(2), bank, geom, config, f)
+
+    @pytest.mark.parametrize("seed", [76, 77, 78])
+    def test_polish_matches_the_scalar_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        config, geom, pos, f, obs = small_observation(rng, n=2, m=16, n_a=8, sigma2=1e-7)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=40, n_theta=64, n_basins=4)
+        bank = matched_filter_bank(obs)
+        for basin in coarse_grid_search(obs, geom, bank, spec):
+            got = polish_basin(basin.position, obs, geom, bank, spec)
+            assert got == oracle_polish(basin.position, obs, geom, bank, spec)
 
 
 class TestCoarseGridSearch:
