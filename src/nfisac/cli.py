@@ -255,6 +255,11 @@ def _validate(cfg: RunConfig) -> None:
     _require(cfg.grid["d_max_m"] > max_radius * 2, "key 'grid.d_max_m' too small")
     _require(cfg.grid["n_d"] >= 2, "key 'grid.n_d' must be >= 2")
     _require(cfg.grid["n_basins"] >= 1, "key 'grid.n_basins' must be >= 1")
+    try:
+        cfg.optimizer_config()
+    except ValueError as exc:
+        # OptimizerConfig's messages open with the offending field's name.
+        raise ConfigError(f"key 'optimizer.{str(exc).split()[0]}': {exc}") from None
     n_theta = cfg.grid["n_theta"]
     _require(
         n_theta == "auto" or (isinstance(n_theta, int) and n_theta >= 1),
@@ -412,7 +417,7 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
     arguments = {"radius": args.radius, "distance": args.distance, "theta_deg": args.theta_deg}
     write_sidecar(args.output, cfg, seed, "optimize-beamformer", arguments)
     print(
-        f"trace={result.trace_history[-1]!r} iterations={result.iterations} "
+        f"trace={float(result.trace_history[-1])!r} iterations={result.iterations} "
         f"converged={result.converged} grad_norm={result.final_grad_norm!r}"
     )
     return EXIT_OK

@@ -1,12 +1,18 @@
-"""Riemannian descent machinery: gradients, projection, retraction, descent."""
+"""Riemannian descent machinery: gradients, projection, retraction, descent.
+
+The 64-dim project-descend-retract Armijo loop that the subspace Newton
+solver replaced lives here as the oracle (``armijo_oracle``).
+"""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from nfisac import (
+    OfdmConfig,
     OptimizerConfig,
     PolarPosition,
     UcaGeometry,
@@ -21,9 +27,56 @@ from nfisac import (
     ue_received_snr,
     wirtinger_gradient,
 )
-from nfisac.beamformer import StepTooLargeError
+from nfisac.beamformer import OptimizerResult, StepTooLargeError, _TraceWorkspace
 
-from conftest import random_unit_vector
+from conftest import SIGMA2_W, random_unit_vector
+
+
+def oracle_objective(workspace, f):
+    """Trace of the bound from the cached quadratics; +inf when unidentifiable."""
+    _, _, quad_r, quad_t, quad_x = workspace.quadratics(f)
+    det = quad_r * quad_t - quad_x**2
+    if det <= 0.0:
+        return np.inf
+    return (quad_r + quad_t) / (workspace.scale * det)
+
+
+def armijo_oracle(geom, pos, config):
+    """Project-descend-retract loop with Armijo backtracking in all n_a dims."""
+    opt = OptimizerConfig()
+    f = conjugate_focus_beamformer(geom, pos)
+    workspace = _TraceWorkspace(geom, pos, config)
+    objective = oracle_objective(workspace, f)
+    history = [objective]
+    direction = tangent_project(workspace.gradient(f), f)
+    grad_norm = float(np.linalg.norm(direction))
+    tol = opt.grad_tol * grad_norm
+    iterations = 0
+    while iterations < opt.max_iters and grad_norm > tol:
+        # Armijo model: directional derivative along -direction is -2 ||P||^2.
+        expected_slope = 2.0 * grad_norm**2
+        step = opt.initial_step
+        accepted = False
+        for _ in range(opt.max_backtracks):
+            try:
+                candidate = retract(f, step, direction)
+            except StepTooLargeError:
+                step *= opt.backtrack_factor
+                continue
+            candidate_obj = oracle_objective(workspace, candidate)
+            if candidate_obj <= objective - opt.armijo_c * step * expected_slope:
+                accepted = True
+                break
+            step *= opt.backtrack_factor
+        if not accepted:
+            break
+        f = candidate
+        objective = candidate_obj
+        history.append(objective)
+        iterations += 1
+        direction = tangent_project(workspace.gradient(f), f)
+        grad_norm = float(np.linalg.norm(direction))
+    return OptimizerResult(f, np.asarray(history), grad_norm, iterations, grad_norm <= tol)
 
 
 def fd_vs_projected_gradient(geom, pos, config, f, h=1e-7):
@@ -203,6 +256,15 @@ class TestOptimizeBeamformer:
         b = optimize_beamformer(geom64, pos10, reduced_ofdm, opt, init=np.exp(1.3j) * init)
         assert b.trace_history[-1] == pytest.approx(a.trace_history[-1], rel=1e-8)
 
+    def test_single_element_has_nothing_to_optimize(self, reduced_ofdm):
+        geom = UcaGeometry(1, 0.5, 0.005)
+        pos = PolarPosition(10.0, 0.3)
+        result = optimize_beamformer(geom, pos, reduced_ofdm)
+        assert result.iterations == 0
+        np.testing.assert_array_equal(
+            result.beamformer, conjugate_focus_beamformer(geom, pos)
+        )
+
     def test_multistart_dispersion_logged(self, geom64, pos10, reduced_ofdm):
         # Empirical basin consistency: random starts should end within a
         # few percent of the best; recorded, not hard-asserted.
@@ -217,6 +279,98 @@ class TestOptimizeBeamformer:
         spread = (max(finals) - min(finals)) / min(finals)
         print(f"multistart final-trace dispersion: {spread:.3e}")
         assert all(np.isfinite(finals))
+
+
+def ofdm_with(m_subcarriers):
+    """The conftest numerology at a given subcarrier count."""
+    return OfdmConfig(m_subcarriers, 14, 480e3, 0.07 / 480e3, 0.1, SIGMA2_W, 60e9)
+
+
+def existing_test_positions():
+    """(R, d, theta) of every position this file evaluates the trace at."""
+    positions = [(0.5, 10.0, 0.7)]  # geom64, pos10
+    rng = np.random.default_rng(22)  # test_finite_difference_agreement
+    for _ in range(12):
+        radius = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+        positions.append((radius, rng.uniform(11.0, 300.0), rng.uniform(0, 2 * math.pi)))
+        random_unit_vector(rng, 64)
+    rng = np.random.default_rng(30)  # test_never_worse_than_conjugate_focus
+    for _ in range(5):
+        radius = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+        positions.append((radius, rng.uniform(11.0, 200.0), rng.uniform(0, 2 * math.pi)))
+    return positions
+
+
+# (R, d, M) of the benchmark workloads: small-array, large-aperture, wideband.
+BENCHMARK_CELLS = [(0.5, 10.0, 128), (0.5, 50.0, 128), (0.5, 200.0, 128), (5.0, 20.0, 128),
+                   (0.5, 10.0, 2048)]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_result(radius, d, theta, m_subcarriers=128):
+    geom = UcaGeometry(64, radius, 0.005)
+    return armijo_oracle(geom, PolarPosition(d, theta), ofdm_with(m_subcarriers))
+
+
+def newton_result(radius, d, theta, m_subcarriers=128, init=None):
+    geom = UcaGeometry(64, radius, 0.005)
+    pos = PolarPosition(d, theta)
+    return optimize_beamformer(geom, pos, ofdm_with(m_subcarriers), init=init)
+
+
+class TestNewtonAgainstOracle:
+    @pytest.mark.parametrize(
+        "radius, d, theta, m",
+        [(r, d, t, 128) for r, d, t in existing_test_positions()]
+        + [(r, d, t, m) for r, d, m in BENCHMARK_CELLS for t in (0.0, 2.0)],
+    )
+    def test_never_above_the_oracle(self, radius, d, theta, m):
+        oracle = oracle_result(radius, d, theta, m).trace_history[-1]
+        assert newton_result(radius, d, theta, m).trace_history[-1] <= oracle * (1 + 1e-12)
+
+    @pytest.mark.parametrize("radius, d", [(0.5, 10.0), (5.0, 20.0)])
+    def test_well_below_the_capped_oracle(self, radius, d):
+        oracle = oracle_result(radius, d, 0.7)
+        assert not oracle.converged
+        assert newton_result(radius, d, 0.7).trace_history[-1] <= 0.92 * oracle.trace_history[-1]
+
+    @pytest.mark.parametrize("d", [50.0, 200.0])
+    def test_agrees_where_the_oracle_converges(self, d):
+        oracle = oracle_result(0.5, d, 0.7)
+        assert oracle.converged
+        assert newton_result(0.5, d, 0.7).trace_history[-1] == pytest.approx(
+            oracle.trace_history[-1], rel=1e-10
+        )
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("d", [10.0, 20.0, 100.0, 200.0])
+    def test_random_starts_never_beat_the_default_start(self, radius, d):
+        default = newton_result(radius, d, 0.7).trace_history[-1]
+        rng = np.random.default_rng(int(10 * radius + d))
+        for _ in range(9):
+            start = newton_result(radius, d, 0.7, init=random_unit_vector(rng, 64))
+            assert start.trace_history[-1] >= default * (1 - 1e-10)
+            # Newton with |lambda| from the projected start: a few steps, not a crawl.
+            assert start.converged and start.iterations <= 20
+
+    def test_tolerance_below_rounding_stops_at_the_optimum(self):
+        # At R=2, d=100 the tangent gradient bottoms out near 1e-10 of its
+        # starting value; steps that round to no decrease end the search.
+        geom = UcaGeometry(64, 2.0, 0.005)
+        pos = PolarPosition(100.0, 0.7)
+        tight = optimize_beamformer(geom, pos, ofdm_with(128), OptimizerConfig(grad_tol=1e-14))
+        assert tight.iterations <= 10
+        assert np.all(np.diff(tight.trace_history) < 0)
+        assert tight.trace_history[-1] == pytest.approx(
+            newton_result(2.0, 100.0, 0.7).trace_history[-1], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("radius, d, m", BENCHMARK_CELLS)
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 4.0])
+    def test_benchmark_cells_converge_in_few_steps(self, radius, d, m, theta):
+        result = newton_result(radius, d, theta, m)
+        assert result.converged
+        assert result.iterations <= 10
 
 
 class TestConjugateFocus:

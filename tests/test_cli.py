@@ -2,9 +2,11 @@
 
 import csv
 import json
+import re
 
 import pytest
 
+from nfisac import OptimizerConfig
 from nfisac.cli import EXIT_OK, EXIT_USAGE, ConfigError, main, parse_config
 from nfisac.harness import run_trials
 
@@ -109,3 +111,42 @@ class TestSidecar:
         assert code == EXIT_OK
         for name in ("summary.csv", "records.csv"):
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("key, value", [("max_iters", -5), ("max_backtracks", 0)])
+    def test_config_rejects_out_of_range_counts(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+            OptimizerConfig(**{key: value})
+
+    def test_zero_iteration_budget_is_valid(self):
+        assert OptimizerConfig(max_iters=0).max_iters == 0
+
+    @pytest.mark.parametrize(
+        "key, value", [("grad_tol", -1.0), ("max_iters", -3), ("max_backtracks", 0)]
+    )
+    def test_parse_config_names_the_optimizer_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"key 'optimizer.{key}'"):
+            parse_config(overrides={"optimizer": {key: value}})
+
+    @pytest.mark.parametrize("key, value", [("grad_tol", -1.0), ("max_iters", -3)])
+    def test_main_exits_with_usage_code(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, {**TINY, "optimizer": {key: value}})
+        output = tmp_path / "beam.csv"
+        code = main([
+            "--config", config, "optimize-beamformer",
+            "--radius", "0.5", "--distance", "10", "--output", str(output),
+        ])
+        assert code == EXIT_USAGE
+        assert f"optimizer.{key}" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_optimize_prints_a_plain_float_trace(self, tmp_path, capsys):
+        config = write_config(tmp_path, TINY)
+        code = main([
+            "--config", config, "optimize-beamformer",
+            "--radius", "0.5", "--distance", "10", "--output", str(tmp_path / "beam.csv"),
+        ])
+        assert code == EXIT_OK
+        printed = re.search(r"trace=(\S+) ", capsys.readouterr().out).group(1)
+        assert float(printed) > 0.0
