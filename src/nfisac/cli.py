@@ -4,7 +4,10 @@ Configuration values are written in natural units (GHz, kHz, mW, dBm,
 mm, m, degrees) and normalized to SI internally; every run writes the
 fully-resolved config, master seed and command arguments to a JSON
 sidecar next to its output, so any CSV can be regenerated byte for byte
-from the sidecar alone (see ``write_sidecar``). Exit codes: 0 success,
+from the sidecar alone (see ``write_sidecar``). A config value of the
+wrong kind (a string for a count, a bool for a number) is a config error
+that names its key. ``-v/--verbose`` prints one progress line per finished
+Monte Carlo trial to stderr and changes no output. Exit codes: 0 success,
 1 usage/config error, 2 runtime error.
 """
 
@@ -15,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,13 +211,21 @@ def parse_config(
 
     kwargs: dict = {}
     for key, value in data.items():
+        default = getattr(defaults, key)
         if key in _SUBDICT_KEYS:
             if not isinstance(value, dict):
                 raise ConfigError(f"key '{key}' must be a JSON object")
-            kwargs[key] = _merge_section(key, getattr(defaults, key), value)
+            kwargs[key] = _merge_section(key, default, value)
+            for name, entry in value.items():
+                _check_kind(f"{key}.{name}", entry, default[name])
         elif key in ("radii_m", "distances_m"):
+            _require(
+                isinstance(value, (list, tuple)) and value and all(map(_is_number, value)),
+                f"key '{key}' must be a nonempty list of numbers, got {value!r}",
+            )
             kwargs[key] = tuple(float(v) for v in value)
         else:
+            _check_kind(key, value, default)
             kwargs[key] = value
     cfg = RunConfig(**kwargs)
     _validate(cfg)
@@ -223,6 +235,25 @@ def parse_config(
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_kind(key: str, value, default) -> None:
+    """A value must be of its default's kind: an integer, or any number.
+
+    A string default ('uniform', 'auto') also admits a number; bools are
+    never numbers here.
+    """
+    if isinstance(default, str):
+        ok, kind = value == default or _is_number(value), f"'{default}' or a number"
+    elif isinstance(default, int):
+        ok, kind = _is_number(value) and isinstance(value, int), "an integer"
+    else:
+        ok, kind = _is_number(value), "a number"
+    _require(ok, f"key '{key}' must be {kind}, got {value!r}")
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -347,7 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"JSON config path (default: ${CONFIG_ENV_VAR} if set, else built-ins)",
     )
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
-    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="report progress (one line per finished trial) on stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     crlb = sub.add_parser("crlb-sweep", help="closed-form bound table, no Monte Carlo")
@@ -479,6 +513,23 @@ def _summary_rows(points) -> list[list]:
     ]
 
 
+def _progress(args):
+    """With --verbose, a ``run_trials`` progress callback printing to stderr."""
+    if not args.verbose:
+        return None
+    start = time.perf_counter()
+
+    def report(done: int, total: int, record) -> None:
+        print(
+            f"trial {done}/{total} done: R={record.radius_m:g} m, d={record.d_true_m:g} m, "
+            f"d_hat={record.d_hat_m:.6g} m, success={int(record.success)} "
+            f"({time.perf_counter() - start:.1f} s)",
+            file=sys.stderr, flush=True,
+        )
+
+    return report
+
+
 def _sweep_arguments(args, sweep: SweepConfig) -> dict:
     """Resolved arguments of a Monte Carlo command, defaults filled in."""
     return {
@@ -494,7 +545,7 @@ def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
         reduced_m=args.reduced_m, trials=args.trials, seed=seed, workers=args.workers
     )
     nearfield_guard(sweep)
-    records = run_trials(sweep)
+    records = run_trials(sweep, _progress(args))
     points = summarize(sweep, records)
     write_csv(args.output, _SUMMARY_HEADER, _summary_rows(points), seed, "monte-carlo")
     write_sidecar(args.output, cfg, seed, "monte-carlo", _sweep_arguments(args, sweep))
@@ -520,7 +571,7 @@ def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
         reduced_m=args.reduced_m, trials=args.trials, seed=seed, workers=args.workers
     )
     nearfield_guard(sweep)
-    points = rate_sweep(sweep)
+    points = rate_sweep(sweep, _progress(args))
     header = ["radius_m", "d_m", "mean_snr_db", "mean_rate_est_bps", "mean_rate_opt_bps", "n_trials"]
     rows = [
         [p.radius_m, p.d_m, p.mean_snr_db, p.mean_rate_est_bps, p.mean_rate_opt_bps, p.n_trials]

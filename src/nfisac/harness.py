@@ -11,6 +11,7 @@ can be reproduced in isolation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -306,14 +307,30 @@ def _run_one(args) -> TrialRecord:
     return run_trial(cfg, radius, distance, theta, seed)
 
 
-def run_trials(cfg: SweepConfig) -> list[TrialRecord]:
-    """All trials of the sweep, sorted canonically for determinism."""
+def run_trials(
+    cfg: SweepConfig,
+    progress: Callable[[int, int, TrialRecord], None] | None = None,
+) -> list[TrialRecord]:
+    """All trials of the sweep, sorted canonically for determinism.
+
+    ``progress``, if given, is called as progress(done, total, record) as
+    each trial finishes.
+    """
     args = list(_trial_args(cfg))
+    records = []
+
+    def finished(record: TrialRecord) -> None:
+        records.append(record)
+        if progress is not None:
+            progress(len(records), len(args), record)
+
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_one, args, chunksize=1))
+            for record in pool.map(_run_one, args, chunksize=1):
+                finished(record)
     else:
-        records = [_run_one(a) for a in args]
+        for a in args:
+            finished(_run_one(a))
     records.sort(key=lambda r: (r.radius_m, r.d_true_m, r.seed))
     return records
 
@@ -378,18 +395,22 @@ def summarize(cfg: SweepConfig, records: list[TrialRecord]) -> list[SweepPoint]:
     return points
 
 
-def rmse_sweep(cfg: SweepConfig) -> list[SweepPoint]:
-    """Monte Carlo RMSE versus the closed-form bound, per (radius, distance)."""
-    return summarize(cfg, run_trials(cfg))
+def rmse_sweep(cfg: SweepConfig, progress=None) -> list[SweepPoint]:
+    """Monte Carlo RMSE versus the closed-form bound, per (radius, distance).
+
+    ``progress`` is passed to ``run_trials``.
+    """
+    return summarize(cfg, run_trials(cfg, progress))
 
 
-def rate_sweep(cfg: SweepConfig) -> list[SweepPoint]:
+def rate_sweep(cfg: SweepConfig, progress=None) -> list[SweepPoint]:
     """Same trial engine, consumed for the rate curves C_est / C_opt.
 
     Emits a warning-grade sanity check: with the conjugate-focus optimum,
-    mean C_opt should grow with mean SNR along each radius.
+    mean C_opt should grow with mean SNR along each radius. ``progress``
+    is passed to ``run_trials``.
     """
-    points = rmse_sweep(cfg)
+    points = rmse_sweep(cfg, progress)
     for radius in cfg.radii_m:
         rows = sorted(
             (p for p in points if p.radius_m == radius), key=lambda p: p.mean_snr_db

@@ -150,3 +150,72 @@ class TestOptimizerSettings:
         assert code == EXIT_OK
         printed = re.search(r"trace=(\S+) ", capsys.readouterr().out).group(1)
         assert float(printed) > 0.0
+
+
+class TestConfigKinds:
+    @pytest.mark.parametrize("overrides, key", [
+        ({"optimizer": {"max_iters": "many"}}, "optimizer.max_iters"),
+        ({"grid": {"n_d": "x"}}, "grid.n_d"),
+        ({"subcarriers": "128"}, "subcarriers"),
+        ({"radii_m": "ab"}, "radii_m"),
+        ({"workers": 1.5}, "workers"),
+        ({"workers": True}, "workers"),
+        ({"tx_power_mw": False}, "tx_power_mw"),
+        ({"lm": {"tol_score": "small"}}, "lm.tol_score"),
+        ({"distances_m": []}, "distances_m"),
+        ({"distances_m": [10.0, True]}, "distances_m"),
+        ({"theta_policy": "random"}, "theta_policy"),
+        ({"grid": {"n_theta": None}}, "grid.n_theta"),
+    ])
+    def test_parse_config_names_the_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}' must be "):
+            parse_config(overrides=overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"optimizer": {"max_iters": "many"}},
+        {"grid": {"n_d": "x"}},
+        {"subcarriers": "128"},
+        {"radii_m": "ab"},
+        {"workers": 1.5},
+    ])
+    def test_main_exits_with_usage_code(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, {**TINY, **overrides})
+        output = tmp_path / "bounds.csv"
+        code = main(["--config", config, "crlb-sweep", "--output", str(output)])
+        assert code == EXIT_USAGE
+        key = next(iter(overrides))
+        assert f"key '{key}" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_numbers_of_either_json_kind_are_accepted(self):
+        cfg = parse_config(overrides={
+            "tx_power_mw": 100, "theta_policy": 30, "radii_m": [1],
+            "grid": {"d_max_m": 40}, "lm": {"tol_score": 1e-9},
+        })
+        assert cfg.radii_m == (1.0,) and cfg.theta_policy == 30
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("command", ["monte-carlo", "rate-sweep"])
+    def test_progress_on_stderr_and_identical_outputs(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, TINY)
+        outputs = {}
+        for flags in ([], ["--verbose"]):
+            out = tmp_path / ("verbose" if flags else "quiet")
+            out.mkdir()
+            argv = ["--config", config, *flags, command, "--output", str(out / "main.csv")]
+            if command == "monte-carlo":
+                argv += ["--records", str(out / "records.csv")]
+            assert main(argv) == EXIT_OK
+            captured = capsys.readouterr()
+            outputs[bool(flags)] = (
+                captured.out,
+                {p.name: p.read_bytes() for p in sorted(out.iterdir())},
+            )
+            lines = captured.err.splitlines()
+            if flags:
+                assert [line.split(" done:")[0] for line in lines] == ["trial 1/2", "trial 2/2"]
+                assert "R=0.5 m, d=10 m" in lines[0]
+            else:
+                assert lines == []
+        assert outputs[True] == outputs[False]

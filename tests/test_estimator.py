@@ -33,7 +33,8 @@ from nfisac import (
     synthesize_observation,
     xi,
 )
-from nfisac.estimator import GRID_BLOCK_ROWS, _cost_rows as _cost_rows_fft, _evaluate
+from nfisac import estimator as estimator_module
+from nfisac.estimator import GRID_BLOCK_ROWS, _cost_rows as _cost_rows_fft, _evaluate, _row_bounds
 from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
 from nfisac.signal import Observation, delay_phases, phase_factor_grid
 
@@ -637,6 +638,181 @@ class TestStreamedGridSearch:
             tracemalloc.stop()
         assert len(basins) == 15
         assert peak < spec.n_d * spec.n_theta * 8 / 4
+
+
+class TestRangeProfileBound:
+    """The row bound lies at or below every computed cost of its row."""
+
+    @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_costs_never_fall_below_the_row_bound(self, seed, sigma2):
+        # Random beams (small_observation draws one), random targets, and
+        # rows from just outside the array circle to well past the target.
+        rng = np.random.default_rng(80 + seed)
+        radius = 0.5
+        config, geom, pos, f, obs = small_observation(
+            rng, n=2, m=8, n_a=8, sigma2=sigma2, radius=radius,
+            d=rng.uniform(0.75, 20.0), theta=rng.uniform(0.0, 2 * math.pi),
+        )
+        bank = matched_filter_bank(obs)
+        d_values = np.concatenate([
+            radius * (1.0 + np.array([1e-6, 1e-4, 1e-2])),
+            np.sort(rng.uniform(radius, 30.0, 40)),
+            [pos.d_m],
+        ])
+        theta_values = 2 * math.pi * np.arange(64) / 64
+        costs = _cost_rows_fft(obs, geom, bank, d_values, theta_values)
+        bounds = _row_bounds(obs, geom, bank, d_values)
+        assert np.all(costs >= bounds[:, None])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bound_is_attained_at_a_noiseless_truth_on_a_node(self, seed):
+        # At the truth of a noiseless observation both inequalities behind
+        # the bound are equalities: only the rounding slack separates them.
+        rng = np.random.default_rng(90 + seed)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        geom = UcaGeometry(8, 0.5, 0.005)
+        theta_values = 2 * math.pi * np.arange(64) / 64
+        j = int(rng.integers(64))
+        pos = PolarPosition(float(rng.uniform(1.0, 20.0)), float(theta_values[j]))
+        f = random_unit_vector(rng, 8)
+        obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, seed), 5)
+        bank = matched_filter_bank(obs)
+        d_values = np.array([pos.d_m])
+        cell = _cost_rows_fft(obs, geom, bank, d_values, theta_values)[0, j]
+        bound = _row_bounds(obs, geom, bank, d_values)[0]
+        assert bound <= cell <= bound * (1.0 - 1e-8)
+
+
+def count_tiles(monkeypatch):
+    """First range index of every tile the search evaluates, in call order."""
+    starts = []
+    real = estimator_module._cost_rows
+
+    def counting(obs, geom, bank, d_values, theta_values):
+        starts.append(float(d_values[0]))
+        return real(obs, geom, bank, d_values, theta_values)
+
+    monkeypatch.setattr(estimator_module, "_cost_rows", counting)
+    return starts
+
+
+def strong_target(m, d, theta, sigma2=1e-13):
+    """An 8-element observation of a conjugate-focused target far above the noise."""
+    config = OfdmConfig(m, 2, 480e3, 0.07 / 480e3, 0.1, sigma2, 60e9)
+    geom = UcaGeometry(8, 0.5, 0.005)
+    pos = PolarPosition(d, theta)
+    f = conjugate_focus_beamformer(geom, pos)
+    obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, 3), 4)
+    return geom, obs
+
+
+def search_surface(monkeypatch, surface, rows, n_basins):
+    """Run the search on a given cost surface whose row bounds are the row minima.
+
+    The tightest valid bound tests the skip logic alone; the result must be
+    the full-surface selection. Returns it as (range index, angle index, cost).
+    """
+    spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=surface.shape[0],
+                    n_theta=surface.shape[1], n_basins=n_basins)
+    d_all = spec.d_values()
+
+    def tile(d_values):
+        start = int(np.searchsorted(d_all, d_values[0]))
+        return surface[start : start + d_values.size]
+
+    monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
+    monkeypatch.setattr(estimator_module, "_row_bounds", lambda o, g, b, d: tile(d).min(axis=1))
+    monkeypatch.setattr(estimator_module, "_cost_rows", lambda o, g, b, d, t: tile(d).copy())
+    got = coarse_grid_search(None, None, None, spec)
+    d_idx, t_idx = np.nonzero(_local_minima(surface))
+    values = surface[d_idx, t_idx]
+    order = np.lexsort((t_idx, d_idx, values))[:n_basins]
+    want = [(int(d_idx[i]), int(t_idx[i]), float(values[i])) for i in order]
+    assert [(b.d_index, b.theta_index, b.cost) for b in got] == want
+    return want
+
+
+class TestPrunedGridSearch:
+    """Tiles the range-profile bound rules out are skipped; basins stay exact."""
+
+    # 300 rows: 10 tiles of GRID_BLOCK_ROWS = 32.
+    SPEC = GridSpec(d_min_m=5.0, d_max_m=100.0, n_d=300, n_theta=64, n_basins=15)
+
+    def n_tiles(self, spec):
+        return -(-spec.n_d // estimator_module.GRID_BLOCK_ROWS)
+
+    def test_high_snr_skips_tiles_and_matches_the_full_surface(self, monkeypatch):
+        geom, obs = strong_target(128, 40.0, 2.0)
+        starts = count_tiles(monkeypatch)
+        assert_matches_oracle(obs, geom, self.SPEC)
+        assert self.n_tiles(self.SPEC) >= 8
+        assert len(starts) < self.n_tiles(self.SPEC) / 2
+
+    def test_target_in_the_last_tile(self, monkeypatch):
+        # The seed tile is the last one, so the stream starts far from it.
+        geom, obs = strong_target(128, 98.0, 2.0)
+        starts = count_tiles(monkeypatch)
+        want = assert_matches_oracle(obs, geom, self.SPEC)
+        last = (self.n_tiles(self.SPEC) - 1) * GRID_BLOCK_ROWS
+        assert starts[0] == self.SPEC.d_values()[last]
+        assert want[0][0] >= last
+        assert len(starts) < self.n_tiles(self.SPEC)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_small_tiles(self, monkeypatch, rows):
+        # One- and two-row tiles have no interior: every minimum waits on
+        # the tiles around it.
+        monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
+        geom, obs = strong_target(128, 40.0, 2.0)
+        spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=61, n_theta=64, n_basins=15)
+        starts = count_tiles(monkeypatch)
+        assert_matches_oracle(obs, geom, spec)
+        assert len(starts) < self.n_tiles(spec)
+
+    def test_noise_only_observation(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        geom, obs = strong_target(128, 40.0, 2.0)
+        noise = rng.normal(size=obs.samples.shape) + 1j * rng.normal(size=obs.samples.shape)
+        obs = dataclasses.replace(obs, samples=1e-6 * noise)
+        count_tiles(monkeypatch)
+        assert_matches_oracle(obs, geom, self.SPEC)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 32])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_surface_under_its_tightest_bound(self, monkeypatch, seed, rows):
+        # A random surface with a few wells, each row's bound its own minimum.
+        rng = np.random.default_rng(100 + seed)
+        surface = rng.normal(size=(70, 16))
+        wells = rng.integers(0, surface.shape, size=(4, 2))
+        surface[wells[:, 0], wells[:, 1]] -= rng.uniform(3.0, 6.0, size=4)
+        search_surface(monkeypatch, surface, rows, n_basins=6)
+
+    def test_seed_edge_rows_wait_for_their_neighbours(self, monkeypatch):
+        # Tiles of 4 rows. The seed tile (rows 4-7, a well of -20) has a
+        # first row lying just above a valley in row 3, so each of its
+        # row-local minima would look like a basin at about -11 without
+        # the tile above. The third basin, a well of -9 in the last tile,
+        # ranks only if those do not set the threshold.
+        rng = np.random.default_rng(110)
+        surface = rng.uniform(0.0, 1.0, size=(12, 16))
+        j = np.arange(16)
+        surface[3] = -12.0 + 0.1 * np.minimum(abs(j - 5), 16 - abs(j - 5))
+        surface[4] = surface[3] + 0.5 + 0.3 * (j % 2)
+        surface[6, 9] = -20.0
+        surface[9, 2] = -9.0
+        want = search_surface(monkeypatch, surface, 4, n_basins=3)
+        assert [(d, t) for d, t, _ in want] == [(6, 9), (3, 5), (9, 2)]
+
+    def test_budget_larger_than_the_minima_evaluates_every_tile(self, monkeypatch):
+        # The running list never fills, so the threshold stays infinite.
+        monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", 4)
+        geom, obs = strong_target(128, 40.0, 2.0)
+        spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=40, n_theta=16, n_basins=640)
+        starts = count_tiles(monkeypatch)
+        want = assert_matches_oracle(obs, geom, spec)
+        assert len(want) < spec.n_basins
+        assert len(starts) == self.n_tiles(spec)
 
 
 class TestLmRefine:
