@@ -28,6 +28,7 @@ from .beamformer import OptimizerConfig, optimize_beamformer
 from .estimator import GridSpec, LmSettings, estimate
 from .geometry import PolarPosition, UcaGeometry
 from .harness import (
+    WORKER_ENV,
     SweepConfig,
     crlb_sweep,
     derive_seed,
@@ -324,7 +325,9 @@ def write_sidecar(
     booleans); output paths are left out. Rerunning ``command`` with
     ``--config`` holding ``config``, ``--seed master_seed`` and
     ``--<dest with - for _> value`` for each argument (a bare flag when True)
-    regenerates the output byte for byte.
+    regenerates the output byte for byte. A command that takes ``workers``
+    also records ``worker_env``, the environment its pool workers start
+    with (one BLAS thread each).
     """
     sidecar = {
         "tool": f"nfisac {__version__}",
@@ -333,6 +336,8 @@ def write_sidecar(
         "arguments": arguments,
         "config": resolved_config_dict(cfg),
     }
+    if "workers" in arguments:
+        sidecar["worker_env"] = dict(WORKER_ENV)
     with open(str(output_path) + ".config.json", "w") as handle:
         json.dump(sidecar, handle, indent=2)
         handle.write("\n")

@@ -5,7 +5,11 @@ observation; a two-stage grid search (delay compensation per range row,
 then an O(n_a) correlation per angle cell) ranks candidate basins of the
 negative-log-likelihood surface, evaluating only the tiles of range rows
 whose range-profile lower bound could still hold a top basin (an exact
-branch-and-bound, see ``coarse_grid_search``); windowed cost scans, then
+branch-and-bound, see ``coarse_grid_search``). The bound pass reads the
+range profile of a uniform run of range rows off one zero-padded inverse
+FFT of the bank, the OFDM-radar range profile (Sturm & Wiesbeck, Proc.
+IEEE 99(7), 2011), and collapses only the other rows directly
+(``_row_norms``); windowed cost scans, then
 Levenberg-Marquardt iterations on the analytic score pair (F_d, F_theta),
 polish the best basins; the lowest final cost wins. Off the grid, every
 cost, score and xi comes from one candidate evaluator, ``_evaluate``, which
@@ -26,8 +30,8 @@ and on the polyphase lattice (angle index j = p + q*l, q = n_theta / n_a)
 each angle sum is a batch of length-n_a circular correlations, evaluated
 as circulant matmuls. The search streams over tiles of GRID_BLOCK_ROWS
 range rows and keeps a running top list of basins, so its memory is
-O(GRID_BLOCK_ROWS * n_theta) plus one bound per tile, however many range
-rows the grid has.
+O(GRID_BLOCK_ROWS * n_theta) plus one bound per range row and an n_a x K
+range profile, however many range rows the grid has.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ GRID_BLOCK_ROWS = 32
 # Relative slack on the range-profile cost bound, far above the rounding of
 # the computed costs (about n_a * eps relative).
 BOUND_SLACK = 1e-9
+# Relative tolerance for a range step to count as c / (2 df K): far above the
+# rounding of summed nodes (about 1e-12), far below any distinct step.
+RUN_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -351,6 +358,88 @@ def _collapse_rows(
     return delay_comp @ bank.aggregates.T
 
 
+def _uniform_runs(config: OfdmConfig, d_values: np.ndarray) -> list[tuple[int, int, int]]:
+    """Runs of range rows c / (2 df K) apart, K >= M an integer: (first, stop, K).
+
+    A step belongs to a run if it matches c / (2 df K) to RUN_STEP_TOL
+    (relative); a row shared by two runs goes to the first. A run is kept
+    only where its rows * M phasors outnumber the K log2 K butterflies of
+    its FFT, so an isolated step that happens to fit some K stays direct.
+    """
+    steps = np.diff(d_values)
+    if steps.size == 0:
+        return []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.rint(SPEED_OF_LIGHT / (2.0 * config.delta_f_hz * steps))
+        fits = np.abs(steps * (2.0 * config.delta_f_hz * k / SPEED_OF_LIGHT) - 1.0)
+    m = config.m_subcarriers
+    key = np.where((k >= m) & (fits <= RUN_STEP_TOL), k, 0.0)
+    changes = np.flatnonzero(np.diff(key)) + 1
+    runs = []
+    claimed = 0  # first row not yet in a run
+    for start, stop in zip(np.r_[0, changes], np.r_[changes, key.size]):
+        size = int(key[start])
+        first = max(int(start), claimed)
+        if size and (stop + 1 - first) * m >= size * np.log2(size):
+            runs.append((first, int(stop) + 1, size))
+            claimed = int(stop) + 1
+    return runs
+
+
+def _row_norms(
+    config: OfdmConfig, bank: MatchedFilterBank, d_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range profile ||c(d)|| per row, and an absolute bound on its error.
+
+    Rows on a uniform run (``_uniform_runs``) come from one zero-padded
+    inverse FFT per run: at d_j = d_0 + j c / (2 df K) the collapse is
+    c_k(d_j) = sum_m Z[k, m] e^{j 2 pi m df (Tcp + 2 d_0 / c)} e^{j 2 pi m j / K},
+    bin j mod K of a K-point inverse DFT of the ramped bank (the sum is
+    K-periodic in j, so wrapping is exact). Every other row, and every row
+    of a grid without such runs, is collapsed by ``_collapse_rows`` and has
+    error 0. The FFT rows differ from what ``_collapse_rows`` would give by
+    rounding and by the nodes' drift from d_0 + j c / (2 df K); per element
+    that is at most gamma sum_m |Z[k, m]|, with
+
+        gamma = eps (64 log2 K + M + 16 (phi_max + 1)) + 4 pi (M - 1) df delta / c,
+
+    covering the FFT (64 log2 K eps: each output is a sum along log2 K
+    butterfly stages, Higham 2002, ch. 24), the collapse's matmul (M eps),
+    the rounding of both phase arguments, up to phi_max = 2 pi (M - 1) df
+    (Tcp + 2 max(d) / c), and of their phasors (16 eps (phi_max + 1)),
+    and the phase of the largest drift delta, measured plus 4 eps max(d).
+    The row's error bound is gamma ||(sum_m |Z[k, m]|)_k||_2.
+    """
+    norms = np.empty(d_values.size)
+    errors = np.zeros(d_values.size)
+    runs = _uniform_runs(config, d_values)
+    direct = np.ones(d_values.size, dtype=bool)
+    m = np.arange(config.m_subcarriers)
+    eps = np.finfo(float).eps
+    span = m[-1] * config.delta_f_hz
+    phi_max = TWO_PI * span * (config.t_cp_s + 2.0 * d_values.max() / SPEED_OF_LIGHT)
+    l1 = np.linalg.norm(np.sum(np.abs(bank.aggregates), axis=1))
+    for first, stop, size in runs:
+        d0 = d_values[first]
+        j = np.arange(stop - first)
+        step = SPEED_OF_LIGHT / (2.0 * config.delta_f_hz * size)
+        drift = np.max(np.abs(d_values[first:stop] - (d0 + j * step)))
+        drift += 4.0 * eps * d_values.max()
+        gamma = eps * (64.0 * np.log2(size) + m.size + 16.0 * (phi_max + 1.0))
+        gamma += 2.0 * TWO_PI * span * drift / SPEED_OF_LIGHT
+        tau0 = 2.0 * d0 / SPEED_OF_LIGHT
+        ramp = _phasor(TWO_PI * m * config.delta_f_hz * (config.t_cp_s + tau0))
+        spectrum = np.fft.ifft(bank.aggregates * ramp, n=size, axis=1, norm="forward")
+        power = np.sum(spectrum.real**2 + spectrum.imag**2, axis=0)
+        norms[first:stop] = np.sqrt(power[j % size])
+        errors[first:stop] = gamma * l1
+        direct[first:stop] = False
+    if np.any(direct):
+        collapsed = _collapse_rows(config, bank, d_values[direct])
+        norms[direct] = np.sqrt(np.sum(collapsed.real**2 + collapsed.imag**2, axis=1))
+    return norms, errors
+
+
 def _row_bounds(
     obs: Observation,
     geom: UcaGeometry,
@@ -359,16 +448,16 @@ def _row_bounds(
 ) -> np.ndarray:
     """A lower bound on every computed cost of each range row, shape (rows,).
 
-    b(d) = -(lambda / 4 pi)^2 ||c(d)||^2 / (n_a s), from the range profile
-    ||c(d)||^2 (see ``coarse_grid_search`` for the derivation), scaled by
-    1 + BOUND_SLACK to cover the rounding of the computed costs.
+    b(d) = -(lambda / 4 pi)^2 (||c(d)|| + E(d))^2 / (n_a s), from the range
+    profile ||c(d)|| and its error bound E(d) (``_row_norms``; 0 on rows
+    collapsed directly), scaled by 1 + BOUND_SLACK to cover the rounding of
+    the computed costs. See ``coarse_grid_search`` for the derivation.
     """
-    collapsed = _collapse_rows(obs.config, bank, d_values)
-    profile = np.sum(collapsed.real**2 + collapsed.imag**2, axis=1)
+    norms, errors = _row_norms(obs.config, bank, d_values)
     scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
         geom.n_a * mean_product_scale(obs.config, geom)
     )
-    return -(1.0 + BOUND_SLACK) * scale * profile
+    return -(1.0 + BOUND_SLACK) * scale * (norms + errors) ** 2
 
 
 def _cost_rows(
@@ -521,8 +610,21 @@ def coarse_grid_search(
     when |beta| <= 2 |beta*|, and far below L - b otherwise.
     ``_row_bounds`` therefore scales b by 1 + BOUND_SLACK (1e-9).
 
-    Search. Every tile's bound (the min of b over its rows) comes from one
-    pass of delay collapses, one tile at a time. The tile with the lowest
+    FFT rows. The costs of an evaluated tile use the rows ``_collapse_rows``
+    gives. On a uniform run of rows c / (2 df K) apart (the delay-limited
+    rows of ``harness.adaptive_d_nodes``, K = 3M) the profile instead comes
+    from one zero-padded K-point inverse FFT, ``_row_norms``, whose result
+    ||c^|| differs from the direct ||c|| by at most an absolute margin
+    E = gamma ||(sum_m |Z[k, m]|)_k||_2: FFT and collapse rounding, phase
+    rounding and the nodes' measured drift from the exact run (gamma is
+    stated there; 2.5e-9 at M = 2048, set by the 6e-11 m drift of the
+    adaptive nodes, and 7e-12 at M = 128). Since ||c|| <= ||c^|| + E, those
+    rows use b(d) = -(1 + BOUND_SLACK) (lambda / 4 pi)^2 (||c^|| + E)^2
+    / (n_a s), which lies at or below the direct bound; on the adaptive
+    grids it is at most a few 1e-7 (relative) looser.
+
+    Search. Every tile's bound is the min of b over its rows, all rows
+    bounded in one ``_row_bounds`` call. The tile with the lowest
     bound is evaluated first: its interior rows' minima are final, since
     their neighbourhoods lie inside it, and seed the running top list.
     Then the tiles are streamed in row order. A tile is skipped iff the
@@ -542,7 +644,8 @@ def coarse_grid_search(
     (each tile is evaluated as before), and the merged output and its
     lexsort((t, d, value)) tie order are those of the full search. Memory
     is the costs of the tile being evaluated, of the tile awaiting its
-    lower halo and of the seed tile, plus one bound per tile.
+    lower halo and of the seed tile, plus one bound per row and the n_a x K
+    range profile of the bound pass.
     """
     d_values = spec.d_values()
     theta_values = spec.theta_values()
@@ -551,7 +654,8 @@ def coarse_grid_search(
         slice(start, start + GRID_BLOCK_ROWS)
         for start in range(0, d_values.size, GRID_BLOCK_ROWS)
     ]
-    bounds = [_row_bounds(obs, geom, bank, d_values[tile]).min() for tile in tiles]
+    row_bounds = _row_bounds(obs, geom, bank, d_values)
+    bounds = [row_bounds[tile].min() for tile in tiles]
     best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
     def merge(found):

@@ -11,8 +11,11 @@ can be reproduced in isolation.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import multiprocessing
+import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -32,6 +35,11 @@ from .signal import (
 
 SUCCESS_TOL_D_M = 0.5
 SUCCESS_TOL_THETA_RAD = np.deg2rad(2.0)
+
+# Environment of every pool worker: one BLAS thread each. Two workers that
+# each start a BLAS thread per core oversubscribe the cores, and on a 2-core
+# box made a pooled sweep several times slower than a serial one.
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -187,7 +195,18 @@ def adaptive_d_nodes(
     d_max_m: float,
     nodes_per_lobe: float = 3.0,
 ) -> tuple[float, ...]:
-    """Range nodes with spacing tied to the local correlation width."""
+    """Range nodes with spacing tied to the local correlation width.
+
+    Steps are the width at the current node over ``nodes_per_lobe``. Where
+    the delay lobe c / (2 M df) governs, every step is the same,
+    c / (2 df K) with K = nodes_per_lobe * M, so those rows form one uniform
+    run: when K is an integer (the default 3 M), the coarse grid's bound
+    pass reads them off one K-point FFT (``estimator._row_norms``). The run
+    drifts from d_0 + j c / (2 df K) only by the rounding of the summed
+    steps (6e-11 m over 7800 rows at M = 2048), which that bound measures
+    and covers. Ahead of the run, where the wavefront curvature governs,
+    the steps grow with d; the last node is clamped to ``d_max_m``.
+    """
     nodes = [d_min_m]
     d = d_min_m
     while d < d_max_m:
@@ -307,6 +326,25 @@ def _run_one(args) -> TrialRecord:
     return run_trial(cfg, radius, distance, theta, seed)
 
 
+@contextmanager
+def _worker_environment() -> Iterator[None]:
+    """Set WORKER_ENV in this process's environment, restoring it on exit.
+
+    Spawned workers copy the environment when they start, before they
+    import numpy, which is when BLAS reads its thread count.
+    """
+    saved = {name: os.environ.get(name) for name in WORKER_ENV}
+    os.environ.update(WORKER_ENV)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def run_trials(
     cfg: SweepConfig,
     progress: Callable[[int, int, TrialRecord], None] | None = None,
@@ -314,7 +352,10 @@ def run_trials(
     """All trials of the sweep, sorted canonically for determinism.
 
     ``progress``, if given, is called as progress(done, total, record) as
-    each trial finishes.
+    each trial finishes. With ``cfg.workers`` > 1 the trials run in that
+    many spawned processes, each started with WORKER_ENV; spawned workers
+    import the main module, so a script must call this under
+    ``if __name__ == "__main__":``.
     """
     args = list(_trial_args(cfg))
     records = []
@@ -325,7 +366,8 @@ def run_trials(
             progress(len(records), len(args), record)
 
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with _worker_environment(), ProcessPoolExecutor(cfg.workers, spawn) as pool:
             for record in pool.map(_run_one, args, chunksize=1):
                 finished(record)
     else:

@@ -191,14 +191,21 @@ def synthesize_observation(
     pilots: PilotGrid,
     seed: int,
 ) -> Observation:
-    """Noisy observation: mean plus i.i.d. CN(0, sigma^2) per sample."""
-    mean = noiseless_mean(geom, pos, f, config, pilots)
+    """Noisy observation: mean plus i.i.d. CN(0, sigma^2) per sample.
+
+    The real parts of the noise are drawn first, then the imaginary parts,
+    each into one reused real buffer and added to the mean in place, so the
+    only full-size temporary is half the size of the observation.
+    """
+    samples = noiseless_mean(geom, pos, f, config, pilots)
     rng = np.random.default_rng(seed)
     scale = np.sqrt(config.sigma2_w / 2.0)
-    noise = scale * (
-        rng.standard_normal(mean.shape) + 1j * rng.standard_normal(mean.shape)
-    )
-    return Observation(mean + noise, pilots, config, np.asarray(f, dtype=complex))
+    buf = np.empty(samples.shape)
+    for part in (samples.real, samples.imag):
+        rng.standard_normal(out=buf)
+        buf *= scale
+        part += buf
+    return Observation(samples, pilots, config, np.asarray(f, dtype=complex))
 
 
 def effective_channel(
@@ -213,10 +220,14 @@ def effective_channel(
 def ue_received_snr(
     geom: UcaGeometry, pos: PolarPosition, f: np.ndarray, config: OfdmConfig
 ) -> float:
-    """Received SNR at the UE, P_t |h^H f|^2 / sigma^2, linear scale."""
+    """Received SNR at the UE, P_t |h^T f|^2 / sigma^2, linear scale.
+
+    The coupling is the transpose h^T f, the convention of the sensing
+    model (beta = a^T f) and of ``conjugate_focus_beamformer``.
+    """
     f = require_unit_norm(f)
     h = effective_channel(geom, pos, config)
-    coupling = np.vdot(h, f)
+    coupling = h @ f
     return float(config.p_t_w * np.abs(coupling) ** 2 / config.sigma2_w)
 
 

@@ -100,6 +100,7 @@ class TestSidecar:
         assert code == EXIT_OK
         sidecar = json.loads((first / "summary.csv.config.json").read_text())
         assert sidecar["arguments"] == {"trials": 1, "reduced_m": True, "workers": 1}
+        assert sidecar["worker_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
         second = tmp_path / "second"
         second.mkdir()

@@ -684,6 +684,114 @@ class TestRangeProfileBound:
         assert bound <= cell <= bound * (1.0 - 1e-8)
 
 
+def oracle_row_norms(config, bank, d_values):
+    """Oracle: the range profile ||c(d)|| from a direct delay collapse of each row."""
+    return np.array(
+        [np.linalg.norm(_delay_collapsed(bank, config, d)) for d in d_values]
+    )
+
+
+def oracle_row_bounds(obs, geom, bank, d_values):
+    """Oracle: the row bound from the direct profile, with no margin beyond BOUND_SLACK."""
+    scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
+        geom.n_a * mean_product_scale(obs.config, geom)
+    )
+    norms = oracle_row_norms(obs.config, bank, d_values)
+    return -(1.0 + estimator_module.BOUND_SLACK) * scale * norms**2
+
+
+class TestFftRangeProfileBound:
+    """Row bounds of a uniform run of range nodes come from one zero-padded FFT.
+
+    The adaptive grid below (M = 16, K = 3M = 48) has a curvature-limited
+    head of 75 rows, a uniform run of 58 > K rows, so its FFT bins wrap, and
+    a last node clamped to d_max.
+    """
+
+    M = 16
+    HEAD, STOP = 75, 133
+
+    def grid(self, sigma2, d=60.0, theta=1.1, seed=0):
+        config = OfdmConfig(self.M, 2, 480e3, 0.07 / 480e3, 0.1, sigma2, 60e9)
+        geom = UcaGeometry(8, 0.5, 0.005)
+        d_values = np.array(adaptive_d_nodes(geom, config, 1.0, 400.0))
+        pos = PolarPosition(d, theta)
+        f = random_unit_vector(np.random.default_rng(seed), 8)
+        obs = synthesize_observation(
+            geom, pos, f, config, generate_pilots(config, seed), seed + 1
+        )
+        return config, geom, obs, matched_filter_bank(obs), d_values
+
+    def test_the_grid_has_a_head_a_wrapping_run_and_a_clamped_last_node(self):
+        config, _, _, _, d_values = self.grid(1e-9)
+        assert estimator_module._uniform_runs(config, d_values) == [
+            (self.HEAD, self.STOP, 3 * self.M)
+        ]
+        assert self.STOP - self.HEAD > 3 * self.M
+        assert d_values.size == self.STOP + 1 and d_values[-1] == 400.0
+
+    @pytest.mark.parametrize("drift", [0.0, 1e-10])
+    @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
+    def test_fft_rows_lie_within_their_margin_of_the_direct_collapse(self, sigma2, drift):
+        # drift > 0 stretches the run's steps by that relative amount, within
+        # the run tolerance, so the nodes walk away from d_0 + j c / (2 df K).
+        config, geom, obs, bank, d_values = self.grid(sigma2)
+        run = slice(self.HEAD, self.STOP)
+        step = np.diff(d_values[run])[0]
+        d_values[run] += drift * step * np.arange(self.STOP - self.HEAD)
+        norms, errors = estimator_module._row_norms(config, bank, d_values)
+        oracle = oracle_row_norms(config, bank, d_values)
+        assert np.all(errors[run] > 0.0)
+        assert np.all(np.abs(norms[run] - oracle[run]) <= errors[run])
+        direct = np.r_[0 : self.HEAD, self.STOP]
+        assert np.all(errors[direct] == 0.0)
+        np.testing.assert_allclose(norms[direct], oracle[direct], rtol=1e-12)
+        bounds = _row_bounds(obs, geom, bank, d_values)
+        want = oracle_row_bounds(obs, geom, bank, d_values)
+        assert np.all(bounds <= want * (1.0 - 1e-12))
+        # No looser than the margin allows: |c| + 2E against the oracle's |c|.
+        loosest = want * ((oracle + 2.0 * errors) / oracle) ** 2
+        assert np.all(bounds >= loosest * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_costs_never_fall_below_the_row_bound(self, seed, sigma2):
+        rng = np.random.default_rng(120 + seed)
+        config, geom, obs, bank, d_values = self.grid(
+            sigma2, d=rng.uniform(20.0, 390.0), theta=rng.uniform(0.0, 2 * math.pi),
+            seed=seed,
+        )
+        theta_values = 2 * math.pi * np.arange(64) / 64
+        costs = _cost_rows_fft(obs, geom, bank, d_values, theta_values)
+        bounds = _row_bounds(obs, geom, bank, d_values)
+        assert np.all(costs >= bounds[:, None])
+
+    @pytest.mark.parametrize("row", [HEAD + 1, HEAD + 3 * M + 2, STOP - 1])
+    def test_bound_is_attained_at_a_noiseless_truth_on_a_run_node(self, row):
+        config, geom, _, _, d_values = self.grid(0.0)
+        theta_values = 2 * math.pi * np.arange(64) / 64
+        pos = PolarPosition(float(d_values[row]), float(theta_values[21]))
+        f = random_unit_vector(np.random.default_rng(row), 8)
+        obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, 3), 4)
+        bank = matched_filter_bank(obs)
+        cell = _cost_rows_fft(obs, geom, bank, d_values[row : row + 1], theta_values)[0, 21]
+        bound = _row_bounds(obs, geom, bank, d_values)[row]
+        assert bound <= cell <= bound * (1.0 - 1e-8)
+
+    def test_a_grid_without_integer_k_steps_is_collapsed_directly(self):
+        # linspace(6, 18, 70) steps by 0.174 m: K = c / (2 df step) = 1797.4.
+        config, geom, obs, bank, _ = self.grid(1e-9)
+        d_values = np.linspace(6.0, 18.0, 70)
+        assert estimator_module._uniform_runs(config, d_values) == []
+        norms, errors = estimator_module._row_norms(config, bank, d_values)
+        assert np.all(errors == 0.0)
+        np.testing.assert_allclose(
+            _row_bounds(obs, geom, bank, d_values),
+            oracle_row_bounds(obs, geom, bank, d_values),
+            rtol=1e-12,
+        )
+
+
 def count_tiles(monkeypatch):
     """First range index of every tile the search evaluates, in call order."""
     starts = []

@@ -1,8 +1,11 @@
-"""Monte Carlo harness: pool = serial, plain record types, one grid per radius."""
+"""Monte Carlo harness: pool = serial, plain record types, one grid per radius, rates."""
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import typing
+from concurrent.futures import ProcessPoolExecutor
 
 from nfisac import (
     GridSpec,
@@ -38,6 +41,19 @@ def test_pool_records_equal_serial_records():
     pooled = run_trials(dataclasses.replace(sweep, workers=2))
     assert len(serial) == 2
     assert [record_bits(r) for r in pooled] == [record_bits(r) for r in serial]
+
+
+def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    names = list(harness.WORKER_ENV)
+    spawn = multiprocessing.get_context("spawn")
+    with harness._worker_environment(), ProcessPoolExecutor(1, spawn) as pool:
+        seen = list(pool.map(os.getenv, names, timeout=120))
+    assert seen == ["1", "1"]
+    # The parent's own environment is restored.
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 def tiny_sweep(**changes):
@@ -88,3 +104,13 @@ def test_grid_is_built_once_per_radius(monkeypatch):
         ))
     assert len(built) == 3
     assert [record_bits(r) for r in fresh] == [record_bits(r) for r in cached]
+
+
+def test_estimated_beam_rate_never_exceeds_the_optimum():
+    # Both beams are conjugate-focused, f = conj(a(p)) with |a_k| = 1/sqrt(n_a),
+    # so |h^T f_est| = |sum_k g_k a_k(truth) conj(a_k(est))| <= sum_k g_k / sqrt(n_a)
+    # = |h^T f_opt|: C_est <= C_opt in every trial, up to rounding.
+    records = run_trials(tiny_sweep(distances_m=(10.0, 30.0), trials_per_point=3))
+    assert len(records) == 6
+    for record in records:
+        assert record.rate_est_bps <= record.rate_opt_bps * (1.0 + 1e-12)

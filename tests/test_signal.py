@@ -219,12 +219,12 @@ class TestSnrAndRate:
     def test_null_beam_zero_snr(self, table1_ofdm):
         geom = UcaGeometry(2, 0.3, 0.005)
         pos = PolarPosition(5.0, 0.9)
-        # h^H f = 0 requires orthogonality against g * a, which for n_a = 2
+        # h^T f = 0 requires orthogonality against g * a, which for n_a = 2
         # equal-gain-ish geometry differs from a; build it exactly.
         a = steering_vector(geom, pos)
         gains = element_gains(element_ranges(geom, pos), geom.wavelength_m)
         h = gains * a
-        f = np.array([-np.conj(h[1]), np.conj(h[0])])
+        f = np.array([-h[1], h[0]])
         f /= np.linalg.norm(f)
         assert ue_received_snr(geom, pos, f, table1_ofdm) < 1e-25
 
@@ -241,7 +241,7 @@ class TestSnrAndRate:
         gains = element_gains(element_ranges(geom64, pos10), geom64.wavelength_m)
         acc = 0.0 + 0.0j
         for k in range(64):
-            acc += gains[k] * np.conj(a[k]) * f[k]
+            acc += gains[k] * a[k] * f[k]
         expected = table1_ofdm.p_t_w * abs(acc) ** 2 / table1_ofdm.sigma2_w
         assert ue_received_snr(geom64, pos10, f, table1_ofdm) == pytest.approx(
             expected, rel=1e-12
@@ -253,7 +253,7 @@ class TestSnrAndRate:
         a = steering_vector(geom, pos)
         gains = element_gains(element_ranges(geom, pos), geom.wavelength_m)
         h = gains * a
-        f = np.array([-np.conj(h[1]), np.conj(h[0])])
+        f = np.array([-h[1], h[0]])
         f /= np.linalg.norm(f)
         assert achievable_rate(geom, pos, f, table1_ofdm) == pytest.approx(0.0, abs=1e-6)
 
