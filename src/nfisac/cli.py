@@ -102,8 +102,6 @@ class RunConfig:
             "tol_score": 1e-10,
             "step_tol_d_m": 1e-7,
             "step_tol_theta_rad": 1e-9,
-            "fd_step_d_m": 1e-4,
-            "fd_step_theta_rad": 1e-5,
         }
     )
 

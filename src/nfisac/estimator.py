@@ -9,14 +9,15 @@ branch-and-bound, see ``coarse_grid_search``). The bound pass reads the
 range profile of a uniform run of range rows off one zero-padded inverse
 FFT of the bank, the OFDM-radar range profile (Sturm & Wiesbeck, Proc.
 IEEE 99(7), 2011), and collapses only the other rows directly
-(``_row_norms``); windowed cost scans, then
-Levenberg-Marquardt iterations on the analytic score pair (F_d, F_theta),
-polish the best basins; the lowest final cost wins. Off the grid, every
-cost, score and xi comes from one candidate evaluator, ``_evaluate``, which
-takes a batch of (range, angle) candidates as (n, n_a) arrays and collapses
-the bank over the subcarriers once per distinct range in the batch: a scan
-window or the Jacobian stencil is one call. ``cost``, ``scores`` and
-``xi`` are its one-candidate views.
+(``_row_norms``). From each of the best basins' grid nodes, damped Newton
+iterations on the cost itself (``lm_refine``), with its exact gradient and
+Hessian, delay ramp included, find the basin's minimum; the lowest final
+cost wins. Off the grid, every cost, score, xi and cost derivative comes
+from one candidate evaluator, ``_evaluate``, which takes a batch of
+(range, angle) candidates as (n, n_a) arrays and collapses the bank over
+the subcarriers once per distinct range in the batch. ``cost``, ``scores``
+and ``xi`` are its one-candidate views; ``scores`` and the windowed scans
+of ``polish_basin`` are no longer on the estimation path.
 
 Cost factorization, for candidate (d, theta) with xi_k the delay- and
 pilot-compensated correlation at element k:
@@ -67,6 +68,9 @@ BOUND_SLACK = 1e-9
 # Relative tolerance for a range step to count as c / (2 df K): far above the
 # rounding of summed nodes (about 1e-12), far below any distinct step.
 RUN_STEP_TOL = 1e-9
+# Smallest |eigenvalue| of the refinement's Newton model, relative to the
+# largest (the beamformer's Newton uses the same floor).
+CURVATURE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,14 +143,20 @@ class GridBasin:
 
 @dataclass(frozen=True)
 class LmSettings:
-    """Levenberg-Marquardt refinement knobs.
+    """Knobs of the damped Newton refinement (``lm_refine``).
 
-    The Jacobian of the score pair is taken by central finite differences
-    (fd_step_*); damping follows the classic schedule (x10 on reject,
-    /10 on accept). Convergence requires both a small scaled score norm
-    and a parameter step below (step_tol_d_m, step_tol_theta_rad).
-    ``d_max_m`` bounds iterates; estimates never leave
-    (R(1 + 1e-6), d_max_m).
+    - ``max_iters``: trial steps (cost evaluations after the start) per basin.
+    - ``lambda_init``, ``lambda_factor``: Marquardt damping, relative to the
+      largest curvature; 0 until a step is rejected, then ``lambda_init``,
+      times ``lambda_factor`` on each further rejection and divided by it
+      on each accepted step.
+    - ``tol_score``: gradient tolerance at convergence, relative to the
+      natural magnitude of a score term; a larger FIM noise floor
+      replaces it on noisy observations.
+    - ``step_tol_d_m``, ``step_tol_theta_rad``: convergence needs a step
+      below both.
+    - ``d_max_m``: upper range bound; iterates stay inside
+      (R(1 + 1e-6), d_max_m).
     """
 
     max_iters: int = 100
@@ -155,8 +165,6 @@ class LmSettings:
     tol_score: float = 1e-10
     step_tol_d_m: float = 1e-7
     step_tol_theta_rad: float = 1e-9
-    fd_step_d_m: float = 1e-4
-    fd_step_theta_rad: float = 1e-5
     d_max_m: float = 600.0
 
 
@@ -186,11 +194,13 @@ def matched_filter_bank(obs: Observation) -> MatchedFilterBank:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One candidate batch: xi per (candidate, element), and on request costs and scores."""
+    """One candidate batch: xi per (candidate, element); on request costs, scores, cost derivatives."""
 
     xi: np.ndarray  # (n, n_a)
     cost: np.ndarray | None  # (n,)
     scores: np.ndarray | None  # (n, 2): F_d, F_theta
+    gradient: np.ndarray | None = None  # (n, 2): dL/dd, dL/dtheta
+    hessian: np.ndarray | None = None  # (n, 2, 2)
 
 
 def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -210,18 +220,25 @@ def _evaluate(
     config: OfdmConfig,
     beamformer: np.ndarray | None = None,
     with_scores: bool = False,
+    with_derivatives: bool = False,
 ) -> _Evaluation:
-    """Matched-filter outputs, costs and score pairs of n candidates at once.
+    """Matched-filter outputs, costs, score pairs and cost derivatives of n candidates.
 
     Candidate i sits at (d_m[i], theta_rad[i]); ranges, steering vectors,
     couplings and derivative factors are (n, n_a) arrays. The delay
     compensation of the bank is one length-M collapse per *distinct*
-    range, so an angle scan or the two angle points of a Jacobian stencil
-    share one. Every product is taken per candidate (see ``_row_dots``),
-    so a candidate's values do not depend on the batch it comes in.
-    Without a beamformer only xi is computed; with one, also the costs,
-    and with ``with_scores`` the scores too. Raises ValueError for a
-    candidate on or inside the array circle.
+    range, so an angle scan shares one. Every product is taken per
+    candidate (see ``_row_dots``), so a candidate's values do not depend
+    on the batch it comes in. Without a beamformer only xi is computed;
+    with one, also the costs, with ``with_scores`` the scores, and with
+    ``with_derivatives`` the exact gradient and Hessian of the cost in
+    (d, theta), delay ramp included (``_cost_derivatives``). For those the
+    collapse is one (n_a x M) @ (M x 3) product per distinct range, the
+    phasor weighted by 1, w_m and w_m^2 with w_m = j 4 pi m df / c, which
+    gives c, dc/dd and d2c/dd2 at once; its first column rounds apart from
+    the plain collapse, so xi and the cost differ from a call without
+    derivatives in the last bits. Raises ValueError for a candidate on or
+    inside the array circle.
     """
     d_m = np.asarray(d_m, dtype=float)
     inside = d_m <= geom.radius_m
@@ -229,9 +246,23 @@ def _evaluate(
         raise ValueError(
             f"candidate distance {d_m[inside][0]} must exceed the radius {geom.radius_m}"
         )
-    distinct, inverse = np.unique(d_m, return_inverse=True)
-    comp = np.conj(delay_phases(config, 2.0 * distinct[:, None] / SPEED_OF_LIGHT))
-    collapsed = (bank.aggregates @ comp[:, :, None])[inverse, :, 0]
+    if d_m.size == 1:
+        distinct, inverse = d_m, np.zeros(1, dtype=np.intp)
+    else:
+        distinct, inverse = np.unique(d_m, return_inverse=True)
+    if with_derivatives:
+        m = np.arange(config.m_subcarriers)
+        tau = 2.0 * distinct[:, None] / SPEED_OF_LIGHT
+        w = (4j * np.pi * config.delta_f_hz / SPEED_OF_LIGHT) * m
+        weighted = np.empty((distinct.size, m.size, 3), dtype=complex)
+        weighted[:, :, 0] = _phasor(TWO_PI * config.delta_f_hz * (config.t_cp_s + tau) * m)
+        np.multiply(weighted[:, :, 0], w, out=weighted[:, :, 1])
+        np.multiply(weighted[:, :, 1], w, out=weighted[:, :, 2])
+        ramp = (bank.aggregates @ weighted)[inverse]
+        collapsed = ramp[:, :, 0]
+    else:
+        comp = np.conj(delay_phases(config, 2.0 * distinct[:, None] / SPEED_OF_LIGHT))
+        collapsed = (bank.aggregates @ comp[:, :, None])[inverse, :, 0]
     d = d_m[:, None]
     phi = np.asarray(theta_rad, dtype=float)[:, None] - element_angles(geom)
     radius = geom.radius_m
@@ -250,8 +281,13 @@ def _evaluate(
     # product may fuse multiply-adds, and the scalar product does not.
     data = np.sum(np.conj(xis), axis=1)
     costs -= 2.0 * (beta.real * data.real - beta.imag * data.imag)
+    gradient = hessian = None
+    if with_derivatives:
+        gradient, hessian = _cost_derivatives(
+            geom, d, phi, cos_phi, ranges, a * beamformer, gains * a, ramp, scale
+        )
     if not with_scores:
-        return _Evaluation(xis, costs, None)
+        return _Evaluation(xis, costs, None, gradient, hessian)
 
     f = require_unit_norm(beamformer)
     alpha_d = (d - radius * cos_phi) / ranges
@@ -267,7 +303,101 @@ def _evaluate(
     scores = np.empty((d_m.size, 2))
     scores[:, 0] = np.real(np.sum(np.conj(gammas.gamma_d) * rho, axis=1))
     scores[:, 1] = np.real(np.sum(np.conj(gammas.gamma_theta) * rho, axis=1))
-    return _Evaluation(xis, costs, scores)
+    return _Evaluation(xis, costs, scores, gradient, hessian)
+
+
+# A jet holds a function's value and partials in (d, theta) on its last axis:
+# (value, d, theta, dd, dtheta, thetatheta); partial p of the second order is
+# the pair (_PAIR_I[p], _PAIR_J[p]).
+_PAIR_I = np.array([0, 0, 1])
+_PAIR_J = np.array([0, 1, 1])
+# The range's own partials: dd/dd = 1, dd/dtheta = 0.
+_D_HAT = np.array([1.0, 0.0])
+
+
+def _leibniz() -> np.ndarray:
+    """The product rule as a (36, 6) matrix: jet(x y) = (x outer y).ravel() @ it."""
+    rule = np.zeros((6, 6, 6))
+    for k in range(6):
+        rule[0, k, k] = rule[k, 0, k] = 1.0
+    for k, (i, j) in enumerate(zip(_PAIR_I, _PAIR_J)):
+        rule[1 + i, 1 + j, 3 + k] += 1.0
+        rule[1 + j, 1 + i, 3 + k] += 1.0
+    return rule.reshape(36, 6)
+
+
+_LEIBNIZ = _leibniz()
+
+
+def _jet_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Jet of the product x y (Leibniz rule), for jets x and y (..., 6)."""
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (36,)) @ _LEIBNIZ
+
+
+def _exp_jet(log1: np.ndarray, log2: np.ndarray) -> np.ndarray:
+    """Jet of e^l relative to its value, from the partials of l: (1, l_i, l_i l_j + l_ij)."""
+    out = np.empty(log1.shape[:-1] + (6,), dtype=np.result_type(log1, log2))
+    out[..., 0] = 1.0
+    out[..., 1:3] = log1
+    out[..., 3:] = log1[..., _PAIR_I] * log1[..., _PAIR_J] + log2
+    return out
+
+
+def _cost_derivatives(
+    geom: UcaGeometry,
+    d: np.ndarray,
+    phi: np.ndarray,
+    cos_phi: np.ndarray,
+    ranges: np.ndarray,
+    af: np.ndarray,
+    h: np.ndarray,
+    ramp: np.ndarray,
+    scale: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (n, 2) and Hessian (n, 2, 2) of the cost in (d, theta).
+
+    L = s B S - 2 Re{beta D} with B = |beta|^2, S = sum_k 1/r_k^2,
+    beta = sum_k a_k f_k (``af``) and D = sum_k h_k conj(c_k(d)) with
+    h = g a (``h``), each carried as a jet. The per-element factors are
+    exponentials of log jets: a_k of j p_k with the phase
+    p_k = kappa (d - r_k), g_k of -log r_k, 1/r_k^2 of -2 log r_k, whose
+    partials follow from those of the law-of-cosines range r_k. The bank
+    row c_k(d) varies with d alone: ``ramp`` holds (c, dc/dd, d2c/dd2) per
+    element, the delay-ramp terms that the score pair leaves out.
+    """
+    radius = geom.radius_m
+    kappa = TWO_PI / geom.wavelength_m
+    inv_r = (1.0 / ranges)[..., None]
+    sin_phi = np.sin(phi)
+    r1 = np.empty(phi.shape + (2,))
+    r1[..., 0] = d - radius * cos_phi
+    r1[..., 1] = d * radius * sin_phi
+    r1 *= inv_r
+    r11 = r1[..., _PAIR_I] * r1[..., _PAIR_J]
+    r2 = np.empty(phi.shape + (3,))
+    r2[..., 0] = 1.0
+    r2[..., 1] = radius * sin_phi
+    r2[..., 2] = d * radius * cos_phi
+    r2 -= r11
+    r2 *= inv_r
+    # Partials of log g = -log r + const and of the phase p.
+    log_g1 = -r1 * inv_r
+    log_g2 = (r11 * inv_r - r2) * inv_r
+    phase1 = 1j * kappa * (_D_HAT - r1)
+    phase2 = -1j * kappa * r2
+
+    e = np.conj(ramp)
+    e_jet = np.zeros(e.shape[:-1] + (6,), dtype=complex)
+    e_jet[..., [0, 1, 3]] = e
+    beta = np.sum(af[..., None] * _exp_jet(phase1, phase2), axis=1)
+    s_jet = np.sum((inv_r * inv_r) * _exp_jet(2.0 * log_g1, 2.0 * log_g2), axis=1)
+    d_jet = np.sum(
+        h[..., None] * _jet_mul(_exp_jet(log_g1 + phase1, log_g2 + phase2), e_jet), axis=1
+    )
+    b_jet = _jet_mul(beta, np.conj(beta)).real
+    cost = scale * _jet_mul(b_jet, s_jet) - 2.0 * _jet_mul(beta, d_jet).real
+    return cost[:, 1:3], cost[:, [[3, 4], [4, 5]]]
 
 
 def xi(
@@ -719,7 +849,7 @@ def _trust_radii(geom: UcaGeometry, config: OfdmConfig) -> tuple[float, float]:
     The delay matched filter decorrelates over c / (2 M df) in range and
     the circular aperture over 2.405 lambda / (2 pi R) in angle; capping
     each refinement step at half of these keeps the iteration inside the
-    basin it was asked to polish.
+    basin it starts in.
     """
     range_lobe = SPEED_OF_LIGHT / (2.0 * config.m_subcarriers * config.delta_f_hz)
     angle_lobe = 2.405 * geom.wavelength_m / (TWO_PI * geom.radius_m)
@@ -734,112 +864,116 @@ def lm_refine(
     config: OfdmConfig,
     lm: LmSettings,
 ) -> tuple[PolarPosition, bool, int]:
-    """Damped Gauss-Newton iterations driving the score pair to zero.
+    """Damped Newton iterations on the cost L from one start.
 
-    The 2x2 Jacobian of (F_d, F_theta) comes from central finite
-    differences, its four stencil points evaluated as one candidate batch
-    (the two angle points share one range collapse); steps are solved from
-    the Marquardt-scaled normal equations. Each trial step's scores and
-    cost come from one more batch of one. Step control uses the likelihood
-    cost as merit: a trial step is accepted only if it does not increase
-    the candidate's cost. The score norm cannot play that role here,
-    because it also decays wherever the matched-filter correlation fades,
-    so norm descent can march straight out of the basin along the
-    range-angle ridge. Steps are additionally capped at half a correlation
-    lobe per axis; range iterates are clamped to (R(1+1e-6), d_max_m),
-    angles wrapped modulo 2*pi.
+    Each iterate's exact gradient g and Hessian H (``_evaluate`` with
+    derivatives, delay ramp included) come with its cost, in one candidate
+    evaluation. In units of the half-lobe trust radii T = diag(dd, dt)
+    (``_trust_radii``), g' = T g and H' = T H T. The step is
+    s' = -V (V^T g') / (c + mu max(c)) over the eigenpairs (e, V) of H',
+    with curvatures c = |e| floored at CURVATURE_FLOOR max|e|, so a saddle
+    or a ridge still gives a descent direction, as in the beamformer's
+    Newton. The Marquardt damping mu starts at 0, becomes ``lambda_init``
+    on a rejected step, grows by ``lambda_factor`` on each further
+    rejection and shrinks by it on each accepted step. s' is scaled to at
+    most 1 per axis, half a correlation lobe, so the iteration stays in the
+    basin it starts in, and the step T s' is accepted iff the cost does
+    not increase. A step that would take the range out of
+    (R(1 + 1e-6), d_max_m) is shortened to half the distance to the bound,
+    so every iterate stays strictly inside (a start outside is first
+    clamped onto the nearer bound); angles wrap modulo 2 pi.
+
+    Converged means that at the returned iterate H is positive definite,
+    each gradient entry lies within 2 tol_score times the natural score
+    scale or four noise standard deviations sigma^2 sqrt(J_ii) (J the FIM),
+    and a step below (step_tol_d_m, step_tol_theta_rad) is in hand: the
+    accepted step that reached the iterate, or the undamped Newton step
+    from it, which is then not taken (near a minimum the cost can no
+    longer rank so small a step). The iteration stops unconverged after
+    ``max_iters`` trial steps or once mu exceeds 1e15; a step that rounds
+    to no move, or onto a range bound, ends it too, converged if that step
+    meets the test.
+    Returns (position, converged, trial steps evaluated).
     """
     d_lo = geom.radius_m * (1.0 + 1e-6)
     d_hi = lm.d_max_m
 
-    def clamped(d: float, theta: float) -> PolarPosition:
-        return PolarPosition(min(max(d, d_lo), d_hi), wrap_angle(theta))
-
-    def evaluate(d_m, theta_rad) -> _Evaluation:
+    def evaluate(position: PolarPosition) -> _Evaluation:
         return _evaluate(
-            d_m, theta_rad, bank, geom, config, obs.beamformer, with_scores=True
+            [position.d_m], [position.theta_rad], bank, geom, config, obs.beamformer,
+            with_derivatives=True,
         )
 
-    current = clamped(basin.d_m, basin.theta_rad)
-    f_scale = _score_scale(geom, config, current)
-    max_step_d, max_step_t = _trust_radii(geom, config)
-    # Float-level allowance so a zero-residual fixed point still accepts
-    # its own (null) step and reports convergence.
-    cost_slack = 1e-12 * f_scale * geom.wavelength_m / TWO_PI
-    # Convergence declares the scores indistinguishable from a root: below
-    # the deterministic tolerance, or within a few standard deviations of
-    # their own noise floor sigma_F_i = (sigma^2/2) sqrt(J_ii).
-    score_floor = np.array([lm.tol_score * f_scale, lm.tol_score * f_scale])
-    if config.sigma2_w > 0.0:
-        info = fim(geom, current, obs.beamformer, config)
-        noise_floor = (config.sigma2_w / 2.0) * np.sqrt(
+    start = PolarPosition(min(max(basin.d_m, d_lo), d_hi), wrap_angle(basin.theta_rad))
+    radii = np.array(_trust_radii(geom, config))
+    step_tol = np.array([lm.step_tol_d_m, lm.step_tol_theta_rad])
+    # The scores F are -1/2 the gradient in angle (and, but for the delay
+    # ramp, in range), so twice their floor bounds the gradient: the
+    # deterministic tolerance, or four noise standard deviations
+    # sigma_F_i = (sigma^2/2) sqrt(J_ii) at the start if larger. The FIM is
+    # only needed when the tolerance alone fails.
+    tol_floor = 2.0 * lm.tol_score * _score_scale(geom, config, start)
+
+    def settled(at: _Evaluation, step: np.ndarray) -> bool:
+        h = at.hessian[0]
+        if not (
+            np.all(np.abs(step) < step_tol)
+            and h[0, 0] > 0.0
+            and h[0, 0] * h[1, 1] > h[0, 1] * h[1, 0]
+        ):
+            return False
+        gradient = np.abs(at.gradient[0])
+        if np.all(gradient <= tol_floor):
+            return True
+        if config.sigma2_w <= 0.0:
+            return False
+        info = fim(geom, start, obs.beamformer, config)
+        noise = config.sigma2_w * np.sqrt(
             np.array([max(info.j_dd, 0.0), max(info.j_thetatheta, 0.0)])
         )
-        score_floor = np.maximum(score_floor, 4.0 * noise_floor)
+        return bool(np.all(gradient <= np.maximum(tol_floor, 4.0 * noise)))
 
-    at = evaluate([current.d_m], [current.theta_rad])
-    current_f, current_cost = at.scores[0], float(at.cost[0])
-    damping = lm.lambda_init
+    current = start
+    at = evaluate(current)
+    damping = 0.0
     converged = False
     iterations = 0
-    tiny_steps = 0
-    # Central-difference stencil: (d + hd, d - hd) at theta, then
-    # (theta + ht, theta - ht) at d.
-    hd, ht = lm.fd_step_d_m, lm.fd_step_theta_rad
-    stencil_d = np.array([hd, -hd, 0.0, 0.0])
-    stencil_t = np.array([0.0, 0.0, ht, -ht])
-
-    for iterations in range(1, lm.max_iters + 1):
-        stencil = evaluate(
-            np.clip(current.d_m + stencil_d, d_lo, d_hi),
-            np.mod(current.theta_rad + stencil_t, TWO_PI),
-        ).scores
-        jac = np.empty((2, 2))
-        jac[:, 0] = (stencil[0] - stencil[1]) / (2.0 * hd)
-        jac[:, 1] = (stencil[2] - stencil[3]) / (2.0 * ht)
-        jtj = jac.T @ jac
-        jtf = jac.T @ current_f
-        diag = np.diag(np.maximum(np.diag(jtj), np.finfo(float).tiny))
-        try:
-            step = np.linalg.solve(jtj + damping * diag, -jtf)
-        except np.linalg.LinAlgError:
+    while iterations < lm.max_iters:
+        eigvals, eigvecs = np.linalg.eigh(at.hessian[0] * np.outer(radii, radii))
+        curvature = np.abs(eigvals)
+        top = curvature.max()
+        if not top > 0.0:
+            break  # a flat or non-finite model: no step to take
+        curvature = np.maximum(curvature, CURVATURE_FLOOR * top)
+        coeffs = eigvecs.T @ (radii * at.gradient[0])
+        if settled(at, -radii * (eigvecs @ (coeffs / curvature))):
+            converged = True
             break
-        shrink = min(
-            1.0,
-            max_step_d / abs(step[0]) if step[0] != 0.0 else 1.0,
-            max_step_t / abs(step[1]) if step[1] != 0.0 else 1.0,
+        step = -(eigvecs @ (coeffs / (curvature + damping * top)))
+        step = radii * step / max(1.0, float(np.max(np.abs(step))))
+        room = d_hi - current.d_m if step[0] > 0.0 else current.d_m - d_lo
+        if step[0] != 0.0 and abs(step[0]) >= room:
+            step *= 0.5 * room / abs(step[0])
+        candidate = PolarPosition(
+            current.d_m + float(step[0]), wrap_angle(current.theta_rad + float(step[1]))
         )
-        step = step * shrink
-        candidate = clamped(current.d_m + step[0], current.theta_rad + step[1])
-        at = evaluate([candidate.d_m], [candidate.theta_rad])
-        candidate_f, candidate_cost = at.scores[0], float(at.cost[0])
-        accepted = candidate_cost <= current_cost + cost_slack
-        if accepted:
-            actual_step_d = abs(candidate.d_m - current.d_m)
-            actual_step_t = abs(
-                (candidate.theta_rad - current.theta_rad + np.pi) % TWO_PI - np.pi
-            )
-            current, current_f, current_cost = candidate, candidate_f, candidate_cost
-            damping = max(damping / lm.lambda_factor, 1e-15)
-            small_step = (
-                actual_step_d < lm.step_tol_d_m
-                and actual_step_t < lm.step_tol_theta_rad
-            )
-            if small_step and np.all(np.abs(current_f) <= score_floor):
-                converged = True
-                break
-            # Stalled at a cost minimum whose scores stay above the floor:
-            # stop iterating, the position will not move any further.
-            tiny_steps = tiny_steps + 1 if small_step else 0
-            if tiny_steps >= 2:
-                break
-        else:
-            damping *= lm.lambda_factor
+        if candidate == current or not d_lo < candidate.d_m < d_hi:
+            # The step rounds to no move, or onto a range bound: this
+            # iterate is final.
+            converged = settled(at, step)
+            break
+        iterations += 1
+        trial = evaluate(candidate)
+        if trial.cost[0] > at.cost[0]:
+            damping = max(damping * lm.lambda_factor, lm.lambda_init)
             if damping > 1e15:
                 break
-    else:
-        iterations = lm.max_iters
-
+            continue
+        current, at = candidate, trial
+        damping /= lm.lambda_factor
+        if settled(at, step):
+            converged = True
+            break
     return current, converged, iterations
 
 
@@ -854,15 +988,18 @@ def polish_basin(
 ) -> PolarPosition:
     """Windowed coordinate descent on the cost around one basin node.
 
-    The grid localizes a basin only to one cell, and in the deep near
-    field the true range correlation peak can be centimeters wide with
-    oscillatory score structure around it, far below any affordable
-    global grid resolution. Alternating 1-D cost scans over the node's
-    range and angle cell, with the window shrinking to a few steps of
-    the previous resolution each round, deterministically walks into the
-    narrow peak and hands the score iteration an initialization inside
-    its quadratic region. Each n_scan-point window is one candidate batch;
-    an angle window shares a single range collapse of the bank.
+    Alternating 1-D cost scans over the node's range and angle cell, with
+    the window shrinking to a few steps of the previous resolution each
+    round. Each n_scan-point window is one candidate batch; an angle
+    window shares a single range collapse of the bank.
+
+    ``estimate`` no longer calls it: the scans existed to hand a score
+    iteration a start inside its quadratic region, and Newton on the cost
+    itself (``lm_refine``) starts from the grid node with the same hits.
+    It stays defined because the benchmark's tracer (``bench/spans.py``)
+    wraps ``estimator.polish_basin`` by name, and a traced run would fail
+    without it; it retires with the benchmark change that drops the
+    ``estimator.polish_s`` metric.
     """
     d_values = spec.d_values()
     if d_values.size > 1:
@@ -905,8 +1042,11 @@ def estimate(
     spec: GridSpec,
     lm: LmSettings | None = None,
 ) -> MlEstimate:
-    """Full pipeline: bank, coarse grid, polish and refine the top basins.
+    """Full pipeline: bank, coarse grid, then refine the top basins.
 
+    Each grid basin's node starts one ``lm_refine`` run; the refined
+    position with the lowest cost wins, ties to the better-ranked basin,
+    and the estimate carries that run's converged flag and step count.
     Deterministic given (observation, grid, settings); degenerate inputs
     produce converged=False estimates rather than raising.
     """
@@ -923,15 +1063,10 @@ def estimate(
 
     best = None
     for index, basin in enumerate(basins):
-        seed = polish_basin(basin.position, obs, geom, bank, spec)
         refined, converged, iterations = lm_refine(
-            seed, obs, geom, bank, obs.config, lm
+            basin.position, obs, geom, bank, obs.config, lm
         )
-        final_cost = cost(refined, obs, geom, bank)
-        if final_cost > basin.cost:
-            # Refinement left its basin for the worse; keep the seed node.
-            refined, converged, final_cost = basin.position, False, basin.cost
-        key = (final_cost, index)
+        key = (cost(refined, obs, geom, bank), index)
         if best is None or key < best[0]:
             best = (key, refined, converged, iterations, index)
 

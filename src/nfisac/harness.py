@@ -164,7 +164,7 @@ def auto_n_theta(geom: UcaGeometry, nodes_per_lobe: float = 4.0) -> int:
     nodes across the full lobe and rounds up to a multiple of the
     element count, which the polyphase coarse grid requires. Keeping several
     nodes per lobe bounds every node's angular offset well inside the
-    basin the downstream polish and refinement can recover from.
+    basin the downstream refinement can recover from.
     """
     lobe_width = 2.0 * 2.405 * geom.wavelength_m / (2.0 * np.pi * geom.radius_m)
     target = int(np.ceil(2.0 * np.pi / (lobe_width / nodes_per_lobe)))

@@ -487,6 +487,200 @@ class TestBatchedEvaluator:
             assert got == oracle_polish(basin.position, obs, geom, bank, spec)
 
 
+def fd_steps(geom, d_m):
+    """Central-difference steps: a thousandth of the local range and angle scales.
+
+    Range: the smaller of the wavefront-curvature length 2 d^2 / (kappa R^2)
+    and the gap d - R to the array; angle: 1 / (kappa R), a radian of
+    element phase. Truncation and rounding of the differences then stay
+    below the tolerances of ``TestCostDerivatives``.
+    """
+    kappa = 2 * math.pi / geom.wavelength_m
+    scale_d = min(2 * d_m * d_m / (kappa * geom.radius_m**2), d_m - geom.radius_m)
+    return 1e-3 * scale_d, 1e-3 / (kappa * geom.radius_m)
+
+
+def derivative_errors(obs, geom, d_m, theta_rad):
+    """Worst entrywise errors of ``_evaluate``'s gradient and Hessian, relative to the largest.
+
+    Entries are compared in half-lobe trust-radius units T (``_trust_radii``):
+    T g and T H T. Returns the errors of the gradient against central
+    differences of ``cost``, of the Hessian against second central
+    differences of ``cost``, and of the Hessian against central differences
+    of the analytic gradient.
+    """
+    bank = matched_filter_bank(obs)
+    config = obs.config
+
+    def at(d, t):
+        return _evaluate(
+            np.array([d]), np.array([t]), bank, geom, config, obs.beamformer,
+            with_derivatives=True,
+        )
+
+    def cost_at(d, t):
+        return cost(PolarPosition(d, t), obs, geom, bank)
+
+    hd, ht = fd_steps(geom, d_m)
+    d, t = d_m, theta_rad
+    here = at(d, t)
+    grad, hess = here.gradient[0], here.hessian[0]
+    c0 = cost_at(d, t)
+    fd_grad = np.array([
+        (cost_at(d + hd, t) - cost_at(d - hd, t)) / (2 * hd),
+        (cost_at(d, t + ht) - cost_at(d, t - ht)) / (2 * ht),
+    ])
+    fd_hess = np.empty((2, 2))
+    fd_hess[0, 0] = (cost_at(d + hd, t) - 2 * c0 + cost_at(d - hd, t)) / hd**2
+    fd_hess[1, 1] = (cost_at(d, t + ht) - 2 * c0 + cost_at(d, t - ht)) / ht**2
+    fd_hess[0, 1] = fd_hess[1, 0] = (
+        cost_at(d + hd, t + ht) - cost_at(d + hd, t - ht)
+        - cost_at(d - hd, t + ht) + cost_at(d - hd, t - ht)
+    ) / (4 * hd * ht)
+    grad_hess = np.column_stack([
+        (at(d + hd, t).gradient[0] - at(d - hd, t).gradient[0]) / (2 * hd),
+        (at(d, t + ht).gradient[0] - at(d, t - ht).gradient[0]) / (2 * ht),
+    ])
+    radii = np.array(estimator_module._trust_radii(geom, config))
+    scaled = np.outer(radii, radii)
+    g_ref = np.max(np.abs(radii * grad))
+    h_ref = np.max(np.abs(scaled * hess))
+    return (
+        np.max(np.abs(radii * (grad - fd_grad))) / g_ref,
+        np.max(np.abs(scaled * (hess - fd_hess))) / h_ref,
+        np.max(np.abs(scaled * (hess - grad_hess))) / h_ref,
+    )
+
+
+def ramp_gradient_oracle(candidate, obs, geom, bank):
+    """Oracle: the delay-ramp part of dL/dd, -2 Re{beta sum_k g_k a_k conj(dc_k/dd)}.
+
+    dc_k/dd = sum_m Z[k, m] (j 4 pi m df / c) e^{j 2 pi m df (Tcp + 2d/c)}.
+    """
+    config = obs.config
+    w = 4j * math.pi * config.delta_f_hz * np.arange(config.m_subcarriers) / SPEED_OF_LIGHT
+    comp = np.conj(delay_phases(config, 2.0 * candidate.d_m / SPEED_OF_LIGHT))
+    dc = bank.aggregates @ (w * comp)
+    a = steering_vector(geom, candidate)
+    gains = element_gains(element_ranges(geom, candidate), geom.wavelength_m)
+    beta = a @ obs.beamformer
+    return -2.0 * float(np.real(beta * np.sum(gains * a * np.conj(dc))))
+
+
+class TestCostDerivatives:
+    """``_evaluate``'s exact gradient and Hessian of the cost, delay ramp included.
+
+    Tolerances (entrywise, in trust-radius units, relative to the largest
+    entry; steps from ``fd_steps``): gradient against central differences
+    of ``cost`` 1e-4; Hessian against second central differences of
+    ``cost`` 1e-3; Hessian against central differences of the gradient
+    1e-4. The measured worst cases, 2.1e-5, 7.8e-5 and 9.8e-6, lie 4-13x
+    below these.
+    """
+
+    @pytest.mark.parametrize("radius", [0.5, 5.0])
+    @pytest.mark.parametrize("m", [16, 128])
+    @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
+    def test_match_central_differences_of_the_cost(self, radius, m, sigma2):
+        rng = np.random.default_rng(80)
+        config, geom, pos, f, obs = small_observation(
+            rng, m=m, n_a=16, sigma2=sigma2, radius=radius
+        )
+        for _ in range(6):
+            d = pos.d_m + rng.uniform(-0.5, 0.5)
+            theta = pos.theta_rad + rng.uniform(-0.05, 0.05)
+            grad_err, hess_err, hess_grad_err = derivative_errors(obs, geom, d, theta)
+            assert grad_err < 1e-4
+            assert hess_err < 1e-3
+            assert hess_grad_err < 1e-4
+
+    @pytest.mark.parametrize("radius", [0.5, 5.0])
+    @pytest.mark.parametrize(
+        "theta", [0.0, 1e-7, 2 * math.pi - 1e-7, 2 * math.pi + 1e-7]
+    )
+    def test_angles_at_the_wrap(self, radius, theta):
+        rng = np.random.default_rng(81)
+        config, geom, pos, f, obs = small_observation(rng, n_a=16, radius=radius, theta=0.02)
+        grad_err, hess_err, hess_grad_err = derivative_errors(obs, geom, pos.d_m, theta)
+        assert grad_err < 1e-4
+        assert hess_err < 1e-3
+        assert hess_grad_err < 1e-4
+
+    @pytest.mark.parametrize("radius", [0.5, 5.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_range_just_outside_the_array(self, radius, theta):
+        # At theta = 0 element 0 sits 1e-3 R from the candidate.
+        rng = np.random.default_rng(82)
+        config, geom, pos, f, obs = small_observation(rng, n_a=16, radius=radius)
+        d = radius * (1.0 + 1e-3)
+        grad_err, hess_err, hess_grad_err = derivative_errors(obs, geom, d, theta)
+        assert grad_err < 1e-4
+        assert hess_err < 1e-3
+        assert hess_grad_err < 1e-4
+
+    def test_hessian_is_symmetric_and_batch_independent(self):
+        rng = np.random.default_rng(83)
+        config, geom, pos, f, obs = small_observation(rng, m=16, n_a=8)
+        bank = matched_filter_bank(obs)
+        d_m = pos.d_m + rng.uniform(-1.0, 1.0, size=7)
+        d_m[3] = d_m[1]
+        theta_rad = rng.uniform(0.0, 2 * math.pi, size=7)
+        batch = _evaluate(d_m, theta_rad, bank, geom, config, f, with_derivatives=True)
+        assert batch.gradient.shape == (7, 2) and batch.hessian.shape == (7, 2, 2)
+        np.testing.assert_array_equal(batch.hessian, batch.hessian.transpose(0, 2, 1))
+        for i in range(7):
+            one = _evaluate(d_m[i : i + 1], theta_rad[i : i + 1], bank, geom, config, f,
+                            with_derivatives=True)
+            np.testing.assert_array_equal(one.gradient[0], batch.gradient[i])
+            np.testing.assert_array_equal(one.hessian[0], batch.hessian[i])
+            np.testing.assert_array_equal(one.cost[0], batch.cost[i])
+
+    def test_xi_and_cost_match_the_oracles(self):
+        rng = np.random.default_rng(84)
+        config, geom, pos, f, obs = small_observation(rng, m=16, n_a=8)
+        bank = matched_filter_bank(obs)
+        d_m = pos.d_m + rng.uniform(-2.0, 2.0, size=10)
+        theta_rad = rng.uniform(0.0, 2 * math.pi, size=10)
+        batch = _evaluate(d_m, theta_rad, bank, geom, config, f, with_derivatives=True)
+        candidates = [PolarPosition(float(d), float(t)) for d, t in zip(d_m, theta_rad)]
+        want_xi = np.array([oracle_xi(c, bank, geom, config) for c in candidates])
+        want_cost = np.array([oracle_cost(c, obs, geom, bank) for c in candidates])
+        for got, want in ((batch.xi, want_xi), (batch.cost, want_cost)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
+    def test_gradient_is_the_score_pair_plus_the_ramp_term(self, sigma2):
+        # dL/dtheta = -2 F_theta; dL/dd = -2 F_d plus the delay-ramp term
+        # that the score pair, holding the ramp fixed, leaves out.
+        rng = np.random.default_rng(85)
+        config, geom, pos, f, obs = small_observation(rng, m=32, n_a=16, sigma2=sigma2)
+        bank = matched_filter_bank(obs)
+        for _ in range(8):
+            candidate = PolarPosition(
+                pos.d_m + rng.uniform(-0.5, 0.5), pos.theta_rad + rng.uniform(-0.05, 0.05)
+            )
+            batch = _evaluate([candidate.d_m], [candidate.theta_rad], bank, geom, config, f,
+                              with_scores=True, with_derivatives=True)
+            (grad_d, grad_t), (f_d, f_t) = batch.gradient[0], batch.scores[0]
+            scale = estimator_module._score_scale(geom, config, candidate)
+            assert abs(grad_t + 2.0 * f_t) <= 1e-12 * scale
+            ramp = ramp_gradient_oracle(candidate, obs, geom, bank)
+            assert abs(grad_d + 2.0 * f_d - ramp) <= 1e-12 * scale
+
+    def test_score_and_gradient_disagree_in_range_by_the_ramp(self, geom64):
+        # The zero-noise refinement start: F_d and -1/2 dL/dd differ by a
+        # third, which is why a score root is not a cost minimum.
+        config = OfdmConfig(128, 4, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        pos = PolarPosition(10.0, 0.7)
+        f = conjugate_focus_beamformer(geom64, pos)
+        obs = synthesize_observation(geom64, pos, f, config, generate_pilots(config, 9), 10)
+        bank = matched_filter_bank(obs)
+        batch = _evaluate([10.01], [0.701], bank, geom64, config, f,
+                          with_scores=True, with_derivatives=True)
+        assert batch.scores[0, 0] == pytest.approx(-4.16e-10, rel=1e-2)
+        assert -0.5 * batch.gradient[0, 0] == pytest.approx(-6.05e-10, rel=1e-2)
+
+
 class TestCoarseGridSearch:
     def test_truth_on_node_is_first_basin(self):
         rng = np.random.default_rng(53)
@@ -972,6 +1166,149 @@ class TestLmRefine:
         )
         assert abs(refined.d_m - 14.0) < 0.5
         assert abs(refined.theta_rad - 2.1) < 0.05
+
+
+def record_refinement(monkeypatch):
+    """Record every (d, theta, evaluation) that ``lm_refine`` evaluates, in order."""
+    seen = []
+    original = estimator_module._evaluate
+
+    def recording(d_m, theta_rad, *args, **kwargs):
+        out = original(d_m, theta_rad, *args, **kwargs)
+        seen.append((float(d_m[0]), float(theta_rad[0]), out))
+        return out
+
+    monkeypatch.setattr(estimator_module, "_evaluate", recording)
+    return seen
+
+
+def accepted_chain(seen):
+    """The iterates a cost-descent refinement accepts: each evaluation costing no more."""
+    chain = [seen[0]]
+    for entry in seen[1:]:
+        if entry[2].cost[0] <= chain[-1][2].cost[0]:
+            chain.append(entry)
+    return chain
+
+
+def quadratic_evaluator(d_min, theta_min, curv_d, curv_t, quartic_t=0.0):
+    """A stand-in for ``_evaluate``: L = curv_d x^2 + curv_t y^2 + quartic_t y^4.
+
+    x = d - d_min and y = theta - theta_min; returns cost, gradient and
+    Hessian of one candidate, as ``lm_refine`` asks for them.
+    """
+    def evaluate(d_m, theta_rad, *args, **kwargs):
+        x, y = d_m[0] - d_min, theta_rad[0] - theta_min
+        value = curv_d * x * x + curv_t * y * y + quartic_t * y**4
+        gradient = np.array([[2 * curv_d * x, 2 * curv_t * y + 4 * quartic_t * y**3]])
+        hessian = np.array([[[2 * curv_d, 0.0], [0.0, 2 * curv_t + 12 * quartic_t * y * y]]])
+        return estimator_module._Evaluation(None, np.array([value]), None, gradient, hessian)
+
+    return evaluate
+
+
+class TestNewtonRefine:
+    """Damped Newton on the cost: descent, bounds and what converged means."""
+
+    @pytest.mark.parametrize("seed", [90, 91, 92])
+    def test_random_starts_within_half_a_lobe(self, monkeypatch, geom64, reduced_ofdm, seed):
+        rng = np.random.default_rng(seed)
+        truth = PolarPosition(12.0, 1.3)
+        f = conjugate_focus_beamformer(geom64, truth)
+        pilots = generate_pilots(reduced_ofdm, seed)
+        obs = synthesize_observation(geom64, truth, f, reduced_ofdm, pilots, seed + 1)
+        bank = matched_filter_bank(obs)
+        lm = LmSettings(d_max_m=600.0)
+        d_lo = geom64.radius_m * (1.0 + 1e-6)
+        radii = np.array(estimator_module._trust_radii(geom64, reduced_ofdm))
+        step_tol = np.array([lm.step_tol_d_m, lm.step_tol_theta_rad])
+        minima = []
+        for _ in range(8):
+            offset = rng.uniform(-1.0, 1.0, size=2) * radii
+            start = PolarPosition(truth.d_m + offset[0], truth.theta_rad + offset[1])
+            seen = record_refinement(monkeypatch)
+            refined, converged, iterations = lm_refine(start, obs, geom64, bank, reduced_ofdm, lm)
+            monkeypatch.undo()
+            assert iterations == len(seen) - 1 <= lm.max_iters
+            # Descent: the returned iterate is the last accepted one, and its
+            # cost never exceeds the start's (the plain cost rounds apart
+            # from the derivative evaluation's by far less than 1e-12).
+            chain = accepted_chain(seen)
+            assert (refined.d_m, refined.theta_rad) == chain[-1][:2]
+            assert chain[-1][2].cost[0] <= seen[0][2].cost[0]
+            start_cost = cost(start, obs, geom64, bank)
+            assert cost(refined, obs, geom64, bank) <= start_cost + 1e-12 * abs(start_cost)
+            # Every iterate lies strictly inside the range bounds.
+            assert all(d_lo < d < lm.d_max_m for d, _, _ in seen)
+            assert converged
+            minima.append((refined.d_m, refined.theta_rad))
+            h, g = chain[-1][2].hessian[0], chain[-1][2].gradient[0]
+            assert np.all(np.linalg.eigvalsh(h) > 0.0)
+            newton = -np.linalg.solve(h, g)
+            if len(chain) > 1:
+                last = np.array(chain[-1][:2]) - np.array(chain[-2][:2])
+                last[1] = (last[1] + math.pi) % (2 * math.pi) - math.pi
+            else:
+                last = newton
+            assert np.all(np.abs(newton) < step_tol) or np.all(np.abs(last) < step_tol)
+        # Every start within half a lobe ends at the same minimum.
+        spread = np.ptp(np.array(minima), axis=0)
+        assert spread[0] < 1e-6 and spread[1] < 1e-8
+
+    @pytest.mark.parametrize("d_min", [0.2, 700.0])
+    def test_iterates_stay_strictly_inside_the_range_bounds(self, monkeypatch, geom64, d_min):
+        # The cost keeps falling toward a minimum inside the array (0.2 m)
+        # or beyond d_max_m (700 m); steps toward it are halved at the bound.
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        obs = Observation(np.zeros((2, 16, 64), dtype=complex), generate_pilots(config, 3),
+                          config, conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
+        seen = record_refinement(monkeypatch)
+        monkeypatch.setattr(estimator_module, "_evaluate", quadratic_evaluator(d_min, 0.7, 1.0, 1.0))
+        lm = LmSettings(d_max_m=600.0)
+        start = PolarPosition(0.6 if d_min < 1.0 else 599.0, 0.7)
+        refined, converged, iterations = lm_refine(start, obs, geom64, None, config, lm)
+        d_lo = geom64.radius_m * (1.0 + 1e-6)
+        assert d_lo < refined.d_m < lm.d_max_m
+        assert abs(refined.d_m - (d_lo if d_min < 1.0 else lm.d_max_m)) < 1e-6
+        assert not converged
+        assert iterations <= lm.max_iters
+
+    def test_a_saddle_start_descends_to_the_minimum(self, monkeypatch, geom64):
+        # L = c ((d - 10)^2 + ((theta - 1) / s)^2 (-1 + (theta - 1)^2 / s^2)) has
+        # a saddle at theta = 1 and minima at theta = 1 +- s / sqrt(2): the
+        # floored |eigenvalue| turns the negative curvature into descent.
+        # c = 1e-12 gives the cost the magnitude of this array's costs, so
+        # the gradient tolerance means what it means there.
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        obs = Observation(np.zeros((2, 16, 64), dtype=complex), generate_pilots(config, 3),
+                          config, conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
+        c, s = 1e-12, 1e-3
+        monkeypatch.setattr(
+            estimator_module, "_evaluate",
+            quadratic_evaluator(10.0, 1.0, c, -c / s**2, c / s**4),
+        )
+        refined, converged, _ = lm_refine(
+            PolarPosition(10.2, 1.0 + 1e-5), obs, geom64, None, config, LmSettings(d_max_m=600.0)
+        )
+        assert converged
+        assert abs(refined.d_m - 10.0) < 1e-7
+        assert abs(refined.theta_rad - (1.0 + s / math.sqrt(2))) < 1e-9
+
+    @pytest.mark.parametrize("curv_d", [1e-12, -1e-12])
+    def test_a_stationary_saddle_or_maximum_is_not_converged(self, monkeypatch, geom64, curv_d):
+        # No step leaves a point with zero gradient, and its Hessian is not
+        # positive definite: a saddle (curv_d > 0) or a maximum.
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        obs = Observation(np.zeros((2, 16, 64), dtype=complex), generate_pilots(config, 3),
+                          config, conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
+        monkeypatch.setattr(
+            estimator_module, "_evaluate", quadratic_evaluator(10.0, 1.0, curv_d, -1e-6)
+        )
+        start = PolarPosition(10.0, 1.0)
+        refined, converged, iterations = lm_refine(
+            start, obs, geom64, None, config, LmSettings(d_max_m=600.0)
+        )
+        assert refined == start and not converged and iterations == 0
 
 
 class TestEstimate:

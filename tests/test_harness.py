@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
+
+import pytest
 
 from nfisac import (
     GridSpec,
@@ -114,3 +117,53 @@ def test_estimated_beam_rate_never_exceeds_the_optimum():
     assert len(records) == 6
     for record in records:
         assert record.rate_est_bps <= record.rate_opt_bps * (1.0 + 1e-12)
+
+
+def test_derive_seed_is_pure_and_separates_index_tuples():
+    assert harness.derive_seed(7, 1, 2, 3) == harness.derive_seed(7, 1, 2, 3)
+    tuples = [(i, j, k) for i in range(3) for j in range(4) for k in range(25)]
+    seeds = [harness.derive_seed(11, *t) for t in tuples]
+    assert len(set(seeds)) == len(tuples)
+    # Children of children, other masters and shorter tuples stay distinct too.
+    more = [harness.derive_seed(s, 1) for s in seeds[:20]]
+    more += [harness.derive_seed(12, *t) for t in tuples[:20]]
+    more += [harness.derive_seed(11, i) for i in range(20)]
+    assert len(set(seeds + more)) == len(seeds) + len(more)
+    # Seeds span the unsigned 64-bit range.
+    assert all(0 <= s < 2**64 for s in seeds + more)
+
+
+def make_record(radius, d_true, d_hat, theta_hat, success, converged=True, seed=0):
+    return TrialRecord(
+        radius_m=radius, d_true_m=d_true, theta_true_rad=1.0, d_hat_m=d_hat,
+        theta_hat_rad=theta_hat, converged=converged, success=success,
+        snr_db=10.0, rate_est_bps=1.0, rate_opt_bps=2.0, seed=seed,
+    )
+
+
+def test_summarize_counts_hits_and_rmse_per_cell():
+    sweep = tiny_sweep(radii_m=(0.5, 2.0), distances_m=(10.0, 30.0))
+    records = [
+        make_record(0.5, 10.0, 10.1, 1.0 + 0.01, True),
+        make_record(0.5, 10.0, 9.7, 1.0 - 0.03, True, seed=1),
+        make_record(0.5, 10.0, 13.0, 2 * math.pi + 0.9, False, False, seed=2),
+        make_record(0.5, 30.0, 30.0, 1.0, True),
+        make_record(2.0, 30.0, 29.0, 1.2, False, seed=3),
+        make_record(2.0, 30.0, 31.0, 0.8, False, seed=4),
+    ]
+    points = harness.summarize(sweep, records)
+    # Cells with no records are left out; order is radius, then distance.
+    assert [(p.radius_m, p.d_m) for p in points] == [(0.5, 10.0), (0.5, 30.0), (2.0, 30.0)]
+    first, second, third = points
+    assert [p.n_trials for p in points] == [3, 1, 2]
+    assert first.success_rate == 2 / 3 and first.convergence_rate == 2 / 3
+    assert second.success_rate == 1.0 and third.success_rate == 0.0
+    assert first.rmse_d_m == pytest.approx(((0.1**2 + 0.3**2 + 3.0**2) / 3) ** 0.5, rel=1e-12)
+    # Angle errors wrap to (-pi, pi]: 2 pi + 0.9 against 1.0 is an error of -0.1.
+    assert first.rmse_theta_rad == pytest.approx(
+        ((0.01**2 + 0.03**2 + 0.1**2) / 3) ** 0.5, rel=1e-9
+    )
+    assert second.rmse_d_m == 0.0 and second.rmse_d_se_m == 0.0
+    assert third.rmse_d_m == pytest.approx(1.0, rel=1e-12)
+    assert third.rmse_theta_rad == pytest.approx(0.2, rel=1e-12)
+    assert all(p.crlb_d_m > 0.0 and p.crlb_theta_rad > 0.0 for p in points)
