@@ -6,7 +6,7 @@ transmit beamforming on the unit sphere, grid-initialized maximum
 likelihood estimation, and a Monte Carlo harness with a CSV-emitting CLI.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .beamformer import (
     OptimizerConfig,
@@ -47,7 +47,6 @@ from .estimator import (
     lm_refine,
     matched_filter_bank,
     polish_basin,
-    scores,
     wrap_angle,
     xi,
 )
@@ -87,7 +86,7 @@ from .signal import (
     achievable_rate,
     generate_pilots,
     noiseless_mean,
-    phase_factor,
+    synthesize_bank,
     synthesize_observation,
     ue_received_snr,
 )

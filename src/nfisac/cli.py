@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .beamformer import OptimizerConfig, optimize_beamformer
-from .estimator import GridSpec, LmSettings, estimate
+from .estimator import GridSpec, LmSettings, estimate, matched_filter_bank
 from .geometry import PolarPosition, UcaGeometry
 from .harness import (
     WORKER_ENV,
@@ -317,7 +317,7 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
 def write_sidecar(
     output_path: str, cfg: RunConfig, seed: int, command: str, arguments: dict
 ) -> None:
-    """JSON sidecar: config, seed, and the command's resolved arguments.
+    """JSON sidecar: tool and numpy versions, config, seed, and the command's resolved arguments.
 
     ``arguments`` maps each argument's dest to its resolved value (flags as
     booleans); output paths are left out. Rerunning ``command`` with
@@ -329,6 +329,7 @@ def write_sidecar(
     """
     sidecar = {
         "tool": f"nfisac {__version__}",
+        "numpy": np.__version__,
         "command": command,
         "master_seed": seed,
         "arguments": arguments,
@@ -474,7 +475,7 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     grid = grid_for_radius(
         dataclasses.replace(sweep, radii_m=(args.radius,)), args.radius
     )
-    result = estimate(obs, geom, grid, cfg.lm_settings())
+    result = estimate(matched_filter_bank(obs), geom, grid, cfg.lm_settings())
     header = [
         "radius_m", "d_true_m", "theta_true_deg", "d_hat_m", "theta_hat_deg",
         "cost", "converged", "iterations", "basin_index",

@@ -1,7 +1,10 @@
 """Joint range-angle maximum-likelihood estimation from one observation.
 
-Pipeline: a matched-filter bank collapses the symbol axis once per
-observation; a two-stage grid search (delay compensation per range row,
+Pipeline: the input is the matched-filter bank Z (n_a x M) of one
+observation, a sufficient statistic for (d, theta) (see ``signal``): the
+Monte Carlo harness draws it from its law (``signal.synthesize_bank``), and
+``matched_filter_bank`` collapses the symbol axis of a full observation
+into it. A two-stage grid search (delay compensation per range row,
 then an O(n_a) correlation per angle cell) ranks candidate basins of the
 negative-log-likelihood surface, evaluating only the tiles of range rows
 whose range-profile lower bound could still hold a top basin (an exact
@@ -12,12 +15,14 @@ IEEE 99(7), 2011), and collapses only the other rows directly
 (``_row_norms``). From each of the best basins' grid nodes, damped Newton
 iterations on the cost itself (``lm_refine``), with its exact gradient and
 Hessian, delay ramp included, find the basin's minimum; the lowest final
-cost wins. Off the grid, every cost, score, xi and cost derivative comes
+cost wins. Off the grid, every cost, xi and cost derivative comes
 from one candidate evaluator, ``_evaluate``, which takes a batch of
 (range, angle) candidates as (n, n_a) arrays and collapses the bank over
-the subcarriers once per distinct range in the batch. ``cost``, ``scores``
-and ``xi`` are its one-candidate views; ``scores`` and the windowed scans
-of ``polish_basin`` are no longer on the estimation path.
+the subcarriers once per distinct range in the batch. ``cost`` and ``xi``
+are its one-candidate views; the windowed scans of ``polish_basin`` are no
+longer on the estimation path. The grid, refinement and cost functions
+read only ``config`` and ``beamformer`` off their ``obs`` argument, which
+an ``Observation`` and a ``MatchedFilterBank`` both carry.
 
 Cost factorization, for candidate (d, theta) with xi_k the delay- and
 pilot-compensated correlation at element k:
@@ -41,10 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crlb import BeamCoupling, fim, gamma_coefficients, mean_product_scale
+from .crlb import fim, mean_product_scale
 from .geometry import (
     SPEED_OF_LIGHT,
-    GeometrySensitivities,
     PolarPosition,
     UcaGeometry,
     element_angles,
@@ -52,11 +56,11 @@ from .geometry import (
     element_ranges,
 )
 from .signal import (
+    MatchedFilterBank,
     Observation,
     OfdmConfig,
     delay_phases,
     pilot_doppler_grid,
-    require_unit_norm,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -71,17 +75,6 @@ RUN_STEP_TOL = 1e-9
 # Smallest |eigenvalue| of the refinement's Newton model, relative to the
 # largest (the beamformer's Newton uses the same floor).
 CURVATURE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MatchedFilterBank:
-    """Candidate-independent aggregates Z[k, m] = sum_n conj(x e^{j2pi nu0 n To}) r[n,m,k].
-
-    Built in one pass over all N*M*n_a samples; every later candidate
-    evaluation touches only O(n_a * M) entries of this bank.
-    """
-
-    aggregates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,19 +179,22 @@ def wrap_angle(theta: float) -> float:
 
 
 def matched_filter_bank(obs: Observation) -> MatchedFilterBank:
-    """Collapse the symbol axis: Z[k, m] = sum_n conj(C'[n, m]) r[n, m, k]."""
+    """Collapse the symbol axis: Z[k, m] = sum_n conj(C'[n, m]) r[n, m, k].
+
+    One pass over all N*M*n_a samples; the bank keeps the observation's
+    config and beamformer.
+    """
     known = pilot_doppler_grid(obs.config, obs.pilots)
     aggregates = np.einsum("nm,nmk->km", np.conj(known), obs.samples)
-    return MatchedFilterBank(aggregates)
+    return MatchedFilterBank(aggregates, obs.config, obs.beamformer)
 
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One candidate batch: xi per (candidate, element); on request costs, scores, cost derivatives."""
+    """One candidate batch: xi per (candidate, element); on request costs and cost derivatives."""
 
     xi: np.ndarray  # (n, n_a)
     cost: np.ndarray | None  # (n,)
-    scores: np.ndarray | None  # (n, 2): F_d, F_theta
     gradient: np.ndarray | None = None  # (n, 2): dL/dd, dL/dtheta
     hessian: np.ndarray | None = None  # (n, 2, 2)
 
@@ -219,10 +215,9 @@ def _evaluate(
     geom: UcaGeometry,
     config: OfdmConfig,
     beamformer: np.ndarray | None = None,
-    with_scores: bool = False,
     with_derivatives: bool = False,
 ) -> _Evaluation:
-    """Matched-filter outputs, costs, score pairs and cost derivatives of n candidates.
+    """Matched-filter outputs, costs and cost derivatives of n candidates.
 
     Candidate i sits at (d_m[i], theta_rad[i]); ranges, steering vectors,
     couplings and derivative factors are (n, n_a) arrays. The delay
@@ -230,9 +225,9 @@ def _evaluate(
     range, so an angle scan shares one. Every product is taken per
     candidate (see ``_row_dots``), so a candidate's values do not depend
     on the batch it comes in. Without a beamformer only xi is computed;
-    with one, also the costs, with ``with_scores`` the scores, and with
-    ``with_derivatives`` the exact gradient and Hessian of the cost in
-    (d, theta), delay ramp included (``_cost_derivatives``). For those the
+    with one, also the costs, and with ``with_derivatives`` the exact
+    gradient and Hessian of the cost in (d, theta), delay ramp included
+    (``_cost_derivatives``). For those the
     collapse is one (n_a x M) @ (M x 3) product per distinct range, the
     phasor weighted by 1, w_m and w_m^2 with w_m = j 4 pi m df / c, which
     gives c, dc/dd and d2c/dd2 at once; its first column rounds apart from
@@ -272,7 +267,7 @@ def _evaluate(
     gains = element_gains(ranges, geom.wavelength_m)
     xis = gains * np.conj(a) * collapsed
     if beamformer is None:
-        return _Evaluation(xis, None, None)
+        return _Evaluation(xis, None)
 
     beta = _row_dots(a, beamformer)
     scale = mean_product_scale(config, geom)
@@ -286,24 +281,7 @@ def _evaluate(
         gradient, hessian = _cost_derivatives(
             geom, d, phi, cos_phi, ranges, a * beamformer, gains * a, ramp, scale
         )
-    if not with_scores:
-        return _Evaluation(xis, costs, None, gradient, hessian)
-
-    f = require_unit_norm(beamformer)
-    alpha_d = (d - radius * cos_phi) / ranges
-    alpha_theta = d * radius * np.sin(phi) / ranges
-    sens = GeometrySensitivities(ranges, alpha_d, alpha_theta, gains)
-    coupling = BeamCoupling(
-        beta[:, None],
-        _row_dots(a * (1.0 - alpha_d), f)[:, None],
-        _row_dots(a * alpha_theta, f)[:, None],
-    )
-    gammas = gamma_coefficients(sens, coupling, geom.wavelength_m)
-    rho = xis - scale * coupling.beta / ranges**2
-    scores = np.empty((d_m.size, 2))
-    scores[:, 0] = np.real(np.sum(np.conj(gammas.gamma_d) * rho, axis=1))
-    scores[:, 1] = np.real(np.sum(np.conj(gammas.gamma_theta) * rho, axis=1))
-    return _Evaluation(xis, costs, scores, gradient, hessian)
+    return _Evaluation(xis, costs, gradient, hessian)
 
 
 # A jet holds a function's value and partials in (d, theta) on its last axis:
@@ -417,7 +395,7 @@ def xi(
 
 def cost(
     candidate: PolarPosition,
-    obs: Observation,
+    obs: Observation | MatchedFilterBank,
     geom: UcaGeometry,
     bank: MatchedFilterBank,
 ) -> float:
@@ -430,27 +408,6 @@ def cost(
         [candidate.d_m], [candidate.theta_rad], bank, geom, obs.config, obs.beamformer
     )
     return float(batch.cost[0])
-
-
-def scores(
-    candidate: PolarPosition,
-    obs: Observation,
-    geom: UcaGeometry,
-    bank: MatchedFilterBank,
-    config: OfdmConfig,
-) -> tuple[float, float]:
-    """Analytic score pair (F_d, F_theta) = Re{(r - mu)^H d mu / d eta}.
-
-    Built from the weighted residuals rho_k = xi_k - s beta / r_k^2 and
-    the shared derivative factors gamma_k; both vanish together at a
-    noiseless observation's truth.
-    """
-    batch = _evaluate(
-        [candidate.d_m], [candidate.theta_rad], bank, geom, config, obs.beamformer,
-        with_scores=True,
-    )
-    f_d, f_theta = batch.scores[0]
-    return float(f_d), float(f_theta)
 
 
 def _phasor(phase: np.ndarray) -> np.ndarray:
@@ -571,7 +528,7 @@ def _row_norms(
 
 
 def _row_bounds(
-    obs: Observation,
+    obs: Observation | MatchedFilterBank,
     geom: UcaGeometry,
     bank: MatchedFilterBank,
     d_values: np.ndarray,
@@ -591,7 +548,7 @@ def _row_bounds(
 
 
 def _cost_rows(
-    obs: Observation,
+    obs: Observation | MatchedFilterBank,
     geom: UcaGeometry,
     bank: MatchedFilterBank,
     d_values: np.ndarray,
@@ -714,7 +671,7 @@ def _edge_minima(
 
 
 def coarse_grid_search(
-    obs: Observation,
+    obs: Observation | MatchedFilterBank,
     geom: UcaGeometry,
     bank: MatchedFilterBank,
     spec: GridSpec,
@@ -858,7 +815,7 @@ def _trust_radii(geom: UcaGeometry, config: OfdmConfig) -> tuple[float, float]:
 
 def lm_refine(
     basin: PolarPosition,
-    obs: Observation,
+    obs: Observation | MatchedFilterBank,
     geom: UcaGeometry,
     bank: MatchedFilterBank,
     config: OfdmConfig,
@@ -979,7 +936,7 @@ def lm_refine(
 
 def polish_basin(
     basin: PolarPosition,
-    obs: Observation,
+    obs: Observation | MatchedFilterBank,
     geom: UcaGeometry,
     bank: MatchedFilterBank,
     spec: GridSpec,
@@ -1037,36 +994,37 @@ def polish_basin(
 
 
 def estimate(
-    obs: Observation,
+    bank: MatchedFilterBank,
     geom: UcaGeometry,
     spec: GridSpec,
     lm: LmSettings | None = None,
 ) -> MlEstimate:
-    """Full pipeline: bank, coarse grid, then refine the top basins.
+    """Full pipeline from the matched-filter bank: coarse grid, then refine the top basins.
 
+    The bank is the data, and its ``config`` and ``beamformer`` interpret
+    it: it is passed both as the data and as the ``obs`` of each stage.
     Each grid basin's node starts one ``lm_refine`` run; the refined
     position with the lowest cost wins, ties to the better-ranked basin,
     and the estimate carries that run's converged flag and step count.
-    Deterministic given (observation, grid, settings); degenerate inputs
-    produce converged=False estimates rather than raising.
+    Deterministic given (bank, grid, settings); degenerate inputs produce
+    converged=False estimates rather than raising.
     """
     if lm is None:
         lm = LmSettings(d_max_m=1.5 * spec.d_max_m)
-    bank = matched_filter_bank(obs)
-    basins = coarse_grid_search(obs, geom, bank, spec)
+    basins = coarse_grid_search(bank, geom, bank, spec)
     if not basins:
         # No local minimum (pathological flat surface): fall back to mid-grid.
         fallback = PolarPosition(
             float(np.sqrt(spec.d_min_m * spec.d_max_m)), 0.0
         )
-        basins = [GridBasin(fallback, cost(fallback, obs, geom, bank), 0, 0)]
+        basins = [GridBasin(fallback, cost(fallback, bank, geom, bank), 0, 0)]
 
     best = None
     for index, basin in enumerate(basins):
         refined, converged, iterations = lm_refine(
-            basin.position, obs, geom, bank, obs.config, lm
+            basin.position, bank, geom, bank, bank.config, lm
         )
-        key = (cost(refined, obs, geom, bank), index)
+        key = (cost(refined, bank, geom, bank), index)
         if best is None or key < best[0]:
             best = (key, refined, converged, iterations, index)
 

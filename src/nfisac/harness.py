@@ -1,7 +1,8 @@
 """Monte Carlo driver: RMSE/CRLB/rate sweeps over radius and distance.
 
-One trial = optimize the transmit beam at the true position, synthesize
-a noisy observation with it, run the ML estimator, then score the trial:
+One trial = optimize the transmit beam at the true position, draw the
+matched-filter bank of a noisy observation with it from the bank's exact
+law, run the ML estimator on the bank, then score the trial:
 received SNR at the truth, achievable rate with a beam rebuilt from the
 estimate (C_est) and with the true-position beam (C_opt), convergence
 and success flags. Trials are seeded individually from the master seed
@@ -25,10 +26,13 @@ from .beamformer import OptimizerConfig, conjugate_focus_beamformer, optimize_be
 from .crlb import CrlbBound, UnidentifiableParametersError, crlb_at
 from .estimator import GridSpec, LmSettings, estimate, wrap_angle
 from .geometry import PolarPosition, UcaGeometry, rayleigh_distance
-from .signal import (
+# A trial calls neither generate_pilots nor synthesize_observation; they stay
+# importable here because bench/spans.py wraps them by name on this module.
+from .signal import (  # noqa: F401
     OfdmConfig,
     achievable_rate,
     generate_pilots,
+    synthesize_bank,
     synthesize_observation,
     ue_received_snr,
 )
@@ -265,17 +269,19 @@ def run_trial(
     theta_true_rad: float,
     seed: int,
 ) -> TrialRecord:
-    """One full pipeline pass, deterministic in ``seed``."""
+    """One full pipeline pass, deterministic in ``seed``.
+
+    The estimator reads the data only through the matched-filter bank, so
+    the trial draws the bank from its law (``synthesize_bank``, noise seed
+    derive_seed(seed, 2)) and builds neither pilots nor the observation.
+    """
     geom = cfg.geometry(radius_m)
     truth = PolarPosition(d_true_m, wrap_angle(theta_true_rad))
     beam = optimize_beamformer(geom, truth, cfg.ofdm, cfg.optimizer).beamformer
-    pilots = generate_pilots(cfg.ofdm, derive_seed(seed, 1))
-    obs = synthesize_observation(
-        geom, truth, beam, cfg.ofdm, pilots, derive_seed(seed, 2)
-    )
+    bank = synthesize_bank(geom, truth, beam, cfg.ofdm, derive_seed(seed, 2))
     grid = grid_for_radius(cfg, radius_m)
     lm = cfg.lm if cfg.lm is not None else LmSettings(d_max_m=1.5 * grid.d_max_m)
-    result = estimate(obs, geom, grid, lm)
+    result = estimate(bank, geom, grid, lm)
 
     estimate_pos = PolarPosition(result.d_hat_m, wrap_angle(result.theta_hat_rad))
     success = (

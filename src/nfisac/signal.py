@@ -10,6 +10,19 @@ beta = a^T f the transmit coupling, and tau0 = 2 d / c the round-trip
 delay. Noise is i.i.d. circularly-symmetric complex Gaussian with total
 variance sigma^2 per sample. Pilot symbols are constant-modulus with
 |x|^2 = P_t on every resource element, so sum |C|^2 = N M P_t exactly.
+
+The matched-filter bank Z[k, m] = sum_n conj(x[n, m] e^{j 2 pi nu0 n T_o})
+r[n, m, k] is a sufficient statistic for (d, theta): with mu = C' D h (C'
+the pilot-Doppler factor, D_m the delay ramp, h = g a beta),
+r^H mu = sum_{k,m} D_m h_k conj(Z[k, m]) and ||mu||^2 is data-free, so
+the likelihood reads r only through Z (Fisher-Neyman factorization; Kay,
+Estimation Theory, 1993, ch. 5). As |x|^2 = P_t, the pilots and the
+unit-modulus Doppler factor drop out of its law, independent over (k, m):
+
+    Z[k, m] ~ CN(N P_t e^{-j 2 pi m df (T_cp + tau0)} g_k a_k beta, N P_t sigma^2).
+
+``synthesize_bank`` draws Z from this law from n_a M complex normals,
+without forming the N M n_a observation.
 """
 
 from __future__ import annotations
@@ -105,6 +118,19 @@ class Observation:
         return self.samples.shape[2]
 
 
+@dataclass(frozen=True)
+class MatchedFilterBank:
+    """Matched-filter bank Z (n_a, M) with the config and beamformer that interpret it.
+
+    Built from an observation by ``estimator.matched_filter_bank``, or drawn
+    from its law by ``synthesize_bank`` (see the module docstring).
+    """
+
+    aggregates: np.ndarray
+    config: OfdmConfig
+    beamformer: np.ndarray
+
+
 def require_unit_norm(f: np.ndarray, tol: float = UNIT_NORM_TOL) -> np.ndarray:
     """Validate that f is a unit-norm complex vector; returns it as an array."""
     f = np.asarray(f, dtype=complex)
@@ -143,19 +169,11 @@ def phase_factor_grid(config: OfdmConfig, pilots: PilotGrid, tau0_s: float) -> n
     return pilot_doppler_grid(config, pilots) * delay_phases(config, tau0_s)[None, :]
 
 
-def phase_factor(
-    config: OfdmConfig, pilots: PilotGrid, n: int, m: int, tau0_s: float
-) -> complex:
-    """Single C[n,m] = x[n,m] e^{j 2 pi nu0 n T_o} e^{-j 2 pi m df (T_cp+tau0)}."""
-    if not 0 <= n < config.n_symbols:
-        raise IndexError(f"symbol index {n} out of range [0, {config.n_symbols})")
-    if not 0 <= m < config.m_subcarriers:
-        raise IndexError(f"subcarrier index {m} out of range [0, {config.m_subcarriers})")
-    doppler = np.exp(1j * 2.0 * np.pi * config.nu0_hz * n * config.symbol_duration_s)
-    delay = np.exp(
-        -1j * 2.0 * np.pi * m * config.delta_f_hz * (config.t_cp_s + tau0_s)
-    )
-    return complex(pilots.symbols[n, m] * doppler * delay)
+def _echo(geom: UcaGeometry, pos: PolarPosition, f: np.ndarray) -> np.ndarray:
+    """Per-element echo g_k a_k beta of the beam f, beta = a^T f."""
+    a = steering_vector(geom, pos)
+    gains = element_gains(element_ranges(geom, pos), geom.wavelength_m)
+    return gains * a * (a @ f)
 
 
 def noiseless_mean(
@@ -175,12 +193,8 @@ def noiseless_mean(
     f = require_unit_norm(f)
     if tau0_s is None:
         tau0_s = 2.0 * pos.d_m / SPEED_OF_LIGHT
-    ranges = element_ranges(geom, pos)
-    gains = element_gains(ranges, geom.wavelength_m)
-    a = steering_vector(geom, pos)
-    beta = a @ f
     c_grid = phase_factor_grid(config, pilots, tau0_s)
-    return c_grid[:, :, None] * (gains * a * beta)[None, None, :]
+    return c_grid[:, :, None] * _echo(geom, pos, f)[None, None, :]
 
 
 def synthesize_observation(
@@ -206,6 +220,28 @@ def synthesize_observation(
         buf *= scale
         part += buf
     return Observation(samples, pilots, config, np.asarray(f, dtype=complex))
+
+
+def synthesize_bank(
+    geom: UcaGeometry,
+    pos: PolarPosition,
+    f: np.ndarray,
+    config: OfdmConfig,
+    seed: int,
+) -> MatchedFilterBank:
+    """Matched-filter bank of a noisy observation, drawn from its exact law.
+
+    The law of ``estimator.matched_filter_bank`` of ``synthesize_observation``
+    whatever the pilots (module docstring); the noise's real parts are drawn
+    first, then its imaginary parts.
+    """
+    f = require_unit_norm(f)
+    power = config.n_symbols * config.p_t_w
+    ramp = delay_phases(config, 2.0 * pos.d_m / SPEED_OF_LIGHT)
+    aggregates = (power * _echo(geom, pos, f))[:, None] * ramp[None, :]
+    noise = np.random.default_rng(seed).standard_normal((2,) + aggregates.shape)
+    aggregates += np.sqrt(power * config.sigma2_w / 2.0) * (noise[0] + 1j * noise[1])
+    return MatchedFilterBank(aggregates, config, f)
 
 
 def effective_channel(

@@ -4,8 +4,10 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
+import nfisac
 from nfisac import OptimizerConfig
 from nfisac.cli import EXIT_OK, EXIT_USAGE, ConfigError, main, parse_config
 from nfisac.harness import run_trials
@@ -101,6 +103,8 @@ class TestSidecar:
         sidecar = json.loads((first / "summary.csv.config.json").read_text())
         assert sidecar["arguments"] == {"trials": 1, "reduced_m": True, "workers": 1}
         assert sidecar["worker_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        assert sidecar["tool"] == f"nfisac {nfisac.__version__}"
+        assert sidecar["numpy"] == np.__version__
 
         second = tmp_path / "second"
         second.mkdir()

@@ -27,7 +27,6 @@ from nfisac import (
     mean_product_scale,
     noiseless_mean,
     polish_basin,
-    scores,
     sensitivities,
     steering_vector,
     synthesize_observation,
@@ -314,11 +313,17 @@ class TestCost:
 
 
 class TestScores:
+    """The score pair F = Re{(r - mu)^H dmu/deta}, kept in the tests as ``oracle_scores``.
+
+    No estimator stage uses it since refinement works on the cost itself;
+    it stays as the reference that ``_cost_derivatives`` is checked against.
+    """
+
     def test_vanish_at_noiseless_truth(self):
         rng = np.random.default_rng(48)
         config, geom, pos, f, obs = small_observation(rng, sigma2=0.0)
         bank = matched_filter_bank(obs)
-        f_d, f_t = scores(pos, obs, geom, bank, config)
+        f_d, f_t = oracle_scores(pos, obs, geom, bank, config)
         mu2 = abs(cost(pos, obs, geom, bank))
         assert abs(f_d) < 1e-9 * mu2 / geom.wavelength_m
         assert abs(f_t) < 1e-9 * mu2 / geom.wavelength_m
@@ -331,7 +336,7 @@ class TestScores:
         obs = Observation(np.zeros((2, 4, 3), dtype=complex), pilots, small_ofdm, f)
         bank = matched_filter_bank(obs)
         candidate = PolarPosition(8.0, 1.0)
-        got = scores(candidate, obs, geom, bank, small_ofdm)
+        got = oracle_scores(candidate, obs, geom, bank, small_ofdm)
         brute = brute_scores(candidate, obs, geom)
         assert got[0] == pytest.approx(brute[0], rel=1e-9)
         assert got[1] == pytest.approx(brute[1], rel=1e-9)
@@ -345,7 +350,7 @@ class TestScores:
             candidate = PolarPosition(
                 pos.d_m + rng.uniform(-0.5, 0.5), pos.theta_rad + rng.uniform(-0.1, 0.1)
             )
-            got = np.array(scores(candidate, obs, geom, bank, config))
+            got = np.array(oracle_scores(candidate, obs, geom, bank, config))
             brute = np.array(brute_scores(candidate, obs, geom))
             worst = max(worst, np.max(np.abs(got - brute)) / np.max(np.abs(brute)))
         assert worst < 1e-7
@@ -373,7 +378,7 @@ class TestScores:
         f_t = -np.sum(
             sens.alpha_theta / sens.ranges_m * np.real(beta_c * rho)
         ) - wn * np.sum(np.imag(v_t * rho))
-        got = scores(candidate, obs, geom, bank, config)
+        got = oracle_scores(candidate, obs, geom, bank, config)
         assert got[0] == pytest.approx(float(f_d), rel=1e-10)
         assert got[1] == pytest.approx(float(f_t), rel=1e-10)
 
@@ -407,25 +412,23 @@ class TestScores:
                 frozen_cost(candidate.d_m, candidate.theta_rad + h_t, tau0)
                 - frozen_cost(candidate.d_m, candidate.theta_rad - h_t, tau0)
             ) / (2 * h_t)
-            got = np.array(scores(candidate, obs, geom, bank, config))
+            got = np.array(oracle_scores(candidate, obs, geom, bank, config))
             expected = np.array([-0.5 * grad_d, -0.5 * grad_t])
             worst = max(worst, np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
         assert worst < 1e-5
 
 
 def assert_batch_matches_oracle(d_m, theta_rad, obs, geom):
-    """Batched xi, costs and scores against the one-candidate oracles, to 1e-12."""
+    """Batched xi and costs against the one-candidate oracles, to 1e-12."""
     bank = matched_filter_bank(obs)
     config = obs.config
-    batch = _evaluate(d_m, theta_rad, bank, geom, config, obs.beamformer, with_scores=True)
+    batch = _evaluate(d_m, theta_rad, bank, geom, config, obs.beamformer)
     candidates = [PolarPosition(float(d), float(t)) for d, t in zip(d_m, theta_rad)]
     want_xi = np.array([oracle_xi(c, bank, geom, config) for c in candidates])
     want_cost = np.array([oracle_cost(c, obs, geom, bank) for c in candidates])
-    want_scores = np.array([oracle_scores(c, obs, geom, bank, config) for c in candidates])
     assert batch.xi.shape == want_xi.shape
     assert batch.cost.shape == (len(candidates),)
-    assert batch.scores.shape == (len(candidates), 2)
-    for got, want in ((batch.xi, want_xi), (batch.cost, want_cost), (batch.scores, want_scores)):
+    for got, want in ((batch.xi, want_xi), (batch.cost, want_cost)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -660,8 +663,9 @@ class TestCostDerivatives:
                 pos.d_m + rng.uniform(-0.5, 0.5), pos.theta_rad + rng.uniform(-0.05, 0.05)
             )
             batch = _evaluate([candidate.d_m], [candidate.theta_rad], bank, geom, config, f,
-                              with_scores=True, with_derivatives=True)
-            (grad_d, grad_t), (f_d, f_t) = batch.gradient[0], batch.scores[0]
+                              with_derivatives=True)
+            grad_d, grad_t = batch.gradient[0]
+            f_d, f_t = oracle_scores(candidate, obs, geom, bank, config)
             scale = estimator_module._score_scale(geom, config, candidate)
             assert abs(grad_t + 2.0 * f_t) <= 1e-12 * scale
             ramp = ramp_gradient_oracle(candidate, obs, geom, bank)
@@ -675,9 +679,9 @@ class TestCostDerivatives:
         f = conjugate_focus_beamformer(geom64, pos)
         obs = synthesize_observation(geom64, pos, f, config, generate_pilots(config, 9), 10)
         bank = matched_filter_bank(obs)
-        batch = _evaluate([10.01], [0.701], bank, geom64, config, f,
-                          with_scores=True, with_derivatives=True)
-        assert batch.scores[0, 0] == pytest.approx(-4.16e-10, rel=1e-2)
+        batch = _evaluate([10.01], [0.701], bank, geom64, config, f, with_derivatives=True)
+        f_d, _ = oracle_scores(PolarPosition(10.01, 0.701), obs, geom64, bank, config)
+        assert f_d == pytest.approx(-4.16e-10, rel=1e-2)
         assert -0.5 * batch.gradient[0, 0] == pytest.approx(-6.05e-10, rel=1e-2)
 
 
@@ -1202,7 +1206,7 @@ def quadratic_evaluator(d_min, theta_min, curv_d, curv_t, quartic_t=0.0):
         value = curv_d * x * x + curv_t * y * y + quartic_t * y**4
         gradient = np.array([[2 * curv_d * x, 2 * curv_t * y + 4 * quartic_t * y**3]])
         hessian = np.array([[[2 * curv_d, 0.0], [0.0, 2 * curv_t + 12 * quartic_t * y * y]]])
-        return estimator_module._Evaluation(None, np.array([value]), None, gradient, hessian)
+        return estimator_module._Evaluation(None, np.array([value]), gradient, hessian)
 
     return evaluate
 
@@ -1325,7 +1329,7 @@ class TestEstimate:
             n_basins=15,
             d_nodes=adaptive_d_nodes(geom64, config, 1.0, 400.0),
         )
-        result = estimate(obs, geom64, grid)
+        result = estimate(matched_filter_bank(obs), geom64, grid)
         assert result.converged
         assert abs(result.d_hat_m - 10.0) < 1e-6
         assert abs(result.theta_hat_rad - 0.7) < 1e-8
@@ -1347,6 +1351,6 @@ class TestEstimate:
             n_basins=15,
             d_nodes=adaptive_d_nodes(geom64, reduced_ofdm, 1.0, 400.0),
         )
-        a = estimate(obs, geom64, grid)
-        b = estimate(obs, geom64, grid)
+        a = estimate(matched_filter_bank(obs), geom64, grid)
+        b = estimate(matched_filter_bank(obs), geom64, grid)
         assert a == b

@@ -16,6 +16,7 @@ from nfisac import (
     OptimizerConfig,
     SweepConfig,
     TrialRecord,
+    estimator,
     harness,
     run_trials,
 )
@@ -44,6 +45,21 @@ def test_pool_records_equal_serial_records():
     pooled = run_trials(dataclasses.replace(sweep, workers=2))
     assert len(serial) == 2
     assert [record_bits(r) for r in pooled] == [record_bits(r) for r in serial]
+
+
+def test_a_trial_never_builds_the_raw_observation(monkeypatch):
+    # The trial draws the matched-filter bank from its law: no pilots, no
+    # N x M x n_a observation, no symbol-axis collapse.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the trial built the raw observation")
+
+    monkeypatch.setattr(harness, "synthesize_observation", forbidden)
+    monkeypatch.setattr(harness, "generate_pilots", forbidden)
+    monkeypatch.setattr(estimator, "matched_filter_bank", forbidden)
+    sweep = tiny_sweep(ofdm=OfdmConfig(128, 14, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4), 60e9))
+    record = harness.run_trial(sweep, 0.5, 10.0, 1.1, 7)
+    assert math.isfinite(record.d_hat_m) and math.isfinite(record.theta_hat_rad)
+    assert record.seed == 7
 
 
 def test_pool_workers_start_with_one_blas_thread(monkeypatch):

@@ -1,4 +1,4 @@
-"""Pilot generation, observation synthesis, SNR and rate contracts."""
+"""Pilot generation, observation and bank synthesis, SNR and rate contracts."""
 
 import cmath
 import dataclasses
@@ -14,15 +14,28 @@ from nfisac import (
     achievable_rate,
     conjugate_focus_beamformer,
     generate_pilots,
+    matched_filter_bank,
     noiseless_mean,
-    phase_factor,
     steering_vector,
+    synthesize_bank,
     synthesize_observation,
     ue_received_snr,
 )
 from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
+from nfisac.signal import phase_factor_grid
 
 from conftest import random_unit_vector
+
+
+def phase_factor(config, pilots, n, m, tau0_s):
+    """Single C[n,m] = x[n,m] e^{j 2 pi nu0 n T_o} e^{-j 2 pi m df (T_cp+tau0)}."""
+    if not 0 <= n < config.n_symbols:
+        raise IndexError(f"symbol index {n} out of range [0, {config.n_symbols})")
+    if not 0 <= m < config.m_subcarriers:
+        raise IndexError(f"subcarrier index {m} out of range [0, {config.m_subcarriers})")
+    doppler = cmath.exp(1j * 2.0 * math.pi * config.nu0_hz * n * config.symbol_duration_s)
+    delay = cmath.exp(-1j * 2.0 * math.pi * m * config.delta_f_hz * (config.t_cp_s + tau0_s))
+    return complex(pilots.symbols[n, m]) * doppler * delay
 
 
 def orthogonal_beamformer(geom, pos):
@@ -100,6 +113,17 @@ class TestPhaseFactor:
             phase_factor(small_ofdm, pilots, small_ofdm.n_symbols, 0, 0.0)
         with pytest.raises(IndexError):
             phase_factor(small_ofdm, pilots, 0, small_ofdm.m_subcarriers, 0.0)
+
+    def test_grid_matches_scalar_oracle_with_doppler(self):
+        cfg = OfdmConfig(5, 3, 480e3, 1e-7, 0.1, 1e-9, 60e9, nu0_hz=3e3)
+        pilots = generate_pilots(cfg, 4)
+        tau0 = 2.0 * 12.0 / SPEED_OF_LIGHT
+        grid = phase_factor_grid(cfg, pilots, tau0)
+        for n in range(3):
+            for m in range(5):
+                assert grid[n, m] == pytest.approx(
+                    phase_factor(cfg, pilots, n, m, tau0), rel=1e-12
+                )
 
 
 class TestNoiselessMean:
@@ -213,6 +237,145 @@ class TestSynthesizeObservation:
         corr = np.abs(np.mean(x * np.conj(y))) / cfg_long.sigma2_w
         assert corr < 3.0 / math.sqrt(cfg_long.n_symbols)
         assert len(list(rng_seeds)) == draws and mean.shape == (2, 2, 2)
+
+
+# Bank-law check: n_a = 4, M = 8, N = 3, Doppler 4 kHz (within df / 100).
+LAW_OFDM = OfdmConfig(8, 3, 480e3, 0.07 / 480e3, 0.1, 2e-9, 60e9, nu0_hz=4e3)
+LAW_DRAWS = 4000
+# Every sample statistic must lie within this many of its standard errors.
+LAW_SE_MULTIPLE = 5.0
+
+
+def law_scene():
+    geom = UcaGeometry(4, 0.3, 0.005)
+    pos = PolarPosition(6.0, 0.8)
+    return geom, pos, conjugate_focus_beamformer(geom, pos)
+
+
+def analytic_bank_mean(geom, pos, f, cfg):
+    """N P_t e^{-j 2 pi m df (T_cp + tau0)} g_k a_k beta, entry by entry."""
+    tau0 = 2.0 * pos.d_m / SPEED_OF_LIGHT
+    a = steering_vector(geom, pos)
+    gains = element_gains(element_ranges(geom, pos), geom.wavelength_m)
+    beta = complex(a @ f)
+    out = np.empty((geom.n_a, cfg.m_subcarriers), dtype=complex)
+    for k in range(geom.n_a):
+        for m in range(cfg.m_subcarriers):
+            ramp = cmath.exp(-1j * 2 * math.pi * m * cfg.delta_f_hz * (cfg.t_cp_s + tau0))
+            out[k, m] = cfg.n_symbols * cfg.p_t_w * ramp * gains[k] * a[k] * beta
+    return out
+
+
+def assert_bank_law(draws, mean, variance):
+    """Sample mean, covariance and pseudo-covariance of (K, n_a, M) bank draws.
+
+    With w = Z - mean ~ CN(0, v I) over the n_a M entries and K draws:
+    each part of the sample mean has standard error sqrt(v / 2K); a
+    covariance diagonal entry (mean of |w_a|^2, Exp(v)) has v / sqrt(K);
+    each part of an off-diagonal covariance or pseudo-covariance entry has
+    v / sqrt(2K); each part of a pseudo-covariance diagonal entry (w_a^2)
+    has v / sqrt(K). Each must lie within LAW_SE_MULTIPLE of them.
+    """
+    k = draws.shape[0]
+    w = (draws - mean).reshape(k, -1)
+    dim = w.shape[1]
+    off = ~np.eye(dim, dtype=bool)
+
+    def parts(z):
+        return np.maximum(np.abs(z.real), np.abs(z.imag))
+
+    mean_err = parts(np.mean(w, axis=0)) / math.sqrt(variance / (2 * k))
+    cov = w.T @ np.conj(w) / k
+    pseudo = w.T @ w / k
+    cov_diag_err = np.abs(np.diag(cov) - variance) / (variance / math.sqrt(k))
+    cov_off_err = parts(cov[off]) / (variance / math.sqrt(2 * k))
+    pseudo_diag_err = parts(np.diag(pseudo)) / (variance / math.sqrt(k))
+    pseudo_off_err = parts(pseudo[off]) / (variance / math.sqrt(2 * k))
+    for name, err in [
+        ("covariance diagonal", cov_diag_err),
+        ("mean", mean_err),
+        ("covariance off-diagonal", cov_off_err),
+        ("pseudo-covariance diagonal", pseudo_diag_err),
+        ("pseudo-covariance off-diagonal", pseudo_off_err),
+    ]:
+        assert np.max(np.abs(err)) < LAW_SE_MULTIPLE, name
+
+
+class TestSynthesizeBank:
+    @pytest.mark.parametrize("m, n, n_a", [(8, 3, 4), (2048, 14, 64)])
+    def test_zero_noise_equals_the_observation_path(self, m, n, n_a):
+        # Pilots and Doppler drop out: the drawn bank equals the bank of the
+        # noiseless observation whatever the pilots, here and at paper scale.
+        cfg = dataclasses.replace(LAW_OFDM, m_subcarriers=m, n_symbols=n, sigma2_w=0.0)
+        geom = UcaGeometry(n_a, 0.5, 0.005)
+        pos = PolarPosition(10.0, 0.7)
+        f = conjugate_focus_beamformer(geom, pos)
+        drawn = synthesize_bank(geom, pos, f, cfg, 1).aggregates
+        assert drawn.shape == (n_a, m)
+        for pilot_seed in (2, 3):
+            obs = synthesize_observation(geom, pos, f, cfg, generate_pilots(cfg, pilot_seed), 4)
+            oracle = matched_filter_bank(obs).aggregates
+            assert np.max(np.abs(drawn - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_carries_config_and_beamformer(self):
+        geom, pos, f = law_scene()
+        bank = synthesize_bank(geom, pos, f, LAW_OFDM, 1)
+        assert bank.config == LAW_OFDM
+        np.testing.assert_array_equal(bank.beamformer, f)
+
+    def test_deterministic_in_seed(self):
+        geom, pos, f = law_scene()
+        a = synthesize_bank(geom, pos, f, LAW_OFDM, 7).aggregates
+        b = synthesize_bank(geom, pos, f, LAW_OFDM, 7).aggregates
+        c = synthesize_bank(geom, pos, f, LAW_OFDM, 8).aggregates
+        np.testing.assert_array_equal(a, b)
+        assert np.all(a != c)
+
+    def test_rejects_nonunit_beamformer(self):
+        geom, pos, _ = law_scene()
+        with pytest.raises(ValueError):
+            synthesize_bank(geom, pos, np.ones(4, dtype=complex), LAW_OFDM, 1)
+
+    def test_drawn_bank_follows_the_analytic_law(self):
+        geom, pos, f = law_scene()
+        draws = np.array([
+            synthesize_bank(geom, pos, f, LAW_OFDM, seed).aggregates
+            for seed in range(LAW_DRAWS)
+        ])
+        cfg = LAW_OFDM
+        assert_bank_law(
+            draws, analytic_bank_mean(geom, pos, f, cfg),
+            cfg.n_symbols * cfg.p_t_w * cfg.sigma2_w,
+        )
+
+    def test_observation_path_follows_the_analytic_law(self):
+        # The oracle: a fresh pilot grid and noise per draw, collapsed by
+        # the matched filter.
+        geom, pos, f = law_scene()
+        cfg = LAW_OFDM
+        draws = np.array([
+            matched_filter_bank(synthesize_observation(
+                geom, pos, f, cfg, generate_pilots(cfg, 2 * seed), 2 * seed + 1
+            )).aggregates
+            for seed in range(LAW_DRAWS)
+        ])
+        assert_bank_law(
+            draws, analytic_bank_mean(geom, pos, f, cfg),
+            cfg.n_symbols * cfg.p_t_w * cfg.sigma2_w,
+        )
+
+    def test_law_check_rejects_a_variance_off_by_a_quarter(self):
+        geom, pos, f = law_scene()
+        cfg = LAW_OFDM
+        draws = np.array([
+            synthesize_bank(geom, pos, f, cfg, seed).aggregates
+            for seed in range(LAW_DRAWS)
+        ])
+        with pytest.raises(AssertionError, match="covariance diagonal"):
+            assert_bank_law(
+                draws, analytic_bank_mean(geom, pos, f, cfg),
+                1.25 * cfg.n_symbols * cfg.p_t_w * cfg.sigma2_w,
+            )
 
 
 class TestSnrAndRate:
