@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .beamformer import OptimizerConfig, optimize_beamformer
-from .estimator import GridSpec, LmSettings, estimate, matched_filter_bank
+from .estimator import GridSpec, LmSettings, estimate
 from .geometry import PolarPosition, UcaGeometry
 from .harness import (
     WORKER_ENV,
@@ -39,7 +39,7 @@ from .harness import (
     run_trials,
     summarize,
 )
-from .signal import OfdmConfig, generate_pilots, synthesize_observation
+from .signal import OfdmConfig, synthesize_bank
 
 CONFIG_ENV_VAR = "NFISAC_CONFIG"
 
@@ -397,7 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--theta-deg", type=float, default=0.0, help="UE azimuth, degrees")
     opt.add_argument("--output", required=True)
 
-    est = sub.add_parser("estimate", help="synthesize one observation and estimate")
+    est = sub.add_parser(
+        "estimate", help="draw one matched-filter bank, as a monte-carlo trial does, and estimate"
+    )
     est.add_argument("--radius", type=float, required=True)
     est.add_argument("--distance", type=float, required=True)
     est.add_argument("--theta-deg", type=float, default=0.0)
@@ -469,13 +471,12 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     geom = UcaGeometry(cfg.n_antennas, args.radius, cfg.wavelength_m)
     truth = PolarPosition(args.distance, float(np.deg2rad(args.theta_deg)))
     beam = optimize_beamformer(geom, truth, cfg.ofdm_config(), cfg.optimizer_config()).beamformer
-    pilots = generate_pilots(ofdm, derive_seed(seed, 1))
-    obs = synthesize_observation(geom, truth, beam, ofdm, pilots, derive_seed(seed, 2))
+    bank = synthesize_bank(geom, truth, beam, ofdm, derive_seed(seed, 2))
     sweep = cfg.sweep_config(seed=seed)
     grid = grid_for_radius(
         dataclasses.replace(sweep, radii_m=(args.radius,)), args.radius
     )
-    result = estimate(matched_filter_bank(obs), geom, grid, cfg.lm_settings())
+    result = estimate(bank, geom, grid, cfg.lm_settings())
     header = [
         "radius_m", "d_true_m", "theta_true_deg", "d_hat_m", "theta_hat_deg",
         "cost", "converged", "iterations", "basin_index",

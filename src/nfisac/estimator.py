@@ -21,8 +21,8 @@ from one candidate evaluator, ``_evaluate``, which takes a batch of
 the subcarriers once per distinct range in the batch. ``cost`` and ``xi``
 are its one-candidate views; the windowed scans of ``polish_basin`` are no
 longer on the estimation path. The grid, refinement and cost functions
-read only ``config`` and ``beamformer`` off their ``obs`` argument, which
-an ``Observation`` and a ``MatchedFilterBank`` both carry.
+take the bank alone: it carries the ``config`` and ``beamformer`` that
+interpret it.
 
 Cost factorization, for candidate (d, theta) with xi_k the delay- and
 pilot-compensated correlation at element k:
@@ -393,19 +393,14 @@ def xi(
     return _evaluate([candidate.d_m], [candidate.theta_rad], bank, geom, config).xi[0]
 
 
-def cost(
-    candidate: PolarPosition,
-    obs: Observation | MatchedFilterBank,
-    geom: UcaGeometry,
-    bank: MatchedFilterBank,
-) -> float:
+def cost(candidate: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry) -> float:
     """Negative-log-likelihood surface L = mu^H mu - 2 Re{r^H mu}.
 
     Equals ||r - mu||^2 - ||r||^2 for the candidate's model mean; the
     deterministic term needs O(n_a) work, the data term O(n_a * M).
     """
     batch = _evaluate(
-        [candidate.d_m], [candidate.theta_rad], bank, geom, obs.config, obs.beamformer
+        [candidate.d_m], [candidate.theta_rad], bank, geom, bank.config, bank.beamformer
     )
     return float(batch.cost[0])
 
@@ -528,10 +523,7 @@ def _row_norms(
 
 
 def _row_bounds(
-    obs: Observation | MatchedFilterBank,
-    geom: UcaGeometry,
-    bank: MatchedFilterBank,
-    d_values: np.ndarray,
+    bank: MatchedFilterBank, geom: UcaGeometry, d_values: np.ndarray
 ) -> np.ndarray:
     """A lower bound on every computed cost of each range row, shape (rows,).
 
@@ -540,17 +532,16 @@ def _row_bounds(
     collapsed directly), scaled by 1 + BOUND_SLACK to cover the rounding of
     the computed costs. See ``coarse_grid_search`` for the derivation.
     """
-    norms, errors = _row_norms(obs.config, bank, d_values)
+    norms, errors = _row_norms(bank.config, bank, d_values)
     scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
-        geom.n_a * mean_product_scale(obs.config, geom)
+        geom.n_a * mean_product_scale(bank.config, geom)
     )
     return -(1.0 + BOUND_SLACK) * scale * (norms + errors) ** 2
 
 
 def _cost_rows(
-    obs: Observation | MatchedFilterBank,
-    geom: UcaGeometry,
     bank: MatchedFilterBank,
+    geom: UcaGeometry,
     d_values: np.ndarray,
     theta_values: np.ndarray,
 ) -> np.ndarray:
@@ -566,7 +557,7 @@ def _cost_rows(
     p <= q/2 only, and one matmul against [C | C'] (see ``_circulants``)
     yields each phase and its mirror side by side.
     """
-    config = obs.config
+    config = bank.config
     n_a = geom.n_a
     n_theta = theta_values.size
     if n_theta % n_a:
@@ -586,7 +577,7 @@ def _cost_rows(
     a_u = _phasor(TWO_PI * (d - rho) / geom.wavelength_m)
     ga_u = a_u * (geom.wavelength_m / (4.0 * np.pi) / rho)
     inv_sum = (1.0 / rho**2).sum(axis=2)[:, :, None]
-    beta = a_u.reshape(rows * half, n_a) @ _circulants(obs.beamformer / np.sqrt(n_a))
+    beta = a_u.reshape(rows * half, n_a) @ _circulants(bank.beamformer / np.sqrt(n_a))
     beta = beta.reshape(rows, half, 2 * n_a)
     data_sum = ga_u @ _circulants(np.conj(collapsed) / np.sqrt(n_a))
 
@@ -676,8 +667,11 @@ def coarse_grid_search(
     bank: MatchedFilterBank,
     spec: GridSpec,
 ) -> list[GridBasin]:
-    """Rank grid-local minima of the cost surface, lowest cost first.
+    """Rank grid-local minima of the bank's cost surface, lowest cost first.
 
+    ``obs`` is not read (``bank`` carries its config and beamformer); the
+    four-argument form keeps ``spec`` fourth, where the benchmark's tracer
+    (``bench/spans.py``) reads it.
     Returns at most ``spec.n_basins`` basins; ties break on the lowest
     (range index, angle index) pair so the output is deterministic. It is
     a branch-and-bound over tiles of GRID_BLOCK_ROWS range rows that skips
@@ -741,7 +735,7 @@ def coarse_grid_search(
         slice(start, start + GRID_BLOCK_ROWS)
         for start in range(0, d_values.size, GRID_BLOCK_ROWS)
     ]
-    row_bounds = _row_bounds(obs, geom, bank, d_values)
+    row_bounds = _row_bounds(bank, geom, d_values)
     bounds = [row_bounds[tile].min() for tile in tiles]
     best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
@@ -755,7 +749,7 @@ def coarse_grid_search(
 
     def evaluate(tile: slice) -> _TileEdges:
         nonlocal best
-        costs = _cost_rows(obs, geom, bank, d_values[tile], theta_values)
+        costs = _cost_rows(bank, geom, d_values[tile], theta_values)
         interior, edges = _tile_minima(tile.start, costs)
         best = merge(interior)
         return edges
@@ -814,12 +808,7 @@ def _trust_radii(geom: UcaGeometry, config: OfdmConfig) -> tuple[float, float]:
 
 
 def lm_refine(
-    basin: PolarPosition,
-    obs: Observation | MatchedFilterBank,
-    geom: UcaGeometry,
-    bank: MatchedFilterBank,
-    config: OfdmConfig,
-    lm: LmSettings,
+    basin: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry, lm: LmSettings
 ) -> tuple[PolarPosition, bool, int]:
     """Damped Newton iterations on the cost L from one start.
 
@@ -852,12 +841,13 @@ def lm_refine(
     meets the test.
     Returns (position, converged, trial steps evaluated).
     """
+    config = bank.config
     d_lo = geom.radius_m * (1.0 + 1e-6)
     d_hi = lm.d_max_m
 
     def evaluate(position: PolarPosition) -> _Evaluation:
         return _evaluate(
-            [position.d_m], [position.theta_rad], bank, geom, config, obs.beamformer,
+            [position.d_m], [position.theta_rad], bank, geom, config, bank.beamformer,
             with_derivatives=True,
         )
 
@@ -884,7 +874,7 @@ def lm_refine(
             return True
         if config.sigma2_w <= 0.0:
             return False
-        info = fim(geom, start, obs.beamformer, config)
+        info = fim(geom, start, bank.beamformer, config)
         noise = config.sigma2_w * np.sqrt(
             np.array([max(info.j_dd, 0.0), max(info.j_thetatheta, 0.0)])
         )
@@ -936,9 +926,8 @@ def lm_refine(
 
 def polish_basin(
     basin: PolarPosition,
-    obs: Observation | MatchedFilterBank,
-    geom: UcaGeometry,
     bank: MatchedFilterBank,
+    geom: UcaGeometry,
     spec: GridSpec,
     rounds: int = 2,
     n_scan: int = 65,
@@ -971,7 +960,7 @@ def polish_basin(
     current = basin
 
     def window_costs(d_m, theta_rad) -> np.ndarray:
-        return _evaluate(d_m, theta_rad, bank, geom, obs.config, obs.beamformer).cost
+        return _evaluate(d_m, theta_rad, bank, geom, bank.config, bank.beamformer).cost
 
     for _ in range(rounds):
         offsets_d = np.linspace(-d_window, d_window, n_scan)
@@ -1002,7 +991,7 @@ def estimate(
     """Full pipeline from the matched-filter bank: coarse grid, then refine the top basins.
 
     The bank is the data, and its ``config`` and ``beamformer`` interpret
-    it: it is passed both as the data and as the ``obs`` of each stage.
+    it.
     Each grid basin's node starts one ``lm_refine`` run; the refined
     position with the lowest cost wins, ties to the better-ranked basin,
     and the estimate carries that run's converged flag and step count.
@@ -1017,14 +1006,12 @@ def estimate(
         fallback = PolarPosition(
             float(np.sqrt(spec.d_min_m * spec.d_max_m)), 0.0
         )
-        basins = [GridBasin(fallback, cost(fallback, bank, geom, bank), 0, 0)]
+        basins = [GridBasin(fallback, cost(fallback, bank, geom), 0, 0)]
 
     best = None
     for index, basin in enumerate(basins):
-        refined, converged, iterations = lm_refine(
-            basin.position, bank, geom, bank, bank.config, lm
-        )
-        key = (cost(refined, bank, geom, bank), index)
+        refined, converged, iterations = lm_refine(basin.position, bank, geom, lm)
+        key = (cost(refined, bank, geom), index)
         if best is None or key < best[0]:
             best = (key, refined, converged, iterations, index)
 

@@ -10,7 +10,8 @@ import pytest
 import nfisac
 from nfisac import OptimizerConfig
 from nfisac.cli import EXIT_OK, EXIT_USAGE, ConfigError, main, parse_config
-from nfisac.harness import run_trials
+from nfisac.estimator import wrap_angle
+from nfisac.harness import run_trial, run_trials
 
 # A sweep small enough for tier-1: 8 elements, 16 subcarriers, two trials.
 TINY = {
@@ -76,6 +77,26 @@ class TestRecordsCsv:
             assert row["converged"] == ("1" if record.converged else "0")
             assert row["success"] == ("1" if record.success else "0")
             assert int(row["seed"]) == record.seed
+
+
+class TestEstimate:
+    def test_estimate_reproduces_the_trial_of_its_seed(self, tmp_path):
+        # One synthesis path: the command draws the bank a trial with the
+        # same seed, radius, distance and angle draws, so both estimate alike.
+        config = write_config(tmp_path, TINY)
+        output = tmp_path / "estimate.csv"
+        code = main([
+            "--config", config, "--seed", "23", "estimate", "--radius", "0.5",
+            "--distance", "12", "--theta-deg", "40", "--output", str(output),
+        ])
+        assert code == EXIT_OK
+        row = next(csv.DictReader(output.read_text().splitlines()[1:]))
+        record = run_trial(
+            parse_config(config).sweep_config(), 0.5, 12.0, float(np.deg2rad(40.0)), 23
+        )
+        assert float(row["d_hat_m"]).hex() == record.d_hat_m.hex()
+        theta_hat = np.deg2rad(float(row["theta_hat_deg"]))
+        assert abs(wrap_angle(theta_hat) - record.theta_hat_rad) < 1e-12
 
 
 def rerun_argv(sidecar, config_path, outputs):

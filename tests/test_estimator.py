@@ -35,7 +35,7 @@ from nfisac import (
 from nfisac import estimator as estimator_module
 from nfisac.estimator import GRID_BLOCK_ROWS, _cost_rows as _cost_rows_fft, _evaluate, _row_bounds
 from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
-from nfisac.signal import Observation, delay_phases, phase_factor_grid
+from nfisac.signal import MatchedFilterBank, Observation, delay_phases, phase_factor_grid
 
 from conftest import random_unit_vector
 
@@ -270,12 +270,12 @@ class TestCost:
         rng = np.random.default_rng(44)
         config, geom, pos, f, obs = small_observation(rng, sigma2=0.0)
         bank = matched_filter_bank(obs)
-        at_truth = cost(pos, obs, geom, bank)
+        at_truth = cost(pos, bank, geom)
         mu = noiseless_mean(geom, pos, f, config, obs.pilots)
         assert at_truth == pytest.approx(-float(np.sum(np.abs(mu) ** 2)), rel=1e-10)
         for dd, dt in [(0.5, 0.0), (-0.4, 0.01), (0.0, 0.05)]:
             other = PolarPosition(pos.d_m + dd, pos.theta_rad + dt)
-            assert cost(other, obs, geom, bank) > at_truth
+            assert cost(other, bank, geom) > at_truth
 
     def test_null_coupling_candidate_zero_cost(self):
         rng = np.random.default_rng(45)
@@ -287,7 +287,7 @@ class TestCost:
         null /= np.linalg.norm(null)
         obs_null = Observation(obs.samples, obs.pilots, config, null)
         bank = matched_filter_bank(obs_null)
-        assert cost(candidate, obs_null, geom, bank) == pytest.approx(0.0, abs=1e-25)
+        assert cost(candidate, bank, geom) == pytest.approx(0.0, abs=1e-25)
 
     def test_brute_force_residual_oracle(self):
         rng = np.random.default_rng(46)
@@ -297,7 +297,7 @@ class TestCost:
             candidate = PolarPosition(
                 pos.d_m + rng.uniform(-1, 1), pos.theta_rad + rng.uniform(-0.2, 0.2)
             )
-            factorized = cost(candidate, obs, geom, bank)
+            factorized = cost(candidate, bank, geom)
             brute = brute_cost(candidate, obs, geom)
             assert factorized == pytest.approx(brute, rel=1e-8)
 
@@ -307,8 +307,8 @@ class TestCost:
         bank = matched_filter_bank(obs)
         candidate = PolarPosition(13.0, 0.456)
         wrapped = PolarPosition(13.0, 0.456 + 2 * math.pi)
-        assert cost(candidate, obs, geom, bank) == pytest.approx(
-            cost(wrapped, obs, geom, bank), rel=1e-12
+        assert cost(candidate, bank, geom) == pytest.approx(
+            cost(wrapped, bank, geom), rel=1e-12
         )
 
 
@@ -324,7 +324,7 @@ class TestScores:
         config, geom, pos, f, obs = small_observation(rng, sigma2=0.0)
         bank = matched_filter_bank(obs)
         f_d, f_t = oracle_scores(pos, obs, geom, bank, config)
-        mu2 = abs(cost(pos, obs, geom, bank))
+        mu2 = abs(cost(pos, bank, geom))
         assert abs(f_d) < 1e-9 * mu2 / geom.wavelength_m
         assert abs(f_t) < 1e-9 * mu2 / geom.wavelength_m
 
@@ -486,7 +486,7 @@ class TestBatchedEvaluator:
         spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=40, n_theta=64, n_basins=4)
         bank = matched_filter_bank(obs)
         for basin in coarse_grid_search(obs, geom, bank, spec):
-            got = polish_basin(basin.position, obs, geom, bank, spec)
+            got = polish_basin(basin.position, bank, geom, spec)
             assert got == oracle_polish(basin.position, obs, geom, bank, spec)
 
 
@@ -522,7 +522,7 @@ def derivative_errors(obs, geom, d_m, theta_rad):
         )
 
     def cost_at(d, t):
-        return cost(PolarPosition(d, t), obs, geom, bank)
+        return cost(PolarPosition(d, t), bank, geom)
 
     hd, ht = fd_steps(geom, d_m)
     d, t = d_m, theta_rad
@@ -747,7 +747,7 @@ class TestCoarseGridSearch:
         bank = matched_filter_bank(obs)
         d_values = np.linspace(6.0, 18.0, 23)
         theta_values = 2 * math.pi * np.arange(64) / 64
-        fft_rows = _cost_rows_fft(obs, geom, bank, d_values, theta_values)
+        fft_rows = _cost_rows_fft(bank, geom, d_values, theta_values)
         direct_rows = _cost_rows_direct(obs, geom, bank, d_values, theta_values)
         assert np.max(np.abs(fft_rows - direct_rows)) / np.max(np.abs(direct_rows)) < 1e-11
 
@@ -859,8 +859,8 @@ class TestRangeProfileBound:
             [pos.d_m],
         ])
         theta_values = 2 * math.pi * np.arange(64) / 64
-        costs = _cost_rows_fft(obs, geom, bank, d_values, theta_values)
-        bounds = _row_bounds(obs, geom, bank, d_values)
+        costs = _cost_rows_fft(bank, geom, d_values, theta_values)
+        bounds = _row_bounds(bank, geom, d_values)
         assert np.all(costs >= bounds[:, None])
 
     @pytest.mark.parametrize("seed", range(3))
@@ -877,8 +877,8 @@ class TestRangeProfileBound:
         obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, seed), 5)
         bank = matched_filter_bank(obs)
         d_values = np.array([pos.d_m])
-        cell = _cost_rows_fft(obs, geom, bank, d_values, theta_values)[0, j]
-        bound = _row_bounds(obs, geom, bank, d_values)[0]
+        cell = _cost_rows_fft(bank, geom, d_values, theta_values)[0, j]
+        bound = _row_bounds(bank, geom, d_values)[0]
         assert bound <= cell <= bound * (1.0 - 1e-8)
 
 
@@ -889,12 +889,12 @@ def oracle_row_norms(config, bank, d_values):
     )
 
 
-def oracle_row_bounds(obs, geom, bank, d_values):
+def oracle_row_bounds(bank, geom, d_values):
     """Oracle: the row bound from the direct profile, with no margin beyond BOUND_SLACK."""
     scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
-        geom.n_a * mean_product_scale(obs.config, geom)
+        geom.n_a * mean_product_scale(bank.config, geom)
     )
-    norms = oracle_row_norms(obs.config, bank, d_values)
+    norms = oracle_row_norms(bank.config, bank, d_values)
     return -(1.0 + estimator_module.BOUND_SLACK) * scale * norms**2
 
 
@@ -944,8 +944,8 @@ class TestFftRangeProfileBound:
         direct = np.r_[0 : self.HEAD, self.STOP]
         assert np.all(errors[direct] == 0.0)
         np.testing.assert_allclose(norms[direct], oracle[direct], rtol=1e-12)
-        bounds = _row_bounds(obs, geom, bank, d_values)
-        want = oracle_row_bounds(obs, geom, bank, d_values)
+        bounds = _row_bounds(bank, geom, d_values)
+        want = oracle_row_bounds(bank, geom, d_values)
         assert np.all(bounds <= want * (1.0 - 1e-12))
         # No looser than the margin allows: |c| + 2E against the oracle's |c|.
         loosest = want * ((oracle + 2.0 * errors) / oracle) ** 2
@@ -960,8 +960,8 @@ class TestFftRangeProfileBound:
             seed=seed,
         )
         theta_values = 2 * math.pi * np.arange(64) / 64
-        costs = _cost_rows_fft(obs, geom, bank, d_values, theta_values)
-        bounds = _row_bounds(obs, geom, bank, d_values)
+        costs = _cost_rows_fft(bank, geom, d_values, theta_values)
+        bounds = _row_bounds(bank, geom, d_values)
         assert np.all(costs >= bounds[:, None])
 
     @pytest.mark.parametrize("row", [HEAD + 1, HEAD + 3 * M + 2, STOP - 1])
@@ -972,8 +972,8 @@ class TestFftRangeProfileBound:
         f = random_unit_vector(np.random.default_rng(row), 8)
         obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, 3), 4)
         bank = matched_filter_bank(obs)
-        cell = _cost_rows_fft(obs, geom, bank, d_values[row : row + 1], theta_values)[0, 21]
-        bound = _row_bounds(obs, geom, bank, d_values)[row]
+        cell = _cost_rows_fft(bank, geom, d_values[row : row + 1], theta_values)[0, 21]
+        bound = _row_bounds(bank, geom, d_values)[row]
         assert bound <= cell <= bound * (1.0 - 1e-8)
 
     def test_a_grid_without_integer_k_steps_is_collapsed_directly(self):
@@ -984,8 +984,8 @@ class TestFftRangeProfileBound:
         norms, errors = estimator_module._row_norms(config, bank, d_values)
         assert np.all(errors == 0.0)
         np.testing.assert_allclose(
-            _row_bounds(obs, geom, bank, d_values),
-            oracle_row_bounds(obs, geom, bank, d_values),
+            _row_bounds(bank, geom, d_values),
+            oracle_row_bounds(bank, geom, d_values),
             rtol=1e-12,
         )
 
@@ -995,9 +995,9 @@ def count_tiles(monkeypatch):
     starts = []
     real = estimator_module._cost_rows
 
-    def counting(obs, geom, bank, d_values, theta_values):
+    def counting(bank, geom, d_values, theta_values):
         starts.append(float(d_values[0]))
-        return real(obs, geom, bank, d_values, theta_values)
+        return real(bank, geom, d_values, theta_values)
 
     monkeypatch.setattr(estimator_module, "_cost_rows", counting)
     return starts
@@ -1028,8 +1028,8 @@ def search_surface(monkeypatch, surface, rows, n_basins):
         return surface[start : start + d_values.size]
 
     monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
-    monkeypatch.setattr(estimator_module, "_row_bounds", lambda o, g, b, d: tile(d).min(axis=1))
-    monkeypatch.setattr(estimator_module, "_cost_rows", lambda o, g, b, d, t: tile(d).copy())
+    monkeypatch.setattr(estimator_module, "_row_bounds", lambda b, g, d: tile(d).min(axis=1))
+    monkeypatch.setattr(estimator_module, "_cost_rows", lambda b, g, d, t: tile(d).copy())
     got = coarse_grid_search(None, None, None, spec)
     d_idx, t_idx = np.nonzero(_local_minima(surface))
     values = surface[d_idx, t_idx]
@@ -1131,7 +1131,7 @@ class TestLmRefine:
         bank = matched_filter_bank(obs)
         start = PolarPosition(10.01, 0.701)
         refined, converged, iterations = lm_refine(
-            start, obs, geom64, bank, config, LmSettings(d_max_m=600.0)
+            start, bank, geom64, LmSettings(d_max_m=600.0)
         )
         assert converged
         assert abs(refined.d_m - 10.0) < 1e-6
@@ -1146,7 +1146,7 @@ class TestLmRefine:
         bank = matched_filter_bank(obs)
         start = PolarPosition(10.3, 0.72)
         refined, converged, iterations = lm_refine(
-            start, obs, geom64, bank, config, LmSettings(max_iters=0, d_max_m=600.0)
+            start, bank, geom64, LmSettings(max_iters=0, d_max_m=600.0)
         )
         assert refined == start
         assert not converged and iterations == 0
@@ -1165,8 +1165,7 @@ class TestLmRefine:
         obs = Observation(mean_a + 0.5 * mean_b, pilots, config, f)
         bank = matched_filter_bank(obs)
         refined, converged, _ = lm_refine(
-            PolarPosition(14.05, 2.095), obs, geom64, bank, config,
-            LmSettings(d_max_m=600.0),
+            PolarPosition(14.05, 2.095), bank, geom64, LmSettings(d_max_m=600.0)
         )
         assert abs(refined.d_m - 14.0) < 0.5
         assert abs(refined.theta_rad - 2.1) < 0.05
@@ -1231,7 +1230,7 @@ class TestNewtonRefine:
             offset = rng.uniform(-1.0, 1.0, size=2) * radii
             start = PolarPosition(truth.d_m + offset[0], truth.theta_rad + offset[1])
             seen = record_refinement(monkeypatch)
-            refined, converged, iterations = lm_refine(start, obs, geom64, bank, reduced_ofdm, lm)
+            refined, converged, iterations = lm_refine(start, bank, geom64, lm)
             monkeypatch.undo()
             assert iterations == len(seen) - 1 <= lm.max_iters
             # Descent: the returned iterate is the last accepted one, and its
@@ -1240,8 +1239,8 @@ class TestNewtonRefine:
             chain = accepted_chain(seen)
             assert (refined.d_m, refined.theta_rad) == chain[-1][:2]
             assert chain[-1][2].cost[0] <= seen[0][2].cost[0]
-            start_cost = cost(start, obs, geom64, bank)
-            assert cost(refined, obs, geom64, bank) <= start_cost + 1e-12 * abs(start_cost)
+            start_cost = cost(start, bank, geom64)
+            assert cost(refined, bank, geom64) <= start_cost + 1e-12 * abs(start_cost)
             # Every iterate lies strictly inside the range bounds.
             assert all(d_lo < d < lm.d_max_m for d, _, _ in seen)
             assert converged
@@ -1264,13 +1263,13 @@ class TestNewtonRefine:
         # The cost keeps falling toward a minimum inside the array (0.2 m)
         # or beyond d_max_m (700 m); steps toward it are halved at the bound.
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
-        obs = Observation(np.zeros((2, 16, 64), dtype=complex), generate_pilots(config, 3),
-                          config, conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
+        bank = MatchedFilterBank(np.zeros((64, 16), dtype=complex), config,
+                                 conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
         seen = record_refinement(monkeypatch)
         monkeypatch.setattr(estimator_module, "_evaluate", quadratic_evaluator(d_min, 0.7, 1.0, 1.0))
         lm = LmSettings(d_max_m=600.0)
         start = PolarPosition(0.6 if d_min < 1.0 else 599.0, 0.7)
-        refined, converged, iterations = lm_refine(start, obs, geom64, None, config, lm)
+        refined, converged, iterations = lm_refine(start, bank, geom64, lm)
         d_lo = geom64.radius_m * (1.0 + 1e-6)
         assert d_lo < refined.d_m < lm.d_max_m
         assert abs(refined.d_m - (d_lo if d_min < 1.0 else lm.d_max_m)) < 1e-6
@@ -1284,15 +1283,15 @@ class TestNewtonRefine:
         # c = 1e-12 gives the cost the magnitude of this array's costs, so
         # the gradient tolerance means what it means there.
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
-        obs = Observation(np.zeros((2, 16, 64), dtype=complex), generate_pilots(config, 3),
-                          config, conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
+        bank = MatchedFilterBank(np.zeros((64, 16), dtype=complex), config,
+                                 conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
         c, s = 1e-12, 1e-3
         monkeypatch.setattr(
             estimator_module, "_evaluate",
             quadratic_evaluator(10.0, 1.0, c, -c / s**2, c / s**4),
         )
         refined, converged, _ = lm_refine(
-            PolarPosition(10.2, 1.0 + 1e-5), obs, geom64, None, config, LmSettings(d_max_m=600.0)
+            PolarPosition(10.2, 1.0 + 1e-5), bank, geom64, LmSettings(d_max_m=600.0)
         )
         assert converged
         assert abs(refined.d_m - 10.0) < 1e-7
@@ -1303,14 +1302,14 @@ class TestNewtonRefine:
         # No step leaves a point with zero gradient, and its Hessian is not
         # positive definite: a saddle (curv_d > 0) or a maximum.
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
-        obs = Observation(np.zeros((2, 16, 64), dtype=complex), generate_pilots(config, 3),
-                          config, conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
+        bank = MatchedFilterBank(np.zeros((64, 16), dtype=complex), config,
+                                 conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
         monkeypatch.setattr(
             estimator_module, "_evaluate", quadratic_evaluator(10.0, 1.0, curv_d, -1e-6)
         )
         start = PolarPosition(10.0, 1.0)
         refined, converged, iterations = lm_refine(
-            start, obs, geom64, None, config, LmSettings(d_max_m=600.0)
+            start, bank, geom64, LmSettings(d_max_m=600.0)
         )
         assert refined == start and not converged and iterations == 0
 
@@ -1334,8 +1333,8 @@ class TestEstimate:
         assert abs(result.d_hat_m - 10.0) < 1e-6
         assert abs(result.theta_hat_rad - 0.7) < 1e-8
         assert result.cost == pytest.approx(
-            cost(PolarPosition(result.d_hat_m, result.theta_hat_rad), obs, geom64,
-                 matched_filter_bank(obs)),
+            cost(PolarPosition(result.d_hat_m, result.theta_hat_rad),
+                 matched_filter_bank(obs), geom64),
             rel=1e-9,
         )
 
