@@ -15,7 +15,11 @@ IEEE 99(7), 2011), and collapses only the other rows directly
 (``_row_norms``). From each of the best basins' grid nodes, damped Newton
 iterations on the cost itself (``lm_refine``), with its exact gradient and
 Hessian, delay ramp included, find the basin's minimum; the lowest final
-cost wins. Off the grid, every cost, xi and cost derivative comes
+cost wins. The basins are refined in lock-step: each step evaluates the
+pending candidates of every run still going in one batch, and the
+winner is picked inside ``lm_refine``. A candidate's values do not depend
+on its batch, so this gives what refining each basin alone would, bit
+for bit. Off the grid, every cost, xi and cost derivative comes
 from one candidate evaluator, ``_evaluate``, which takes a batch of
 (range, angle) candidates as (n, n_a) arrays and collapses the bank over
 the subcarriers once per distinct range in the batch. ``cost`` and ``xi``
@@ -42,7 +46,9 @@ range profile, however many range rows the grid has.
 
 from __future__ import annotations
 
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -807,10 +813,108 @@ def _trust_radii(geom: UcaGeometry, config: OfdmConfig) -> tuple[float, float]:
     return 0.5 * range_lobe, 0.5 * angle_lobe
 
 
-def lm_refine(
+class Refinement(NamedTuple):
+    """The winning refinement of ``lm_refine``: where it ended, and how it got there."""
+
+    position: PolarPosition
+    converged: bool
+    iterations: int  # trial steps the winning run evaluated
+    basin_index: int  # index of its start
+    cost: float  # plain cost at ``position``, as ``cost`` gives it
+
+
+def _newton_run(
     basin: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry, lm: LmSettings
-) -> tuple[PolarPosition, bool, int]:
-    """Damped Newton iterations on the cost L from one start.
+) -> Generator[PolarPosition, tuple, tuple[PolarPosition, bool, int]]:
+    """Damped Newton iterations on the cost L from one start, as a generator.
+
+    It yields each candidate it needs evaluated, the (clamped) start first,
+    and is sent back that candidate's (cost, gradient, Hessian) from
+    ``_evaluate`` with derivatives; it returns (position, converged, trial
+    steps evaluated). See ``lm_refine`` for the iteration.
+    """
+    config = bank.config
+    d_lo = geom.radius_m * (1.0 + 1e-6)
+    d_hi = lm.d_max_m
+    start = PolarPosition(min(max(basin.d_m, d_lo), d_hi), wrap_angle(basin.theta_rad))
+    radii = np.array(_trust_radii(geom, config))
+    step_tol = np.array([lm.step_tol_d_m, lm.step_tol_theta_rad])
+    # The scores F are -1/2 the gradient in angle (and, but for the delay
+    # ramp, in range), so twice their floor bounds the gradient: the
+    # deterministic tolerance, or four noise standard deviations
+    # sigma_F_i = (sigma^2/2) sqrt(J_ii) at the start if larger. The FIM is
+    # only needed when the tolerance alone fails.
+    tol_floor = 2.0 * lm.tol_score * _score_scale(geom, config, start)
+
+    def settled(gradient: np.ndarray, hessian: np.ndarray, step: np.ndarray) -> bool:
+        if not (
+            np.all(np.abs(step) < step_tol)
+            and hessian[0, 0] > 0.0
+            and hessian[0, 0] * hessian[1, 1] > hessian[0, 1] * hessian[1, 0]
+        ):
+            return False
+        gradient = np.abs(gradient)
+        if np.all(gradient <= tol_floor):
+            return True
+        if config.sigma2_w <= 0.0:
+            return False
+        info = fim(geom, start, bank.beamformer, config)
+        noise = config.sigma2_w * np.sqrt(
+            np.array([max(info.j_dd, 0.0), max(info.j_thetatheta, 0.0)])
+        )
+        return bool(np.all(gradient <= np.maximum(tol_floor, 4.0 * noise)))
+
+    current = start
+    value, gradient, hessian = yield current
+    damping = 0.0
+    converged = False
+    iterations = 0
+    while iterations < lm.max_iters:
+        eigvals, eigvecs = np.linalg.eigh(hessian * np.outer(radii, radii))
+        curvature = np.abs(eigvals)
+        top = curvature.max()
+        if not top > 0.0:
+            break  # a flat or non-finite model: no step to take
+        curvature = np.maximum(curvature, CURVATURE_FLOOR * top)
+        coeffs = eigvecs.T @ (radii * gradient)
+        if settled(gradient, hessian, -radii * (eigvecs @ (coeffs / curvature))):
+            converged = True
+            break
+        step = -(eigvecs @ (coeffs / (curvature + damping * top)))
+        step = radii * step / max(1.0, float(np.max(np.abs(step))))
+        room = d_hi - current.d_m if step[0] > 0.0 else current.d_m - d_lo
+        if step[0] != 0.0 and abs(step[0]) >= room:
+            step *= 0.5 * room / abs(step[0])
+        candidate = PolarPosition(
+            current.d_m + float(step[0]), wrap_angle(current.theta_rad + float(step[1]))
+        )
+        if candidate == current or not d_lo < candidate.d_m < d_hi:
+            # The step rounds to no move, or onto a range bound: this
+            # iterate is final.
+            converged = settled(gradient, hessian, step)
+            break
+        iterations += 1
+        trial = yield candidate
+        if trial[0] > value:
+            damping = max(damping * lm.lambda_factor, lm.lambda_init)
+            if damping > 1e15:
+                break
+            continue
+        current, (value, gradient, hessian) = candidate, trial
+        damping /= lm.lambda_factor
+        if settled(gradient, hessian, step):
+            converged = True
+            break
+    return current, converged, iterations
+
+
+def lm_refine(
+    starts: Sequence[PolarPosition],
+    bank: MatchedFilterBank,
+    geom: UcaGeometry,
+    lm: LmSettings,
+) -> Refinement:
+    """Damped Newton iterations on the cost L from each start, in lock-step; the best wins.
 
     Each iterate's exact gradient g and Hessian H (``_evaluate`` with
     derivatives, delay ramp included) come with its cost, in one candidate
@@ -839,89 +943,47 @@ def lm_refine(
     ``max_iters`` trial steps or once mu exceeds 1e15; a step that rounds
     to no move, or onto a range bound, ends it too, converged if that step
     meets the test.
-    Returns (position, converged, trial steps evaluated).
-    """
-    config = bank.config
-    d_lo = geom.radius_m * (1.0 + 1e-6)
-    d_hi = lm.d_max_m
 
-    def evaluate(position: PolarPosition) -> _Evaluation:
-        return _evaluate(
-            [position.d_m], [position.theta_rad], bank, geom, config, bank.beamformer,
+    Lock-step. Each start runs its own iteration (``_newton_run``); at each
+    step the pending candidates of every run still going are evaluated in
+    one ``_evaluate`` call, and a run that stops drops out of the batch.
+    After the last step one plain ``_evaluate`` call gives the cost at
+    every run's final position, and the winner is the lowest
+    (cost, start index) pair. Batching keeps the bits: ``_evaluate`` takes
+    every product per candidate (``_row_dots`` and stacked matmuls), so a
+    candidate's cost, gradient and Hessian do not depend on the batch it
+    comes in, each run takes the steps it takes alone, and each final cost
+    is the one ``cost`` gives. Raises ValueError without starts.
+    """
+    if not starts:
+        raise ValueError("lm_refine needs at least one start")
+    runs = [_newton_run(start, bank, geom, lm) for start in starts]
+    pending = {index: next(run) for index, run in enumerate(runs)}
+    finals = [None] * len(runs)
+    while pending:
+        batch = _evaluate(
+            [p.d_m for p in pending.values()],
+            [p.theta_rad for p in pending.values()],
+            bank, geom, bank.config, bank.beamformer,
             with_derivatives=True,
         )
-
-    start = PolarPosition(min(max(basin.d_m, d_lo), d_hi), wrap_angle(basin.theta_rad))
-    radii = np.array(_trust_radii(geom, config))
-    step_tol = np.array([lm.step_tol_d_m, lm.step_tol_theta_rad])
-    # The scores F are -1/2 the gradient in angle (and, but for the delay
-    # ramp, in range), so twice their floor bounds the gradient: the
-    # deterministic tolerance, or four noise standard deviations
-    # sigma_F_i = (sigma^2/2) sqrt(J_ii) at the start if larger. The FIM is
-    # only needed when the tolerance alone fails.
-    tol_floor = 2.0 * lm.tol_score * _score_scale(geom, config, start)
-
-    def settled(at: _Evaluation, step: np.ndarray) -> bool:
-        h = at.hessian[0]
-        if not (
-            np.all(np.abs(step) < step_tol)
-            and h[0, 0] > 0.0
-            and h[0, 0] * h[1, 1] > h[0, 1] * h[1, 0]
-        ):
-            return False
-        gradient = np.abs(at.gradient[0])
-        if np.all(gradient <= tol_floor):
-            return True
-        if config.sigma2_w <= 0.0:
-            return False
-        info = fim(geom, start, bank.beamformer, config)
-        noise = config.sigma2_w * np.sqrt(
-            np.array([max(info.j_dd, 0.0), max(info.j_thetatheta, 0.0)])
-        )
-        return bool(np.all(gradient <= np.maximum(tol_floor, 4.0 * noise)))
-
-    current = start
-    at = evaluate(current)
-    damping = 0.0
-    converged = False
-    iterations = 0
-    while iterations < lm.max_iters:
-        eigvals, eigvecs = np.linalg.eigh(at.hessian[0] * np.outer(radii, radii))
-        curvature = np.abs(eigvals)
-        top = curvature.max()
-        if not top > 0.0:
-            break  # a flat or non-finite model: no step to take
-        curvature = np.maximum(curvature, CURVATURE_FLOOR * top)
-        coeffs = eigvecs.T @ (radii * at.gradient[0])
-        if settled(at, -radii * (eigvecs @ (coeffs / curvature))):
-            converged = True
-            break
-        step = -(eigvecs @ (coeffs / (curvature + damping * top)))
-        step = radii * step / max(1.0, float(np.max(np.abs(step))))
-        room = d_hi - current.d_m if step[0] > 0.0 else current.d_m - d_lo
-        if step[0] != 0.0 and abs(step[0]) >= room:
-            step *= 0.5 * room / abs(step[0])
-        candidate = PolarPosition(
-            current.d_m + float(step[0]), wrap_angle(current.theta_rad + float(step[1]))
-        )
-        if candidate == current or not d_lo < candidate.d_m < d_hi:
-            # The step rounds to no move, or onto a range bound: this
-            # iterate is final.
-            converged = settled(at, step)
-            break
-        iterations += 1
-        trial = evaluate(candidate)
-        if trial.cost[0] > at.cost[0]:
-            damping = max(damping * lm.lambda_factor, lm.lambda_init)
-            if damping > 1e15:
-                break
-            continue
-        current, at = candidate, trial
-        damping /= lm.lambda_factor
-        if settled(at, step):
-            converged = True
-            break
-    return current, converged, iterations
+        going = {}
+        for row, index in enumerate(pending):
+            try:
+                going[index] = runs[index].send(
+                    (batch.cost[row], batch.gradient[row], batch.hessian[row])
+                )
+            except StopIteration as stop:
+                finals[index] = stop.value
+        pending = going
+    positions = [position for position, _, _ in finals]
+    costs = _evaluate(
+        [p.d_m for p in positions], [p.theta_rad for p in positions],
+        bank, geom, bank.config, bank.beamformer,
+    ).cost
+    index = min(range(len(finals)), key=lambda i: (costs[i], i))
+    position, converged, iterations = finals[index]
+    return Refinement(position, converged, iterations, index, float(costs[index]))
 
 
 def polish_basin(
@@ -992,35 +1054,25 @@ def estimate(
 
     The bank is the data, and its ``config`` and ``beamformer`` interpret
     it.
-    Each grid basin's node starts one ``lm_refine`` run; the refined
-    position with the lowest cost wins, ties to the better-ranked basin,
-    and the estimate carries that run's converged flag and step count.
+    The grid basins' nodes start one ``lm_refine`` call, which refines them
+    all in lock-step and picks the refined position with the lowest cost,
+    ties to the better-ranked basin; the estimate carries that run's
+    converged flag and step count.
     Deterministic given (bank, grid, settings); degenerate inputs produce
     converged=False estimates rather than raising.
     """
     if lm is None:
         lm = LmSettings(d_max_m=1.5 * spec.d_max_m)
-    basins = coarse_grid_search(bank, geom, bank, spec)
-    if not basins:
+    starts = [basin.position for basin in coarse_grid_search(bank, geom, bank, spec)]
+    if not starts:
         # No local minimum (pathological flat surface): fall back to mid-grid.
-        fallback = PolarPosition(
-            float(np.sqrt(spec.d_min_m * spec.d_max_m)), 0.0
-        )
-        basins = [GridBasin(fallback, cost(fallback, bank, geom), 0, 0)]
-
-    best = None
-    for index, basin in enumerate(basins):
-        refined, converged, iterations = lm_refine(basin.position, bank, geom, lm)
-        key = (cost(refined, bank, geom), index)
-        if best is None or key < best[0]:
-            best = (key, refined, converged, iterations, index)
-
-    _, refined, converged, iterations, index = best
+        starts = [PolarPosition(float(np.sqrt(spec.d_min_m * spec.d_max_m)), 0.0)]
+    best = lm_refine(starts, bank, geom, lm)
     return MlEstimate(
-        d_hat_m=refined.d_m,
-        theta_hat_rad=refined.theta_rad,
-        cost=best[0][0],
-        converged=converged,
-        iterations=iterations,
-        basin_index=index,
+        d_hat_m=best.position.d_m,
+        theta_hat_rad=best.position.theta_rad,
+        cost=best.cost,
+        converged=best.converged,
+        iterations=best.iterations,
+        basin_index=best.basin_index,
     )

@@ -1,9 +1,19 @@
 """The benchmark's tracer wraps program functions by name; every name must resolve."""
 
 import importlib.util
+import numbers
 from pathlib import Path
 
-from nfisac import estimator, harness
+from nfisac import (
+    GridSpec,
+    PolarPosition,
+    adaptive_d_nodes,
+    auto_n_theta,
+    conjugate_focus_beamformer,
+    estimator,
+    harness,
+    synthesize_bank,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -28,3 +38,31 @@ def test_every_wrapped_attribute_resolves():
         if not callable(getattr(modules[module], attribute, None))
     ]
     assert missing == []
+
+
+def test_traced_estimate_attributes_are_numbers(geom64, reduced_ofdm):
+    # A traced run averages these attributes over the spans of each name; a
+    # missing span or a non-numeric value makes it raise.
+    truth = PolarPosition(50.0, 1.3)
+    bank = synthesize_bank(
+        geom64, truth, conjugate_focus_beamformer(geom64, truth), reduced_ofdm, 41
+    )
+    spec = GridSpec(
+        d_min_m=1.0,
+        d_max_m=100.0,
+        n_theta=auto_n_theta(geom64),
+        d_nodes=adaptive_d_nodes(geom64, reduced_ofdm, 1.0, 100.0),
+    )
+    spans = load_spans()
+    with spans.Tracer({"harness": harness, "estimator": estimator}) as tracer:
+        harness.estimate(bank, geom64, spec)
+    attrs = {}
+    for _, _, name, _, _, values in tracer.spans:
+        if values is not None:
+            attrs.setdefault(name, []).append(values)
+    assert set(attrs) == {"estimator.estimate", "estimator.grid", "estimator.refine"}
+    for values in attrs["estimator.refine"]:
+        assert type(values["converged"]) is bool
+        assert isinstance(values["iterations"], numbers.Real)
+    assert all(isinstance(v["cells"], numbers.Real) for v in attrs["estimator.grid"])
+    assert all(isinstance(v["winner_rank"], numbers.Real) for v in attrs["estimator.estimate"])

@@ -29,6 +29,7 @@ from nfisac import (
     polish_basin,
     sensitivities,
     steering_vector,
+    synthesize_bank,
     synthesize_observation,
     xi,
 )
@@ -1130,9 +1131,8 @@ class TestLmRefine:
         obs = synthesize_observation(geom64, pos, f, config, pilots, 10)
         bank = matched_filter_bank(obs)
         start = PolarPosition(10.01, 0.701)
-        refined, converged, iterations = lm_refine(
-            start, bank, geom64, LmSettings(d_max_m=600.0)
-        )
+        run = lm_refine([start], bank, geom64, LmSettings(d_max_m=600.0))
+        refined, converged, iterations = run.position, run.converged, run.iterations
         assert converged
         assert abs(refined.d_m - 10.0) < 1e-6
         assert abs(refined.theta_rad - 0.7) < 1e-8
@@ -1145,9 +1145,8 @@ class TestLmRefine:
         obs = synthesize_observation(geom64, pos, f, config, pilots, 10)
         bank = matched_filter_bank(obs)
         start = PolarPosition(10.3, 0.72)
-        refined, converged, iterations = lm_refine(
-            start, bank, geom64, LmSettings(max_iters=0, d_max_m=600.0)
-        )
+        run = lm_refine([start], bank, geom64, LmSettings(max_iters=0, d_max_m=600.0))
+        refined, converged, iterations = run.position, run.converged, run.iterations
         assert refined == start
         assert not converged and iterations == 0
 
@@ -1164,21 +1163,24 @@ class TestLmRefine:
         mean_b = noiseless_mean(geom64, pos_b, f, config, pilots)
         obs = Observation(mean_a + 0.5 * mean_b, pilots, config, f)
         bank = matched_filter_bank(obs)
-        refined, converged, _ = lm_refine(
-            PolarPosition(14.05, 2.095), bank, geom64, LmSettings(d_max_m=600.0)
-        )
+        run = lm_refine([PolarPosition(14.05, 2.095)], bank, geom64, LmSettings(d_max_m=600.0))
+        refined, converged = run.position, run.converged
         assert abs(refined.d_m - 14.0) < 0.5
         assert abs(refined.theta_rad - 2.1) < 0.05
 
 
 def record_refinement(monkeypatch):
-    """Record every (d, theta, evaluation) that ``lm_refine`` evaluates, in order."""
+    """Record every (d, theta, evaluation) that ``lm_refine`` evaluates with derivatives, in order.
+
+    The plain-cost call that ranks the refined positions is not recorded.
+    """
     seen = []
     original = estimator_module._evaluate
 
     def recording(d_m, theta_rad, *args, **kwargs):
         out = original(d_m, theta_rad, *args, **kwargs)
-        seen.append((float(d_m[0]), float(theta_rad[0]), out))
+        if kwargs.get("with_derivatives"):
+            seen.append((float(d_m[0]), float(theta_rad[0]), out))
         return out
 
     monkeypatch.setattr(estimator_module, "_evaluate", recording)
@@ -1230,7 +1232,8 @@ class TestNewtonRefine:
             offset = rng.uniform(-1.0, 1.0, size=2) * radii
             start = PolarPosition(truth.d_m + offset[0], truth.theta_rad + offset[1])
             seen = record_refinement(monkeypatch)
-            refined, converged, iterations = lm_refine(start, bank, geom64, lm)
+            run = lm_refine([start], bank, geom64, lm)
+            refined, converged, iterations = run.position, run.converged, run.iterations
             monkeypatch.undo()
             assert iterations == len(seen) - 1 <= lm.max_iters
             # Descent: the returned iterate is the last accepted one, and its
@@ -1269,7 +1272,8 @@ class TestNewtonRefine:
         monkeypatch.setattr(estimator_module, "_evaluate", quadratic_evaluator(d_min, 0.7, 1.0, 1.0))
         lm = LmSettings(d_max_m=600.0)
         start = PolarPosition(0.6 if d_min < 1.0 else 599.0, 0.7)
-        refined, converged, iterations = lm_refine(start, bank, geom64, lm)
+        run = lm_refine([start], bank, geom64, lm)
+        refined, converged, iterations = run.position, run.converged, run.iterations
         d_lo = geom64.radius_m * (1.0 + 1e-6)
         assert d_lo < refined.d_m < lm.d_max_m
         assert abs(refined.d_m - (d_lo if d_min < 1.0 else lm.d_max_m)) < 1e-6
@@ -1290,9 +1294,8 @@ class TestNewtonRefine:
             estimator_module, "_evaluate",
             quadratic_evaluator(10.0, 1.0, c, -c / s**2, c / s**4),
         )
-        refined, converged, _ = lm_refine(
-            PolarPosition(10.2, 1.0 + 1e-5), bank, geom64, LmSettings(d_max_m=600.0)
-        )
+        run = lm_refine([PolarPosition(10.2, 1.0 + 1e-5)], bank, geom64, LmSettings(d_max_m=600.0))
+        refined, converged = run.position, run.converged
         assert converged
         assert abs(refined.d_m - 10.0) < 1e-7
         assert abs(refined.theta_rad - (1.0 + s / math.sqrt(2))) < 1e-9
@@ -1308,10 +1311,109 @@ class TestNewtonRefine:
             estimator_module, "_evaluate", quadratic_evaluator(10.0, 1.0, curv_d, -1e-6)
         )
         start = PolarPosition(10.0, 1.0)
-        refined, converged, iterations = lm_refine(
-            start, bank, geom64, LmSettings(d_max_m=600.0)
-        )
+        run = lm_refine([start], bank, geom64, LmSettings(d_max_m=600.0))
+        refined, converged, iterations = run.position, run.converged, run.iterations
         assert refined == start and not converged and iterations == 0
+
+
+def oracle_refine(starts, bank, geom, lm):
+    """The per-basin loop: refine each start alone, rank by the plain cost, ties to the lower index.
+
+    Returns (position, converged, iterations, basin index, cost), the fields
+    of ``lm_refine``'s result.
+    """
+    best = None
+    for index, start in enumerate(starts):
+        run = lm_refine([start], bank, geom, lm)
+        key = (cost(run.position, bank, geom), index)
+        if best is None or key < best[0]:
+            best = (key, run)
+    (value, index), run = best
+    return run.position, run.converged, run.iterations, index, value
+
+
+class TestLockStepRefine:
+    """``lm_refine`` refines all starts in lock-step and returns what refining each alone returns."""
+
+    def noisy_starts(self, geom64, reduced_ofdm, seed, d_true):
+        truth = PolarPosition(d_true, 1.3)
+        f = conjugate_focus_beamformer(geom64, truth)
+        bank = synthesize_bank(geom64, truth, f, reduced_ofdm, seed)
+        spec = GridSpec(
+            d_min_m=1.0,
+            d_max_m=400.0,
+            n_theta=auto_n_theta(geom64),
+            n_basins=15,
+            d_nodes=adaptive_d_nodes(geom64, reduced_ofdm, 1.0, 400.0),
+        )
+        starts = [basin.position for basin in coarse_grid_search(bank, geom64, bank, spec)]
+        assert len(starts) == spec.n_basins
+        return bank, starts
+
+    def record_batches(self, monkeypatch):
+        """Record each ``_evaluate`` call as (with derivatives, candidate ranges)."""
+        calls = []
+        original = estimator_module._evaluate
+
+        def recording(d_m, theta_rad, *args, **kwargs):
+            calls.append((bool(kwargs.get("with_derivatives")), list(d_m)))
+            return original(d_m, theta_rad, *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "_evaluate", recording)
+        return calls
+
+    @pytest.mark.parametrize("seed,d_true", [(31, 50.0), (32, 200.0), (33, 200.0)])
+    def test_grid_basins_match_the_per_basin_loop(
+        self, monkeypatch, geom64, reduced_ofdm, seed, d_true
+    ):
+        bank, starts = self.noisy_starts(geom64, reduced_ofdm, seed, d_true)
+        lm = LmSettings(d_max_m=600.0)
+        steps = [lm_refine([start], bank, geom64, lm).iterations for start in starts]
+        assert len(set(steps)) > 1  # the runs stop at different steps
+        want = oracle_refine(starts, bank, geom64, lm)
+        calls = self.record_batches(monkeypatch)
+        got = lm_refine(starts, bank, geom64, lm)
+        assert tuple(got) == want
+        assert type(got.converged) is bool and type(got.iterations) is int
+        # One batched derivative evaluation per step, the starts first, then
+        # one plain call for the final positions.
+        assert [with_derivatives for with_derivatives, _ in calls] == [True] * (1 + max(steps)) + [False]
+        assert calls[0][1] == [start.d_m for start in starts]
+        assert len(calls[-1][1]) == len(starts)
+
+    def test_starts_clamped_onto_the_range_bounds(self, monkeypatch, geom64, reduced_ofdm):
+        bank, starts = self.noisy_starts(geom64, reduced_ofdm, 34, 200.0)
+        lm = LmSettings(d_max_m=600.0)
+        starts = [PolarPosition(0.2, 1.0), *starts[:4], PolarPosition(900.0, 2.0)]
+        want = oracle_refine(starts, bank, geom64, lm)
+        calls = self.record_batches(monkeypatch)
+        assert tuple(lm_refine(starts, bank, geom64, lm)) == want
+        # The first batch holds the starts, the outer two clamped onto the bounds.
+        first = calls[0][1]
+        assert first[0] == geom64.radius_m * (1.0 + 1e-6) and first[-1] == lm.d_max_m
+        assert first[1:-1] == [start.d_m for start in starts[1:-1]]
+
+    def test_zero_iteration_budget_ranks_the_starts(self, geom64, reduced_ofdm):
+        bank, starts = self.noisy_starts(geom64, reduced_ofdm, 35, 50.0)
+        lm = LmSettings(max_iters=0, d_max_m=600.0)
+        got = lm_refine(starts, bank, geom64, lm)
+        assert tuple(got) == oracle_refine(starts, bank, geom64, lm)
+        assert got.position == starts[got.basin_index]
+        assert not got.converged and got.iterations == 0
+
+    def test_ties_go_to_the_lower_index(self, geom64, reduced_ofdm):
+        # Each start twice: the copies share their batches' ranges and end
+        # with equal costs, and the first copy wins.
+        bank, starts = self.noisy_starts(geom64, reduced_ofdm, 37, 200.0)
+        lm = LmSettings(d_max_m=600.0)
+        got = lm_refine(starts + starts, bank, geom64, lm)
+        assert tuple(got) == oracle_refine(starts + starts, bank, geom64, lm)
+        assert got.basin_index < len(starts)
+
+    def test_no_start_is_an_error(self, geom64, reduced_ofdm):
+        bank, _ = self.noisy_starts(geom64, reduced_ofdm, 36, 50.0)
+        with pytest.raises(ValueError):
+            lm_refine([], bank, geom64, LmSettings(d_max_m=600.0))
 
 
 class TestEstimate:
