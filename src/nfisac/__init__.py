@@ -6,33 +6,25 @@ transmit beamforming on the unit sphere, grid-initialized maximum
 likelihood estimation, and a Monte Carlo harness with a CSV-emitting CLI.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .beamformer import (
     OptimizerConfig,
     OptimizerResult,
     conjugate_focus_beamformer,
     optimize_beamformer,
-    retract,
-    tangent_project,
     trace_objective,
-    wirtinger_gradient,
 )
 from .crlb import (
     BeamCoupling,
     CrlbBound,
     FisherMatrix,
-    GammaCoefficients,
-    GeometrySums,
     UnidentifiableParametersError,
     beam_coupling,
     crlb_at,
-    crlb_closed_form,
     crlb_from_fim,
     fim,
     fim_scale,
-    gamma_coefficients,
-    geometry_sums,
     mean_product_scale,
 )
 from .estimator import (
@@ -46,7 +38,6 @@ from .estimator import (
     estimate,
     lm_refine,
     matched_filter_bank,
-    polish_basin,
     wrap_angle,
     xi,
 )
@@ -73,8 +64,6 @@ from .harness import (
     crlb_sweep,
     derive_seed,
     grid_for_radius,
-    rate_sweep,
-    rmse_sweep,
     run_trial,
     run_trials,
     summarize,

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,6 @@ from .harness import (
     derive_seed,
     grid_for_radius,
     nearfield_guard,
-    rate_sweep,
-    rmse_sweep,
     run_trials,
     summarize,
 )
@@ -465,18 +464,15 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 
 def _cmd_estimate(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.master_seed
-    ofdm = cfg.ofdm_config(args.reduced_m)
-    if args.zero_noise:
-        ofdm = dataclasses.replace(ofdm, sigma2_w=0.0)
-    geom = UcaGeometry(cfg.n_antennas, args.radius, cfg.wavelength_m)
+    sweep = cfg.sweep_config(reduced_m=args.reduced_m, seed=seed)
+    geom = sweep.geometry(args.radius)
     truth = PolarPosition(args.distance, float(np.deg2rad(args.theta_deg)))
-    beam = optimize_beamformer(geom, truth, cfg.ofdm_config(), cfg.optimizer_config()).beamformer
+    # The beam is the one the reproduced trial optimizes, at the noise
+    # power of the config even under --zero-noise: its bound needs sigma^2 > 0.
+    beam = optimize_beamformer(geom, truth, sweep.ofdm, sweep.optimizer).beamformer
+    ofdm = dataclasses.replace(sweep.ofdm, sigma2_w=0.0) if args.zero_noise else sweep.ofdm
     bank = synthesize_bank(geom, truth, beam, ofdm, derive_seed(seed, 2))
-    sweep = cfg.sweep_config(seed=seed)
-    grid = grid_for_radius(
-        dataclasses.replace(sweep, radii_m=(args.radius,)), args.radius
-    )
-    result = estimate(bank, geom, grid, cfg.lm_settings())
+    result = estimate(bank, geom, grid_for_radius(sweep, args.radius), sweep.lm)
     header = [
         "radius_m", "d_true_m", "theta_true_deg", "d_hat_m", "theta_hat_deg",
         "cost", "converged", "iterations", "basin_index",
@@ -493,8 +489,9 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     }
     write_sidecar(args.output, cfg, seed, "estimate", arguments)
     print(
-        f"d_hat={result.d_hat_m!r} m  theta_hat={np.rad2deg(result.theta_hat_rad)!r} deg  "
-        f"converged={result.converged}"
+        f"d_hat={float(result.d_hat_m)!r} m  "
+        f"theta_hat={float(np.rad2deg(result.theta_hat_rad))!r} deg  "
+        f"converged={bool(result.converged)}"
     )
     return EXIT_OK
 
@@ -544,14 +541,19 @@ def _sweep_arguments(args, sweep: SweepConfig) -> dict:
     }
 
 
-def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
+def _run_sweep(args, cfg: RunConfig):
+    """The Monte Carlo both sweep commands print: (seed, sweep, records, summary points)."""
     seed = args.seed if args.seed is not None else cfg.master_seed
     sweep = cfg.sweep_config(
         reduced_m=args.reduced_m, trials=args.trials, seed=seed, workers=args.workers
     )
     nearfield_guard(sweep)
     records = run_trials(sweep, _progress(args))
-    points = summarize(sweep, records)
+    return seed, sweep, records, summarize(sweep, records)
+
+
+def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
+    seed, sweep, records, points = _run_sweep(args, cfg)
     write_csv(args.output, _SUMMARY_HEADER, _summary_rows(points), seed, "monte-carlo")
     write_sidecar(args.output, cfg, seed, "monte-carlo", _sweep_arguments(args, sweep))
     if args.records:
@@ -570,19 +572,30 @@ def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _warn_unless_rate_monotone(points) -> None:
+    """Warn for each radius whose mean C_opt does not grow with mean SNR.
+
+    A sanity check, warning grade: with the conjugate-focus beam, the
+    optimum rate should rise with the received SNR along each radius.
+    """
+    for radius in dict.fromkeys(p.radius_m for p in points):
+        rows = sorted((p for p in points if p.radius_m == radius), key=lambda p: p.mean_snr_db)
+        rates = [p.mean_rate_opt_bps for p in rows]
+        if any(b < a for a, b in zip(rates, rates[1:])):
+            warnings.warn(f"C_opt is not monotone in SNR for radius {radius} m", stacklevel=2)
+
+
+# rate-sweep's columns: SweepPoint fields, so its rows are a view of monte-carlo's.
+_RATE_HEADER = [
+    "radius_m", "d_m", "mean_snr_db", "mean_rate_est_bps", "mean_rate_opt_bps", "n_trials",
+]
+
+
 def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    sweep = cfg.sweep_config(
-        reduced_m=args.reduced_m, trials=args.trials, seed=seed, workers=args.workers
-    )
-    nearfield_guard(sweep)
-    points = rate_sweep(sweep, _progress(args))
-    header = ["radius_m", "d_m", "mean_snr_db", "mean_rate_est_bps", "mean_rate_opt_bps", "n_trials"]
-    rows = [
-        [p.radius_m, p.d_m, p.mean_snr_db, p.mean_rate_est_bps, p.mean_rate_opt_bps, p.n_trials]
-        for p in points
-    ]
-    write_csv(args.output, header, rows, seed, "rate-sweep")
+    seed, sweep, _, points = _run_sweep(args, cfg)
+    _warn_unless_rate_monotone(points)
+    rows = [[getattr(p, name) for name in _RATE_HEADER] for p in points]
+    write_csv(args.output, _RATE_HEADER, rows, seed, "rate-sweep")
     write_sidecar(args.output, cfg, seed, "rate-sweep", _sweep_arguments(args, sweep))
     return EXIT_OK
 

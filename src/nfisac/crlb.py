@@ -1,16 +1,18 @@
 """Fisher information and Cramér-Rao bounds for joint range-angle estimation.
 
-Two independent evaluation paths are provided and must agree:
+One path computes the bound: ``fim`` assembles the 2x2 information
+matrix from the per-element derivative coefficients gamma_k, and
+``crlb_from_fim`` inverts it (``crlb_at`` is the two in one call). The
+beamformer, the refinement's noise floor and every printed bound use
+this path.
+The paper's fully expanded variance expressions, built from nine geometry
+sums (A1..A3, B1..B3, C1..C3), are kept in the tests as the oracle this
+path must match.
 
-* ``fim`` + ``crlb_from_fim``: assemble the 2x2 information matrix from
-  the per-element derivative coefficients gamma_k and invert it.
-* ``crlb_closed_form``: evaluate the fully expanded variance expressions
-  built from nine geometry sums (A1..A3, B1..B3, C1..C3).
-
-Both treat the subcarrier delay ramp as a fixed known factor when
-differentiating the observation mean: the information about (d, theta)
-is carried by the spherical-wavefront phase profile and the per-element
-gains, not by the common delay. The shared scale
+The subcarrier delay ramp is a fixed known factor when differentiating
+the observation mean: the information about (d, theta) is carried by the
+spherical-wavefront phase profile and the per-element gains, not by the
+common delay. The shared scale
 
     K = 2 N M P_t lambda^2 / (16 pi^2 sigma^2 n_a)
 
@@ -85,21 +87,6 @@ class CrlbBound:
     var_d: float
     var_theta: float
     trace: float
-
-
-@dataclass(frozen=True)
-class GeometrySums:
-    """The nine scalar sums feeding the expanded variance expressions."""
-
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-    b3: float
-    c1: float
-    c2: float
-    c3: float
 
 
 def fim_scale(config: OfdmConfig, geom: UcaGeometry) -> float:
@@ -189,75 +176,8 @@ def crlb_from_fim(fisher: FisherMatrix) -> CrlbBound:
     return CrlbBound(var_d=var_d, var_theta=var_theta, trace=var_d + var_theta)
 
 
-def geometry_sums(
-    sens: GeometrySensitivities, coupling: BeamCoupling, wavelength_m: float
-) -> GeometrySums:
-    """The nine geometry-dependent sums of the expanded CRLB expressions."""
-    r = sens.ranges_m
-    ad, at = sens.alpha_d, sens.alpha_theta
-    beta, zd, zt = coupling.beta, coupling.z_d, coupling.z_theta
-    b_r, b_i = beta.real, beta.imag
-    a1 = float(np.sum(ad**2 / r**4))
-    a2 = float(np.sum(np.abs(beta * (1.0 - ad) + zd) ** 2 / r**2))
-    a3 = (b_r * zd.imag - b_i * zd.real) * float(np.sum(ad / r**3))
-    b1 = float(np.sum(at**2 / r**4))
-    b2 = float(np.sum(np.abs(beta * at + zt) ** 2 / r**2))
-    b3 = (b_r * zt.imag - b_i * zt.real) * float(np.sum(at / r**3))
-    c1 = float(np.sum(ad * at / r**4))
-    c2 = float(
-        np.sum(np.real((np.conj(zd) + (1.0 - ad) * np.conj(beta)) * (zt + at * beta)) / r**2)
-    )
-    c3 = (b_r * zt.imag - b_i * zt.real) * float(np.sum(ad / r**3)) + (
-        b_i * zd.real - b_r * zd.imag
-    ) * float(np.sum(at / r**3))
-    return GeometrySums(a1, a2, a3, b1, b2, b3, c1, c2, c3)
-
-
-def crlb_closed_form(
-    sens: GeometrySensitivities,
-    coupling: BeamCoupling,
-    config: OfdmConfig,
-    wavelength_m: float,
-) -> CrlbBound:
-    """Expanded variance bounds from the A/B/C sums.
-
-    The angle bracket enters with -4pi/lambda * B3: expanding
-    |gamma_theta|^2 produces the cross term with a minus sign (the
-    angular phase slope is -j 2pi/lambda (...)), and only that sign makes
-    this path agree with the matrix-inverse path, which is authoritative.
-    """
-    sums = geometry_sums(sens, coupling, wavelength_m)
-    if config.sigma2_w <= 0.0:
-        raise ValueError("the CRLB requires sigma2_w > 0")
-    n_a = sens.n_a
-    wn2 = 4.0 * np.pi**2 / wavelength_m**2
-    wn = 2.0 * np.pi / wavelength_m
-    b2abs = abs(coupling.beta) ** 2
-    bracket_d = b2abs * sums.a1 + wn2 * sums.a2 + 2.0 * wn * sums.a3
-    bracket_t = b2abs * sums.b1 + wn2 * sums.b2 - 2.0 * wn * sums.b3
-    bracket_x = b2abs * sums.c1 - wn2 * sums.c2 - wn * sums.c3
-    prefactor = (
-        config.n_symbols
-        * config.m_subcarriers
-        * config.p_t_w
-        * wavelength_m**2
-        / (8.0 * np.pi**2 * config.sigma2_w * n_a)
-    )
-    denominator = prefactor * (bracket_d * bracket_t - bracket_x**2)
-    if denominator <= 0.0:
-        raise UnidentifiableParametersError(
-            f"closed-form CRLB denominator is non-positive ({denominator!r}); "
-            "range and angle are not jointly identifiable here"
-        )
-    var_d = bracket_t / denominator
-    var_theta = bracket_d / denominator
-    return CrlbBound(var_d=var_d, var_theta=var_theta, trace=var_d + var_theta)
-
-
 def crlb_at(
     geom: UcaGeometry, pos: PolarPosition, f: np.ndarray, config: OfdmConfig
 ) -> CrlbBound:
-    """Convenience: closed-form bound straight from (geometry, position, beam)."""
-    sens = sensitivities(geom, pos)
-    coupling = beam_coupling(geom, pos, f)
-    return crlb_closed_form(sens, coupling, config, geom.wavelength_m)
+    """Bound straight from (geometry, position, beam): ``crlb_from_fim`` of ``fim``."""
+    return crlb_from_fim(fim(geom, pos, f, config))

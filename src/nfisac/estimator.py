@@ -24,9 +24,9 @@ from one candidate evaluator, ``_evaluate``, which takes a batch of
 (range, angle) candidates as (n, n_a) arrays and collapses the bank over
 the subcarriers once per distinct range in the batch. ``cost`` and ``xi``
 are its one-candidate views; the windowed scans of ``polish_basin`` are no
-longer on the estimation path. The grid, refinement and cost functions
-take the bank alone: it carries the ``config`` and ``beamformer`` that
-interpret it.
+longer on the estimation path. The bank is the only data argument of the
+grid search, the refinement, ``_evaluate``, ``cost`` and ``xi``: it
+carries the ``config`` and ``beamformer`` that interpret it.
 
 Cost factorization, for candidate (d, theta) with xi_k the delay- and
 pilot-compensated correlation at element k:
@@ -197,10 +197,10 @@ def matched_filter_bank(obs: Observation) -> MatchedFilterBank:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One candidate batch: xi per (candidate, element); on request costs and cost derivatives."""
+    """One candidate batch: xi per (candidate, element), costs, on request cost derivatives."""
 
     xi: np.ndarray  # (n, n_a)
-    cost: np.ndarray | None  # (n,)
+    cost: np.ndarray  # (n,)
     gradient: np.ndarray | None = None  # (n, 2): dL/dd, dL/dtheta
     hessian: np.ndarray | None = None  # (n, 2, 2)
 
@@ -219,21 +219,19 @@ def _evaluate(
     theta_rad: np.ndarray,
     bank: MatchedFilterBank,
     geom: UcaGeometry,
-    config: OfdmConfig,
-    beamformer: np.ndarray | None = None,
     with_derivatives: bool = False,
 ) -> _Evaluation:
     """Matched-filter outputs, costs and cost derivatives of n candidates.
 
     Candidate i sits at (d_m[i], theta_rad[i]); ranges, steering vectors,
-    couplings and derivative factors are (n, n_a) arrays. The delay
+    couplings and derivative factors are (n, n_a) arrays. The bank's
+    ``config`` and ``beamformer`` interpret it. The delay
     compensation of the bank is one length-M collapse per *distinct*
     range, so an angle scan shares one. Every product is taken per
     candidate (see ``_row_dots``), so a candidate's values do not depend
-    on the batch it comes in. Without a beamformer only xi is computed;
-    with one, also the costs, and with ``with_derivatives`` the exact
-    gradient and Hessian of the cost in (d, theta), delay ramp included
-    (``_cost_derivatives``). For those the
+    on the batch it comes in. Every call gives xi and the costs; with
+    ``with_derivatives`` also the exact gradient and Hessian of the cost in
+    (d, theta), delay ramp included (``_cost_derivatives``). For those the
     collapse is one (n_a x M) @ (M x 3) product per distinct range, the
     phasor weighted by 1, w_m and w_m^2 with w_m = j 4 pi m df / c, which
     gives c, dc/dd and d2c/dd2 at once; its first column rounds apart from
@@ -247,6 +245,7 @@ def _evaluate(
         raise ValueError(
             f"candidate distance {d_m[inside][0]} must exceed the radius {geom.radius_m}"
         )
+    config, beamformer = bank.config, bank.beamformer
     if d_m.size == 1:
         distinct, inverse = d_m, np.zeros(1, dtype=np.intp)
     else:
@@ -272,9 +271,6 @@ def _evaluate(
     a = np.exp(1j * (2.0 * np.pi * (d - ranges) / geom.wavelength_m)) / np.sqrt(geom.n_a)
     gains = element_gains(ranges, geom.wavelength_m)
     xis = gains * np.conj(a) * collapsed
-    if beamformer is None:
-        return _Evaluation(xis, None)
-
     beta = _row_dots(a, beamformer)
     scale = mean_product_scale(config, geom)
     costs = scale * np.abs(beta) ** 2 * np.sum(1.0 / ranges**2, axis=1)
@@ -384,19 +380,15 @@ def _cost_derivatives(
     return cost[:, 1:3], cost[:, [[3, 4], [4, 5]]]
 
 
-def xi(
-    candidate: PolarPosition,
-    bank: MatchedFilterBank,
-    geom: UcaGeometry,
-    config: OfdmConfig,
-) -> np.ndarray:
+def xi(candidate: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry) -> np.ndarray:
     """Matched-filter outputs xi_k = g_k conj(a_k) * delay-compensated bank.
 
     The delay-compensated bank is sum_m e^{+j 2 pi m df (Tcp + tau)} Z[k, m]
-    at tau = 2d/c. For a noiseless observation evaluated at its own truth
-    xi_k equals s * beta / r_k^2 with s = N M P_t lambda^2 / (16 pi^2 n_a).
+    at tau = 2d/c, with the bank's own config. For a noiseless observation
+    evaluated at its own truth xi_k equals s * beta / r_k^2 with
+    s = N M P_t lambda^2 / (16 pi^2 n_a).
     """
-    return _evaluate([candidate.d_m], [candidate.theta_rad], bank, geom, config).xi[0]
+    return _evaluate([candidate.d_m], [candidate.theta_rad], bank, geom).xi[0]
 
 
 def cost(candidate: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry) -> float:
@@ -405,10 +397,7 @@ def cost(candidate: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry) -
     Equals ||r - mu||^2 - ||r||^2 for the candidate's model mean; the
     deterministic term needs O(n_a) work, the data term O(n_a * M).
     """
-    batch = _evaluate(
-        [candidate.d_m], [candidate.theta_rad], bank, geom, bank.config, bank.beamformer
-    )
-    return float(batch.cost[0])
+    return float(_evaluate([candidate.d_m], [candidate.theta_rad], bank, geom).cost[0])
 
 
 def _phasor(phase: np.ndarray) -> np.ndarray:
@@ -668,17 +657,12 @@ def _edge_minima(
 
 
 def coarse_grid_search(
-    obs: Observation | MatchedFilterBank,
-    geom: UcaGeometry,
-    bank: MatchedFilterBank,
-    spec: GridSpec,
+    bank: MatchedFilterBank, geom: UcaGeometry, spec: GridSpec
 ) -> list[GridBasin]:
     """Rank grid-local minima of the bank's cost surface, lowest cost first.
 
-    ``obs`` is not read (``bank`` carries its config and beamformer); the
-    four-argument form keeps ``spec`` fourth, where the benchmark's tracer
-    (``bench/spans.py``) reads it.
-    Returns at most ``spec.n_basins`` basins; ties break on the lowest
+    The bank is the data, and its ``config`` and ``beamformer`` interpret
+    it. Returns at most ``spec.n_basins`` basins; ties break on the lowest
     (range index, angle index) pair so the output is deterministic. It is
     a branch-and-bound over tiles of GRID_BLOCK_ROWS range rows that skips
     every tile which cannot hold a top basin, so it returns exactly the
@@ -964,8 +948,7 @@ def lm_refine(
         batch = _evaluate(
             [p.d_m for p in pending.values()],
             [p.theta_rad for p in pending.values()],
-            bank, geom, bank.config, bank.beamformer,
-            with_derivatives=True,
+            bank, geom, with_derivatives=True,
         )
         going = {}
         for row, index in enumerate(pending):
@@ -978,8 +961,7 @@ def lm_refine(
         pending = going
     positions = [position for position, _, _ in finals]
     costs = _evaluate(
-        [p.d_m for p in positions], [p.theta_rad for p in positions],
-        bank, geom, bank.config, bank.beamformer,
+        [p.d_m for p in positions], [p.theta_rad for p in positions], bank, geom
     ).cost
     index = min(range(len(finals)), key=lambda i: (costs[i], i))
     position, converged, iterations = finals[index]
@@ -1022,7 +1004,7 @@ def polish_basin(
     current = basin
 
     def window_costs(d_m, theta_rad) -> np.ndarray:
-        return _evaluate(d_m, theta_rad, bank, geom, bank.config, bank.beamformer).cost
+        return _evaluate(d_m, theta_rad, bank, geom).cost
 
     for _ in range(rounds):
         offsets_d = np.linspace(-d_window, d_window, n_scan)
@@ -1063,7 +1045,10 @@ def estimate(
     """
     if lm is None:
         lm = LmSettings(d_max_m=1.5 * spec.d_max_m)
-    starts = [basin.position for basin in coarse_grid_search(bank, geom, bank, spec)]
+    # ``spec`` goes by keyword: the benchmark's tracer (bench/spans.py) reads the
+    # grid size from kwargs["spec"] before it tries a fourth positional argument.
+    basins = coarse_grid_search(bank, geom, spec=spec)
+    starts = [basin.position for basin in basins]
     if not starts:
         # No local minimum (pathological flat surface): fall back to mid-grid.
         starts = [PolarPosition(float(np.sqrt(spec.d_min_m * spec.d_max_m)), 0.0)]

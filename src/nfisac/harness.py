@@ -1,4 +1,9 @@
-"""Monte Carlo driver: RMSE/CRLB/rate sweeps over radius and distance.
+"""Monte Carlo driver over radius and distance: one trial engine and a bound table.
+
+``run_trials`` runs every trial of a sweep and ``summarize`` reduces the
+records to one RMSE/CRLB/rate row per (radius, distance) cell; the
+``monte-carlo`` and ``rate-sweep`` commands both print views of those rows.
+``crlb_sweep`` is the deterministic bound table, with no trials.
 
 One trial = optimize the transmit beam at the true position, draw the
 matched-filter bank of a noisy observation with it from the bank's exact
@@ -76,7 +81,8 @@ class SweepConfig:
     """Scenario matrix for the Monte Carlo sweeps.
 
     ``theta_policy`` is either the string 'uniform' (a fresh azimuth per
-    trial) or a fixed angle in radians. The grid template's range window
+    trial) or a fixed angle in radians. ``lm`` None means ``estimate``'s
+    default settings. The grid template's range window
     is re-anchored per radius at max(2R, 1 m); set
     ``n_theta_auto=False`` to use the template's angle count verbatim.
     """
@@ -279,9 +285,7 @@ def run_trial(
     truth = PolarPosition(d_true_m, wrap_angle(theta_true_rad))
     beam = optimize_beamformer(geom, truth, cfg.ofdm, cfg.optimizer).beamformer
     bank = synthesize_bank(geom, truth, beam, cfg.ofdm, derive_seed(seed, 2))
-    grid = grid_for_radius(cfg, radius_m)
-    lm = cfg.lm if cfg.lm is not None else LmSettings(d_max_m=1.5 * grid.d_max_m)
-    result = estimate(bank, geom, grid, lm)
+    result = estimate(bank, geom, grid_for_radius(cfg, radius_m), cfg.lm)
 
     estimate_pos = PolarPosition(result.d_hat_m, wrap_angle(result.theta_hat_rad))
     success = (
@@ -439,36 +443,6 @@ def summarize(cfg: SweepConfig, records: list[TrialRecord]) -> list[SweepPoint]:
                     mean_rate_opt_bps=float(np.mean([r.rate_opt_bps for r in group])),
                     n_trials=n,
                 )
-            )
-    return points
-
-
-def rmse_sweep(cfg: SweepConfig, progress=None) -> list[SweepPoint]:
-    """Monte Carlo RMSE versus the closed-form bound, per (radius, distance).
-
-    ``progress`` is passed to ``run_trials``.
-    """
-    return summarize(cfg, run_trials(cfg, progress))
-
-
-def rate_sweep(cfg: SweepConfig, progress=None) -> list[SweepPoint]:
-    """Same trial engine, consumed for the rate curves C_est / C_opt.
-
-    Emits a warning-grade sanity check: with the conjugate-focus optimum,
-    mean C_opt should grow with mean SNR along each radius. ``progress``
-    is passed to ``run_trials``.
-    """
-    points = rmse_sweep(cfg, progress)
-    for radius in cfg.radii_m:
-        rows = sorted(
-            (p for p in points if p.radius_m == radius), key=lambda p: p.mean_snr_db
-        )
-        rates = [p.mean_rate_opt_bps for p in rows]
-        if any(b < a for a, b in zip(rates, rates[1:])):
-            import warnings
-
-            warnings.warn(
-                f"C_opt is not monotone in SNR for radius {radius} m", stacklevel=2
             )
     return points
 

@@ -21,13 +21,17 @@ from nfisac import (
     crlb_from_fim,
     fim,
     optimize_beamformer,
-    retract,
-    tangent_project,
     trace_objective,
     ue_received_snr,
+)
+from nfisac.beamformer import (
+    OptimizerResult,
+    StepTooLargeError,
+    _TraceWorkspace,
+    retract,
+    tangent_project,
     wirtinger_gradient,
 )
-from nfisac.beamformer import OptimizerResult, StepTooLargeError, _TraceWorkspace
 
 from conftest import SIGMA2_W, random_unit_vector
 

@@ -1,7 +1,8 @@
-"""The benchmark's tracer wraps program functions by name; every name must resolve."""
+"""The benchmark calls and wraps program functions by name; every name must resolve."""
 
 import importlib.util
 import numbers
+import re
 from pathlib import Path
 
 from nfisac import (
@@ -9,6 +10,7 @@ from nfisac import (
     PolarPosition,
     adaptive_d_nodes,
     auto_n_theta,
+    cli,
     conjugate_focus_beamformer,
     estimator,
     harness,
@@ -16,6 +18,7 @@ from nfisac import (
 )
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+RUN = SPANS.parent / "run.py"
 
 
 def load_spans():
@@ -66,3 +69,28 @@ def test_traced_estimate_attributes_are_numbers(geom64, reduced_ofdm):
         assert isinstance(values["iterations"], numbers.Real)
     assert all(isinstance(v["cells"], numbers.Real) for v in attrs["estimator.grid"])
     assert all(isinstance(v["winner_rank"], numbers.Real) for v in attrs["estimator.estimate"])
+
+
+def test_every_untraced_name_the_benchmark_calls_resolves():
+    # ``bench/run.py`` drives the program through these directly, outside the
+    # tracer: ``harness.run_trials(...)`` or ``program["cli"].parse_config(...)``.
+    called = set(re.findall(r'\b(harness|cli)(?:"\])?\.(\w+)\(', RUN.read_text()))
+    assert {
+        ("cli", "parse_config"),
+        ("harness", "derive_seed"),
+        ("harness", "nearfield_guard"),
+        ("harness", "run_trials"),
+        ("harness", "summarize"),
+    } <= called
+    modules = {"cli": cli, "harness": harness}
+    missing = [
+        (module, name)
+        for module, name in sorted(called)
+        if not callable(getattr(modules[module], name, None))
+    ]
+    assert missing == []
+    # ``build_sweep`` then calls RunConfig.sweep_config with these keywords.
+    cfg = cli.parse_config(overrides={"radii_m": [0.5], "distances_m": [10.0]})
+    sweep = cfg.sweep_config(reduced_m=True, trials=1, seed=77, workers=1)
+    harness.nearfield_guard(sweep)
+    assert sweep.ofdm.m_subcarriers == 128 and sweep.trials_per_point == 1

@@ -3,15 +3,23 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import nfisac
 from nfisac import OptimizerConfig
-from nfisac.cli import EXIT_OK, EXIT_USAGE, ConfigError, main, parse_config
+from nfisac.cli import (
+    EXIT_OK,
+    EXIT_USAGE,
+    ConfigError,
+    _warn_unless_rate_monotone,
+    main,
+    parse_config,
+)
 from nfisac.estimator import wrap_angle
-from nfisac.harness import run_trial, run_trials
+from nfisac.harness import SweepPoint, run_trial, run_trials
 
 # A sweep small enough for tier-1: 8 elements, 16 subcarriers, two trials.
 TINY = {
@@ -80,23 +88,83 @@ class TestRecordsCsv:
 
 
 class TestEstimate:
-    def test_estimate_reproduces_the_trial_of_its_seed(self, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--reduced-m"]])
+    def test_estimate_reproduces_the_trial_of_its_seed(self, tmp_path, flags):
         # One synthesis path: the command draws the bank a trial with the
-        # same seed, radius, distance and angle draws, so both estimate alike.
+        # same seed, radius, distance and angle draws, so both estimate alike,
+        # at the trial's subcarrier count for the beam as for the data.
         config = write_config(tmp_path, TINY)
         output = tmp_path / "estimate.csv"
         code = main([
             "--config", config, "--seed", "23", "estimate", "--radius", "0.5",
-            "--distance", "12", "--theta-deg", "40", "--output", str(output),
+            "--distance", "12", "--theta-deg", "40", *flags, "--output", str(output),
         ])
         assert code == EXIT_OK
         row = next(csv.DictReader(output.read_text().splitlines()[1:]))
-        record = run_trial(
-            parse_config(config).sweep_config(), 0.5, 12.0, float(np.deg2rad(40.0)), 23
-        )
+        sweep = parse_config(config).sweep_config(reduced_m=bool(flags))
+        record = run_trial(sweep, 0.5, 12.0, float(np.deg2rad(40.0)), 23)
         assert float(row["d_hat_m"]).hex() == record.d_hat_m.hex()
         theta_hat = np.deg2rad(float(row["theta_hat_deg"]))
         assert abs(wrap_angle(theta_hat) - record.theta_hat_rad) < 1e-12
+
+    def test_zero_noise_prints_the_truth_as_plain_floats(self, tmp_path, capsys):
+        # Without noise the estimate is the truth; the beam is still optimized
+        # at the config's noise power, which its bound needs.
+        config = write_config(tmp_path, TINY)
+        code = main([
+            "--config", config, "estimate", "--radius", "0.5", "--distance", "12",
+            "--theta-deg", "40", "--zero-noise", "--reduced-m",
+            "--output", str(tmp_path / "estimate.csv"),
+        ])
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out
+        found = re.fullmatch(r"d_hat=(\S+) m  theta_hat=(\S+) deg  converged=True\n", printed)
+        assert found, printed
+        assert float(found.group(1)) == pytest.approx(12.0, abs=1e-6)
+        assert float(found.group(2)) == pytest.approx(40.0, abs=1e-6)
+
+
+class TestRateSweep:
+    def test_rows_are_the_monte_carlo_summary_columns(self, tmp_path):
+        config = write_config(tmp_path, {**TINY, "distances_m": [10.0, 20.0]})
+        paths = {name: tmp_path / f"{name}.csv" for name in ("monte-carlo", "rate-sweep")}
+        for command, path in paths.items():
+            argv = ["--config", config, "--seed", "31", command, "--output", str(path)]
+            assert main(argv) == EXIT_OK
+        tables = {
+            command: list(csv.DictReader(path.read_text().splitlines()[1:]))
+            for command, path in paths.items()
+        }
+        rate = tables["rate-sweep"]
+        assert list(rate[0]) == [
+            "radius_m", "d_m", "mean_snr_db", "mean_rate_est_bps", "mean_rate_opt_bps",
+            "n_trials",
+        ]
+        assert len(rate) == 2
+        assert rate == [{name: row[name] for name in rate[0]} for row in tables["monte-carlo"]]
+
+    @staticmethod
+    def points(snr_and_rate, radius=0.5):
+        return [
+            SweepPoint(
+                radius_m=radius, d_m=10.0 * (i + 1), rmse_d_m=0.0, rmse_theta_rad=0.0,
+                rmse_d_se_m=0.0, rmse_theta_se_rad=0.0, crlb_d_m=1.0, crlb_theta_rad=1.0,
+                convergence_rate=1.0, success_rate=1.0, mean_snr_db=snr,
+                mean_rate_est_bps=rate, mean_rate_opt_bps=rate, n_trials=1,
+            )
+            for i, (snr, rate) in enumerate(snr_and_rate)
+        ]
+
+    def test_c_opt_warning_fires_only_off_monotone(self):
+        # Rows come in distance order; the check sorts each radius by SNR.
+        monotone = self.points([(20.0, 6.0), (5.0, 2.0), (12.0, 4.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _warn_unless_rate_monotone(monotone)
+        broken = self.points([(20.0, 6.0), (5.0, 2.0), (12.0, 1.0)], radius=2.0)
+        with pytest.warns(UserWarning, match="not monotone in SNR for radius 2.0 m") as seen:
+            _warn_unless_rate_monotone(monotone + broken)
+        assert len(seen) == 1
 
 
 def rerun_argv(sidecar, config_path, outputs):

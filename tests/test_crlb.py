@@ -2,12 +2,16 @@
 
 The brute-force reference assembles per-sample derivatives with plain
 Python loops and cmath so that nothing is shared with the vectorized
-implementation except the model definition itself.
+implementation except the model definition itself. The paper's expanded
+closed form (``crlb_closed_form``, from the nine A/B/C geometry sums) is
+the second oracle: the package computes the bound only by inverting the
+FIM (``crlb_at``), and the expanded form must agree with it.
 """
 
 import cmath
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,19 +25,88 @@ from nfisac import (
     beam_coupling,
     conjugate_focus_beamformer,
     crlb_at,
-    crlb_closed_form,
     crlb_from_fim,
     fim,
-    gamma_coefficients,
     generate_pilots,
-    geometry_sums,
     noiseless_mean,
     sensitivities,
     steering_vector,
 )
+from nfisac.crlb import CrlbBound, gamma_coefficients
 from nfisac.geometry import SPEED_OF_LIGHT
 
 from conftest import random_unit_vector
+
+
+@dataclass(frozen=True)
+class GeometrySums:
+    """The nine scalar sums feeding the expanded variance expressions."""
+
+    a1: float
+    a2: float
+    a3: float
+    b1: float
+    b2: float
+    b3: float
+    c1: float
+    c2: float
+    c3: float
+
+
+def geometry_sums(sens, coupling, wavelength_m) -> GeometrySums:
+    """The nine geometry-dependent sums of the expanded CRLB expressions."""
+    r = sens.ranges_m
+    ad, at = sens.alpha_d, sens.alpha_theta
+    beta, zd, zt = coupling.beta, coupling.z_d, coupling.z_theta
+    b_r, b_i = beta.real, beta.imag
+    a1 = float(np.sum(ad**2 / r**4))
+    a2 = float(np.sum(np.abs(beta * (1.0 - ad) + zd) ** 2 / r**2))
+    a3 = (b_r * zd.imag - b_i * zd.real) * float(np.sum(ad / r**3))
+    b1 = float(np.sum(at**2 / r**4))
+    b2 = float(np.sum(np.abs(beta * at + zt) ** 2 / r**2))
+    b3 = (b_r * zt.imag - b_i * zt.real) * float(np.sum(at / r**3))
+    c1 = float(np.sum(ad * at / r**4))
+    c2 = float(
+        np.sum(np.real((np.conj(zd) + (1.0 - ad) * np.conj(beta)) * (zt + at * beta)) / r**2)
+    )
+    c3 = (b_r * zt.imag - b_i * zt.real) * float(np.sum(ad / r**3)) + (
+        b_i * zd.real - b_r * zd.imag
+    ) * float(np.sum(at / r**3))
+    return GeometrySums(a1, a2, a3, b1, b2, b3, c1, c2, c3)
+
+
+def crlb_closed_form(sens, coupling, config, wavelength_m) -> CrlbBound:
+    """Expanded variance bounds from the A/B/C sums.
+
+    The angle bracket enters with -4pi/lambda * B3: expanding
+    |gamma_theta|^2 produces the cross term with a minus sign (the
+    angular phase slope is -j 2pi/lambda (...)), and only that sign makes
+    this path agree with the matrix-inverse path, which is authoritative.
+    """
+    sums = geometry_sums(sens, coupling, wavelength_m)
+    wn2 = 4.0 * np.pi**2 / wavelength_m**2
+    wn = 2.0 * np.pi / wavelength_m
+    b2abs = abs(coupling.beta) ** 2
+    bracket_d = b2abs * sums.a1 + wn2 * sums.a2 + 2.0 * wn * sums.a3
+    bracket_t = b2abs * sums.b1 + wn2 * sums.b2 - 2.0 * wn * sums.b3
+    bracket_x = b2abs * sums.c1 - wn2 * sums.c2 - wn * sums.c3
+    prefactor = (
+        config.n_symbols
+        * config.m_subcarriers
+        * config.p_t_w
+        * wavelength_m**2
+        / (8.0 * np.pi**2 * config.sigma2_w * sens.n_a)
+    )
+    denominator = prefactor * (bracket_d * bracket_t - bracket_x**2)
+    var_d = bracket_t / denominator
+    var_theta = bracket_d / denominator
+    return CrlbBound(var_d=var_d, var_theta=var_theta, trace=var_d + var_theta)
+
+
+def closed_form_at(geom, pos, f, config) -> CrlbBound:
+    """The expanded closed form straight from (geometry, position, beam)."""
+    coupling = beam_coupling(geom, pos, f)
+    return crlb_closed_form(sensitivities(geom, pos), coupling, config, geom.wavelength_m)
 
 
 def scalar_gamma(geom, pos, f, k):
@@ -284,8 +357,8 @@ class TestClosedForm:
             geom = UcaGeometry(64, radius, 0.005)
             pos = PolarPosition(rng.uniform(10.0, 400.0), rng.uniform(0, 2 * math.pi))
             f = random_unit_vector(rng, 64)
-            direct = crlb_from_fim(fim(geom, pos, f, reduced_ofdm))
-            closed = crlb_at(geom, pos, f, reduced_ofdm)
+            direct = crlb_at(geom, pos, f, reduced_ofdm)
+            closed = closed_form_at(geom, pos, f, reduced_ofdm)
             worst = max(
                 worst,
                 abs(closed.var_d - direct.var_d) / direct.var_d,
@@ -303,8 +376,8 @@ class TestClosedForm:
             geom = UcaGeometry(n_a, 5.0, 0.005)
             pos = PolarPosition(rng.uniform(5.5, 8.0), rng.uniform(0, 2 * math.pi))
             f = random_unit_vector(rng, n_a)
-            direct = crlb_from_fim(fim(geom, pos, f, reduced_ofdm))
-            closed = crlb_at(geom, pos, f, reduced_ofdm)
+            direct = crlb_at(geom, pos, f, reduced_ofdm)
+            closed = closed_form_at(geom, pos, f, reduced_ofdm)
             assert closed.var_d == pytest.approx(direct.var_d, rel=1e-9)
             assert closed.var_theta == pytest.approx(direct.var_theta, rel=1e-9)
 

@@ -20,13 +20,11 @@ from nfisac import (
     conjugate_focus_beamformer,
     cost,
     estimate,
-    gamma_coefficients,
     generate_pilots,
     lm_refine,
     matched_filter_bank,
     mean_product_scale,
     noiseless_mean,
-    polish_basin,
     sensitivities,
     steering_vector,
     synthesize_bank,
@@ -34,7 +32,14 @@ from nfisac import (
     xi,
 )
 from nfisac import estimator as estimator_module
-from nfisac.estimator import GRID_BLOCK_ROWS, _cost_rows as _cost_rows_fft, _evaluate, _row_bounds
+from nfisac.crlb import gamma_coefficients
+from nfisac.estimator import (
+    GRID_BLOCK_ROWS,
+    _cost_rows as _cost_rows_fft,
+    _evaluate,
+    _row_bounds,
+    polish_basin,
+)
 from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
 from nfisac.signal import MatchedFilterBank, Observation, delay_phases, phase_factor_grid
 
@@ -225,7 +230,7 @@ class TestXi:
         rng = np.random.default_rng(42)
         config, geom, pos, f, obs = small_observation(rng, sigma2=0.0, n=3, m=5, n_a=6)
         bank = matched_filter_bank(obs)
-        values = xi(pos, bank, geom, config)
+        values = xi(pos, bank, geom)
         sens = sensitivities(geom, pos)
         beta = beam_coupling(geom, pos, f).beta
         expected = mean_product_scale(config, geom) * beta / sens.ranges_m**2
@@ -238,7 +243,7 @@ class TestXi:
             np.zeros((2, 4, 2), dtype=complex), pilots, small_ofdm, np.array([1.0, 0.0j])
         )
         bank = matched_filter_bank(obs)
-        values = xi(PolarPosition(5.0, 0.1), bank, geom, small_ofdm)
+        values = xi(PolarPosition(5.0, 0.1), bank, geom)
         assert np.max(np.abs(values)) == 0.0
 
     def test_single_subcarrier_delay_is_pure_phase(self):
@@ -247,8 +252,8 @@ class TestXi:
         rng = np.random.default_rng(43)
         config, geom, pos, f, obs = small_observation(rng, n=2, m=1, n_a=3)
         bank = matched_filter_bank(obs)
-        a = xi(PolarPosition(pos.d_m, pos.theta_rad), bank, geom, config)
-        b = xi(PolarPosition(pos.d_m + 1.7, pos.theta_rad), bank, geom, config)
+        a = xi(PolarPosition(pos.d_m, pos.theta_rad), bank, geom)
+        b = xi(PolarPosition(pos.d_m + 1.7, pos.theta_rad), bank, geom)
         ranges_a = sensitivities(geom, pos).ranges_m
         ranges_b = sensitivities(geom, PolarPosition(pos.d_m + 1.7, pos.theta_rad)).ranges_m
         np.testing.assert_allclose(
@@ -263,7 +268,7 @@ class TestXi:
         )
         bank = matched_filter_bank(obs)
         with pytest.raises(ValueError):
-            xi(PolarPosition(0.3, 0.0), bank, geom64, small_ofdm)
+            xi(PolarPosition(0.3, 0.0), bank, geom64)
 
 
 class TestCost:
@@ -366,7 +371,7 @@ class TestScores:
         candidate = PolarPosition(pos.d_m + 0.2, pos.theta_rad - 0.03)
         sens = sensitivities(geom, candidate)
         coupling = beam_coupling(geom, candidate, f)
-        rho = xi(candidate, bank, geom, config) - mean_product_scale(
+        rho = xi(candidate, bank, geom) - mean_product_scale(
             config, geom
         ) * coupling.beta / sens.ranges_m**2
         wn = 2 * math.pi / geom.wavelength_m
@@ -423,7 +428,7 @@ def assert_batch_matches_oracle(d_m, theta_rad, obs, geom):
     """Batched xi and costs against the one-candidate oracles, to 1e-12."""
     bank = matched_filter_bank(obs)
     config = obs.config
-    batch = _evaluate(d_m, theta_rad, bank, geom, config, obs.beamformer)
+    batch = _evaluate(d_m, theta_rad, bank, geom)
     candidates = [PolarPosition(float(d), float(t)) for d, t in zip(d_m, theta_rad)]
     want_xi = np.array([oracle_xi(c, bank, geom, config) for c in candidates])
     want_cost = np.array([oracle_cost(c, obs, geom, bank) for c in candidates])
@@ -449,7 +454,7 @@ class TestBatchedEvaluator:
         theta_rad = np.array([0.0, 1e-9, 2 * math.pi - 1e-9, 2 * math.pi, 2 * math.pi + 0.3, 0.3])
         d_m = np.full(theta_rad.size, pos.d_m)
         assert_batch_matches_oracle(d_m, theta_rad, obs, geom)
-        batch = _evaluate(d_m, theta_rad, matched_filter_bank(obs), geom, config, f)
+        batch = _evaluate(d_m, theta_rad, matched_filter_bank(obs), geom)
         assert batch.cost[3] == pytest.approx(batch.cost[0], rel=1e-12)
         assert batch.cost[4] == pytest.approx(batch.cost[5], rel=1e-12)
 
@@ -478,7 +483,7 @@ class TestBatchedEvaluator:
         config, geom, pos, f, obs = small_observation(rng, n_a=8)
         bank = matched_filter_bank(obs)
         with pytest.raises(ValueError, match="must exceed the radius"):
-            _evaluate(np.array([pos.d_m, geom.radius_m]), np.zeros(2), bank, geom, config, f)
+            _evaluate(np.array([pos.d_m, geom.radius_m]), np.zeros(2), bank, geom)
 
     @pytest.mark.parametrize("seed", [76, 77, 78])
     def test_polish_matches_the_scalar_scan(self, seed):
@@ -486,7 +491,7 @@ class TestBatchedEvaluator:
         config, geom, pos, f, obs = small_observation(rng, n=2, m=16, n_a=8, sigma2=1e-7)
         spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=40, n_theta=64, n_basins=4)
         bank = matched_filter_bank(obs)
-        for basin in coarse_grid_search(obs, geom, bank, spec):
+        for basin in coarse_grid_search(bank, geom, spec):
             got = polish_basin(basin.position, bank, geom, spec)
             assert got == oracle_polish(basin.position, obs, geom, bank, spec)
 
@@ -517,10 +522,7 @@ def derivative_errors(obs, geom, d_m, theta_rad):
     config = obs.config
 
     def at(d, t):
-        return _evaluate(
-            np.array([d]), np.array([t]), bank, geom, config, obs.beamformer,
-            with_derivatives=True,
-        )
+        return _evaluate(np.array([d]), np.array([t]), bank, geom, with_derivatives=True)
 
     def cost_at(d, t):
         return cost(PolarPosition(d, t), bank, geom)
@@ -629,12 +631,13 @@ class TestCostDerivatives:
         d_m = pos.d_m + rng.uniform(-1.0, 1.0, size=7)
         d_m[3] = d_m[1]
         theta_rad = rng.uniform(0.0, 2 * math.pi, size=7)
-        batch = _evaluate(d_m, theta_rad, bank, geom, config, f, with_derivatives=True)
+        batch = _evaluate(d_m, theta_rad, bank, geom, with_derivatives=True)
         assert batch.gradient.shape == (7, 2) and batch.hessian.shape == (7, 2, 2)
         np.testing.assert_array_equal(batch.hessian, batch.hessian.transpose(0, 2, 1))
         for i in range(7):
-            one = _evaluate(d_m[i : i + 1], theta_rad[i : i + 1], bank, geom, config, f,
-                            with_derivatives=True)
+            one = _evaluate(
+                d_m[i : i + 1], theta_rad[i : i + 1], bank, geom, with_derivatives=True
+            )
             np.testing.assert_array_equal(one.gradient[0], batch.gradient[i])
             np.testing.assert_array_equal(one.hessian[0], batch.hessian[i])
             np.testing.assert_array_equal(one.cost[0], batch.cost[i])
@@ -645,7 +648,7 @@ class TestCostDerivatives:
         bank = matched_filter_bank(obs)
         d_m = pos.d_m + rng.uniform(-2.0, 2.0, size=10)
         theta_rad = rng.uniform(0.0, 2 * math.pi, size=10)
-        batch = _evaluate(d_m, theta_rad, bank, geom, config, f, with_derivatives=True)
+        batch = _evaluate(d_m, theta_rad, bank, geom, with_derivatives=True)
         candidates = [PolarPosition(float(d), float(t)) for d, t in zip(d_m, theta_rad)]
         want_xi = np.array([oracle_xi(c, bank, geom, config) for c in candidates])
         want_cost = np.array([oracle_cost(c, obs, geom, bank) for c in candidates])
@@ -663,8 +666,9 @@ class TestCostDerivatives:
             candidate = PolarPosition(
                 pos.d_m + rng.uniform(-0.5, 0.5), pos.theta_rad + rng.uniform(-0.05, 0.05)
             )
-            batch = _evaluate([candidate.d_m], [candidate.theta_rad], bank, geom, config, f,
-                              with_derivatives=True)
+            batch = _evaluate(
+                [candidate.d_m], [candidate.theta_rad], bank, geom, with_derivatives=True
+            )
             grad_d, grad_t = batch.gradient[0]
             f_d, f_t = oracle_scores(candidate, obs, geom, bank, config)
             scale = estimator_module._score_scale(geom, config, candidate)
@@ -680,7 +684,7 @@ class TestCostDerivatives:
         f = conjugate_focus_beamformer(geom64, pos)
         obs = synthesize_observation(geom64, pos, f, config, generate_pilots(config, 9), 10)
         bank = matched_filter_bank(obs)
-        batch = _evaluate([10.01], [0.701], bank, geom64, config, f, with_derivatives=True)
+        batch = _evaluate([10.01], [0.701], bank, geom64, with_derivatives=True)
         f_d, _ = oracle_scores(PolarPosition(10.01, 0.701), obs, geom64, bank, config)
         assert f_d == pytest.approx(-4.16e-10, rel=1e-2)
         assert -0.5 * batch.gradient[0, 0] == pytest.approx(-6.05e-10, rel=1e-2)
@@ -698,7 +702,7 @@ class TestCoarseGridSearch:
         f = conjugate_focus_beamformer(geom, pos)
         pilots = generate_pilots(config, 7)
         obs = synthesize_observation(geom, pos, f, config, pilots, 8)
-        basins = coarse_grid_search(obs, geom, matched_filter_bank(obs), spec)
+        basins = coarse_grid_search(matched_filter_bank(obs), geom, spec)
         assert basins[0].d_index == 12 and basins[0].theta_index == 17
 
     def test_deterministic(self):
@@ -706,8 +710,8 @@ class TestCoarseGridSearch:
         config, geom, pos, f, obs = small_observation(rng, n_a=4)
         spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=16, n_theta=32, n_basins=6)
         bank = matched_filter_bank(obs)
-        a = coarse_grid_search(obs, geom, bank, spec)
-        b = coarse_grid_search(obs, geom, bank, spec)
+        a = coarse_grid_search(bank, geom, spec)
+        b = coarse_grid_search(bank, geom, spec)
         assert a == b
 
     def test_tie_breaking_on_flat_surface(self, small_ofdm):
@@ -719,7 +723,7 @@ class TestCoarseGridSearch:
         f = random_unit_vector(rng, 2)
         obs = Observation(np.zeros((2, 4, 2), dtype=complex), pilots, small_ofdm, f)
         spec = GridSpec(d_min_m=5.0, d_max_m=6.0, n_d=3, n_theta=8, n_basins=4)
-        basins = coarse_grid_search(obs, geom, matched_filter_bank(obs), spec)
+        basins = coarse_grid_search(matched_filter_bank(obs), geom, spec)
         assert len(basins) == 4
         assert (basins[0].d_index, basins[0].theta_index) == (2, 0)
         assert [b.theta_index for b in basins] == [0, 1, 2, 3]
@@ -736,7 +740,7 @@ class TestCoarseGridSearch:
             f = conjugate_focus_beamformer(geom, pos)
             pilots = generate_pilots(config, 100 + trial)
             obs = synthesize_observation(geom, pos, f, config, pilots, 200 + trial)
-            basins = coarse_grid_search(obs, geom, matched_filter_bank(obs), spec)
+            basins = coarse_grid_search(matched_filter_bank(obs), geom, spec)
             best = basins[0].position
             assert abs(best.d_m - pos.d_m) <= d_step
             angle_err = abs((best.theta_rad - pos.theta_rad + math.pi) % (2 * math.pi) - math.pi)
@@ -756,7 +760,7 @@ class TestCoarseGridSearch:
 def assert_matches_oracle(obs, geom, spec):
     """Streamed search and full-surface oracle agree on indices; costs to 1e-11."""
     bank = matched_filter_bank(obs)
-    got = coarse_grid_search(obs, geom, bank, spec)
+    got = coarse_grid_search(bank, geom, spec)
     want = oracle_search(obs, geom, bank, spec)
     assert [(b.d_index, b.theta_index) for b in got] == [(d, t) for d, t, _ in want]
     costs = np.array([b.cost for b in got])
@@ -821,7 +825,7 @@ class TestStreamedGridSearch:
         config, geom, pos, f, obs = small_observation(rng, n_a=8)
         spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=4, n_theta=60)
         with pytest.raises(ValueError, match="multiple"):
-            coarse_grid_search(obs, geom, matched_filter_bank(obs), spec)
+            coarse_grid_search(matched_filter_bank(obs), geom, spec)
 
     def test_memory_stays_bounded(self):
         # The full float64 surface would be n_d * n_theta * 8 = 32 MB.
@@ -831,7 +835,7 @@ class TestStreamedGridSearch:
         bank = matched_filter_bank(obs)
         tracemalloc.start()
         try:
-            basins = coarse_grid_search(obs, geom, bank, spec)
+            basins = coarse_grid_search(bank, geom, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1031,7 +1035,7 @@ def search_surface(monkeypatch, surface, rows, n_basins):
     monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
     monkeypatch.setattr(estimator_module, "_row_bounds", lambda b, g, d: tile(d).min(axis=1))
     monkeypatch.setattr(estimator_module, "_cost_rows", lambda b, g, d, t: tile(d).copy())
-    got = coarse_grid_search(None, None, None, spec)
+    got = coarse_grid_search(None, None, spec)
     d_idx, t_idx = np.nonzero(_local_minima(surface))
     values = surface[d_idx, t_idx]
     order = np.lexsort((t_idx, d_idx, values))[:n_basins]
@@ -1346,7 +1350,7 @@ class TestLockStepRefine:
             n_basins=15,
             d_nodes=adaptive_d_nodes(geom64, reduced_ofdm, 1.0, 400.0),
         )
-        starts = [basin.position for basin in coarse_grid_search(bank, geom64, bank, spec)]
+        starts = [basin.position for basin in coarse_grid_search(bank, geom64, spec)]
         assert len(starts) == spec.n_basins
         return bank, starts
 

@@ -183,3 +183,17 @@ def test_summarize_counts_hits_and_rmse_per_cell():
     assert third.rmse_d_m == pytest.approx(1.0, rel=1e-12)
     assert third.rmse_theta_rad == pytest.approx(0.2, rel=1e-12)
     assert all(p.crlb_d_m > 0.0 and p.crlb_theta_rad > 0.0 for p in points)
+
+
+def test_crlb_sweep_flags_a_single_element_as_unidentifiable():
+    # One element cannot separate range from angle: every cell is a flagged
+    # row of NaNs, and the sweep does not abort.
+    rows = harness.crlb_sweep(tiny_sweep(radii_m=(0.5, 2.0), distances_m=(10.0, 30.0), n_a=1))
+    cells = [(r.radius_m, r.d_m) for r in rows]
+    assert cells == [(0.5, 10.0), (0.5, 30.0), (2.0, 10.0), (2.0, 30.0)]
+    for row in rows:
+        assert row.status == "unidentifiable"
+        values = (row.crlb_d_m, row.crlb_theta_rad, row.trace, row.snr_db)
+        assert all(math.isnan(v) for v in values)
+    ok = harness.crlb_sweep(tiny_sweep())
+    assert [r.status for r in ok] == ["ok"] and math.isfinite(ok[0].trace)
