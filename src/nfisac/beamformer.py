@@ -10,7 +10,11 @@ span(conj B): f_perp carries no information and only spends power, and
 Tr(C) is homogeneous of degree -2 in f, so dropping f_perp and
 renormalizing lowers the trace by the factor ||Q c||^2. The optimum
 therefore lies in the (at most) 3-dim span of Q, and the three
-information quadratics become 3x3 Hermitian forms in c.
+information quadratics become 3x3 Hermitian forms in c. The forms come
+from the gamma core of ``crlb``: gamma_d and gamma_theta are linear in
+f, so ``crlb.gamma_coefficients`` at each basis column of Q gives the
+maps from c to gamma, and the forms are their 1/r^2-weighted Gram
+matrices, the sums ``crlb.fim`` takes.
 
 Newton step. On x = [Re c; Im c] in R^6 the scale-invariant objective
 F(x) = |x|^2 (R + T) / (K (R T - X^2)) equals Tr(C) at f = Q c / |c|.
@@ -19,19 +23,20 @@ along x (scale) and along the global-phase direction j x, so both are
 projected out; on the unit sphere the Riemannian Hessian of a degree-0
 function is just the projected Euclidean one, and the step is the
 eigen-decomposed Newton step with |lambda| in place of lambda, a descent
-direction even at a saddle. Armijo backtracking on the step and the
-normalizing retraction keep every iterate on the unit sphere.
+direction even at a saddle. The step is orthogonal to f and to j f, so
+f + t step has norm at least 1, and renormalizing it is the retraction;
+Armijo backtracking on t keeps every accepted iterate a certified
+decrease. Candidates are scored by ``trace_objective``.
 
-Stopping rule. Iteration stops when the full-space tangent gradient norm
-falls to ``grad_tol`` times its value at the start (``converged``), when
+Stopping rule. Iteration stops when the tangent gradient norm falls to
+``grad_tol`` times its value at the start (``converged``), when
 ``max_iters`` Newton steps have been taken, or when the line search
-finds no certified decrease.
-
-Gradient convention: ``wirtinger_gradient`` returns the conjugate-
-coordinate derivative G = d Tr(C) / d f*, so that for a real objective
-dT = 2 Re{G^H df}. Along the real parameterization f = u + j v this
-means dT/du_i = 2 Re{G_i} and dT/dv_i = 2 Im{G_i}, which is exactly what
-the finite-difference checks validate.
+finds no certified decrease. The norm is that of the full-space tangent
+gradient, read off the subspace model: Tr(C) depends on f only through
+B^T f, so its conjugate-coordinate gradient d Tr(C) / d f* lies in
+span(conj B) = span Q, and at a unit f in span Q the tangent part of
+that gradient has norm (1/2) |grad_x F| (Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, ch. 3 and 6).
 """
 
 from __future__ import annotations
@@ -40,18 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crlb import UnidentifiableParametersError, crlb_from_fim, fim, fim_scale
+from .crlb import (
+    BeamCoupling,
+    UnidentifiableParametersError,
+    crlb_from_fim,
+    fim,
+    fim_scale,
+    gamma_coefficients,
+)
 from .geometry import PolarPosition, UcaGeometry, sensitivities, steering_vector
 from .signal import OfdmConfig, require_unit_norm
 
-RETRACT_MIN_NORM = 1e-14
-
 CURVATURE_FLOOR = 1e-12
 """Smallest |eigenvalue| of the Newton model, relative to the largest."""
-
-
-class StepTooLargeError(ValueError):
-    """The retraction update collapsed to (numerically) zero length."""
 
 
 @dataclass(frozen=True)
@@ -114,92 +120,69 @@ def trace_objective(
     return crlb_from_fim(fim(geom, pos, f, config)).trace
 
 
-def _gamma_design_matrices(geom: UcaGeometry, pos: PolarPosition):
-    """Matrices W_d, W_t with gamma_d = W_d f and gamma_theta = W_t f.
-
-    Row k collects how element k's derivative factor depends on every
-    beamformer entry, splitting the coupling slopes z_d, z_theta into
-    their linear forms. Every row is a combination of the transposed
-    columns of the returned coupling matrix B = [a, a o (1 - alpha_d),
-    a o alpha_theta], so W f depends on f only through B^T f.
-    """
-    sens = sensitivities(geom, pos)
-    a = steering_vector(geom, pos)
-    wavenumber = 2.0 * np.pi / geom.wavelength_m
-    r = sens.ranges_m
-    one_minus_ad = 1.0 - sens.alpha_d
-    at = sens.alpha_theta
-    ones = np.ones(geom.n_a)
-    w_d = -(sens.alpha_d / r)[:, None] * a[None, :] + 1j * wavenumber * (
-        ones[:, None] * (a * one_minus_ad)[None, :] + one_minus_ad[:, None] * a[None, :]
-    )
-    w_t = -(at / r)[:, None] * a[None, :] - 1j * wavenumber * (
-        ones[:, None] * (a * at)[None, :] + at[:, None] * a[None, :]
-    )
-    couplings = np.column_stack([a, a * one_minus_ad, a * at])
-    return r, w_d, w_t, couplings
-
-
 def _real_form(hermitian: np.ndarray) -> np.ndarray:
     """Real symmetric S with x^T S x = c^H H c for x = [Re c; Im c]."""
     re, im = hermitian.real, hermitian.imag
     return np.block([[re, -im], [im, re]])
 
 
-class _TraceWorkspace:
-    """Geometry-dependent pieces of the objective, computed once per position.
+class _SubspaceModel:
+    """The trace objective on the coupling subspace, built once per position.
 
-    gamma_d = W_d f and gamma_theta = W_t f are linear forms, so every
-    gradient evaluation is a couple of matrix-vector products against
-    cached matrices. ``basis`` is Q, the orthonormal basis of
-    span(conj B), and ``forms`` stacks the real 6x6 forms of R = J_dd/K,
-    T = J_tt/K and X = J_dt/K in x = [Re c; Im c] for f = Q c.
+    ``basis`` is Q, the orthonormal basis of span(conj B), and ``forms``
+    stacks the real 6x6 forms of R = J_dd/K, T = J_tt/K and X = J_dt/K in
+    x = [Re c; Im c] for f = Q c. gamma is linear in f, so the gamma core
+    at basis column q gives column q of the n_a x k maps from c to gamma_d
+    and gamma_theta.
     """
 
     def __init__(self, geom: UcaGeometry, pos: PolarPosition, config: OfdmConfig):
-        r, self.w_d, self.w_t, couplings = _gamma_design_matrices(geom, pos)
-        self.inv_r2 = 1.0 / r**2
-        self.scale = fim_scale(config, geom)
-        self.w_d_adj = np.conj(self.w_d).T
-        self.w_t_adj = np.conj(self.w_t).T
+        sens = sensitivities(geom, pos)
+        a = steering_vector(geom, pos)
+        couplings = np.column_stack([a, a * (1.0 - sens.alpha_d), a * sens.alpha_theta])
         self.basis = np.linalg.qr(np.conj(couplings))[0]
-        m_d = self.w_d @ self.basis
-        m_t = self.w_t @ self.basis
-        weighted_t = self.inv_r2[:, None] * m_t
+        self.scale = fim_scale(config, geom)
+        gammas = [
+            gamma_coefficients(sens, BeamCoupling(*(couplings.T @ q)), geom.wavelength_m)
+            for q in self.basis.T
+        ]
+        m_d = np.column_stack([g.gamma_d for g in gammas])
+        m_t = np.column_stack([g.gamma_theta for g in gammas])
+        inv_r2 = 1.0 / sens.ranges_m**2
+        weighted_t = inv_r2[:, None] * m_t
         cross = np.conj(m_d).T @ weighted_t
         self.forms = np.stack([
-            _real_form(np.conj(m_d).T @ (self.inv_r2[:, None] * m_d)),
+            _real_form(np.conj(m_d).T @ (inv_r2[:, None] * m_d)),
             _real_form(np.conj(m_t).T @ weighted_t),
             _real_form(0.5 * (cross + np.conj(cross).T)),
         ])
 
-    def quadratics(self, f: np.ndarray):
-        gamma_d = self.w_d @ f
-        gamma_t = self.w_t @ f
-        quad_r = float(np.sum(np.abs(gamma_d) ** 2 * self.inv_r2))
-        quad_t = float(np.sum(np.abs(gamma_t) ** 2 * self.inv_r2))
-        quad_x = float(np.real(np.sum(np.conj(gamma_d) * gamma_t * self.inv_r2)))
-        return gamma_d, gamma_t, quad_r, quad_t, quad_x
+    def _forms_at(self, f: np.ndarray):
+        """c = Q^H f, x = [Re c; Im c], (R, T, X) at x and their x-gradients."""
+        c = np.conj(self.basis).T @ f
+        x = np.concatenate([c.real, c.imag])
+        form_x = self.forms @ x
+        return c, x, form_x @ x, 2.0 * form_x
 
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        gamma_d, gamma_t, quad_r, quad_t, quad_x = self.quadratics(f)
-        det = quad_r * quad_t - quad_x**2
-        if det <= 0.0:
-            raise UnidentifiableParametersError(
-                f"information determinant is non-positive ({det!r}) at this "
-                "beamformer; the trace objective has no gradient here"
-            )
-        grad_r = self.w_d_adj @ (gamma_d * self.inv_r2)
-        grad_t = self.w_t_adj @ (gamma_t * self.inv_r2)
-        grad_x = 0.5 * (
-            self.w_d_adj @ (gamma_t * self.inv_r2)
-            + self.w_t_adj @ (gamma_d * self.inv_r2)
-        )
+    def tangent_grad_norm(self, f: np.ndarray) -> float:
+        """Tangent norm |G - Re<f, G> f| of G = d Tr(C) / d f* at a unit f.
+
+        G = Q g lies in span Q, and g = Q^H G is half the x-gradient of the
+        trace at c = Q^H f. With rho = Re<c, g> = Re<f, G>, the tangent part
+        G - rho f = Q (g - rho c) - rho (f - Q c) has squared norm
+        |g - rho c|^2 + rho^2 |f - Q c|^2; in span Q that is (1/2)|grad_x F|.
+        """
+        c, x, (quad_r, quad_t, quad_x), (g_r, g_t, g_x) = self._forms_at(f)
         numer = quad_r + quad_t
-        return (
-            det * (grad_r + grad_t)
-            - numer * (quad_t * grad_r + quad_r * grad_t - 2.0 * quad_x * grad_x)
-        ) / (self.scale * det**2)
+        det = quad_r * quad_t - quad_x**2
+        half_grad = (
+            det * (g_r + g_t) - numer * (quad_t * g_r + quad_r * g_t - 2.0 * quad_x * g_x)
+        ) / (2.0 * self.scale * det**2)
+        rho = x @ half_grad
+        outside = f - self.basis @ c
+        return float(np.sqrt(
+            np.sum((half_grad - rho * x) ** 2) + rho**2 * np.real(np.vdot(outside, outside))
+        ))
 
     def newton_step(self, f: np.ndarray) -> tuple[np.ndarray, float]:
         """Newton step on F(x) in the coupling subspace, mapped back to f.
@@ -209,12 +192,8 @@ class _TraceWorkspace:
         with decrease > 0 the model's predicted first-order decrease.
         """
         k = self.basis.shape[1]
-        c = np.conj(self.basis).T @ f
-        x = np.concatenate([c.real, c.imag])
+        _, x, (quad_r, quad_t, quad_x), (g_r, g_t, g_x) = self._forms_at(f)
         norm2 = x @ x
-        form_x = self.forms @ x
-        quad_r, quad_t, quad_x = form_x @ x
-        g_r, g_t, g_x = 2.0 * form_x
         s_r, s_t, s_x = self.forms
         numer = quad_r + quad_t
         det = quad_r * quad_t - quad_x**2
@@ -245,39 +224,6 @@ class _TraceWorkspace:
         dx = -frame @ (eigvecs @ (coeffs / curvature))
         step = self.basis @ (dx[:k] + 1j * dx[k:])
         return step, float(np.sum(coeffs**2 / curvature))
-
-
-def wirtinger_gradient(
-    f: np.ndarray, geom: UcaGeometry, pos: PolarPosition, config: OfdmConfig
-) -> np.ndarray:
-    """Analytic d Tr(C) / d f* via the quotient rule.
-
-    With R = J_dd/K, T = J_tt/K, X = J_dt/K (all quadratic forms in f),
-    Tr(C) = (R + T) / (K (R T - X^2)) and the gradient follows from
-    grad R = conj(W_d)^T (gamma_d / r^2) and its T/X analogues.
-    """
-    f = require_unit_norm(f)
-    return _TraceWorkspace(geom, pos, config).gradient(f)
-
-
-def tangent_project(grad: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Remove the radial component: grad - Re{<f, grad>} f.
-
-    The output satisfies Re{<out, f>} = 0, i.e. it is tangent to the unit
-    sphere viewed as a real manifold.
-    """
-    return grad - np.real(np.vdot(f, grad)) * f
-
-
-def retract(f: np.ndarray, step: float, descent_dir: np.ndarray) -> np.ndarray:
-    """Step against descent_dir and renormalize onto the sphere."""
-    update = f - step * descent_dir
-    norm = np.linalg.norm(update)
-    if norm < RETRACT_MIN_NORM:
-        raise StepTooLargeError(
-            f"retraction update has norm {norm!r}; shrink the step"
-        )
-    return update / norm
 
 
 def optimize_beamformer(
@@ -314,27 +260,29 @@ def optimize_beamformer(
         f = require_unit_norm(init).copy()
     objective = trace_objective(f, geom, pos, config)
 
-    workspace = _TraceWorkspace(geom, pos, config)
+    model = _SubspaceModel(geom, pos, config)
     if init is not None and opt.max_iters > 0:
-        f = workspace.basis @ (np.conj(workspace.basis).T @ f)
+        f = model.basis @ (np.conj(model.basis).T @ f)
         f /= np.linalg.norm(f)
         objective = trace_objective(f, geom, pos, config)
     history = [objective]
     if on_iterate is not None:
         on_iterate(f)
 
-    grad_norm = float(np.linalg.norm(tangent_project(workspace.gradient(f), f)))
+    grad_norm = model.tangent_grad_norm(f)
     tol = opt.grad_tol * grad_norm
     iterations = 0
 
     while iterations < opt.max_iters and grad_norm > tol:
-        step_dir, decrease = workspace.newton_step(f)
+        step_dir, decrease = model.newton_step(f)
         step = opt.initial_step
         for _ in range(opt.max_backtracks):
+            # The step is orthogonal to f and j f, so |f + step * step_dir| >= 1.
+            candidate = f + step * step_dir
+            candidate /= np.linalg.norm(candidate)
             try:
-                candidate = retract(f, step, -step_dir)
                 candidate_obj = trace_objective(candidate, geom, pos, config)
-            except (StepTooLargeError, UnidentifiableParametersError):
+            except UnidentifiableParametersError:
                 candidate_obj = np.inf
             # Below rounding the Armijo bound reads "no increase"; a step
             # must still lower the trace to count as a certified decrease.
@@ -352,7 +300,7 @@ def optimize_beamformer(
         if on_iterate is not None:
             on_iterate(f)
         iterations += 1
-        grad_norm = float(np.linalg.norm(tangent_project(workspace.gradient(f), f)))
+        grad_norm = model.tangent_grad_norm(f)
 
     return OptimizerResult(
         beamformer=f,

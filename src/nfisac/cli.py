@@ -59,7 +59,6 @@ def dbm_to_watt(dbm: float) -> float:
 class RunConfig:
     """Fully-resolved run configuration in natural units."""
 
-    carrier_ghz: float = 60.0
     wavelength_mm: float = 5.0
     subcarriers: int = 2048
     subcarrier_spacing_khz: float = 480.0
@@ -68,7 +67,6 @@ class RunConfig:
     tx_power_mw: float = 100.0
     noise_power_dbm: float = -74.0
     n_antennas: int = 64
-    doppler_hz: float = 0.0
     radii_m: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
     distances_m: tuple[float, ...] = (10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
     theta_policy: str | float = "uniform"
@@ -113,8 +111,6 @@ class RunConfig:
             t_cp_s=self.cp_fraction / spacing,
             p_t_w=self.tx_power_mw * 1e-3,
             sigma2_w=dbm_to_watt(self.noise_power_dbm),
-            carrier_hz=self.carrier_ghz * 1e9,
-            nu0_hz=self.doppler_hz,
         )
 
     @property
@@ -256,7 +252,6 @@ def _check_kind(key: str, value, default) -> None:
 
 def _validate(cfg: RunConfig) -> None:
     _require(cfg.wavelength_mm > 0, "key 'wavelength_mm' must be positive")
-    _require(cfg.carrier_ghz > 0, "key 'carrier_ghz' must be positive")
     _require(cfg.subcarriers >= 1, "key 'subcarriers' must be >= 1")
     _require(cfg.ofdm_symbols >= 1, "key 'ofdm_symbols' must be >= 1")
     _require(cfg.subcarrier_spacing_khz > 0, "key 'subcarrier_spacing_khz' must be positive")

@@ -3,8 +3,10 @@
 One path computes the bound: ``fim`` assembles the 2x2 information
 matrix from the per-element derivative coefficients gamma_k, and
 ``crlb_from_fim`` inverts it (``crlb_at`` is the two in one call). The
-beamformer, the refinement's noise floor and every printed bound use
-this path.
+beamformer's line search, the refinement's noise floor and every
+printed bound use this path, and the beamformer's Newton forms use its
+gamma core: ``gamma_coefficients`` at each basis column of the coupling
+subspace, since gamma is linear in the beam.
 The paper's fully expanded variance expressions, built from nine geometry
 sums (A1..A3, B1..B3, C1..C3), are kept in the tests as the oracle this
 path must match.

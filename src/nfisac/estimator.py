@@ -66,7 +66,6 @@ from .signal import (
     Observation,
     OfdmConfig,
     delay_phases,
-    pilot_doppler_grid,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -185,13 +184,12 @@ def wrap_angle(theta: float) -> float:
 
 
 def matched_filter_bank(obs: Observation) -> MatchedFilterBank:
-    """Collapse the symbol axis: Z[k, m] = sum_n conj(C'[n, m]) r[n, m, k].
+    """Collapse the symbol axis: Z[k, m] = sum_n conj(x[n, m]) r[n, m, k].
 
     One pass over all N*M*n_a samples; the bank keeps the observation's
     config and beamformer.
     """
-    known = pilot_doppler_grid(obs.config, obs.pilots)
-    aggregates = np.einsum("nm,nmk->km", np.conj(known), obs.samples)
+    aggregates = np.einsum("nm,nmk->km", np.conj(obs.pilots.symbols), obs.samples)
     return MatchedFilterBank(aggregates, obs.config, obs.beamformer)
 
 

@@ -387,12 +387,21 @@ def run_trials(
     return records
 
 
-def _crlb_reference(cfg: SweepConfig, radius_m: float, d_m: float) -> CrlbBound:
-    """Bound at theta = 0 with the trace-optimized beam (rotation-invariant)."""
+def _cell_bound(
+    cfg: SweepConfig, radius_m: float, d_m: float
+) -> tuple[CrlbBound, np.ndarray | None]:
+    """The bound of a cell: at theta = 0 (rotation-invariant) with the trace-optimized beam.
+
+    Returns the bound and the beam, or a NaN bound and no beam where range
+    and angle are not jointly identifiable.
+    """
     geom = cfg.geometry(radius_m)
     pos = PolarPosition(d_m, 0.0)
-    beam = optimize_beamformer(geom, pos, cfg.ofdm, cfg.optimizer).beamformer
-    return crlb_at(geom, pos, beam, cfg.ofdm)
+    try:
+        beam = optimize_beamformer(geom, pos, cfg.ofdm, cfg.optimizer).beamformer
+        return crlb_at(geom, pos, beam, cfg.ofdm), beam
+    except UnidentifiableParametersError:
+        return CrlbBound(np.nan, np.nan, np.nan), None
 
 
 def summarize(cfg: SweepConfig, records: list[TrialRecord]) -> list[SweepPoint]:
@@ -425,7 +434,7 @@ def summarize(cfg: SweepConfig, records: list[TrialRecord]) -> list[SweepPoint]:
                     return 0.0
                 return float(np.std(sq_errors, ddof=1) / (2.0 * rmse * np.sqrt(n)))
 
-            bound = _crlb_reference(cfg, radius, distance)
+            bound, _ = _cell_bound(cfg, radius, distance)
             points.append(
                 SweepPoint(
                     radius_m=radius,
@@ -455,36 +464,25 @@ def crlb_sweep(cfg: SweepConfig) -> list[CrlbPoint]:
     """
     rows = []
     for radius in cfg.radii_m:
-        geom = cfg.geometry(radius)
         for distance in cfg.distances_m:
-            pos = PolarPosition(distance, 0.0)
-            try:
-                beam = optimize_beamformer(geom, pos, cfg.ofdm, cfg.optimizer).beamformer
-                bound = crlb_at(geom, pos, beam, cfg.ofdm)
-                snr = ue_received_snr(geom, pos, beam, cfg.ofdm)
-                rows.append(
-                    CrlbPoint(
-                        radius_m=radius,
-                        d_m=distance,
-                        crlb_d_m=float(np.sqrt(bound.var_d)),
-                        crlb_theta_rad=float(np.sqrt(bound.var_theta)),
-                        trace=bound.trace,
-                        snr_db=10.0 * np.log10(snr) if snr > 0.0 else -np.inf,
-                        status="ok",
-                    )
+            bound, beam = _cell_bound(cfg, radius, distance)
+            snr_db = np.nan
+            if beam is not None:
+                snr = ue_received_snr(
+                    cfg.geometry(radius), PolarPosition(distance, 0.0), beam, cfg.ofdm
                 )
-            except UnidentifiableParametersError:
-                rows.append(
-                    CrlbPoint(
-                        radius_m=radius,
-                        d_m=distance,
-                        crlb_d_m=np.nan,
-                        crlb_theta_rad=np.nan,
-                        trace=np.nan,
-                        snr_db=np.nan,
-                        status="unidentifiable",
-                    )
+                snr_db = 10.0 * np.log10(snr) if snr > 0.0 else -np.inf
+            rows.append(
+                CrlbPoint(
+                    radius_m=radius,
+                    d_m=distance,
+                    crlb_d_m=float(np.sqrt(bound.var_d)),
+                    crlb_theta_rad=float(np.sqrt(bound.var_theta)),
+                    trace=bound.trace,
+                    snr_db=snr_db,
+                    status="ok" if beam is not None else "unidentifiable",
                 )
+            )
     return rows
 
 

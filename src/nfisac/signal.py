@@ -5,19 +5,21 @@ at symbol n, subcarrier m, element k is
 
     mu[n, m, k] = C[n, m] * g_k * a_k(d, theta) * beta(d, theta),
 
-with C[n, m] = x[n, m] exp(j 2 pi nu0 n T_o) exp(-j 2 pi m df (T_cp + tau0)),
-beta = a^T f the transmit coupling, and tau0 = 2 d / c the round-trip
-delay. Noise is i.i.d. circularly-symmetric complex Gaussian with total
-variance sigma^2 per sample. Pilot symbols are constant-modulus with
-|x|^2 = P_t on every resource element, so sum |C|^2 = N M P_t exactly.
+with C[n, m] = x[n, m] exp(-j 2 pi m df (T_cp + tau0)), beta = a^T f the
+transmit coupling, and tau0 = 2 d / c the round-trip delay. The target's
+Doppler shift is known and compensated before these samples: its
+per-symbol unit-modulus factor is removed, so it appears neither here
+nor in the bank's law below. Noise is i.i.d. circularly-symmetric
+complex Gaussian with total variance sigma^2 per sample. Pilot symbols
+are constant-modulus with |x|^2 = P_t on every resource element, so
+sum |C|^2 = N M P_t exactly.
 
-The matched-filter bank Z[k, m] = sum_n conj(x[n, m] e^{j 2 pi nu0 n T_o})
-r[n, m, k] is a sufficient statistic for (d, theta): with mu = C' D h (C'
-the pilot-Doppler factor, D_m the delay ramp, h = g a beta),
-r^H mu = sum_{k,m} D_m h_k conj(Z[k, m]) and ||mu||^2 is data-free, so
-the likelihood reads r only through Z (Fisher-Neyman factorization; Kay,
-Estimation Theory, 1993, ch. 5). As |x|^2 = P_t, the pilots and the
-unit-modulus Doppler factor drop out of its law, independent over (k, m):
+The matched-filter bank Z[k, m] = sum_n conj(x[n, m]) r[n, m, k] is a
+sufficient statistic for (d, theta): with mu = X D h (X the pilots, D_m
+the delay ramp, h = g a beta), r^H mu = sum_{k,m} D_m h_k conj(Z[k, m])
+and ||mu||^2 is data-free, so the likelihood reads r only through Z
+(Fisher-Neyman factorization; Kay, Estimation Theory, 1993, ch. 5). As
+|x|^2 = P_t, the pilots drop out of its law, independent over (k, m):
 
     Z[k, m] ~ CN(N P_t e^{-j 2 pi m df (T_cp + tau0)} g_k a_k beta, N P_t sigma^2).
 
@@ -46,11 +48,7 @@ UNIT_NORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """OFDM numerology, power budget and noise level.
-
-    Doppler is constrained to |nu0| <= delta_f / 100 so the per-subcarrier
-    sampling model stays valid (no inter-carrier interference).
-    """
+    """OFDM numerology, power budget and noise level."""
 
     m_subcarriers: int
     n_symbols: int
@@ -58,8 +56,6 @@ class OfdmConfig:
     t_cp_s: float
     p_t_w: float
     sigma2_w: float
-    carrier_hz: float
-    nu0_hz: float = 0.0
 
     def __post_init__(self) -> None:
         if self.m_subcarriers < 1:
@@ -75,18 +71,6 @@ class OfdmConfig:
         # sigma2_w == 0 is allowed: it degenerates to the noiseless model.
         if self.sigma2_w < 0.0:
             raise ValueError(f"sigma2_w must be nonnegative, got {self.sigma2_w}")
-        if self.carrier_hz <= 0.0:
-            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if abs(self.nu0_hz) > self.delta_f_hz / 100.0:
-            raise ValueError(
-                f"|nu0_hz|={abs(self.nu0_hz)} violates the narrow-Doppler "
-                f"contract |nu0| <= delta_f/100 = {self.delta_f_hz / 100.0}"
-            )
-
-    @property
-    def symbol_duration_s(self) -> float:
-        """Total OFDM symbol duration T_o = 1/delta_f + T_cp."""
-        return 1.0 / self.delta_f_hz + self.t_cp_s
 
     @property
     def bandwidth_hz(self) -> float:
@@ -151,13 +135,6 @@ def generate_pilots(config: OfdmConfig, seed: int) -> PilotGrid:
     return PilotGrid(np.sqrt(config.p_t_w) * np.exp(1j * phases))
 
 
-def pilot_doppler_grid(config: OfdmConfig, pilots: PilotGrid) -> np.ndarray:
-    """N x M factor x[n,m] * exp(j 2 pi nu0 n T_o): everything but the delay."""
-    n = np.arange(config.n_symbols)[:, None]
-    doppler = np.exp(1j * 2.0 * np.pi * config.nu0_hz * n * config.symbol_duration_s)
-    return pilots.symbols * doppler
-
-
 def delay_phases(config: OfdmConfig, tau0_s: float) -> np.ndarray:
     """Length-M subcarrier delay ramp exp(-j 2 pi m df (T_cp + tau0))."""
     m = np.arange(config.m_subcarriers)
@@ -166,7 +143,7 @@ def delay_phases(config: OfdmConfig, tau0_s: float) -> np.ndarray:
 
 def phase_factor_grid(config: OfdmConfig, pilots: PilotGrid, tau0_s: float) -> np.ndarray:
     """N x M matrix of C[n,m] factors for a given round-trip delay."""
-    return pilot_doppler_grid(config, pilots) * delay_phases(config, tau0_s)[None, :]
+    return pilots.symbols * delay_phases(config, tau0_s)[None, :]
 
 
 def _echo(geom: UcaGeometry, pos: PolarPosition, f: np.ndarray) -> np.ndarray:

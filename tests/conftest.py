@@ -18,7 +18,6 @@ def table1_ofdm() -> OfdmConfig:
         t_cp_s=0.07 / 480e3,
         p_t_w=0.1,
         sigma2_w=SIGMA2_W,
-        carrier_hz=60e9,
     )
 
 
@@ -32,7 +31,6 @@ def reduced_ofdm() -> OfdmConfig:
         t_cp_s=0.07 / 480e3,
         p_t_w=0.1,
         sigma2_w=SIGMA2_W,
-        carrier_hz=60e9,
     )
 
 
@@ -46,7 +44,6 @@ def small_ofdm() -> OfdmConfig:
         t_cp_s=0.07 / 480e3,
         p_t_w=0.1,
         sigma2_w=1e-9,
-        carrier_hz=60e9,
     )
 
 

@@ -1,7 +1,9 @@
-"""Riemannian descent machinery: gradients, projection, retraction, descent.
+"""Riemannian descent machinery: the subspace Newton solver against its oracles.
 
-The 64-dim project-descend-retract Armijo loop that the subspace Newton
-solver replaced lives here as the oracle (``armijo_oracle``).
+The n_a x n_a W-matrix trace gradient that the subspace model replaced
+lives here (``WMatrixTrace``) as the reference for the finite-difference
+check, the forms and the stopping norm, and so does the 64-dim
+project-descend-retract Armijo loop built on it (``armijo_oracle``).
 """
 
 import dataclasses
@@ -20,39 +22,110 @@ from nfisac import (
     crlb_at,
     crlb_from_fim,
     fim,
+    fim_scale,
     optimize_beamformer,
+    sensitivities,
+    steering_vector,
     trace_objective,
     ue_received_snr,
 )
-from nfisac.beamformer import (
-    OptimizerResult,
-    StepTooLargeError,
-    _TraceWorkspace,
-    retract,
-    tangent_project,
-    wirtinger_gradient,
-)
+from nfisac.beamformer import OptimizerResult, _real_form, _SubspaceModel
 
 from conftest import SIGMA2_W, random_unit_vector
 
 
-def oracle_objective(workspace, f):
-    """Trace of the bound from the cached quadratics; +inf when unidentifiable."""
-    _, _, quad_r, quad_t, quad_x = workspace.quadratics(f)
-    det = quad_r * quad_t - quad_x**2
-    if det <= 0.0:
-        return np.inf
-    return (quad_r + quad_t) / (workspace.scale * det)
+class WMatrixTrace:
+    """The trace objective through n_a x n_a matrices: gamma_d = W_d f, gamma_theta = W_t f.
+
+    Row k of W_d (W_t) collects how element k's derivative factor depends on
+    every beamformer entry, with its own copy of the gamma formula. Every
+    row is a combination of the transposed columns of B = [a, a o (1 -
+    alpha_d), a o alpha_theta], so W f depends on f only through B^T f.
+    ``gradient`` is the conjugate-coordinate derivative G = d Tr(C) / d f*,
+    so that dT = 2 Re{G^H df}: along f = u + j v, dT/du_i = 2 Re{G_i} and
+    dT/dv_i = 2 Im{G_i}.
+    """
+
+    def __init__(self, geom, pos, config):
+        sens = sensitivities(geom, pos)
+        a = steering_vector(geom, pos)
+        wavenumber = 2.0 * np.pi / geom.wavelength_m
+        r = sens.ranges_m
+        one_minus_ad = 1.0 - sens.alpha_d
+        at = sens.alpha_theta
+        ones = np.ones(geom.n_a)
+        self.w_d = -(sens.alpha_d / r)[:, None] * a[None, :] + 1j * wavenumber * (
+            ones[:, None] * (a * one_minus_ad)[None, :] + one_minus_ad[:, None] * a[None, :]
+        )
+        self.w_t = -(at / r)[:, None] * a[None, :] - 1j * wavenumber * (
+            ones[:, None] * (a * at)[None, :] + at[:, None] * a[None, :]
+        )
+        couplings = np.column_stack([a, a * one_minus_ad, a * at])
+        self.inv_r2 = 1.0 / r**2
+        self.scale = fim_scale(config, geom)
+        self.w_d_adj = np.conj(self.w_d).T
+        self.w_t_adj = np.conj(self.w_t).T
+        self.basis = np.linalg.qr(np.conj(couplings))[0]
+        m_d = self.w_d @ self.basis
+        m_t = self.w_t @ self.basis
+        weighted_t = self.inv_r2[:, None] * m_t
+        cross = np.conj(m_d).T @ weighted_t
+        self.forms = np.stack([
+            _real_form(np.conj(m_d).T @ (self.inv_r2[:, None] * m_d)),
+            _real_form(np.conj(m_t).T @ weighted_t),
+            _real_form(0.5 * (cross + np.conj(cross).T)),
+        ])
+
+    def quadratics(self, f):
+        gamma_d = self.w_d @ f
+        gamma_t = self.w_t @ f
+        quad_r = float(np.sum(np.abs(gamma_d) ** 2 * self.inv_r2))
+        quad_t = float(np.sum(np.abs(gamma_t) ** 2 * self.inv_r2))
+        quad_x = float(np.real(np.sum(np.conj(gamma_d) * gamma_t * self.inv_r2)))
+        return gamma_d, gamma_t, quad_r, quad_t, quad_x
+
+    def objective(self, f):
+        """Trace of the bound from the quadratics; +inf when unidentifiable."""
+        _, _, quad_r, quad_t, quad_x = self.quadratics(f)
+        det = quad_r * quad_t - quad_x**2
+        if det <= 0.0:
+            return np.inf
+        return (quad_r + quad_t) / (self.scale * det)
+
+    def gradient(self, f):
+        gamma_d, gamma_t, quad_r, quad_t, quad_x = self.quadratics(f)
+        det = quad_r * quad_t - quad_x**2
+        assert det > 0.0
+        grad_r = self.w_d_adj @ (gamma_d * self.inv_r2)
+        grad_t = self.w_t_adj @ (gamma_t * self.inv_r2)
+        grad_x = 0.5 * (
+            self.w_d_adj @ (gamma_t * self.inv_r2)
+            + self.w_t_adj @ (gamma_d * self.inv_r2)
+        )
+        numer = quad_r + quad_t
+        return (
+            det * (grad_r + grad_t)
+            - numer * (quad_t * grad_r + quad_r * grad_t - 2.0 * quad_x * grad_x)
+        ) / (self.scale * det**2)
+
+    def tangent_gradient(self, f):
+        """The gradient less its radial component: G - Re{<f, G>} f."""
+        grad = self.gradient(f)
+        return grad - np.real(np.vdot(f, grad)) * f
+
+
+def wirtinger_gradient(f, geom, pos, config):
+    return WMatrixTrace(geom, pos, config).gradient(f)
 
 
 def armijo_oracle(geom, pos, config):
     """Project-descend-retract loop with Armijo backtracking in all n_a dims."""
     opt = OptimizerConfig()
     f = conjugate_focus_beamformer(geom, pos)
-    workspace = _TraceWorkspace(geom, pos, config)
-    objective = oracle_objective(workspace, f)
+    oracle = WMatrixTrace(geom, pos, config)
+    objective = oracle.objective(f)
     history = [objective]
-    direction = tangent_project(workspace.gradient(f), f)
+    direction = oracle.tangent_gradient(f)
     grad_norm = float(np.linalg.norm(direction))
     tol = opt.grad_tol * grad_norm
     iterations = 0
@@ -62,12 +135,10 @@ def armijo_oracle(geom, pos, config):
         step = opt.initial_step
         accepted = False
         for _ in range(opt.max_backtracks):
-            try:
-                candidate = retract(f, step, direction)
-            except StepTooLargeError:
-                step *= opt.backtrack_factor
-                continue
-            candidate_obj = oracle_objective(workspace, candidate)
+            # direction is tangent, so |f - step * direction| >= 1.
+            candidate = f - step * direction
+            candidate = candidate / np.linalg.norm(candidate)
+            candidate_obj = oracle.objective(candidate)
             if candidate_obj <= objective - opt.armijo_c * step * expected_slope:
                 accepted = True
                 break
@@ -78,7 +149,7 @@ def armijo_oracle(geom, pos, config):
         objective = candidate_obj
         history.append(objective)
         iterations += 1
-        direction = tangent_project(workspace.gradient(f), f)
+        direction = oracle.tangent_gradient(f)
         grad_norm = float(np.linalg.norm(direction))
     return OptimizerResult(f, np.asarray(history), grad_norm, iterations, grad_norm <= tol)
 
@@ -86,8 +157,7 @@ def armijo_oracle(geom, pos, config):
 def fd_vs_projected_gradient(geom, pos, config, f, h=1e-7):
     """Max relative error between renormalized FD and 2*Re/Im of the
     tangent-projected gradient over a sample of coordinate directions."""
-    grad = wirtinger_gradient(f, geom, pos, config)
-    projected = tangent_project(grad, f)
+    projected = WMatrixTrace(geom, pos, config).tangent_gradient(f)
     errs = []
     for i in range(0, geom.n_a, max(geom.n_a // 8, 1)):
         for component in (1.0, 1j):
@@ -161,59 +231,10 @@ class TestWirtingerGradient:
 
     def test_near_zero_projection_at_optimum(self, geom64, pos10, reduced_ofdm):
         result = optimize_beamformer(geom64, pos10, reduced_ofdm)
-        grad = wirtinger_gradient(result.beamformer, geom64, pos10, reduced_ofdm)
-        projected = tangent_project(grad, result.beamformer)
+        projected = WMatrixTrace(geom64, pos10, reduced_ofdm).tangent_gradient(
+            result.beamformer
+        )
         assert np.linalg.norm(projected) == pytest.approx(result.final_grad_norm, rel=1e-9)
-
-
-class TestTangentProject:
-    def test_radial_input_maps_to_zero(self):
-        rng = np.random.default_rng(25)
-        f = random_unit_vector(rng, 16)
-        assert np.max(np.abs(tangent_project(3.7 * f, f))) < 1e-14
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(26)
-        f = random_unit_vector(rng, 16)
-        g = rng.normal(size=16) + 1j * rng.normal(size=16)
-        once = tangent_project(g, f)
-        np.testing.assert_allclose(tangent_project(once, f), once, atol=1e-14)
-
-    def test_orthogonality_postcondition(self):
-        rng = np.random.default_rng(27)
-        for _ in range(100):
-            f = random_unit_vector(rng, 32)
-            g = rng.normal(size=32) + 1j * rng.normal(size=32)
-            assert abs(np.real(np.vdot(f, tangent_project(g, f)))) < 1e-12
-
-
-class TestRetract:
-    def test_zero_step_is_identity(self):
-        rng = np.random.default_rng(28)
-        f = random_unit_vector(rng, 8)
-        np.testing.assert_allclose(retract(f, 0.0, f * 0 + 1.0), f, atol=1e-15)
-
-    def test_unit_norm_output(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            f = random_unit_vector(rng, 8)
-            direction = rng.normal(size=8) + 1j * rng.normal(size=8)
-            out = retract(f, rng.uniform(0, 5), direction)
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-    def test_orthonormal_right_triangle(self):
-        f = np.zeros(4, dtype=complex)
-        f[0] = 1.0
-        direction = np.zeros(4, dtype=complex)
-        direction[1] = 1.0
-        out = retract(f, 1.0, direction)
-        np.testing.assert_allclose(out, (f - direction) / math.sqrt(2), atol=1e-15)
-
-    def test_degenerate_update_raises(self):
-        f = np.zeros(2, dtype=complex)
-        f[0] = 1.0
-        with pytest.raises(StepTooLargeError):
-            retract(f, 1.0, f)
 
 
 class TestOptimizeBeamformer:
@@ -287,7 +308,7 @@ class TestOptimizeBeamformer:
 
 def ofdm_with(m_subcarriers):
     """The conftest numerology at a given subcarrier count."""
-    return OfdmConfig(m_subcarriers, 14, 480e3, 0.07 / 480e3, 0.1, SIGMA2_W, 60e9)
+    return OfdmConfig(m_subcarriers, 14, 480e3, 0.07 / 480e3, 0.1, SIGMA2_W)
 
 
 def existing_test_positions():
@@ -375,6 +396,36 @@ class TestNewtonAgainstOracle:
         result = newton_result(radius, d, theta, m)
         assert result.converged
         assert result.iterations <= 10
+
+
+class TestSubspaceModel:
+    @pytest.mark.parametrize("radius, d, theta", existing_test_positions())
+    def test_forms_match_the_w_matrix_forms(self, radius, d, theta):
+        geom = UcaGeometry(64, radius, 0.005)
+        pos = PolarPosition(d, theta)
+        model = _SubspaceModel(geom, pos, ofdm_with(128))
+        oracle = WMatrixTrace(geom, pos, ofdm_with(128))
+        np.testing.assert_array_equal(model.basis, oracle.basis)
+        for form, expected in zip(model.forms, oracle.forms):
+            assert np.max(np.abs(form - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("radius, d, theta", existing_test_positions()[:6])
+    @pytest.mark.parametrize("start", ["default", "random"])
+    def test_final_grad_norm_is_the_tangent_w_gradient_norm(self, radius, d, theta, start):
+        # A random 64-dim start lies outside span Q; with max_iters=0 it is
+        # returned as given, and its norm must still be the full-space one.
+        geom = UcaGeometry(64, radius, 0.005)
+        pos = PolarPosition(d, theta)
+        init = None
+        if start == "random":
+            init = random_unit_vector(np.random.default_rng(int(100 * d)), 64)
+        result = optimize_beamformer(
+            geom, pos, ofdm_with(128), OptimizerConfig(max_iters=0), init=init
+        )
+        expected = np.linalg.norm(
+            WMatrixTrace(geom, pos, ofdm_with(128)).tangent_gradient(result.beamformer)
+        )
+        assert result.final_grad_norm == pytest.approx(expected, rel=1e-10)
 
 
 class TestConjugateFocus:

@@ -87,6 +87,25 @@ class TestRecordsCsv:
             assert int(row["seed"]) == record.seed
 
 
+class TestUnidentifiableCell:
+    def test_monte_carlo_writes_nan_bounds_and_exits_ok(self, tmp_path):
+        # One element at theta = 0: crlb-sweep flags the cell, and the
+        # summary of its trials carries NaN bounds instead of aborting.
+        config = write_config(tmp_path, {
+            "n_antennas": 1, "radii_m": [0.5], "distances_m": [10.0],
+            "grid": {"d_max_m": 40.0},
+        })
+        output = tmp_path / "summary.csv"
+        code = main([
+            "--config", config, "--seed", "3", "monte-carlo", "--reduced-m",
+            "--trials", "1", "--output", str(output),
+        ])
+        assert code == EXIT_OK
+        (row,) = csv.DictReader(output.read_text().splitlines()[1:])
+        assert row["crlb_d_m"] == row["crlb_theta_rad"] == "nan"
+        assert row["n_trials"] == "1"
+
+
 class TestEstimate:
     @pytest.mark.parametrize("flags", [[], ["--reduced-m"]])
     def test_estimate_reproduces_the_trial_of_its_seed(self, tmp_path, flags):
@@ -280,6 +299,13 @@ class TestConfigKinds:
         key = next(iter(overrides))
         assert f"key '{key}" in capsys.readouterr().err
         assert not output.exists()
+
+    @pytest.mark.parametrize("key", ["doppler_hz", "carrier_ghz"])
+    def test_removed_carrier_and_doppler_keys_are_unknown(self, key):
+        # The carrier is set by wavelength_mm alone, and the bank's law has
+        # no Doppler term; a config that names either key is rejected.
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}'"):
+            parse_config(overrides={key: 1.0})
 
     def test_numbers_of_either_json_kind_are_accepted(self):
         cfg = parse_config(overrides={

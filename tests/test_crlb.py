@@ -289,7 +289,7 @@ class TestFim:
     def test_brute_force_slepian_bangs(self):
         # Small instances, full per-sample scalar assembly.
         rng = np.random.default_rng(11)
-        config = OfdmConfig(8, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9, 60e9)
+        config = OfdmConfig(8, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
         for _ in range(5):
             n_a = int(rng.integers(2, 9))
             geom = UcaGeometry(n_a, 0.5, 0.005)

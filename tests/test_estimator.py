@@ -47,7 +47,7 @@ from conftest import random_unit_vector
 
 
 def small_observation(rng, n=2, m=4, n_a=4, sigma2=1e-9, radius=0.5, d=12.0, theta=0.9):
-    config = OfdmConfig(m, n, 480e3, 0.07 / 480e3, 0.1, sigma2, 60e9)
+    config = OfdmConfig(m, n, 480e3, 0.07 / 480e3, 0.1, sigma2)
     geom = UcaGeometry(n_a, radius, 0.005)
     pos = PolarPosition(d, theta)
     f = random_unit_vector(rng, n_a)
@@ -679,7 +679,7 @@ class TestCostDerivatives:
     def test_score_and_gradient_disagree_in_range_by_the_ramp(self, geom64):
         # The zero-noise refinement start: F_d and -1/2 dL/dd differ by a
         # third, which is why a score root is not a cost minimum.
-        config = OfdmConfig(128, 4, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(128, 4, 480e3, 0.07 / 480e3, 0.1, 0.0)
         pos = PolarPosition(10.0, 0.7)
         f = conjugate_focus_beamformer(geom64, pos)
         obs = synthesize_observation(geom64, pos, f, config, generate_pilots(config, 9), 10)
@@ -693,7 +693,7 @@ class TestCostDerivatives:
 class TestCoarseGridSearch:
     def test_truth_on_node_is_first_basin(self):
         rng = np.random.default_rng(53)
-        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(8, 0.5, 0.005)
         spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=31, n_theta=64, n_basins=5)
         d_true = float(spec.d_values()[12])
@@ -730,7 +730,7 @@ class TestCoarseGridSearch:
 
     def test_truth_between_nodes_lands_within_cell(self):
         rng = np.random.default_rng(56)
-        config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(16, 0.5, 0.005)
         spec = GridSpec(d_min_m=8.0, d_max_m=14.0, n_d=41, n_theta=256, n_basins=8)
         d_step = (14.0 - 8.0) / 40
@@ -785,7 +785,7 @@ class TestStreamedGridSearch:
         # angle: its 3x3 neighbourhood clips in range and wraps in angle. A
         # little noise breaks the mirror symmetry of the noiseless surface,
         # whose mirrored minima tie to rounding.
-        config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 1e-11, 60e9)
+        config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 1e-11)
         geom = UcaGeometry(8, 0.5, 0.005)
         spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=70, n_theta=64, n_basins=15)
         pos = PolarPosition(float(spec.d_values()[row]), float(spec.theta_values()[angle]))
@@ -798,7 +798,7 @@ class TestStreamedGridSearch:
     def test_exact_tie_across_a_block_boundary(self):
         # Repeating the range node at the end of the first block makes the
         # last row of one block and the first row of the next identical.
-        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(8, 0.5, 0.005)
         nodes = list(np.linspace(6.0, 18.0, 70))
         edge = GRID_BLOCK_ROWS - 1
@@ -873,7 +873,7 @@ class TestRangeProfileBound:
         # At the truth of a noiseless observation both inequalities behind
         # the bound are equalities: only the rounding slack separates them.
         rng = np.random.default_rng(90 + seed)
-        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(8, 0.5, 0.005)
         theta_values = 2 * math.pi * np.arange(64) / 64
         j = int(rng.integers(64))
@@ -915,7 +915,7 @@ class TestFftRangeProfileBound:
     HEAD, STOP = 75, 133
 
     def grid(self, sigma2, d=60.0, theta=1.1, seed=0):
-        config = OfdmConfig(self.M, 2, 480e3, 0.07 / 480e3, 0.1, sigma2, 60e9)
+        config = OfdmConfig(self.M, 2, 480e3, 0.07 / 480e3, 0.1, sigma2)
         geom = UcaGeometry(8, 0.5, 0.005)
         d_values = np.array(adaptive_d_nodes(geom, config, 1.0, 400.0))
         pos = PolarPosition(d, theta)
@@ -1010,7 +1010,7 @@ def count_tiles(monkeypatch):
 
 def strong_target(m, d, theta, sigma2=1e-13):
     """An 8-element observation of a conjugate-focused target far above the noise."""
-    config = OfdmConfig(m, 2, 480e3, 0.07 / 480e3, 0.1, sigma2, 60e9)
+    config = OfdmConfig(m, 2, 480e3, 0.07 / 480e3, 0.1, sigma2)
     geom = UcaGeometry(8, 0.5, 0.005)
     pos = PolarPosition(d, theta)
     f = conjugate_focus_beamformer(geom, pos)
@@ -1128,7 +1128,7 @@ class TestPrunedGridSearch:
 
 class TestLmRefine:
     def test_zero_noise_recovery_from_offset(self, geom64):
-        config = OfdmConfig(128, 4, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(128, 4, 480e3, 0.07 / 480e3, 0.1, 0.0)
         pos = PolarPosition(10.0, 0.7)
         f = conjugate_focus_beamformer(geom64, pos)
         pilots = generate_pilots(config, 9)
@@ -1142,7 +1142,7 @@ class TestLmRefine:
         assert abs(refined.theta_rad - 0.7) < 1e-8
 
     def test_zero_iteration_budget(self, geom64):
-        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         pos = PolarPosition(10.0, 0.7)
         f = conjugate_focus_beamformer(geom64, pos)
         pilots = generate_pilots(config, 9)
@@ -1158,7 +1158,7 @@ class TestLmRefine:
         # Two superposed returns create a deterministic two-minima
         # surface; refining the weaker basin terminates inside it, far
         # from the stronger source.
-        config = OfdmConfig(64, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(64, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         pos_a = PolarPosition(10.0, 0.7)
         pos_b = PolarPosition(14.0, 2.1)
         f = conjugate_focus_beamformer(geom64, pos_a)
@@ -1269,7 +1269,7 @@ class TestNewtonRefine:
     def test_iterates_stay_strictly_inside_the_range_bounds(self, monkeypatch, geom64, d_min):
         # The cost keeps falling toward a minimum inside the array (0.2 m)
         # or beyond d_max_m (700 m); steps toward it are halved at the bound.
-        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         bank = MatchedFilterBank(np.zeros((64, 16), dtype=complex), config,
                                  conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
         seen = record_refinement(monkeypatch)
@@ -1290,7 +1290,7 @@ class TestNewtonRefine:
         # floored |eigenvalue| turns the negative curvature into descent.
         # c = 1e-12 gives the cost the magnitude of this array's costs, so
         # the gradient tolerance means what it means there.
-        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         bank = MatchedFilterBank(np.zeros((64, 16), dtype=complex), config,
                                  conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
         c, s = 1e-12, 1e-3
@@ -1308,7 +1308,7 @@ class TestNewtonRefine:
     def test_a_stationary_saddle_or_maximum_is_not_converged(self, monkeypatch, geom64, curv_d):
         # No step leaves a point with zero gradient, and its Hessian is not
         # positive definite: a saddle (curv_d > 0) or a maximum.
-        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         bank = MatchedFilterBank(np.zeros((64, 16), dtype=complex), config,
                                  conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
         monkeypatch.setattr(
@@ -1422,7 +1422,7 @@ class TestLockStepRefine:
 
 class TestEstimate:
     def test_zero_noise_end_to_end(self, geom64):
-        config = OfdmConfig(128, 14, 480e3, 0.07 / 480e3, 0.1, 0.0, 60e9)
+        config = OfdmConfig(128, 14, 480e3, 0.07 / 480e3, 0.1, 0.0)
         pos = PolarPosition(10.0, 0.7)
         f = conjugate_focus_beamformer(geom64, pos)
         pilots = generate_pilots(config, 21)

@@ -34,7 +34,7 @@ def test_pool_records_equal_serial_records():
     sweep = SweepConfig(
         radii_m=(0.5,),
         distances_m=(10.0, 20.0),
-        ofdm=OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4), 60e9),
+        ofdm=OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4)),
         grid=GridSpec(d_min_m=1.0, d_max_m=40.0, n_basins=4),
         optimizer=OptimizerConfig(max_iters=200),
         trials_per_point=1,
@@ -56,7 +56,7 @@ def test_a_trial_never_builds_the_raw_observation(monkeypatch):
     monkeypatch.setattr(harness, "synthesize_observation", forbidden)
     monkeypatch.setattr(harness, "generate_pilots", forbidden)
     monkeypatch.setattr(estimator, "matched_filter_bank", forbidden)
-    sweep = tiny_sweep(ofdm=OfdmConfig(128, 14, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4), 60e9))
+    sweep = tiny_sweep(ofdm=OfdmConfig(128, 14, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4)))
     record = harness.run_trial(sweep, 0.5, 10.0, 1.1, 7)
     assert math.isfinite(record.d_hat_m) and math.isfinite(record.theta_hat_rad)
     assert record.seed == 7
@@ -79,7 +79,7 @@ def tiny_sweep(**changes):
     sweep = SweepConfig(
         radii_m=(0.5,),
         distances_m=(10.0,),
-        ofdm=OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4), 60e9),
+        ofdm=OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4)),
         grid=GridSpec(d_min_m=1.0, d_max_m=40.0, n_basins=4),
         optimizer=OptimizerConfig(max_iters=200),
         trials_per_point=2,
@@ -197,3 +197,15 @@ def test_crlb_sweep_flags_a_single_element_as_unidentifiable():
         assert all(math.isnan(v) for v in values)
     ok = harness.crlb_sweep(tiny_sweep())
     assert [r.status for r in ok] == ["ok"] and math.isfinite(ok[0].trace)
+
+
+def test_summarize_gives_nan_bounds_for_an_unidentifiable_cell():
+    # The trials run; the cell's bound, at theta = 0 with one element, does
+    # not exist. The summary keeps the row with NaN bounds, as crlb_sweep does.
+    sweep = tiny_sweep(n_a=1, trials_per_point=1, master_seed=3)
+    (row,) = harness.crlb_sweep(sweep)
+    assert row.status == "unidentifiable"
+    records = run_trials(sweep)
+    (point,) = harness.summarize(sweep, records)
+    assert point.n_trials == 1 and math.isfinite(point.rmse_d_m)
+    assert math.isnan(point.crlb_d_m) and math.isnan(point.crlb_theta_rad)

@@ -28,14 +28,13 @@ from conftest import random_unit_vector
 
 
 def phase_factor(config, pilots, n, m, tau0_s):
-    """Single C[n,m] = x[n,m] e^{j 2 pi nu0 n T_o} e^{-j 2 pi m df (T_cp+tau0)}."""
+    """Single C[n,m] = x[n,m] e^{-j 2 pi m df (T_cp+tau0)}."""
     if not 0 <= n < config.n_symbols:
         raise IndexError(f"symbol index {n} out of range [0, {config.n_symbols})")
     if not 0 <= m < config.m_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range [0, {config.m_subcarriers})")
-    doppler = cmath.exp(1j * 2.0 * math.pi * config.nu0_hz * n * config.symbol_duration_s)
     delay = cmath.exp(-1j * 2.0 * math.pi * m * config.delta_f_hz * (config.t_cp_s + tau0_s))
-    return complex(pilots.symbols[n, m]) * doppler * delay
+    return complex(pilots.symbols[n, m]) * delay
 
 
 def orthogonal_beamformer(geom, pos):
@@ -47,20 +46,11 @@ def orthogonal_beamformer(geom, pos):
 
 
 class TestOfdmConfig:
-    def test_cp_and_symbol_durations(self, table1_ofdm):
+    def test_cp_duration(self, table1_ofdm):
         assert table1_ofdm.t_cp_s == pytest.approx(145.833e-9, rel=1e-4)
-        assert table1_ofdm.symbol_duration_s == pytest.approx(2.22917e-6, rel=1e-4)
 
     def test_bandwidth(self, table1_ofdm):
         assert table1_ofdm.bandwidth_hz == pytest.approx(983.04e6, rel=1e-12)
-
-    def test_rejects_excess_doppler(self):
-        with pytest.raises(ValueError):
-            OfdmConfig(8, 2, 480e3, 0.0, 0.1, 1e-9, 60e9, nu0_hz=10e3)
-
-    def test_allows_doppler_within_contract(self):
-        cfg = OfdmConfig(8, 2, 480e3, 0.0, 0.1, 1e-9, 60e9, nu0_hz=4e3)
-        assert cfg.nu0_hz == 4e3
 
 
 class TestGeneratePilots:
@@ -84,14 +74,14 @@ class TestGeneratePilots:
 
 
 class TestPhaseFactor:
-    def test_zero_subcarrier_zero_doppler(self, small_ofdm):
+    def test_zero_subcarrier_keeps_the_pilot(self, small_ofdm):
         pilots = generate_pilots(small_ofdm, 1)
         for n in range(small_ofdm.n_symbols):
             value = phase_factor(small_ofdm, pilots, n, 0, tau0_s=1e-7)
             assert value == pytest.approx(complex(pilots.symbols[n, 0]), rel=1e-15)
 
     def test_all_phases_vanish(self):
-        cfg = OfdmConfig(4, 2, 480e3, 0.0, 0.1, 1e-9, 60e9)
+        cfg = OfdmConfig(4, 2, 480e3, 0.0, 0.1, 1e-9)
         pilots = generate_pilots(cfg, 2)
         for n in range(2):
             for m in range(4):
@@ -114,8 +104,8 @@ class TestPhaseFactor:
         with pytest.raises(IndexError):
             phase_factor(small_ofdm, pilots, 0, small_ofdm.m_subcarriers, 0.0)
 
-    def test_grid_matches_scalar_oracle_with_doppler(self):
-        cfg = OfdmConfig(5, 3, 480e3, 1e-7, 0.1, 1e-9, 60e9, nu0_hz=3e3)
+    def test_grid_matches_scalar_oracle(self):
+        cfg = OfdmConfig(5, 3, 480e3, 1e-7, 0.1, 1e-9)
         pilots = generate_pilots(cfg, 4)
         tau0 = 2.0 * 12.0 / SPEED_OF_LIGHT
         grid = phase_factor_grid(cfg, pilots, tau0)
@@ -148,7 +138,7 @@ class TestNoiselessMean:
         )
 
     def test_hand_expanded_scalar_oracle(self):
-        cfg = OfdmConfig(1, 1, 480e3, 1e-7, 0.25, 0.0, 60e9)
+        cfg = OfdmConfig(1, 1, 480e3, 1e-7, 0.25, 0.0)
         geom = UcaGeometry(2, 0.4, 0.005)
         pos = PolarPosition(6.0, 1.2)
         rng = np.random.default_rng(11)
@@ -205,7 +195,7 @@ class TestSynthesizeObservation:
 
     def test_noise_variance(self):
         # 1e6 samples in one observation: empirical variance within 1%.
-        cfg = OfdmConfig(100, 100, 480e3, 0.0, 0.1, 4e-9, 60e9)
+        cfg = OfdmConfig(100, 100, 480e3, 0.0, 0.1, 4e-9)
         geom = UcaGeometry(100, 0.5, 0.005)
         pos = PolarPosition(10.0, 0.7)
         f = conjugate_focus_beamformer(geom, pos)
@@ -217,7 +207,7 @@ class TestSynthesizeObservation:
 
     def test_noise_whiteness(self):
         # Cross-correlation between two fixed sample slots over many draws.
-        cfg = OfdmConfig(2, 2, 480e3, 0.0, 0.1, 1e-6, 60e9)
+        cfg = OfdmConfig(2, 2, 480e3, 0.0, 0.1, 1e-6)
         geom = UcaGeometry(2, 0.3, 0.005)
         pos = PolarPosition(5.0, 0.1)
         f = conjugate_focus_beamformer(geom, pos)
@@ -228,7 +218,7 @@ class TestSynthesizeObservation:
         # accumulate noise pairs from one synthesized observation per seed is
         # too slow; draw the same distribution directly through the API once
         # with a long N axis instead.
-        cfg_long = OfdmConfig(2, 50_000, 480e3, 0.0, 0.1, 1e-6, 60e9)
+        cfg_long = OfdmConfig(2, 50_000, 480e3, 0.0, 0.1, 1e-6)
         pilots_long = generate_pilots(cfg_long, 62)
         obs = synthesize_observation(geom, pos, f, cfg_long, pilots_long, 63)
         noise = obs.samples - noiseless_mean(geom, pos, f, cfg_long, pilots_long)
@@ -239,8 +229,8 @@ class TestSynthesizeObservation:
         assert len(list(rng_seeds)) == draws and mean.shape == (2, 2, 2)
 
 
-# Bank-law check: n_a = 4, M = 8, N = 3, Doppler 4 kHz (within df / 100).
-LAW_OFDM = OfdmConfig(8, 3, 480e3, 0.07 / 480e3, 0.1, 2e-9, 60e9, nu0_hz=4e3)
+# Bank-law check: n_a = 4, M = 8, N = 3.
+LAW_OFDM = OfdmConfig(8, 3, 480e3, 0.07 / 480e3, 0.1, 2e-9)
 LAW_DRAWS = 4000
 # Every sample statistic must lie within this many of its standard errors.
 LAW_SE_MULTIPLE = 5.0
@@ -304,7 +294,7 @@ def assert_bank_law(draws, mean, variance):
 class TestSynthesizeBank:
     @pytest.mark.parametrize("m, n, n_a", [(8, 3, 4), (2048, 14, 64)])
     def test_zero_noise_equals_the_observation_path(self, m, n, n_a):
-        # Pilots and Doppler drop out: the drawn bank equals the bank of the
+        # Pilots drop out: the drawn bank equals the bank of the
         # noiseless observation whatever the pilots, here and at paper scale.
         cfg = dataclasses.replace(LAW_OFDM, m_subcarriers=m, n_symbols=n, sigma2_w=0.0)
         geom = UcaGeometry(n_a, 0.5, 0.005)
@@ -422,7 +412,7 @@ class TestSnrAndRate:
 
     def test_rate_equals_bandwidth_at_unit_snr(self, geom64, pos10):
         f = conjugate_focus_beamformer(geom64, pos10)
-        base = OfdmConfig(2048, 14, 480e3, 0.0, 0.1, 1e-9, 60e9)
+        base = OfdmConfig(2048, 14, 480e3, 0.0, 0.1, 1e-9)
         snr = ue_received_snr(geom64, pos10, f, base)
         unit_snr_cfg = dataclasses.replace(base, sigma2_w=1e-9 * snr)
         rate = achievable_rate(geom64, pos10, f, unit_snr_cfg)
