@@ -6,8 +6,8 @@ Monte Carlo harness draws it from its law (``signal.synthesize_bank``), and
 ``matched_filter_bank`` collapses the symbol axis of a full observation
 into it. A two-stage grid search (delay compensation per range row,
 then an O(n_a) correlation per angle cell) ranks candidate basins of the
-negative-log-likelihood surface, evaluating only the tiles of range rows
-whose range-profile lower bound could still hold a top basin (an exact
+negative-log-likelihood surface, evaluating only the range rows whose
+range-profile lower bound could still hold a top basin (an exact
 branch-and-bound, see ``coarse_grid_search``). The bound pass reads the
 range profile of a uniform run of range rows off one zero-padded inverse
 FFT of the bank, the OFDM-radar range profile (Sturm & Wiesbeck, Proc.
@@ -38,10 +38,11 @@ The angle grid size must be a multiple of the element count: then every
 element's angular response is a circular shift of one per-row template,
 and on the polyphase lattice (angle index j = p + q*l, q = n_theta / n_a)
 each angle sum is a batch of length-n_a circular correlations, evaluated
-as circulant matmuls. The search streams over tiles of GRID_BLOCK_ROWS
-range rows and keeps a running top list of basins, so its memory is
-O(GRID_BLOCK_ROWS * n_theta) plus one bound per range row and an n_a x K
-range profile, however many range rows the grid has.
+as circulant matmuls. The search skips single range rows and evaluates
+the rest in tiles, runs of at most GRID_BLOCK_ROWS consecutive rows, one
+``_cost_rows`` call each. It keeps a running top list of basins, so its
+memory is O(GRID_BLOCK_ROWS * n_theta) plus one bound per range row and an
+n_a x K range profile, however many range rows the grid has.
 """
 
 from __future__ import annotations
@@ -69,8 +70,14 @@ from .signal import (
 )
 
 TWO_PI = 2.0 * np.pi
-# Range rows per coarse-grid tile, the unit the search evaluates or skips.
+# Most range rows evaluated in one ``_cost_rows`` call (one tile); the search
+# skips single rows, so this only caps a tile's working memory.
 GRID_BLOCK_ROWS = 32
+# Rows on each side of the lowest-bound row in the search's first tile, which
+# holds 2 h + 1 rows clipped to the grid. Its interior minima set the first
+# skip threshold: per large-aperture trial h = 1, 4 and 16 evaluate 85, 73 and
+# 72 rows, per wideband trial 9, 13 and 37.
+SEED_HALF_ROWS = 4
 # Relative slack on the range-profile cost bound, far above the rounding of
 # the computed costs (about n_a * eps relative).
 BOUND_SLACK = 1e-9
@@ -93,8 +100,9 @@ class GridSpec:
     misses close-in peaks or wastes rows far out). ``n_theta`` must be a
     multiple of the element count of the array searched:
     ``coarse_grid_search`` evaluates the angles as n_theta / n_a polyphase
-    components of n_a angles each, streaming over blocks of range rows,
-    and raises ValueError otherwise.
+    components of n_a angles each, in tiles of at most GRID_BLOCK_ROWS
+    range rows, and raises ValueError otherwise. ``n_basins`` also sets
+    the search's skip threshold, the last basin of its running list.
     """
 
     d_min_m: float
@@ -419,18 +427,30 @@ def _circulants(v: np.ndarray) -> np.ndarray:
     return np.concatenate([windows[..., n:0:-1, :], windows[..., 1 : n + 1, :]], axis=-1)
 
 
+def _row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D ``a``, each row's bits the same however many rows ``a`` has.
+
+    numpy hands a one-row product to gemv, whose sums round unlike gemm's
+    (about 1e-16 relative); a doubled row keeps it on gemm.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def _collapse_rows(
     config: OfdmConfig, bank: MatchedFilterBank, d_values: np.ndarray
 ) -> np.ndarray:
     """Delay-compensated bank c_k(d) per range row, shape (rows, n_a).
 
-    c_k(d) = sum_m e^{+j 2 pi m df (Tcp + 2d/c)} Z[k, m]; a tile's rows come
-    out bit for bit the same whichever caller collapses them.
+    c_k(d) = sum_m e^{+j 2 pi m df (Tcp + 2d/c)} Z[k, m]; a row comes out
+    bit for bit the same whichever caller collapses it, with whichever
+    other rows.
     """
     tau = 2.0 * d_values[:, None] / SPEED_OF_LIGHT
     m = np.arange(config.m_subcarriers)
     delay_comp = _phasor(TWO_PI * m[None, :] * config.delta_f_hz * (config.t_cp_s + tau))
-    return delay_comp @ bank.aggregates.T
+    return _row_matmul(delay_comp, bank.aggregates.T)
 
 
 def _uniform_runs(config: OfdmConfig, d_values: np.ndarray) -> list[tuple[int, int, int]]:
@@ -570,7 +590,9 @@ def _cost_rows(
     a_u = _phasor(TWO_PI * (d - rho) / geom.wavelength_m)
     ga_u = a_u * (geom.wavelength_m / (4.0 * np.pi) / rho)
     inv_sum = (1.0 / rho**2).sum(axis=2)[:, :, None]
-    beta = a_u.reshape(rows * half, n_a) @ _circulants(bank.beamformer / np.sqrt(n_a))
+    beta = _row_matmul(
+        a_u.reshape(rows * half, n_a), _circulants(bank.beamformer / np.sqrt(n_a))
+    )
     beta = beta.reshape(rows, half, 2 * n_a)
     data_sum = ga_u @ _circulants(np.conj(collapsed) / np.sqrt(n_a))
 
@@ -593,17 +615,25 @@ def _cost_rows(
 
 
 def _row_min(costs: np.ndarray) -> np.ndarray:
-    """Min over each cell and its two angular neighbours; angles wrap."""
-    out = np.minimum(np.roll(costs, 1, axis=1), np.roll(costs, -1, axis=1))
+    """Min over each cell and its two angular neighbours; angles wrap.
+
+    Both neighbours are slices of one copy padded by the wrapped angle on
+    each side.
+    """
+    padded = np.empty((costs.shape[0], costs.shape[1] + 2))
+    padded[:, 1:-1] = costs
+    padded[:, 0] = costs[:, -1]
+    padded[:, -1] = costs[:, 0]
+    out = np.minimum(padded[:, :-2], padded[:, 2:])
     return np.minimum(out, costs, out=out)
 
 
 @dataclass(frozen=True)
 class _TileEdges:
-    """First and last rows of an evaluated tile, awaiting the tiles around it.
+    """First and last rows of an evaluated tile, awaiting the rows around it.
 
     A cell's 3x3 neighbourhood lies inside its tile except on these rows,
-    so their minima are settled once the neighbouring tiles are known. The
+    so their minima are settled once the neighbouring rows are known. The
     whole tile's costs are held until then, as the unpruned search held
     them: copying out the two rows instead let the allocator hand the
     tile's working memory back to the system after every tile, and at
@@ -626,13 +656,16 @@ def _tile_minima(start: int, costs: np.ndarray) -> tuple[tuple, _TileEdges]:
     angle indices) and are final.
     """
     row_min = _row_min(costs)
-    neigh = row_min.copy()
-    np.minimum(neigh[1:], row_min[:-1], out=neigh[1:])
-    np.minimum(neigh[:-1], row_min[1:], out=neigh[:-1])
+    neigh = np.minimum(row_min[:-2], row_min[2:])
+    np.minimum(neigh, row_min[1:-1], out=neigh)
     inner = costs[1:-1]
-    d_idx, t_idx = np.nonzero(inner <= neigh[1:-1])
-    edge = np.array(sorted({0, costs.shape[0] - 1}))
-    edges = _TileEdges(start, edge, costs, neigh[edge], row_min[[0, -1]])
+    # flatnonzero and divmod give nonzero's indices several times faster.
+    d_idx, t_idx = np.divmod(np.flatnonzero(inner <= neigh), costs.shape[1])
+    last = costs.shape[0] - 1
+    edge = np.array(sorted({0, last}))
+    edge_neigh = np.minimum(row_min[np.maximum(edge - 1, 0)], row_min[np.minimum(edge + 1, last)])
+    np.minimum(edge_neigh, row_min[edge], out=edge_neigh)
+    edges = _TileEdges(start, edge, costs, edge_neigh, row_min[[0, -1]])
     return (inner[d_idx, t_idx], d_idx + start + 1, t_idx), edges
 
 
@@ -654,6 +687,12 @@ def _edge_minima(
     return costs[r_idx, t_idx], edges.rows[r_idx] + edges.start, t_idx
 
 
+def _run_length(flags: np.ndarray) -> int:
+    """Length of the leading run of equal values in a non-empty boolean array."""
+    changes = np.flatnonzero(flags != flags[0])
+    return int(changes[0]) if changes.size else flags.size
+
+
 def coarse_grid_search(
     bank: MatchedFilterBank, geom: UcaGeometry, spec: GridSpec
 ) -> list[GridBasin]:
@@ -662,9 +701,8 @@ def coarse_grid_search(
     The bank is the data, and its ``config`` and ``beamformer`` interpret
     it. Returns at most ``spec.n_basins`` basins; ties break on the lowest
     (range index, angle index) pair so the output is deterministic. It is
-    a branch-and-bound over tiles of GRID_BLOCK_ROWS range rows that skips
-    every tile which cannot hold a top basin, so it returns exactly the
-    basins of the full surface.
+    a branch-and-bound over range rows that skips every row which cannot
+    hold a top basin, so it returns exactly the basins of the full surface.
 
     Bound. A row's cost is L = s |beta|^2 S - 2 Re{beta D} with
     S = sum_k 1/rho_k^2 and D = sum_k (lambda / (4 pi rho_k)) a_k conj(c_k)
@@ -679,8 +717,8 @@ def coarse_grid_search(
     when |beta| <= 2 |beta*|, and far below L - b otherwise.
     ``_row_bounds`` therefore scales b by 1 + BOUND_SLACK (1e-9).
 
-    FFT rows. The costs of an evaluated tile use the rows ``_collapse_rows``
-    gives. On a uniform run of rows c / (2 df K) apart (the delay-limited
+    FFT rows. The costs of an evaluated row use the collapse
+    ``_collapse_rows`` gives. On a uniform run of rows c / (2 df K) apart (the delay-limited
     rows of ``harness.adaptive_d_nodes``, K = 3M) the profile instead comes
     from one zero-padded K-point inverse FFT, ``_row_norms``, whose result
     ||c^|| differs from the direct ||c|| by at most an absolute margin
@@ -692,39 +730,41 @@ def coarse_grid_search(
     / (n_a s), which lies at or below the direct bound; on the adaptive
     grids it is at most a few 1e-7 (relative) looser.
 
-    Search. Every tile's bound is the min of b over its rows, all rows
-    bounded in one ``_row_bounds`` call. The tile with the lowest
-    bound is evaluated first: its interior rows' minima are final, since
-    their neighbourhoods lie inside it, and seed the running top list.
-    Then the tiles are streamed in row order. A tile is skipped iff the
-    list already holds ``n_basins`` minima and the tile's bound exceeds
-    the last of them, T; a skipped tile acts as the grid edge for its
+    Search. All rows are bounded in one ``_row_bounds`` call. A tile is
+    a run of consecutive rows evaluated in one ``_cost_rows`` call, at
+    most GRID_BLOCK_ROWS of them; its interior rows' minima are final at
+    once, since their neighbourhoods lie inside it. The first tile is the
+    seed window, the SEED_HALF_ROWS rows on each side of the lowest-bound
+    row and that row, clipped to the grid (split into tiles if wider than
+    GRID_BLOCK_ROWS); its minima seed the running top list. Then the rows
+    are streamed in order. A row is skipped iff the list already holds
+    ``n_basins`` minima and the row's bound exceeds the last of them, T.
+    Each run of rows that are not skipped is evaluated in tiles that never
+    cross the seed window; T may tighten inside a tile, which is still
+    evaluated whole. A skipped row acts as the grid edge for its
     neighbours' halo. An evaluated tile's interior minima join the list at
-    once, and its edge rows once the tiles around it are known.
+    once, and its edge rows once the rows around it are known.
 
     Exactness. Let V be the full surface's ``n_basins``-th basin value
     (infinite if it has fewer minima). The list holds true minima, and
-    next to a skipped tile possibly edge cells whose lower neighbour was
+    next to a skipped row possibly edge cells whose lower neighbour was
     skipped; such a cell costs more than that neighbour, hence more than
     the T of the skip. By induction T never drops below V. Every cell of a
-    skipped tile costs more than T >= V: it cannot rank, and it cannot be
+    skipped row costs more than T >= V: it cannot rank, and it cannot be
     the lower neighbour of a cell costing at most V. Cells costing at most
     V are thus classified as on the full surface, with the same costs
-    (each tile is evaluated as before), and the merged output and its
-    lexsort((t, d, value)) tie order are those of the full search. Memory
-    is the costs of the tile being evaluated, of the tile awaiting its
-    lower halo and of the seed tile, plus one bound per row and the n_a x K
-    range profile of the bound pass.
+    (a row's costs do not depend on the tile it is evaluated in: see
+    ``_row_matmul``), and
+    the merged output and its lexsort((t, d, value)) tie order are those
+    of the full search. Memory is the costs of the tile being evaluated,
+    of the tile awaiting its lower halo and of the seed window, plus one
+    bound per row and the n_a x K range profile of the bound pass.
     """
     d_values = spec.d_values()
     theta_values = spec.theta_values()
+    n_rows = d_values.size
     n_basins = spec.n_basins
-    tiles = [
-        slice(start, start + GRID_BLOCK_ROWS)
-        for start in range(0, d_values.size, GRID_BLOCK_ROWS)
-    ]
     row_bounds = _row_bounds(bank, geom, d_values)
-    bounds = [row_bounds[tile].min() for tile in tiles]
     best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
     def merge(found):
@@ -735,29 +775,42 @@ def coarse_grid_search(
         order = np.lexsort((t_idx, d_idx, values))[:n_basins]
         return values[order], d_idx[order], t_idx[order]
 
-    def evaluate(tile: slice) -> _TileEdges:
+    def evaluate(start: int, stop: int) -> _TileEdges:
         nonlocal best
-        costs = _cost_rows(bank, geom, d_values[tile], theta_values)
-        interior, edges = _tile_minima(tile.start, costs)
+        costs = _cost_rows(bank, geom, d_values[start:stop], theta_values)
+        interior, edges = _tile_minima(start, costs)
         best = merge(interior)
         return edges
 
-    seed = int(np.argmin(bounds))
-    seed_edges = evaluate(tiles[seed])
-    pending = None  # edges of the previous tile; None if it was skipped
+    seed = int(np.argmin(row_bounds))
+    lo = max(seed - SEED_HALF_ROWS, 0)
+    hi = min(seed + SEED_HALF_ROWS + 1, n_rows)
+    held = {
+        start: evaluate(start, min(start + GRID_BLOCK_ROWS, hi))
+        for start in range(lo, hi, GRID_BLOCK_ROWS)
+    }
+    pending = None  # edges of the previous tile; None if its rows were skipped
     above = None  # halo of the row just above the pending tile
-    for index, tile in enumerate(tiles):
-        if index == seed:
-            edges = seed_edges
-        elif best[0].size == n_basins and bounds[index] > best[0][-1]:
-            edges = None
+    row = 0
+    while row < n_rows:
+        if row in held:
+            edges = held.pop(row)
+            stop = row + edges.costs.shape[0]
         else:
-            edges = evaluate(tile)
+            threshold = best[0][-1] if best[0].size == n_basins else np.inf
+            ruled_out = row_bounds[row : lo if row < lo else n_rows] > threshold
+            if ruled_out[0]:
+                edges = None
+                stop = row + _run_length(ruled_out)
+            else:
+                stop = row + _run_length(ruled_out[:GRID_BLOCK_ROWS])
+                edges = evaluate(row, stop)
         if pending is not None:
             below = None if edges is None else edges.halo[0]
             best = merge(_edge_minima(pending, above, below))
         above = None if pending is None else pending.halo[1]
         pending = edges
+        row = stop
     if pending is not None:
         best = merge(_edge_minima(pending, above, None))
 

@@ -820,6 +820,21 @@ class TestStreamedGridSearch:
         want = assert_matches_oracle(obs, geom, spec)
         assert len(want) < spec.n_basins
 
+    @pytest.mark.parametrize("n_theta", [64, 8])
+    def test_a_rows_costs_do_not_depend_on_its_tile(self, n_theta):
+        # The search evaluates rows in tiles of any size from 1 row up, so a
+        # row must cost the same, bit for bit, in every tile. n_theta = n_a
+        # makes the steering product of a one-row tile a single row too.
+        geom, obs = strong_target(128, 40.0, 2.0)
+        bank = matched_filter_bank(obs)
+        d_values = np.linspace(30.0, 50.0, GRID_BLOCK_ROWS)
+        theta_values = 2 * math.pi * np.arange(n_theta) / n_theta
+        whole = _cost_rows_fft(bank, geom, d_values, theta_values)
+        for size in (1, 2, 3, 9):
+            for start in range(0, d_values.size - size + 1, 5):
+                part = _cost_rows_fft(bank, geom, d_values[start : start + size], theta_values)
+                np.testing.assert_array_equal(part, whole[start : start + size])
+
     def test_angle_count_must_be_a_multiple_of_the_elements(self):
         rng = np.random.default_rng(62)
         config, geom, pos, f, obs = small_observation(rng, n_a=8)
@@ -995,17 +1010,35 @@ class TestFftRangeProfileBound:
         )
 
 
-def count_tiles(monkeypatch):
-    """First range index of every tile the search evaluates, in call order."""
-    starts = []
+def count_rows(monkeypatch, spec):
+    """(first, stop) grid rows of every ``_cost_rows`` call the search makes, in call order."""
+    calls = []
     real = estimator_module._cost_rows
+    d_all = spec.d_values()
 
     def counting(bank, geom, d_values, theta_values):
-        starts.append(float(d_values[0]))
+        first = int(np.searchsorted(d_all, d_values[0]))
+        calls.append((first, first + d_values.size))
         return real(bank, geom, d_values, theta_values)
 
     monkeypatch.setattr(estimator_module, "_cost_rows", counting)
-    return starts
+    return calls
+
+
+def evaluated_rows(calls):
+    """Every grid row the calls evaluated, sorted, repeats kept."""
+    return sorted(row for first, stop in calls for row in range(first, stop))
+
+
+def seed_tiles(row, n_d, rows=GRID_BLOCK_ROWS):
+    """The tiles the search evaluates first, as (first, stop) rows.
+
+    They cut the window of SEED_HALF_ROWS rows either side of ``row``,
+    clipped to the grid, into tiles of at most ``rows`` rows.
+    """
+    half = estimator_module.SEED_HALF_ROWS
+    first, stop = max(row - half, 0), min(row + half + 1, n_d)
+    return [(start, min(start + rows, stop)) for start in range(first, stop, rows)]
 
 
 def strong_target(m, d, theta, sigma2=1e-13):
@@ -1022,72 +1055,102 @@ def search_surface(monkeypatch, surface, rows, n_basins):
     """Run the search on a given cost surface whose row bounds are the row minima.
 
     The tightest valid bound tests the skip logic alone; the result must be
-    the full-surface selection. Returns it as (range index, angle index, cost).
+    the full-surface selection. Returns it as (range index, angle index,
+    cost), and the (first, stop) rows of every evaluation in call order.
     """
     spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=surface.shape[0],
                     n_theta=surface.shape[1], n_basins=n_basins)
     d_all = spec.d_values()
+    calls = []
 
     def tile(d_values):
         start = int(np.searchsorted(d_all, d_values[0]))
         return surface[start : start + d_values.size]
 
+    def cost_rows(bank, geom, d_values, theta_values):
+        first = int(np.searchsorted(d_all, d_values[0]))
+        calls.append((first, first + d_values.size))
+        return tile(d_values).copy()
+
     monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
     monkeypatch.setattr(estimator_module, "_row_bounds", lambda b, g, d: tile(d).min(axis=1))
-    monkeypatch.setattr(estimator_module, "_cost_rows", lambda b, g, d, t: tile(d).copy())
+    monkeypatch.setattr(estimator_module, "_cost_rows", cost_rows)
     got = coarse_grid_search(None, None, spec)
     d_idx, t_idx = np.nonzero(_local_minima(surface))
     values = surface[d_idx, t_idx]
     order = np.lexsort((t_idx, d_idx, values))[:n_basins]
     want = [(int(d_idx[i]), int(t_idx[i]), float(values[i])) for i in order]
     assert [(b.d_index, b.theta_index, b.cost) for b in got] == want
-    return want
+    return want, calls
 
 
 class TestPrunedGridSearch:
-    """Tiles the range-profile bound rules out are skipped; basins stay exact."""
+    """Rows the range-profile bound rules out are skipped; basins stay exact.
+
+    The search evaluates the window of rows around the lowest-bound row
+    first, then every other row whose bound does not exceed the running
+    threshold, in tiles of at most GRID_BLOCK_ROWS consecutive rows.
+    """
 
     # 300 rows: 10 tiles of GRID_BLOCK_ROWS = 32.
     SPEC = GridSpec(d_min_m=5.0, d_max_m=100.0, n_d=300, n_theta=64, n_basins=15)
 
-    def n_tiles(self, spec):
-        return -(-spec.n_d // estimator_module.GRID_BLOCK_ROWS)
+    def lowest_bound_row(self, obs, geom, spec):
+        bounds = _row_bounds(matched_filter_bank(obs), geom, spec.d_values())
+        return int(np.argmin(bounds))
 
-    def test_high_snr_skips_tiles_and_matches_the_full_surface(self, monkeypatch):
+    def test_high_snr_skips_rows_and_matches_the_full_surface(self, monkeypatch):
+        # The tile-granular search evaluated the whole 32-row tile around the
+        # target here; the row-granular one needs the seed window and 2 rows.
         geom, obs = strong_target(128, 40.0, 2.0)
-        starts = count_tiles(monkeypatch)
+        calls = count_rows(monkeypatch, self.SPEC)
         assert_matches_oracle(obs, geom, self.SPEC)
-        assert self.n_tiles(self.SPEC) >= 8
-        assert len(starts) < self.n_tiles(self.SPEC) / 2
+        rows = evaluated_rows(calls)
+        assert len(rows) == len(set(rows))
+        assert len(rows) < GRID_BLOCK_ROWS
+        assert all(stop - first <= GRID_BLOCK_ROWS for first, stop in calls)
 
     def test_target_in_the_last_tile(self, monkeypatch):
-        # The seed tile is the last one, so the stream starts far from it.
+        # The lowest-bound row lies near the grid's end, so the stream starts
+        # far from the seed window, which is evaluated first.
         geom, obs = strong_target(128, 98.0, 2.0)
-        starts = count_tiles(monkeypatch)
+        seed = self.lowest_bound_row(obs, geom, self.SPEC)
+        calls = count_rows(monkeypatch, self.SPEC)
         want = assert_matches_oracle(obs, geom, self.SPEC)
-        last = (self.n_tiles(self.SPEC) - 1) * GRID_BLOCK_ROWS
-        assert starts[0] == self.SPEC.d_values()[last]
-        assert want[0][0] >= last
-        assert len(starts) < self.n_tiles(self.SPEC)
+        last = (-(-self.SPEC.n_d // GRID_BLOCK_ROWS) - 1) * GRID_BLOCK_ROWS
+        assert seed >= last
+        assert calls[:1] == seed_tiles(seed, self.SPEC.n_d)
+        first, stop = calls[0]
+        assert first <= want[0][0] < stop
+        rows = evaluated_rows(calls)
+        assert len(rows) == len(set(rows))
+        assert len(rows) < GRID_BLOCK_ROWS
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5])
     def test_small_tiles(self, monkeypatch, rows):
         # One- and two-row tiles have no interior: every minimum waits on
-        # the tiles around it.
+        # the tiles around it. A seed window wider than a tile is evaluated
+        # in tiles of its own, before any other row.
         monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
         geom, obs = strong_target(128, 40.0, 2.0)
         spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=61, n_theta=64, n_basins=15)
-        starts = count_tiles(monkeypatch)
+        tiles = seed_tiles(self.lowest_bound_row(obs, geom, spec), spec.n_d, rows)
+        calls = count_rows(monkeypatch, spec)
         assert_matches_oracle(obs, geom, spec)
-        assert len(starts) < self.n_tiles(spec)
+        assert calls[: len(tiles)] == tiles
+        evaluated = evaluated_rows(calls)
+        assert len(evaluated) == len(set(evaluated))
+        assert len(evaluated) < spec.n_d
 
-    def test_noise_only_observation(self, monkeypatch):
+    def test_noise_only_observation_evaluates_every_row_once(self, monkeypatch):
         rng = np.random.default_rng(91)
         geom, obs = strong_target(128, 40.0, 2.0)
         noise = rng.normal(size=obs.samples.shape) + 1j * rng.normal(size=obs.samples.shape)
         obs = dataclasses.replace(obs, samples=1e-6 * noise)
-        count_tiles(monkeypatch)
+        calls = count_rows(monkeypatch, self.SPEC)
         assert_matches_oracle(obs, geom, self.SPEC)
+        assert evaluated_rows(calls) == list(range(self.SPEC.n_d))
+        assert all(stop - first <= GRID_BLOCK_ROWS for first, stop in calls)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 32])
     @pytest.mark.parametrize("seed", range(8))
@@ -1100,30 +1163,80 @@ class TestPrunedGridSearch:
         search_surface(monkeypatch, surface, rows, n_basins=6)
 
     def test_seed_edge_rows_wait_for_their_neighbours(self, monkeypatch):
-        # Tiles of 4 rows. The seed tile (rows 4-7, a well of -20) has a
-        # first row lying just above a valley in row 3, so each of its
-        # row-local minima would look like a basin at about -11 without
-        # the tile above. The third basin, a well of -9 in the last tile,
-        # ranks only if those do not set the threshold.
+        # Tiles of 4 rows. The seed window (rows 4-12 around a well of -20
+        # in row 8, evaluated as tiles 4-7, 8-11 and 12) has a first row
+        # lying just below a valley in row 3, so each row-local minimum of
+        # row 4 would look like a basin at about -11 without the row above.
+        # The third basin, a well of -9 in row 14, ranks only if those do
+        # not set the threshold.
         rng = np.random.default_rng(110)
-        surface = rng.uniform(0.0, 1.0, size=(12, 16))
+        surface = rng.uniform(0.0, 1.0, size=(16, 16))
         j = np.arange(16)
         surface[3] = -12.0 + 0.1 * np.minimum(abs(j - 5), 16 - abs(j - 5))
         surface[4] = surface[3] + 0.5 + 0.3 * (j % 2)
-        surface[6, 9] = -20.0
-        surface[9, 2] = -9.0
-        want = search_surface(monkeypatch, surface, 4, n_basins=3)
-        assert [(d, t) for d, t, _ in want] == [(6, 9), (3, 5), (9, 2)]
+        surface[8, 9] = -20.0
+        surface[14, 2] = -9.0
+        want, calls = search_surface(monkeypatch, surface, 4, n_basins=3)
+        assert calls[:3] == [(4, 8), (8, 12), (12, 13)]
+        assert [(d, t) for d, t, _ in want] == [(8, 9), (3, 5), (14, 2)]
 
-    def test_budget_larger_than_the_minima_evaluates_every_tile(self, monkeypatch):
+    def test_a_skipped_row_inside_a_stretch_clips_both_neighbours(self, monkeypatch):
+        # Twenty rows of 16 angles, three basins. The seed window is rows
+        # 0-5 around a well of -40 in row 1; its wells of -15 and -14 set the
+        # threshold to -14. Every later row reaches -14 or below except row
+        # 12, which costs 100 or more: it is skipped and splits the stretch
+        # 6-19 into tiles 6-11 and 13-19. Row 11 lies at -30 everywhere, so
+        # the well of -25 in row 13 is a basin only if row 11 is not taken
+        # for its upper neighbour.
+        rng = np.random.default_rng(111)
+        surface = rng.uniform(0.0, 1.0, size=(20, 16))
+        j = np.arange(16)
+        surface[1, 3] = -40.0
+        surface[3, 10] = -15.0
+        surface[4, 5] = -14.0
+        for row, col in zip(range(6, 11), (0, 4, 8, 12, 2)):
+            surface[row, col] = -14.0
+        surface[11] = -30.0 + 0.1 * np.minimum(abs(j - 9), 16 - abs(j - 9))
+        surface[12] += 100.0
+        surface[13, 7] = -25.0
+        for row, col in zip(range(14, 20), (0, 4, 8, 12, 1, 5)):
+            surface[row, col] = -16.0
+        want, calls = search_surface(monkeypatch, surface, 32, n_basins=3)
+        assert [(d, t) for d, t, _ in want] == [(1, 3), (11, 9), (13, 7)]
+        assert calls == [(0, 6), (6, 12), (13, 20)]
+
+    @pytest.mark.parametrize("rows", [2, 32])
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_lowest_bound_row_on_a_grid_edge_clips_the_seed_window(
+        self, monkeypatch, at_end, rows
+    ):
+        # The deepest well lies on the first (last) row, so the seed window
+        # keeps only the SEED_HALF_ROWS rows on the grid's side of it.
+        rng = np.random.default_rng(112 + at_end)
+        surface = rng.uniform(0.0, 1.0, size=(40, 16))
+        row = surface.shape[0] - 1 if at_end else 0
+        surface[row, 6] = -30.0
+        surface[20, 11] = -10.0
+        want, calls = search_surface(monkeypatch, surface, rows, n_basins=4)
+        tiles = seed_tiles(row, surface.shape[0], rows)
+        assert tiles[-1][1] - tiles[0][0] == estimator_module.SEED_HALF_ROWS + 1
+        assert calls[: len(tiles)] == tiles
+        assert want[0][:2] == (row, 6)
+        rows_seen = evaluated_rows(calls)
+        assert len(rows_seen) == len(set(rows_seen))
+
+    def test_budget_larger_than_the_minima_evaluates_every_row_once(self, monkeypatch):
         # The running list never fills, so the threshold stays infinite.
         monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", 4)
         geom, obs = strong_target(128, 40.0, 2.0)
         spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=40, n_theta=16, n_basins=640)
-        starts = count_tiles(monkeypatch)
+        tiles = seed_tiles(self.lowest_bound_row(obs, geom, spec), spec.n_d, 4)
+        calls = count_rows(monkeypatch, spec)
         want = assert_matches_oracle(obs, geom, spec)
         assert len(want) < spec.n_basins
-        assert len(starts) == self.n_tiles(spec)
+        assert evaluated_rows(calls) == list(range(spec.n_d))
+        assert calls[: len(tiles)] == tiles
+        assert all(stop - first <= 4 for first, stop in calls)
 
 
 class TestLmRefine:
