@@ -7,26 +7,30 @@ Monte Carlo harness draws it from its law (``signal.synthesize_bank``), and
 into it. A two-stage grid search (delay compensation per range row,
 then an O(n_a) correlation per angle cell) ranks candidate basins of the
 negative-log-likelihood surface, evaluating only the range rows whose
-range-profile lower bound could still hold a top basin (an exact
-branch-and-bound, see ``coarse_grid_search``). The bound pass reads the
-range profile of a uniform run of range rows off one zero-padded inverse
-FFT of the bank, the OFDM-radar range profile (Sturm & Wiesbeck, Proc.
-IEEE 99(7), 2011), and collapses only the other rows directly
-(``_row_norms``). From each of the best basins' grid nodes, damped Newton
-iterations on the cost itself (``lm_refine``), with its exact gradient and
-Hessian, delay ramp included, find the basin's minimum; the lowest final
-cost wins. The basins are refined in lock-step: each step evaluates the
-pending candidates of every run still going in one batch, and the
-winner is picked inside ``lm_refine``. A candidate's values do not depend
-on its batch, so this gives what refining each basin alone would, bit
-for bit. Off the grid, every cost, xi and cost derivative comes
-from one candidate evaluator, ``_evaluate``, which takes a batch of
-(range, angle) candidates as (n, n_a) arrays and collapses the bank over
-the subcarriers once per distinct range in the batch. ``cost`` and ``xi``
-are its one-candidate views; the windowed scans of ``polish_basin`` are no
-longer on the estimation path. The bank is the only data argument of the
-grid search, the refinement, ``_evaluate``, ``cost`` and ``xi``: it
-carries the ``config`` and ``beamformer`` that interpret it.
+range-profile lower bound could still hold a top basin and, scaled by
+INCUMBENT_KAPPA over the row's range interval, could still beat the best
+cell found so far (a branch-and-bound, see ``coarse_grid_search``: the
+basins it returns that cost at most G* / INCUMBENT_KAPPA, G* the surface
+minimum, are exactly the full surface's, the best one first). The bound
+pass reads the range profile of a uniform run of range rows off one
+zero-padded inverse FFT of the bank, the OFDM-radar range profile (Sturm &
+Wiesbeck, Proc. IEEE 99(7), 2011), and collapses only the other rows
+directly (``_row_norms``). From each of the best basins' grid nodes,
+damped Newton iterations on the cost itself (``lm_refine``), with its
+exact gradient and Hessian, delay ramp included, find the basin's minimum;
+the lowest final cost wins. The basins are refined in lock-step: each
+step evaluates the pending candidates of every run still going in one
+batch, and the winner is picked inside ``lm_refine``. A candidate's
+values do not depend on its batch, so this gives what refining each basin
+alone would, bit for bit. Off the grid, every cost, xi and cost
+derivative comes from one candidate evaluator, ``_evaluate``, which takes
+a batch of (range, angle) candidates as (n, n_a) arrays and collapses the
+bank over the subcarriers once per distinct range in the batch. ``cost``
+and ``xi`` are its one-candidate views; the windowed scans of
+``polish_basin`` are no longer on the estimation path. The bank is the
+only data argument of the grid search, the refinement, ``_evaluate``,
+``cost`` and ``xi``: it carries the ``config`` and ``beamformer`` that
+interpret it.
 
 Cost factorization, for candidate (d, theta) with xi_k the delay- and
 pilot-compensated correlation at element k:
@@ -41,7 +45,7 @@ each angle sum is a batch of length-n_a circular correlations, evaluated
 as circulant matmuls. The search skips single range rows and evaluates
 the rest in tiles, runs of at most GRID_BLOCK_ROWS consecutive rows, one
 ``_cost_rows`` call each. It keeps a running top list of basins, so its
-memory is O(GRID_BLOCK_ROWS * n_theta) plus one bound per range row and an
+memory is O(GRID_BLOCK_ROWS * n_theta) plus two bounds per range row and an
 n_a x K range profile, however many range rows the grid has.
 """
 
@@ -75,12 +79,24 @@ TWO_PI = 2.0 * np.pi
 GRID_BLOCK_ROWS = 32
 # Rows on each side of the lowest-bound row in the search's first tile, which
 # holds 2 h + 1 rows clipped to the grid. Its interior minima set the first
-# skip threshold: per large-aperture trial h = 1, 4 and 16 evaluate 85, 73 and
-# 72 rows, per wideband trial 9, 13 and 37.
+# skip thresholds, the last of them T and the lowest the incumbent G: per
+# large-aperture trial h = 1, 4 and 16 evaluate 72, 67 and 67 rows, per
+# wideband trial 9, 13 and 37.
 SEED_HALF_ROWS = 4
 # Relative slack on the range-profile cost bound, far above the rounding of
 # the computed costs (about n_a * eps relative).
 BOUND_SLACK = 1e-9
+# Most the range profile ||c(d)||^2 may rise between two grid rows above the
+# larger of its two row samples; the incumbent rule of ``coarse_grid_search``
+# skips a row whose interval bound, times this, exceeds the best cell found.
+# Basis (sampled, not proven): a single target's profile is a Dirichlet
+# kernel, and sampled at 3 rows per delay lobe (the delay-limited rows of
+# ``harness.adaptive_d_nodes``; the curvature-limited rows are denser) it
+# rises between rows by at most 1 / sinc^2(1/6) = 1.10 in the main lobe and
+# at most sec^2(pi/6) = 4/3 on the sidelobes. No constant holds for every
+# bank: a trigonometric polynomial can vanish at both ends of a gap and not
+# between them.
+INCUMBENT_KAPPA = 2.0
 # Relative tolerance for a range step to count as c / (2 df K): far above the
 # rounding of summed nodes (about 1e-12), far below any distinct step.
 RUN_STEP_TOL = 1e-9
@@ -101,8 +117,11 @@ class GridSpec:
     multiple of the element count of the array searched:
     ``coarse_grid_search`` evaluates the angles as n_theta / n_a polyphase
     components of n_a angles each, in tiles of at most GRID_BLOCK_ROWS
-    range rows, and raises ValueError otherwise. ``n_basins`` also sets
-    the search's skip threshold, the last basin of its running list.
+    range rows, and raises ValueError otherwise. ``n_basins`` caps the
+    search's output and sets one of its two skip thresholds, the last basin
+    of its running list; the other is the list's first, the incumbent. The
+    search may return fewer than ``n_basins`` basins: below the top ones it
+    drops the basins of rows the incumbent rules out.
     """
 
     d_min_m: float
@@ -702,7 +721,11 @@ def coarse_grid_search(
     it. Returns at most ``spec.n_basins`` basins; ties break on the lowest
     (range index, angle index) pair so the output is deterministic. It is
     a branch-and-bound over range rows that skips every row which cannot
-    hold a top basin, so it returns exactly the basins of the full surface.
+    hold a top basin, or whose range interval cannot beat the best cell
+    found so far. Its entries that cost at most G* / INCUMBENT_KAPPA (G*
+    the surface minimum) are exactly the full search's, in its order, ahead
+    of the rest, and the full search's best basin always comes first; see
+    Exactness for the rest.
 
     Bound. A row's cost is L = s |beta|^2 S - 2 Re{beta D} with
     S = sum_k 1/rho_k^2 and D = sum_k (lambda / (4 pi rho_k)) a_k conj(c_k)
@@ -737,34 +760,70 @@ def coarse_grid_search(
     seed window, the SEED_HALF_ROWS rows on each side of the lowest-bound
     row and that row, clipped to the grid (split into tiles if wider than
     GRID_BLOCK_ROWS); its minima seed the running top list. Then the rows
-    are streamed in order. A row is skipped iff the list already holds
-    ``n_basins`` minima and the row's bound exceeds the last of them, T.
-    Each run of rows that are not skipped is evaluated in tiles that never
-    cross the seed window; T may tighten inside a tile, which is still
-    evaluated whole. A skipped row acts as the grid edge for its
+    are streamed in order. A row i is skipped iff its bound exceeds T, the
+    list's last entry once it holds ``n_basins`` minima (infinite before),
+    or kappa b~(i) > G, the incumbent rule: G is the list's first entry,
+    kappa = INCUMBENT_KAPPA, and b~(i) = min(b(i - 1), b(i), b(i + 1)) (one
+    neighbour at a grid edge) bounds the row's range interval on both
+    sides. Since b <= 0, the incumbent rule never fires while G >= 0, nor
+    at kappa = inf; a row whose b~ is not negative, which the program's
+    bounds never give, is not ruled out by it. Each run of rows that are
+    not skipped is evaluated in tiles that never cross the seed window; T
+    and G may tighten inside a tile, which is still evaluated whole.
+    Nothing is evaluated across a run of skipped rows, so T and G hold
+    still there, and its end is found in windows of doubling size: O(run)
+    work, not O(rows left). A skipped row acts as the grid edge for its
     neighbours' halo. An evaluated tile's interior minima join the list at
     once, and its edge rows once the rows around it are known.
 
-    Exactness. Let V be the full surface's ``n_basins``-th basin value
-    (infinite if it has fewer minima). The list holds true minima, and
-    next to a skipped row possibly edge cells whose lower neighbour was
-    skipped; such a cell costs more than that neighbour, hence more than
-    the T of the skip. By induction T never drops below V. Every cell of a
-    skipped row costs more than T >= V: it cannot rank, and it cannot be
-    the lower neighbour of a cell costing at most V. Cells costing at most
-    V are thus classified as on the full surface, with the same costs
-    (a row's costs do not depend on the tile it is evaluated in: see
-    ``_row_matmul``), and
-    the merged output and its lexsort((t, d, value)) tie order are those
-    of the full search. Memory is the costs of the tile being evaluated,
-    of the tile awaiting its lower halo and of the seed window, plus one
-    bound per row and the n_a x K range profile of the bound pass.
+    Incumbent. L >= b holds off the grid too: at every (d, theta),
+    L >= -(lambda / 4 pi)^2 ||c(d)||^2 / (n_a s). Between rows i - 1 and i,
+    ||c(d)||^2 stays within kappa times the larger end sample (the basis of
+    kappa is stated at INCUMBENT_KAPPA: sampled, not proven), so on the
+    interval (d_{i-1}, d_{i+1}) the cost is at least kappa b~(i) > G. The
+    best grid basin is always a refinement start (it heads the output) and
+    Newton never accepts a step that raises the cost, so the estimate costs
+    at most G (to rounding far below kappa's margin), and a skipped row's
+    interval holds no point that beats it.
+
+    Exactness. The rules alone give this, whatever kappa's basis. Let V be
+    the full surface's ``n_basins``-th basin value (infinite if it has
+    fewer minima), G* its minimum, l = G* / kappa and m = min(V, l). A row
+    the incumbent rule skips costs more than G / kappa >= l in every cell,
+    since b >= b~ and G >= G*. The list holds true minima, and next to a
+    skipped row possibly edge cells whose skipped neighbour costs less;
+    such a cell costs more than that neighbour, hence more than the T of
+    the skip or than l. T never drops below m: by induction, a list whose
+    last entry costs less than m holds no such edge cell, so it would hold
+    ``n_basins`` true minima below V. So every cell of a skipped row costs
+    more than m, and cannot be the lower neighbour of a cell costing at
+    most m. Cells costing at most m are thus evaluated and classified as on
+    the full surface, with the same costs (a row's costs do not depend on
+    the tile it is evaluated in: see ``_row_matmul``), and they head the
+    output in the full search's lexsort((t, d, value)) order. If V <= l,
+    the output is the full search's; so it is when G* >= 0, where the
+    incumbent rule cannot fire. Otherwise it is the full search's entries
+    that cost at most l, then up to ``n_basins`` minus their number of
+    others, each costing more than l: true minima and edge cells next to
+    skipped rows, which the full search might not return. The output may
+    hold fewer than ``n_basins`` entries. Memory is the costs of the tile
+    being evaluated, of the tile awaiting its lower halo and of the seed
+    window, plus two bounds per row and the n_a x K range profile of the
+    bound pass.
     """
     d_values = spec.d_values()
     theta_values = spec.theta_values()
     n_rows = d_values.size
     n_basins = spec.n_basins
     row_bounds = _row_bounds(bank, geom, d_values)
+    # kappa b~(i), b~(i) the lowest bound of row i and its neighbours. kappa
+    # scales the range profile ||c||^2 >= 0, so only a negative b~ scales; a
+    # row without one (never in the program) is never ruled out by G.
+    lowest = row_bounds.copy()
+    np.minimum(lowest[1:], row_bounds[:-1], out=lowest[1:])
+    np.minimum(lowest[:-1], row_bounds[1:], out=lowest[:-1])
+    interval_bounds = np.full(n_rows, -np.inf)
+    np.multiply(INCUMBENT_KAPPA, lowest, out=interval_bounds, where=lowest < 0.0)
     best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
     def merge(found):
@@ -774,6 +833,12 @@ def coarse_grid_search(
             values, d_idx, t_idx = values[keep], d_idx[keep], t_idx[keep]
         order = np.lexsort((t_idx, d_idx, values))[:n_basins]
         return values[order], d_idx[order], t_idx[order]
+
+    def ruled_out(start: int, stop: int) -> np.ndarray:
+        values = best[0]
+        threshold = values[-1] if values.size == n_basins else np.inf
+        incumbent = values[0] if values.size else np.inf
+        return (row_bounds[start:stop] > threshold) | (interval_bounds[start:stop] > incumbent)
 
     def evaluate(start: int, stop: int) -> _TileEdges:
         nonlocal best
@@ -797,13 +862,17 @@ def coarse_grid_search(
             edges = held.pop(row)
             stop = row + edges.costs.shape[0]
         else:
-            threshold = best[0][-1] if best[0].size == n_basins else np.inf
-            ruled_out = row_bounds[row : lo if row < lo else n_rows] > threshold
-            if ruled_out[0]:
+            end = lo if row < lo else n_rows
+            scanned = min(row + GRID_BLOCK_ROWS, end)
+            flags = ruled_out(row, scanned)
+            stop = row + _run_length(flags)
+            if flags[0]:
                 edges = None
-                stop = row + _run_length(ruled_out)
+                while stop == scanned < end:
+                    flags = ruled_out(scanned, min(2 * scanned - row, end))
+                    stop = scanned + (_run_length(flags) if flags[0] else 0)
+                    scanned += flags.size
             else:
-                stop = row + _run_length(ruled_out[:GRID_BLOCK_ROWS])
                 edges = evaluate(row, stop)
         if pending is not None:
             below = None if edges is None else edges.halo[0]

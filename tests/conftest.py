@@ -1,5 +1,7 @@
 """Shared fixtures: the reference system configuration and small instances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,11 @@ def pos10() -> PolarPosition:
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def record_bits(record) -> tuple:
+    """Every field of a TrialRecord, floats as exact hex strings."""
+    return tuple(
+        float(value).hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(record)
+    )

@@ -1,8 +1,10 @@
 """ML estimator: matched filter, cost, scores, grid search, refinement."""
 
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,16 +27,19 @@ from nfisac import (
     matched_filter_bank,
     mean_product_scale,
     noiseless_mean,
+    optimize_beamformer,
     sensitivities,
     steering_vector,
     synthesize_bank,
     synthesize_observation,
     xi,
 )
+from nfisac import cli, harness
 from nfisac import estimator as estimator_module
 from nfisac.crlb import gamma_coefficients
 from nfisac.estimator import (
     GRID_BLOCK_ROWS,
+    _collapse_rows,
     _cost_rows as _cost_rows_fft,
     _evaluate,
     _row_bounds,
@@ -43,7 +48,7 @@ from nfisac.estimator import (
 from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
 from nfisac.signal import MatchedFilterBank, Observation, delay_phases, phase_factor_grid
 
-from conftest import random_unit_vector
+from conftest import random_unit_vector, record_bits
 
 
 def small_observation(rng, n=2, m=4, n_a=4, sigma2=1e-9, radius=0.5, d=12.0, theta=0.9):
@@ -757,15 +762,58 @@ class TestCoarseGridSearch:
         assert np.max(np.abs(fft_rows - direct_rows)) / np.max(np.abs(direct_rows)) < 1e-11
 
 
+def triples(basins):
+    """A search's output as (range index, angle index, cost) triples."""
+    return [(b.d_index, b.theta_index, b.cost) for b in basins]
+
+
+def assert_incumbent_contract(got, full, calls):
+    """The search at the module INCUMBENT_KAPPA against its own full output.
+
+    ``got`` and ``full`` are (range index, angle index, cost) triples of the
+    search with and without the incumbent rule, ``calls`` the (first, stop)
+    rows of the first's evaluations. With G* the surface minimum (the full
+    output's first cost), the entries costing at most G* / kappa are the full
+    output's, in its order, ahead of every other entry; for G* >= 0 the rule
+    cannot fire and the outputs are equal. No entry comes from a row that was
+    not evaluated, and no row is evaluated twice.
+    """
+    rows = evaluated_rows(calls)
+    assert len(rows) == len(set(rows))
+    assert {d for d, _, _ in got} <= set(rows)
+    assert got[0] == full[0]
+    least = full[0][2]
+    if least >= 0.0:
+        assert got == full
+        return
+    level = least / estimator_module.INCUMBENT_KAPPA
+    head = [entry for entry in full if entry[2] <= level]
+    assert got[: len(head)] == head
+    assert all(cost > level for _, _, cost in got[len(head) :])
+
+
 def assert_matches_oracle(obs, geom, spec):
-    """Streamed search and full-surface oracle agree on indices; costs to 1e-11."""
+    """Streamed search and full-surface oracle agree on indices; costs to 1e-11.
+
+    The compared run sets INCUMBENT_KAPPA = inf, which turns the incumbent
+    rule off; a second run at the module value must meet its contract
+    against that output (``assert_incumbent_contract``). The second run
+    evaluates through its own recorder, so ``count_rows`` sees the first
+    run's calls alone.
+    """
     bank = matched_filter_bank(obs)
-    got = coarse_grid_search(bank, geom, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+        got = coarse_grid_search(bank, geom, spec)
     want = oracle_search(obs, geom, bank, spec)
     assert [(b.d_index, b.theta_index) for b in got] == [(d, t) for d, t, _ in want]
     costs = np.array([b.cost for b in got])
     oracle_costs = np.array([c for _, _, c in want])
     assert np.max(np.abs(costs - oracle_costs)) <= 1e-11 * np.max(np.abs(oracle_costs))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_rows(mp, spec, _cost_rows_fft)
+        pruned = coarse_grid_search(bank, geom, spec)
+    assert_incumbent_contract(triples(pruned), triples(got), calls)
     return want
 
 
@@ -1010,10 +1058,13 @@ class TestFftRangeProfileBound:
         )
 
 
-def count_rows(monkeypatch, spec):
-    """(first, stop) grid rows of every ``_cost_rows`` call the search makes, in call order."""
+def count_rows(monkeypatch, spec, real=None):
+    """(first, stop) grid rows of every ``_cost_rows`` call the search makes, in call order.
+
+    The calls go on to ``real``, by default the ``_cost_rows`` in place.
+    """
     calls = []
-    real = estimator_module._cost_rows
+    real = real or estimator_module._cost_rows
     d_all = spec.d_values()
 
     def counting(bank, geom, d_values, theta_values):
@@ -1054,9 +1105,12 @@ def strong_target(m, d, theta, sigma2=1e-13):
 def search_surface(monkeypatch, surface, rows, n_basins):
     """Run the search on a given cost surface whose row bounds are the row minima.
 
-    The tightest valid bound tests the skip logic alone; the result must be
-    the full-surface selection. Returns it as (range index, angle index,
-    cost), and the (first, stop) rows of every evaluation in call order.
+    The tightest valid bound tests the skip logic alone. With
+    INCUMBENT_KAPPA = inf, which turns the incumbent rule off, the result
+    must be the full-surface selection; at the module value, the search
+    must meet its contract against it (``assert_incumbent_contract``).
+    Returns the selection as (range index, angle index, cost), and the
+    (first, stop) rows of every evaluation of the first run in call order.
     """
     spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=surface.shape[0],
                     n_theta=surface.shape[1], n_basins=n_basins)
@@ -1075,13 +1129,19 @@ def search_surface(monkeypatch, surface, rows, n_basins):
     monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
     monkeypatch.setattr(estimator_module, "_row_bounds", lambda b, g, d: tile(d).min(axis=1))
     monkeypatch.setattr(estimator_module, "_cost_rows", cost_rows)
-    got = coarse_grid_search(None, None, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+        got = coarse_grid_search(None, None, spec)
     d_idx, t_idx = np.nonzero(_local_minima(surface))
     values = surface[d_idx, t_idx]
     order = np.lexsort((t_idx, d_idx, values))[:n_basins]
     want = [(int(d_idx[i]), int(t_idx[i]), float(values[i])) for i in order]
     assert [(b.d_index, b.theta_index, b.cost) for b in got] == want
-    return want, calls
+    full_calls = calls[:]
+    calls.clear()
+    pruned = coarse_grid_search(None, None, spec)
+    assert_incumbent_contract(triples(pruned), want, calls)
+    return want, full_calls
 
 
 class TestPrunedGridSearch:
@@ -1237,6 +1297,139 @@ class TestPrunedGridSearch:
         assert evaluated_rows(calls) == list(range(spec.n_d))
         assert calls[: len(tiles)] == tiles
         assert all(stop - first <= 4 for first, stop in calls)
+
+
+def bench_workloads():
+    """``bench/run.py``'s WORKLOADS as {name: (radii, distances, reduced_m)}.
+
+    Read from the file's text, as ``tests/test_bench_contract.py`` reads it,
+    without importing or touching it.
+    """
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "WORKLOADS" for target in node.targets)
+    ]
+    return {
+        ast.literal_eval(key): tuple(ast.literal_eval(arg) for arg in call.args[:3])
+        for key, call in zip(table.keys, table.values)
+    }
+
+
+def profile_power(config, bank, d_values):
+    """||c(d)||^2 per range, the delay-collapsed bank's energy, in chunks of 512 ranges."""
+    out = []
+    for chunk in np.array_split(d_values, -(-d_values.size // 512)):
+        collapsed = _collapse_rows(config, bank, chunk)
+        out.append(np.sum(collapsed.real**2 + collapsed.imag**2, axis=1))
+    return np.concatenate(out)
+
+
+class TestIncumbentRule:
+    """Rows whose range interval cannot beat the best cell found are skipped."""
+
+    @pytest.mark.parametrize("workload", sorted(bench_workloads()))
+    def test_kappa_covers_the_range_profile_between_rows(self, workload):
+        # Seeded banks of the benchmark workload's trials on its own grid:
+        # every gap within 20 delay lobes of the target (its range sidelobes)
+        # and 200 drawn from the whole grid, 16 points inside each.
+        radii, distances, reduced_m = bench_workloads()[workload]
+        cfg = cli.parse_config(
+            overrides={"radii_m": list(radii), "distances_m": list(distances)}
+        ).sweep_config(reduced_m=reduced_m, trials=1, seed=5, workers=1)
+        rng = np.random.default_rng(17)
+        lobe = SPEED_OF_LIGHT / (2.0 * cfg.ofdm.m_subcarriers * cfg.ofdm.delta_f_hz)
+        inside = np.linspace(0.0, 1.0, 18)[1:-1]
+        for radius in radii:
+            geom = cfg.geometry(radius)
+            d_values = harness.grid_for_radius(cfg, radius).d_values()
+            for d_true in distances:
+                for seed in range(2):
+                    truth = PolarPosition(d_true, float(rng.uniform(0.0, 2 * math.pi)))
+                    beam = optimize_beamformer(geom, truth, cfg.ofdm, cfg.optimizer).beamformer
+                    bank = synthesize_bank(geom, truth, beam, cfg.ofdm, 1000 + seed)
+                    gaps = np.union1d(
+                        np.flatnonzero(np.abs(d_values[:-1] - d_true) < 20.0 * lobe),
+                        rng.choice(d_values.size - 1, 200, replace=False),
+                    )
+                    first, last = d_values[gaps], d_values[gaps + 1]
+                    points = first[:, None] + inside * (last - first)[:, None]
+                    between = profile_power(cfg.ofdm, bank, points.ravel())
+                    ends = np.maximum(
+                        profile_power(cfg.ofdm, bank, first), profile_power(cfg.ofdm, bank, last)
+                    )
+                    excess = between.reshape(points.shape).max(axis=1) / ends
+                    assert excess.max() <= estimator_module.INCUMBENT_KAPPA
+
+    @pytest.mark.parametrize("d_true, sigma2", [(25.0, 1e-10), (80.0, 1e-11)])
+    def test_skipped_rows_hold_no_point_below_the_incumbent(self, monkeypatch, d_true, sigma2):
+        # A target well above the noise, but not so far that the 15th basin
+        # rules out most rows (without the incumbent rule the search
+        # evaluates 257 and 272 of the 300 here). The best basin lies inside
+        # the seed window's interior, so the incumbent G is the output's
+        # first cost from the first streamed row on. On every skipped row
+        # whose interval bound rules it out, a dense lattice over its range
+        # interval, 4x the grid's angles, must cost more than G.
+        spec = TestPrunedGridSearch.SPEC
+        geom, obs = strong_target(128, d_true, 2.0, sigma2=sigma2)
+        bank = matched_filter_bank(obs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+            calls = count_rows(mp, spec)
+            coarse_grid_search(bank, geom, spec)
+            without = evaluated_rows(calls)
+        calls = count_rows(monkeypatch, spec)
+        basins = coarse_grid_search(bank, geom, spec)
+        bounds = _row_bounds(bank, geom, spec.d_values())
+        first, stop = seed_tiles(int(np.argmin(bounds)), spec.n_d)[0]
+        assert calls[0] == (first, stop)
+        assert first < basins[0].d_index < stop - 1
+        incumbent = basins[0].cost
+        lowest = np.minimum.reduce([bounds, np.r_[bounds[1:], 0.0], np.r_[0.0, bounds[:-1]]])
+        ruled_out = estimator_module.INCUMBENT_KAPPA * lowest > incumbent
+        assert len(without) - len(evaluated_rows(calls)) > spec.n_d // 2
+        skipped = np.setdiff1d(np.arange(spec.n_d), evaluated_rows(calls))
+        # T only falls, so a row bounded at or below its last value cannot
+        # have been skipped by the T rule.
+        last = basins[-1].cost if len(basins) == spec.n_basins else np.inf
+        assert np.all(ruled_out[skipped[bounds[skipped] <= last]])
+        checked = skipped[ruled_out[skipped]]
+        assert checked.size > spec.n_d // 2
+        d_values = spec.d_values()
+        d_lo = d_values[np.maximum(checked - 1, 0)]
+        d_hi = d_values[np.minimum(checked + 1, spec.n_d - 1)]
+        d_lattice = (d_lo[:, None] + np.linspace(0.0, 1.0, 16) * (d_hi - d_lo)[:, None]).ravel()
+        theta = 2 * math.pi * np.arange(4 * spec.n_theta) / (4 * spec.n_theta)
+        for d_part in np.array_split(d_lattice, -(-d_lattice.size // 256)):
+            d, t = np.meshgrid(d_part, theta, indexing="ij")
+            costs = _evaluate(d.ravel(), t.ravel(), bank, geom).cost
+            assert costs.min() > incumbent
+
+    def test_small_array_trial_at_50_m_evaluates_few_rows_and_keeps_its_record(
+        self, monkeypatch
+    ):
+        # The benchmark's small-array cell at d = 50 m: CLI defaults, M = 128,
+        # R = 0.5 m. Without the incumbent rule every row of its grid is
+        # evaluated; with it, fewer than one tile, and the trial's record
+        # keeps every bit.
+        cfg = cli.parse_config(
+            overrides={"radii_m": [0.5], "distances_m": [50.0]}
+        ).sweep_config(reduced_m=True, trials=1, seed=77, workers=1)
+        spec = harness.grid_for_radius(cfg, 0.5)
+        assert spec.n_d == 551
+        (args,) = harness._trial_args(cfg)
+        calls = count_rows(monkeypatch, spec)
+        record = harness.run_trial(*args)
+        rows = evaluated_rows(calls)
+        assert len(rows) == len(set(rows)) and len(rows) < GRID_BLOCK_ROWS
+        calls.clear()
+        monkeypatch.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+        full = harness.run_trial(*args)
+        assert evaluated_rows(calls) == list(range(spec.n_d))
+        assert record_bits(record) == record_bits(full)
+        assert record.success
 
 
 class TestLmRefine:

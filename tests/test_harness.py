@@ -21,13 +21,7 @@ from nfisac import (
     run_trials,
 )
 
-
-def record_bits(record):
-    """Every field of a TrialRecord, floats as exact hex strings."""
-    return tuple(
-        float(value).hex() if isinstance(value, float) else value
-        for value in dataclasses.astuple(record)
-    )
+from conftest import record_bits
 
 
 def test_pool_records_equal_serial_records():
