@@ -6,7 +6,7 @@ transmit beamforming on the unit sphere, grid-initialized maximum
 likelihood estimation, and a Monte Carlo harness with a CSV-emitting CLI.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .beamformer import (
     OptimizerConfig,
@@ -30,7 +30,6 @@ from .crlb import (
 from .estimator import (
     GridBasin,
     GridSpec,
-    LmSettings,
     MatchedFilterBank,
     MlEstimate,
     coarse_grid_search,

@@ -26,13 +26,14 @@ import numpy as np
 
 from . import __version__
 from .beamformer import OptimizerConfig, optimize_beamformer
-from .estimator import GridSpec, LmSettings, estimate
+from .estimator import GridSpec, estimate
 from .geometry import PolarPosition, UcaGeometry
 from .harness import (
     WORKER_ENV,
     SweepConfig,
     crlb_sweep,
     derive_seed,
+    grid_d_min_m,
     grid_for_radius,
     nearfield_guard,
     run_trials,
@@ -73,14 +74,7 @@ class RunConfig:
     trials_per_point: int = 200
     master_seed: int = 20260810
     workers: int = 1
-    grid: dict = field(
-        default_factory=lambda: {
-            "d_max_m": 400.0,
-            "n_d": 256,
-            "n_theta": "auto",
-            "n_basins": 15,
-        }
-    )
+    grid: dict = field(default_factory=lambda: {"d_max_m": 400.0, "n_basins": 15})
     optimizer: dict = field(
         default_factory=lambda: {
             "max_iters": 2000,
@@ -89,16 +83,6 @@ class RunConfig:
             "backtrack_factor": 0.5,
             "initial_step": 1.0,
             "max_backtracks": 50,
-        }
-    )
-    lm: dict = field(
-        default_factory=lambda: {
-            "max_iters": 100,
-            "lambda_init": 1e-3,
-            "lambda_factor": 10.0,
-            "tol_score": 1e-10,
-            "step_tol_d_m": 1e-7,
-            "step_tol_theta_rad": 1e-9,
         }
     )
 
@@ -117,21 +101,8 @@ class RunConfig:
     def wavelength_m(self) -> float:
         return self.wavelength_mm * 1e-3
 
-    def grid_spec(self) -> GridSpec:
-        n_theta = self.grid["n_theta"]
-        return GridSpec(
-            d_min_m=1.0,  # re-anchored per radius by the harness
-            d_max_m=self.grid["d_max_m"],
-            n_d=self.grid["n_d"],
-            n_theta=self.n_antennas if n_theta == "auto" else int(n_theta),
-            n_basins=self.grid["n_basins"],
-        )
-
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(**self.optimizer)
-
-    def lm_settings(self) -> LmSettings:
-        return LmSettings(d_max_m=1.5 * self.grid["d_max_m"], **self.lm)
 
     def sweep_config(
         self,
@@ -144,9 +115,11 @@ class RunConfig:
             radii_m=self.radii_m,
             distances_m=self.distances_m,
             ofdm=self.ofdm_config(reduced_m),
-            grid=self.grid_spec(),
+            # The harness derives the grid's nodes per radius (grid_for_radius).
+            grid=GridSpec(
+                d_min_m=1.0, d_max_m=self.grid["d_max_m"], n_basins=self.grid["n_basins"]
+            ),
             optimizer=self.optimizer_config(),
-            lm=self.lm_settings(),
             theta_policy=(
                 float(np.deg2rad(self.theta_policy))
                 if not isinstance(self.theta_policy, str)
@@ -156,12 +129,11 @@ class RunConfig:
             master_seed=seed if seed is not None else self.master_seed,
             n_a=self.n_antennas,
             wavelength_m=self.wavelength_m,
-            n_theta_auto=self.grid["n_theta"] == "auto",
             workers=workers if workers is not None else self.workers,
         )
 
 
-_SUBDICT_KEYS = {"grid", "optimizer", "lm"}
+_SUBDICT_KEYS = {"grid", "optimizer"}
 
 
 def _merge_section(name: str, defaults: dict, given: dict) -> dict:
@@ -238,8 +210,8 @@ def _is_number(value) -> bool:
 def _check_kind(key: str, value, default) -> None:
     """A value must be of its default's kind: an integer, or any number.
 
-    A string default ('uniform', 'auto') also admits a number; bools are
-    never numbers here.
+    A string default ('uniform') also admits a number; bools are never
+    numbers here.
     """
     if isinstance(default, str):
         ok, kind = value == default or _is_number(value), f"'{default}' or a number"
@@ -261,43 +233,40 @@ def _validate(cfg: RunConfig) -> None:
     _require(cfg.trials_per_point >= 1, "key 'trials_per_point' must be >= 1")
     _require(cfg.workers >= 1, "key 'workers' must be >= 1")
     _require(all(r > 0 for r in cfg.radii_m), "key 'radii_m' entries must be positive")
-    _require(
-        all(d > 0 for d in cfg.distances_m), "key 'distances_m' entries must be positive"
-    )
     max_radius = max(cfg.radii_m)
+    d_max = cfg.grid["d_max_m"]
+    _require(
+        d_max > grid_d_min_m(max_radius),
+        f"key 'grid.d_max_m' = {d_max} m must exceed max(2 x largest radius, 1 m) "
+        f"= {grid_d_min_m(max_radius)} m",
+    )
     for distance in cfg.distances_m:
-        _require(
-            distance > max_radius,
-            f"key 'distances_m': distance {distance} m does not exceed the "
-            f"largest radius {max_radius} m (source must lie outside the array)",
-        )
+        _check_distance("key 'distances_m'", distance, max_radius, d_max)
     if not isinstance(cfg.theta_policy, str):
         _require(
             np.isfinite(cfg.theta_policy),
             "key 'theta_policy' must be 'uniform' or a finite angle in degrees",
         )
-    _require(cfg.grid["d_max_m"] > max_radius * 2, "key 'grid.d_max_m' too small")
-    _require(cfg.grid["n_d"] >= 2, "key 'grid.n_d' must be >= 2")
     _require(cfg.grid["n_basins"] >= 1, "key 'grid.n_basins' must be >= 1")
     try:
         cfg.optimizer_config()
     except ValueError as exc:
         # OptimizerConfig's messages open with the offending field's name.
         raise ConfigError(f"key 'optimizer.{str(exc).split()[0]}': {exc}") from None
-    n_theta = cfg.grid["n_theta"]
+
+
+def _check_distance(name: str, distance: float, radius: float, d_max_m: float) -> None:
+    """A distance must lie on the coarse grid of the radius: [max(2R, 1 m), d_max_m].
+
+    Outside it no grid node lies near the target, so the estimate lands
+    elsewhere, yet still reads converged.
+    """
+    d_min = grid_d_min_m(radius)
     _require(
-        n_theta == "auto" or (isinstance(n_theta, int) and n_theta >= 1),
-        "key 'grid.n_theta' must be 'auto' or a positive integer",
+        d_min <= distance <= d_max_m,
+        f"{name}: distance {distance} m lies outside [{d_min}, {d_max_m}] m, "
+        f"the range grid of radius {radius} m",
     )
-    if n_theta != "auto" and n_theta % cfg.n_antennas:
-        # The coarse grid evaluates angles on a polyphase lattice of q
-        # phases per element spacing.
-        below = n_theta - n_theta % cfg.n_antennas
-        nearest = [count for count in (below, below + cfg.n_antennas) if count > 0]
-        raise ConfigError(
-            f"key 'grid.n_theta' = {n_theta} must be a multiple of n_antennas = "
-            f"{cfg.n_antennas}; nearest valid: {' or '.join(map(str, nearest))}"
-        )
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:
@@ -459,6 +428,7 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 
 def _cmd_estimate(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.master_seed
+    _check_distance("argument '--distance'", args.distance, args.radius, cfg.grid["d_max_m"])
     sweep = cfg.sweep_config(reduced_m=args.reduced_m, seed=seed)
     geom = sweep.geometry(args.radius)
     truth = PolarPosition(args.distance, float(np.deg2rad(args.theta_deg)))
@@ -467,7 +437,7 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     beam = optimize_beamformer(geom, truth, sweep.ofdm, sweep.optimizer).beamformer
     ofdm = dataclasses.replace(sweep.ofdm, sigma2_w=0.0) if args.zero_noise else sweep.ofdm
     bank = synthesize_bank(geom, truth, beam, ofdm, derive_seed(seed, 2))
-    result = estimate(bank, geom, grid_for_radius(sweep, args.radius), sweep.lm)
+    result = estimate(bank, geom, grid_for_radius(sweep, args.radius))
     header = [
         "radius_m", "d_true_m", "theta_true_deg", "d_hat_m", "theta_hat_deg",
         "cost", "converged", "iterations", "basin_index",

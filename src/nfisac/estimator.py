@@ -103,6 +103,23 @@ RUN_STEP_TOL = 1e-9
 # Smallest |eigenvalue| of the refinement's Newton model, relative to the
 # largest (the beamformer's Newton uses the same floor).
 CURVATURE_FLOOR = 1e-12
+# The damped Newton refinement (``lm_refine``):
+# - trial steps (cost evaluations after the start) per basin;
+LM_MAX_STEPS = 100
+# - Marquardt damping, relative to the largest curvature: 0 until a step is
+#   rejected, then LM_LAMBDA_INIT, times LM_LAMBDA_FACTOR on each further
+#   rejection and divided by it on each accepted step;
+LM_LAMBDA_INIT = 1e-3
+LM_LAMBDA_FACTOR = 10.0
+# - gradient tolerance at convergence, relative to the natural magnitude of a
+#   score term; a larger FIM noise floor replaces it on noisy observations;
+LM_TOL_SCORE = 1e-10
+# - convergence needs a step below both of these;
+LM_STEP_TOL_D_M = 1e-7
+LM_STEP_TOL_THETA_RAD = 1e-9
+# - the upper range bound, this times the grid's d_max_m: iterates stay
+#   inside (R(1 + 1e-6), LM_D_MAX_FACTOR d_max_m).
+LM_D_MAX_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -164,33 +181,6 @@ class GridBasin:
     cost: float
     d_index: int
     theta_index: int
-
-
-@dataclass(frozen=True)
-class LmSettings:
-    """Knobs of the damped Newton refinement (``lm_refine``).
-
-    - ``max_iters``: trial steps (cost evaluations after the start) per basin.
-    - ``lambda_init``, ``lambda_factor``: Marquardt damping, relative to the
-      largest curvature; 0 until a step is rejected, then ``lambda_init``,
-      times ``lambda_factor`` on each further rejection and divided by it
-      on each accepted step.
-    - ``tol_score``: gradient tolerance at convergence, relative to the
-      natural magnitude of a score term; a larger FIM noise floor
-      replaces it on noisy observations.
-    - ``step_tol_d_m``, ``step_tol_theta_rad``: convergence needs a step
-      below both.
-    - ``d_max_m``: upper range bound; iterates stay inside
-      (R(1 + 1e-6), d_max_m).
-    """
-
-    max_iters: int = 100
-    lambda_init: float = 1e-3
-    lambda_factor: float = 10.0
-    tol_score: float = 1e-10
-    step_tol_d_m: float = 1e-7
-    step_tol_theta_rad: float = 1e-9
-    d_max_m: float = 600.0
 
 
 @dataclass(frozen=True)
@@ -896,7 +886,7 @@ def coarse_grid_search(
 
 
 def _score_scale(geom: UcaGeometry, config: OfdmConfig, basin: PolarPosition) -> float:
-    """Natural magnitude of one score term, used to make tol_score relative."""
+    """Natural magnitude of one score term, used to make LM_TOL_SCORE relative."""
     ranges = element_ranges(geom, basin)
     scale = mean_product_scale(config, geom)
     return (
@@ -928,27 +918,27 @@ class Refinement(NamedTuple):
 
 
 def _newton_run(
-    basin: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry, lm: LmSettings
+    basin: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry, d_hi: float
 ) -> Generator[PolarPosition, tuple, tuple[PolarPosition, bool, int]]:
     """Damped Newton iterations on the cost L from one start, as a generator.
 
     It yields each candidate it needs evaluated, the (clamped) start first,
     and is sent back that candidate's (cost, gradient, Hessian) from
     ``_evaluate`` with derivatives; it returns (position, converged, trial
-    steps evaluated). See ``lm_refine`` for the iteration.
+    steps evaluated). See ``lm_refine`` for the iteration; ``d_hi`` is its
+    ``d_max_m``.
     """
     config = bank.config
     d_lo = geom.radius_m * (1.0 + 1e-6)
-    d_hi = lm.d_max_m
     start = PolarPosition(min(max(basin.d_m, d_lo), d_hi), wrap_angle(basin.theta_rad))
     radii = np.array(_trust_radii(geom, config))
-    step_tol = np.array([lm.step_tol_d_m, lm.step_tol_theta_rad])
+    step_tol = np.array([LM_STEP_TOL_D_M, LM_STEP_TOL_THETA_RAD])
     # The scores F are -1/2 the gradient in angle (and, but for the delay
     # ramp, in range), so twice their floor bounds the gradient: the
     # deterministic tolerance, or four noise standard deviations
     # sigma_F_i = (sigma^2/2) sqrt(J_ii) at the start if larger. The FIM is
     # only needed when the tolerance alone fails.
-    tol_floor = 2.0 * lm.tol_score * _score_scale(geom, config, start)
+    tol_floor = 2.0 * LM_TOL_SCORE * _score_scale(geom, config, start)
 
     def settled(gradient: np.ndarray, hessian: np.ndarray, step: np.ndarray) -> bool:
         if not (
@@ -973,7 +963,7 @@ def _newton_run(
     damping = 0.0
     converged = False
     iterations = 0
-    while iterations < lm.max_iters:
+    while iterations < LM_MAX_STEPS:
         eigvals, eigvecs = np.linalg.eigh(hessian * np.outer(radii, radii))
         curvature = np.abs(eigvals)
         top = curvature.max()
@@ -1000,12 +990,12 @@ def _newton_run(
         iterations += 1
         trial = yield candidate
         if trial[0] > value:
-            damping = max(damping * lm.lambda_factor, lm.lambda_init)
+            damping = max(damping * LM_LAMBDA_FACTOR, LM_LAMBDA_INIT)
             if damping > 1e15:
                 break
             continue
         current, (value, gradient, hessian) = candidate, trial
-        damping /= lm.lambda_factor
+        damping /= LM_LAMBDA_FACTOR
         if settled(gradient, hessian, step):
             converged = True
             break
@@ -1016,7 +1006,7 @@ def lm_refine(
     starts: Sequence[PolarPosition],
     bank: MatchedFilterBank,
     geom: UcaGeometry,
-    lm: LmSettings,
+    d_max_m: float,
 ) -> Refinement:
     """Damped Newton iterations on the cost L from each start, in lock-step; the best wins.
 
@@ -1027,8 +1017,8 @@ def lm_refine(
     s' = -V (V^T g') / (c + mu max(c)) over the eigenpairs (e, V) of H',
     with curvatures c = |e| floored at CURVATURE_FLOOR max|e|, so a saddle
     or a ridge still gives a descent direction, as in the beamformer's
-    Newton. The Marquardt damping mu starts at 0, becomes ``lambda_init``
-    on a rejected step, grows by ``lambda_factor`` on each further
+    Newton. The Marquardt damping mu starts at 0, becomes LM_LAMBDA_INIT
+    on a rejected step, grows by LM_LAMBDA_FACTOR on each further
     rejection and shrinks by it on each accepted step. s' is scaled to at
     most 1 per axis, half a correlation lobe, so the iteration stays in the
     basin it starts in, and the step T s' is accepted iff the cost does
@@ -1038,13 +1028,13 @@ def lm_refine(
     clamped onto the nearer bound); angles wrap modulo 2 pi.
 
     Converged means that at the returned iterate H is positive definite,
-    each gradient entry lies within 2 tol_score times the natural score
+    each gradient entry lies within 2 LM_TOL_SCORE times the natural score
     scale or four noise standard deviations sigma^2 sqrt(J_ii) (J the FIM),
-    and a step below (step_tol_d_m, step_tol_theta_rad) is in hand: the
+    and a step below (LM_STEP_TOL_D_M, LM_STEP_TOL_THETA_RAD) is in hand: the
     accepted step that reached the iterate, or the undamped Newton step
     from it, which is then not taken (near a minimum the cost can no
     longer rank so small a step). The iteration stops unconverged after
-    ``max_iters`` trial steps or once mu exceeds 1e15; a step that rounds
+    LM_MAX_STEPS trial steps or once mu exceeds 1e15; a step that rounds
     to no move, or onto a range bound, ends it too, converged if that step
     meets the test.
 
@@ -1061,7 +1051,7 @@ def lm_refine(
     """
     if not starts:
         raise ValueError("lm_refine needs at least one start")
-    runs = [_newton_run(start, bank, geom, lm) for start in starts]
+    runs = [_newton_run(start, bank, geom, d_max_m) for start in starts]
     pending = {index: next(run) for index, run in enumerate(runs)}
     finals = [None] * len(runs)
     while pending:
@@ -1150,7 +1140,6 @@ def estimate(
     bank: MatchedFilterBank,
     geom: UcaGeometry,
     spec: GridSpec,
-    lm: LmSettings | None = None,
 ) -> MlEstimate:
     """Full pipeline from the matched-filter bank: coarse grid, then refine the top basins.
 
@@ -1160,11 +1149,10 @@ def estimate(
     all in lock-step and picks the refined position with the lowest cost,
     ties to the better-ranked basin; the estimate carries that run's
     converged flag and step count.
-    Deterministic given (bank, grid, settings); degenerate inputs produce
+    The refinement keeps the range below LM_D_MAX_FACTOR times the grid's
+    d_max_m. Deterministic given (bank, grid); degenerate inputs produce
     converged=False estimates rather than raising.
     """
-    if lm is None:
-        lm = LmSettings(d_max_m=1.5 * spec.d_max_m)
     # ``spec`` goes by keyword: the benchmark's tracer (bench/spans.py) reads the
     # grid size from kwargs["spec"] before it tries a fourth positional argument.
     basins = coarse_grid_search(bank, geom, spec=spec)
@@ -1172,7 +1160,7 @@ def estimate(
     if not starts:
         # No local minimum (pathological flat surface): fall back to mid-grid.
         starts = [PolarPosition(float(np.sqrt(spec.d_min_m * spec.d_max_m)), 0.0)]
-    best = lm_refine(starts, bank, geom, lm)
+    best = lm_refine(starts, bank, geom, LM_D_MAX_FACTOR * spec.d_max_m)
     return MlEstimate(
         d_hat_m=best.position.d_m,
         theta_hat_rad=best.position.theta_rad,

@@ -29,8 +29,8 @@ import numpy as np
 
 from .beamformer import OptimizerConfig, conjugate_focus_beamformer, optimize_beamformer
 from .crlb import CrlbBound, UnidentifiableParametersError, crlb_at
-from .estimator import GridSpec, LmSettings, estimate, wrap_angle
-from .geometry import PolarPosition, UcaGeometry, rayleigh_distance
+from .estimator import GridSpec, estimate, wrap_angle
+from .geometry import SPEED_OF_LIGHT, PolarPosition, UcaGeometry, rayleigh_distance
 # A trial calls neither generate_pilots nor synthesize_observation; they stay
 # importable here because bench/spans.py wraps them by name on this module.
 from .signal import (  # noqa: F401
@@ -81,10 +81,9 @@ class SweepConfig:
     """Scenario matrix for the Monte Carlo sweeps.
 
     ``theta_policy`` is either the string 'uniform' (a fresh azimuth per
-    trial) or a fixed angle in radians. ``lm`` None means ``estimate``'s
-    default settings. The grid template's range window
-    is re-anchored per radius at max(2R, 1 m); set
-    ``n_theta_auto=False`` to use the template's angle count verbatim.
+    trial) or a fixed angle in radians. Of the grid template only
+    ``d_max_m`` and ``n_basins`` are read: ``grid_for_radius`` works out
+    the rest per radius.
     """
 
     radii_m: tuple[float, ...]
@@ -92,13 +91,11 @@ class SweepConfig:
     ofdm: OfdmConfig
     grid: GridSpec
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    lm: LmSettings | None = None
     theta_policy: str | float = "uniform"
     trials_per_point: int = 200
     master_seed: int = 0
     n_a: int = 64
     wavelength_m: float = 0.005
-    n_theta_auto: bool = True
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -191,8 +188,6 @@ def range_correlation_width(geom: UcaGeometry, ofdm: OfdmConfig, d_m: float) -> 
     wavefront curvature across the aperture, whose lobe grows like
     2 lambda d^2 / R^2. The narrower one governs.
     """
-    from .geometry import SPEED_OF_LIGHT
-
     delay_lobe = SPEED_OF_LIGHT / (2.0 * ofdm.m_subcarriers * ofdm.delta_f_hz)
     curvature_lobe = 2.0 * geom.wavelength_m * d_m**2 / geom.radius_m**2
     return min(delay_lobe, curvature_lobe)
@@ -225,42 +220,40 @@ def adaptive_d_nodes(
     return tuple(nodes)
 
 
+def grid_d_min_m(radius_m: float) -> float:
+    """Nearest range of a radius' coarse grid: max(2R, 1 m)."""
+    return max(2.0 * radius_m, 1.0)
+
+
 # Grid specs kept per process: one per (template, numerology, array, radius).
 GRID_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
 def _grid_spec(
-    grid: GridSpec,
-    ofdm: OfdmConfig,
-    n_a: int,
-    wavelength_m: float,
-    n_theta_auto: bool,
-    radius_m: float,
+    grid: GridSpec, ofdm: OfdmConfig, n_a: int, wavelength_m: float, radius_m: float
 ) -> GridSpec:
-    d_min = max(2.0 * radius_m, 1.0)
-    spec = replace(grid, d_min_m=d_min)
-    if n_theta_auto:
-        geom = UcaGeometry(n_a, radius_m, wavelength_m)
-        spec = replace(
-            spec,
-            n_theta=auto_n_theta(geom),
-            d_nodes=adaptive_d_nodes(geom, ofdm, d_min, spec.d_max_m),
-        )
-    return spec
+    geom = UcaGeometry(n_a, radius_m, wavelength_m)
+    d_min = grid_d_min_m(radius_m)
+    return replace(
+        grid,
+        d_min_m=d_min,
+        n_theta=auto_n_theta(geom),
+        d_nodes=adaptive_d_nodes(geom, ofdm, d_min, grid.d_max_m),
+    )
 
 
 def grid_for_radius(cfg: SweepConfig, radius_m: float) -> GridSpec:
-    """Anchor the grid template to one radius.
+    """The coarse grid of one radius: the template's range and basin budget, derived nodes.
 
-    The spec is built once per radius and reused: it is memoised on the
-    inputs it reads (grid template, OFDM numerology, element count,
-    wavelength, ``n_theta_auto`` and radius), not on the whole sweep, so
-    sweeps that differ only in seed or trial count share it.
+    Ranges run from ``grid_d_min_m`` to the template's ``d_max_m`` on
+    ``adaptive_d_nodes``, angles on ``auto_n_theta``. The spec is built once
+    per radius and reused: it is memoised on the inputs it reads (grid
+    template, OFDM numerology, element count, wavelength and radius), not
+    on the whole sweep, so sweeps that differ only in seed or trial count
+    share it.
     """
-    return _grid_spec(
-        cfg.grid, cfg.ofdm, cfg.n_a, cfg.wavelength_m, cfg.n_theta_auto, radius_m
-    )
+    return _grid_spec(cfg.grid, cfg.ofdm, cfg.n_a, cfg.wavelength_m, radius_m)
 
 
 def _angle_error(est: float, true: float) -> float:
@@ -285,7 +278,7 @@ def run_trial(
     truth = PolarPosition(d_true_m, wrap_angle(theta_true_rad))
     beam = optimize_beamformer(geom, truth, cfg.ofdm, cfg.optimizer).beamformer
     bank = synthesize_bank(geom, truth, beam, cfg.ofdm, derive_seed(seed, 2))
-    result = estimate(bank, geom, grid_for_radius(cfg, radius_m), cfg.lm)
+    result = estimate(bank, geom, grid_for_radius(cfg, radius_m))
 
     estimate_pos = PolarPosition(result.d_hat_m, wrap_angle(result.theta_hat_rad))
     success = (

@@ -221,9 +221,7 @@ def synthesize_bank(
     return MatchedFilterBank(aggregates, config, f)
 
 
-def effective_channel(
-    geom: UcaGeometry, pos: PolarPosition, config: OfdmConfig
-) -> np.ndarray:
+def effective_channel(geom: UcaGeometry, pos: PolarPosition) -> np.ndarray:
     """Downlink channel vector h with entries g_k * a_k at the given position."""
     ranges = element_ranges(geom, pos)
     gains = element_gains(ranges, geom.wavelength_m)
@@ -239,7 +237,7 @@ def ue_received_snr(
     model (beta = a^T f) and of ``conjugate_focus_beamformer``.
     """
     f = require_unit_norm(f)
-    h = effective_channel(geom, pos, config)
+    h = effective_channel(geom, pos)
     coupling = h @ f
     return float(config.p_t_w * np.abs(coupling) ** 2 / config.sigma2_w)
 

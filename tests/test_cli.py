@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,26 +42,41 @@ def write_config(tmp_path, data):
     return str(path)
 
 
-class TestAngleGridCheck:
-    def test_rejects_n_theta_off_the_element_lattice(self):
-        message = "multiple of n_antennas = 64; nearest valid: 64 or 128"
-        with pytest.raises(ConfigError, match=message):
-            parse_config(overrides={"grid": {"n_theta": 100}})
+class TestDistanceRange:
+    """A distance must lie on the grid of the largest radius: [max(2R, 1 m), grid.d_max_m]."""
 
-    def test_below_one_period_names_only_the_element_count(self):
-        with pytest.raises(ConfigError, match="nearest valid: 64$"):
-            parse_config(overrides={"grid": {"n_theta": 10}})
+    @pytest.mark.parametrize("distances", [[0.8], [150.0]])
+    def test_config_distance_off_the_grid_names_the_key(self, distances):
+        # Off the grid the estimate is wrong yet reads converged (M = 128,
+        # R = 0.5 m: d = 150 m with the grid ending at 100 m gave 33-87 m,
+        # d = 0.8 m gave 1.01-1.06 m).
+        overrides = {"radii_m": [0.5], "distances_m": distances, "grid": {"d_max_m": 100.0}}
+        with pytest.raises(ConfigError, match="^key 'distances_m': distance "):
+            parse_config(overrides=overrides)
 
-    def test_accepts_multiples_and_auto(self):
-        assert parse_config(overrides={"grid": {"n_theta": 192}}).grid["n_theta"] == 192
-        assert parse_config(overrides={"grid": {"n_theta": "auto"}}).grid["n_theta"] == "auto"
+    def test_both_ends_are_inclusive(self):
+        # The default R = 5 m, d = 10 m cell sits on the lower end.
+        cfg = parse_config(overrides={"radii_m": [5.0], "distances_m": [10.0, 400.0]})
+        assert cfg.distances_m == (10.0, 400.0)
 
-    def test_main_exits_with_usage_code(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"n_antennas": 8, "grid": {"n_theta": 100}})
-        code = main(["--config", config, "crlb-sweep", "--output", str(tmp_path / "out.csv")])
+    def test_d_max_must_exceed_the_grid_start(self):
+        with pytest.raises(ConfigError, match="^key 'grid.d_max_m' = 10.0 m must exceed "):
+            parse_config(overrides={"radii_m": [5.0], "distances_m": [10.0],
+                                    "grid": {"d_max_m": 10.0}})
+
+    @pytest.mark.parametrize("distance", ["0.8", "41"])
+    def test_estimate_distance_off_the_grid_exits_with_usage_code(
+        self, tmp_path, capsys, distance
+    ):
+        config = write_config(tmp_path, TINY)
+        output = tmp_path / "estimate.csv"
+        code = main([
+            "--config", config, "estimate", "--radius", "0.5", "--distance", distance,
+            "--output", str(output),
+        ])
         assert code == EXIT_USAGE
-        assert "nearest valid: 96 or 104" in capsys.readouterr().err
-        assert not (tmp_path / "out.csv").exists()
+        assert "argument '--distance'" in capsys.readouterr().err
+        assert not output.exists()
 
 
 class TestRecordsCsv:
@@ -213,6 +229,8 @@ class TestSidecar:
         assert sidecar["worker_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         assert sidecar["tool"] == f"nfisac {nfisac.__version__}"
         assert sidecar["numpy"] == np.__version__
+        assert sidecar["config"]["grid"] == {"d_max_m": 40.0, "n_basins": 4}
+        assert "lm" not in sidecar["config"]
 
         second = tmp_path / "second"
         second.mkdir()
@@ -268,17 +286,17 @@ class TestOptimizerSettings:
 class TestConfigKinds:
     @pytest.mark.parametrize("overrides, key", [
         ({"optimizer": {"max_iters": "many"}}, "optimizer.max_iters"),
-        ({"grid": {"n_d": "x"}}, "grid.n_d"),
+        ({"grid": {"n_basins": "x"}}, "grid.n_basins"),
         ({"subcarriers": "128"}, "subcarriers"),
         ({"radii_m": "ab"}, "radii_m"),
         ({"workers": 1.5}, "workers"),
         ({"workers": True}, "workers"),
         ({"tx_power_mw": False}, "tx_power_mw"),
-        ({"lm": {"tol_score": "small"}}, "lm.tol_score"),
+        ({"grid": {"d_max_m": "far"}}, "grid.d_max_m"),
         ({"distances_m": []}, "distances_m"),
         ({"distances_m": [10.0, True]}, "distances_m"),
         ({"theta_policy": "random"}, "theta_policy"),
-        ({"grid": {"n_theta": None}}, "grid.n_theta"),
+        ({"grid": {"n_basins": 15.0}}, "grid.n_basins"),
     ])
     def test_parse_config_names_the_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}' must be "):
@@ -286,7 +304,7 @@ class TestConfigKinds:
 
     @pytest.mark.parametrize("overrides", [
         {"optimizer": {"max_iters": "many"}},
-        {"grid": {"n_d": "x"}},
+        {"grid": {"n_basins": "x"}},
         {"subcarriers": "128"},
         {"radii_m": "ab"},
         {"workers": 1.5},
@@ -300,19 +318,24 @@ class TestConfigKinds:
         assert f"key '{key}" in capsys.readouterr().err
         assert not output.exists()
 
-    @pytest.mark.parametrize("key", ["doppler_hz", "carrier_ghz"])
+    @pytest.mark.parametrize("key", ["doppler_hz", "carrier_ghz", "grid.n_d", "grid.n_theta", "lm"])
     def test_removed_carrier_and_doppler_keys_are_unknown(self, key):
         # The carrier is set by wavelength_mm alone, and the bank's law has
-        # no Doppler term; a config that names either key is rejected.
-        with pytest.raises(ConfigError, match=f"^unknown key '{key}'"):
-            parse_config(overrides={key: 1.0})
+        # no Doppler term; the grid's nodes and the refinement's settings are
+        # worked out, not configured. A config that names any of them is
+        # rejected.
+        section, _, name = key.rpartition(".")
+        overrides = {section: {name: 1.0}} if section else {key: 1.0}
+        with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(key)}'"):
+            parse_config(overrides=overrides)
 
     def test_numbers_of_either_json_kind_are_accepted(self):
         cfg = parse_config(overrides={
-            "tx_power_mw": 100, "theta_policy": 30, "radii_m": [1],
-            "grid": {"d_max_m": 40}, "lm": {"tol_score": 1e-9},
+            "tx_power_mw": 100, "theta_policy": 30, "radii_m": [1], "distances_m": [10, 40],
+            "grid": {"d_max_m": 40},
         })
         assert cfg.radii_m == (1.0,) and cfg.theta_policy == 30
+        assert cfg.distances_m == (10.0, 40.0) and cfg.grid["d_max_m"] == 40
 
 
 class TestVerbose:
@@ -339,3 +362,10 @@ class TestVerbose:
             else:
                 assert lines == []
         assert outputs[True] == outputs[False]
+
+
+def test_package_version_matches_pyproject():
+    # A regex, not tomllib: tomllib is not in Python 3.10.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'(?m)^version = "([^"]+)"$', text)
+    assert version == nfisac.__version__

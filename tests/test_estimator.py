@@ -11,7 +11,6 @@ import pytest
 
 from nfisac import (
     GridSpec,
-    LmSettings,
     OfdmConfig,
     PolarPosition,
     UcaGeometry,
@@ -1441,13 +1440,14 @@ class TestLmRefine:
         obs = synthesize_observation(geom64, pos, f, config, pilots, 10)
         bank = matched_filter_bank(obs)
         start = PolarPosition(10.01, 0.701)
-        run = lm_refine([start], bank, geom64, LmSettings(d_max_m=600.0))
+        run = lm_refine([start], bank, geom64, 600.0)
         refined, converged, iterations = run.position, run.converged, run.iterations
         assert converged
         assert abs(refined.d_m - 10.0) < 1e-6
         assert abs(refined.theta_rad - 0.7) < 1e-8
 
-    def test_zero_iteration_budget(self, geom64):
+    def test_zero_iteration_budget(self, monkeypatch, geom64):
+        monkeypatch.setattr(estimator_module, "LM_MAX_STEPS", 0)
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         pos = PolarPosition(10.0, 0.7)
         f = conjugate_focus_beamformer(geom64, pos)
@@ -1455,7 +1455,7 @@ class TestLmRefine:
         obs = synthesize_observation(geom64, pos, f, config, pilots, 10)
         bank = matched_filter_bank(obs)
         start = PolarPosition(10.3, 0.72)
-        run = lm_refine([start], bank, geom64, LmSettings(max_iters=0, d_max_m=600.0))
+        run = lm_refine([start], bank, geom64, 600.0)
         refined, converged, iterations = run.position, run.converged, run.iterations
         assert refined == start
         assert not converged and iterations == 0
@@ -1473,7 +1473,7 @@ class TestLmRefine:
         mean_b = noiseless_mean(geom64, pos_b, f, config, pilots)
         obs = Observation(mean_a + 0.5 * mean_b, pilots, config, f)
         bank = matched_filter_bank(obs)
-        run = lm_refine([PolarPosition(14.05, 2.095)], bank, geom64, LmSettings(d_max_m=600.0))
+        run = lm_refine([PolarPosition(14.05, 2.095)], bank, geom64, 600.0)
         refined, converged = run.position, run.converged
         assert abs(refined.d_m - 14.0) < 0.5
         assert abs(refined.theta_rad - 2.1) < 0.05
@@ -1533,19 +1533,21 @@ class TestNewtonRefine:
         pilots = generate_pilots(reduced_ofdm, seed)
         obs = synthesize_observation(geom64, truth, f, reduced_ofdm, pilots, seed + 1)
         bank = matched_filter_bank(obs)
-        lm = LmSettings(d_max_m=600.0)
+        d_max = 600.0
         d_lo = geom64.radius_m * (1.0 + 1e-6)
         radii = np.array(estimator_module._trust_radii(geom64, reduced_ofdm))
-        step_tol = np.array([lm.step_tol_d_m, lm.step_tol_theta_rad])
+        step_tol = np.array(
+            [estimator_module.LM_STEP_TOL_D_M, estimator_module.LM_STEP_TOL_THETA_RAD]
+        )
         minima = []
         for _ in range(8):
             offset = rng.uniform(-1.0, 1.0, size=2) * radii
             start = PolarPosition(truth.d_m + offset[0], truth.theta_rad + offset[1])
             seen = record_refinement(monkeypatch)
-            run = lm_refine([start], bank, geom64, lm)
+            run = lm_refine([start], bank, geom64, d_max)
             refined, converged, iterations = run.position, run.converged, run.iterations
             monkeypatch.undo()
-            assert iterations == len(seen) - 1 <= lm.max_iters
+            assert iterations == len(seen) - 1 <= estimator_module.LM_MAX_STEPS
             # Descent: the returned iterate is the last accepted one, and its
             # cost never exceeds the start's (the plain cost rounds apart
             # from the derivative evaluation's by far less than 1e-12).
@@ -1555,7 +1557,7 @@ class TestNewtonRefine:
             start_cost = cost(start, bank, geom64)
             assert cost(refined, bank, geom64) <= start_cost + 1e-12 * abs(start_cost)
             # Every iterate lies strictly inside the range bounds.
-            assert all(d_lo < d < lm.d_max_m for d, _, _ in seen)
+            assert all(d_lo < d < d_max for d, _, _ in seen)
             assert converged
             minima.append((refined.d_m, refined.theta_rad))
             h, g = chain[-1][2].hessian[0], chain[-1][2].gradient[0]
@@ -1580,15 +1582,15 @@ class TestNewtonRefine:
                                  conjugate_focus_beamformer(geom64, PolarPosition(10.0, 0.7)))
         seen = record_refinement(monkeypatch)
         monkeypatch.setattr(estimator_module, "_evaluate", quadratic_evaluator(d_min, 0.7, 1.0, 1.0))
-        lm = LmSettings(d_max_m=600.0)
+        d_max = 600.0
         start = PolarPosition(0.6 if d_min < 1.0 else 599.0, 0.7)
-        run = lm_refine([start], bank, geom64, lm)
+        run = lm_refine([start], bank, geom64, d_max)
         refined, converged, iterations = run.position, run.converged, run.iterations
         d_lo = geom64.radius_m * (1.0 + 1e-6)
-        assert d_lo < refined.d_m < lm.d_max_m
-        assert abs(refined.d_m - (d_lo if d_min < 1.0 else lm.d_max_m)) < 1e-6
+        assert d_lo < refined.d_m < d_max
+        assert abs(refined.d_m - (d_lo if d_min < 1.0 else d_max)) < 1e-6
         assert not converged
-        assert iterations <= lm.max_iters
+        assert iterations <= estimator_module.LM_MAX_STEPS
 
     def test_a_saddle_start_descends_to_the_minimum(self, monkeypatch, geom64):
         # L = c ((d - 10)^2 + ((theta - 1) / s)^2 (-1 + (theta - 1)^2 / s^2)) has
@@ -1604,7 +1606,7 @@ class TestNewtonRefine:
             estimator_module, "_evaluate",
             quadratic_evaluator(10.0, 1.0, c, -c / s**2, c / s**4),
         )
-        run = lm_refine([PolarPosition(10.2, 1.0 + 1e-5)], bank, geom64, LmSettings(d_max_m=600.0))
+        run = lm_refine([PolarPosition(10.2, 1.0 + 1e-5)], bank, geom64, 600.0)
         refined, converged = run.position, run.converged
         assert converged
         assert abs(refined.d_m - 10.0) < 1e-7
@@ -1621,12 +1623,12 @@ class TestNewtonRefine:
             estimator_module, "_evaluate", quadratic_evaluator(10.0, 1.0, curv_d, -1e-6)
         )
         start = PolarPosition(10.0, 1.0)
-        run = lm_refine([start], bank, geom64, LmSettings(d_max_m=600.0))
+        run = lm_refine([start], bank, geom64, 600.0)
         refined, converged, iterations = run.position, run.converged, run.iterations
         assert refined == start and not converged and iterations == 0
 
 
-def oracle_refine(starts, bank, geom, lm):
+def oracle_refine(starts, bank, geom, d_max):
     """The per-basin loop: refine each start alone, rank by the plain cost, ties to the lower index.
 
     Returns (position, converged, iterations, basin index, cost), the fields
@@ -1634,7 +1636,7 @@ def oracle_refine(starts, bank, geom, lm):
     """
     best = None
     for index, start in enumerate(starts):
-        run = lm_refine([start], bank, geom, lm)
+        run = lm_refine([start], bank, geom, d_max)
         key = (cost(run.position, bank, geom), index)
         if best is None or key < best[0]:
             best = (key, run)
@@ -1677,12 +1679,12 @@ class TestLockStepRefine:
         self, monkeypatch, geom64, reduced_ofdm, seed, d_true
     ):
         bank, starts = self.noisy_starts(geom64, reduced_ofdm, seed, d_true)
-        lm = LmSettings(d_max_m=600.0)
-        steps = [lm_refine([start], bank, geom64, lm).iterations for start in starts]
+        d_max = 600.0
+        steps = [lm_refine([start], bank, geom64, d_max).iterations for start in starts]
         assert len(set(steps)) > 1  # the runs stop at different steps
-        want = oracle_refine(starts, bank, geom64, lm)
+        want = oracle_refine(starts, bank, geom64, d_max)
         calls = self.record_batches(monkeypatch)
-        got = lm_refine(starts, bank, geom64, lm)
+        got = lm_refine(starts, bank, geom64, d_max)
         assert tuple(got) == want
         assert type(got.converged) is bool and type(got.iterations) is int
         # One batched derivative evaluation per step, the starts first, then
@@ -1693,21 +1695,22 @@ class TestLockStepRefine:
 
     def test_starts_clamped_onto_the_range_bounds(self, monkeypatch, geom64, reduced_ofdm):
         bank, starts = self.noisy_starts(geom64, reduced_ofdm, 34, 200.0)
-        lm = LmSettings(d_max_m=600.0)
+        d_max = 600.0
         starts = [PolarPosition(0.2, 1.0), *starts[:4], PolarPosition(900.0, 2.0)]
-        want = oracle_refine(starts, bank, geom64, lm)
+        want = oracle_refine(starts, bank, geom64, d_max)
         calls = self.record_batches(monkeypatch)
-        assert tuple(lm_refine(starts, bank, geom64, lm)) == want
+        assert tuple(lm_refine(starts, bank, geom64, d_max)) == want
         # The first batch holds the starts, the outer two clamped onto the bounds.
         first = calls[0][1]
-        assert first[0] == geom64.radius_m * (1.0 + 1e-6) and first[-1] == lm.d_max_m
+        assert first[0] == geom64.radius_m * (1.0 + 1e-6) and first[-1] == d_max
         assert first[1:-1] == [start.d_m for start in starts[1:-1]]
 
-    def test_zero_iteration_budget_ranks_the_starts(self, geom64, reduced_ofdm):
+    def test_zero_iteration_budget_ranks_the_starts(self, monkeypatch, geom64, reduced_ofdm):
         bank, starts = self.noisy_starts(geom64, reduced_ofdm, 35, 50.0)
-        lm = LmSettings(max_iters=0, d_max_m=600.0)
-        got = lm_refine(starts, bank, geom64, lm)
-        assert tuple(got) == oracle_refine(starts, bank, geom64, lm)
+        monkeypatch.setattr(estimator_module, "LM_MAX_STEPS", 0)
+        d_max = 600.0
+        got = lm_refine(starts, bank, geom64, d_max)
+        assert tuple(got) == oracle_refine(starts, bank, geom64, d_max)
         assert got.position == starts[got.basin_index]
         assert not got.converged and got.iterations == 0
 
@@ -1715,15 +1718,15 @@ class TestLockStepRefine:
         # Each start twice: the copies share their batches' ranges and end
         # with equal costs, and the first copy wins.
         bank, starts = self.noisy_starts(geom64, reduced_ofdm, 37, 200.0)
-        lm = LmSettings(d_max_m=600.0)
-        got = lm_refine(starts + starts, bank, geom64, lm)
-        assert tuple(got) == oracle_refine(starts + starts, bank, geom64, lm)
+        d_max = 600.0
+        got = lm_refine(starts + starts, bank, geom64, d_max)
+        assert tuple(got) == oracle_refine(starts + starts, bank, geom64, d_max)
         assert got.basin_index < len(starts)
 
     def test_no_start_is_an_error(self, geom64, reduced_ofdm):
         bank, _ = self.noisy_starts(geom64, reduced_ofdm, 36, 50.0)
         with pytest.raises(ValueError):
-            lm_refine([], bank, geom64, LmSettings(d_max_m=600.0))
+            lm_refine([], bank, geom64, 600.0)
 
 
 class TestEstimate:

@@ -16,10 +16,14 @@ from nfisac import (
     OptimizerConfig,
     SweepConfig,
     TrialRecord,
+    adaptive_d_nodes,
+    auto_n_theta,
     estimator,
+    grid_for_radius,
     harness,
     run_trials,
 )
+from nfisac.cli import parse_config
 
 from conftest import record_bits
 
@@ -117,6 +121,22 @@ def test_grid_is_built_once_per_radius(monkeypatch):
         ))
     assert len(built) == 3
     assert [record_bits(r) for r in fresh] == [record_bits(r) for r in cached]
+
+
+@pytest.mark.parametrize("radius", [0.5, 5.0])
+def test_the_sweep_grid_is_the_one_derived_recipe(radius):
+    # The config sets only the grid's far end and basin budget; its start,
+    # range nodes and angle count follow from the array and the numerology.
+    sweep = parse_config().sweep_config(reduced_m=True)
+    geom = sweep.geometry(radius)
+    d_min = max(2.0 * radius, 1.0)
+    assert grid_for_radius(sweep, radius) == GridSpec(
+        d_min_m=d_min,
+        d_max_m=400.0,
+        n_theta=auto_n_theta(geom),
+        n_basins=15,
+        d_nodes=adaptive_d_nodes(geom, sweep.ofdm, d_min, 400.0),
+    )
 
 
 def test_estimated_beam_rate_never_exceeds_the_optimum():
