@@ -6,10 +6,9 @@ transmit beamforming on the unit sphere, grid-initialized maximum
 likelihood estimation, and a Monte Carlo harness with a CSV-emitting CLI.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .beamformer import (
-    OptimizerConfig,
     OptimizerResult,
     conjugate_focus_beamformer,
     optimize_beamformer,
@@ -36,7 +35,6 @@ from .estimator import (
     cost,
     estimate,
     lm_refine,
-    matched_filter_bank,
     wrap_angle,
     xi,
 )
@@ -68,13 +66,8 @@ from .harness import (
     summarize,
 )
 from .signal import (
-    Observation,
     OfdmConfig,
-    PilotGrid,
     achievable_rate,
-    generate_pilots,
-    noiseless_mean,
     synthesize_bank,
-    synthesize_observation,
     ue_received_snr,
 )

@@ -29,8 +29,8 @@ Armijo backtracking on t keeps every accepted iterate a certified
 decrease. Candidates are scored by ``trace_objective``.
 
 Stopping rule. Iteration stops when the tangent gradient norm falls to
-``grad_tol`` times its value at the start (``converged``), when
-``max_iters`` Newton steps have been taken, or when the line search
+``GRAD_TOL`` times its value at the start (``converged``), when
+``NEWTON_MAX_STEPS`` Newton steps have been taken, or when the line search
 finds no certified decrease. The norm is that of the full-space tangent
 gradient, read off the subspace model: Tr(C) depends on f only through
 B^T f, so its conjugate-coordinate gradient d Tr(C) / d f* lies in
@@ -59,42 +59,17 @@ from .signal import OfdmConfig, require_unit_norm
 CURVATURE_FLOOR = 1e-12
 """Smallest |eigenvalue| of the Newton model, relative to the largest."""
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Newton iteration and line-search settings.
-
-    ``max_iters`` caps the Newton steps (0 returns the start as given).
-    ``grad_tol`` is relative: iteration stops once the tangent gradient
-    norm falls below grad_tol times its value at the start. Each step
-    first tries ``initial_step`` times the Newton step, then shrinks it by
-    ``backtrack_factor`` up to ``max_backtracks`` times until the trace
-    falls by at least ``armijo_c`` times the decrease the Newton model
-    predicts for that step.
-    """
-
-    max_iters: int = 2000
-    grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
-    max_backtracks: int = 50
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.grad_tol <= 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
-        if self.initial_step <= 0.0:
-            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
+# Newton iteration and line search. At most NEWTON_MAX_STEPS steps (0
+# returns the start as given); iteration stops once the tangent gradient
+# norm falls below GRAD_TOL times its value at the start. Each step first
+# tries the full Newton step, then shrinks it by BACKTRACK_FACTOR up to
+# MAX_BACKTRACKS times until the trace falls by at least ARMIJO_C times the
+# decrease the Newton model predicts for that step.
+NEWTON_MAX_STEPS = 2000
+GRAD_TOL = 1e-8
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -230,7 +205,6 @@ def optimize_beamformer(
     geom: UcaGeometry,
     pos: PolarPosition,
     config: OfdmConfig,
-    opt: OptimizerConfig | None = None,
     init: np.ndarray | None = None,
     on_iterate=None,
 ) -> OptimizerResult:
@@ -239,7 +213,7 @@ def optimize_beamformer(
     Starts from the conjugate-focus beamformer, which lies in the
     subspace, unless ``init`` is given; a given ``init`` is projected onto
     the subspace and renormalized first, which can only lower the trace
-    (with ``max_iters=0`` it is returned unchanged). Each iteration takes
+    (with ``NEWTON_MAX_STEPS = 0`` it is returned unchanged). Each iteration takes
     one Newton step (see the module docstring) with Armijo backtracking;
     a candidate at which the pair is unidentifiable counts as a rejected
     step. Raises UnidentifiableParametersError if the start is
@@ -250,10 +224,9 @@ def optimize_beamformer(
     has ``iterations + 1`` entries; ``on_iterate(f)`` is called with the
     start and each accepted iterate. ``final_grad_norm`` is the norm of
     the full-space tangent gradient at the result, and ``converged`` means
-    it fell to ``grad_tol`` times its value at the start.
+    it fell to ``GRAD_TOL`` times its value at the start. The settings
+    are read when called, so a patched module constant takes effect.
     """
-    if opt is None:
-        opt = OptimizerConfig()
     if init is None:
         f = conjugate_focus_beamformer(geom, pos)
     else:
@@ -261,7 +234,7 @@ def optimize_beamformer(
     objective = trace_objective(f, geom, pos, config)
 
     model = _SubspaceModel(geom, pos, config)
-    if init is not None and opt.max_iters > 0:
+    if init is not None and NEWTON_MAX_STEPS > 0:
         f = model.basis @ (np.conj(model.basis).T @ f)
         f /= np.linalg.norm(f)
         objective = trace_objective(f, geom, pos, config)
@@ -270,13 +243,13 @@ def optimize_beamformer(
         on_iterate(f)
 
     grad_norm = model.tangent_grad_norm(f)
-    tol = opt.grad_tol * grad_norm
+    tol = GRAD_TOL * grad_norm
     iterations = 0
 
-    while iterations < opt.max_iters and grad_norm > tol:
+    while iterations < NEWTON_MAX_STEPS and grad_norm > tol:
         step_dir, decrease = model.newton_step(f)
-        step = opt.initial_step
-        for _ in range(opt.max_backtracks):
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS):
             # The step is orthogonal to f and j f, so |f + step * step_dir| >= 1.
             candidate = f + step * step_dir
             candidate /= np.linalg.norm(candidate)
@@ -286,11 +259,11 @@ def optimize_beamformer(
                 candidate_obj = np.inf
             # Below rounding the Armijo bound reads "no increase"; a step
             # must still lower the trace to count as a certified decrease.
-            if candidate_obj <= objective - opt.armijo_c * step * decrease and (
+            if candidate_obj <= objective - ARMIJO_C * step * decrease and (
                 candidate_obj < objective
             ):
                 break
-            step *= opt.backtrack_factor
+            step *= BACKTRACK_FACTOR
         else:
             # Line search exhausted: no further certified decrease available.
             break

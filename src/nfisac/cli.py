@@ -1,14 +1,21 @@
 """Command-line front end: JSON config, subcommands, plot-ready CSV.
 
-Configuration values are written in natural units (GHz, kHz, mW, dBm,
-mm, m, degrees) and normalized to SI internally; every run writes the
-fully-resolved config, master seed and command arguments to a JSON
-sidecar next to its output, so any CSV can be regenerated byte for byte
-from the sidecar alone (see ``write_sidecar``). A config value of the
+The config names the scenario and nothing else. Its keys are the fields
+of ``RunConfig``: wavelength_mm, subcarriers, subcarrier_spacing_khz,
+ofdm_symbols, cp_fraction, tx_power_mw, noise_power_dbm, n_antennas,
+radii_m, distances_m, theta_policy, trials_per_point, master_seed,
+workers, and the section grid = {d_max_m}. The solver settings (the
+beamformer's Newton, the refinement, the grid's nodes per lobe and its
+basin budget) are module constants. Values are written in natural units
+(kHz, mW, dBm, mm, m, degrees) and normalized to SI internally; every run
+writes the fully-resolved config, master seed and command arguments to a
+JSON sidecar next to its output, so any CSV can be regenerated byte for
+byte from the sidecar alone (see ``write_sidecar``). A config value of the
 wrong kind (a string for a count, a bool for a number) is a config error
-that names its key. ``-v/--verbose`` prints one progress line per finished
-Monte Carlo trial to stderr and changes no output. Exit codes: 0 success,
-1 usage/config error, 2 runtime error.
+that names its key, and a command-line number out of its config value's
+range is one that names its flag. ``-v/--verbose`` prints one progress
+line per finished Monte Carlo trial to stderr and changes no output. Exit
+codes: 0 success, 1 usage/config error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .beamformer import OptimizerConfig, optimize_beamformer
+from .beamformer import optimize_beamformer
 from .estimator import GridSpec, estimate
 from .geometry import PolarPosition, UcaGeometry
 from .harness import (
     WORKER_ENV,
     SweepConfig,
+    TrialRecord,
     crlb_sweep,
     derive_seed,
     grid_d_min_m,
@@ -74,17 +82,7 @@ class RunConfig:
     trials_per_point: int = 200
     master_seed: int = 20260810
     workers: int = 1
-    grid: dict = field(default_factory=lambda: {"d_max_m": 400.0, "n_basins": 15})
-    optimizer: dict = field(
-        default_factory=lambda: {
-            "max_iters": 2000,
-            "grad_tol": 1e-8,
-            "armijo_c": 1e-4,
-            "backtrack_factor": 0.5,
-            "initial_step": 1.0,
-            "max_backtracks": 50,
-        }
-    )
+    grid: dict = field(default_factory=lambda: {"d_max_m": 400.0})
 
     def ofdm_config(self, reduced_m: bool = False) -> OfdmConfig:
         spacing = self.subcarrier_spacing_khz * 1e3
@@ -101,9 +99,6 @@ class RunConfig:
     def wavelength_m(self) -> float:
         return self.wavelength_mm * 1e-3
 
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(**self.optimizer)
-
     def sweep_config(
         self,
         reduced_m: bool = False,
@@ -116,10 +111,7 @@ class RunConfig:
             distances_m=self.distances_m,
             ofdm=self.ofdm_config(reduced_m),
             # The harness derives the grid's nodes per radius (grid_for_radius).
-            grid=GridSpec(
-                d_min_m=1.0, d_max_m=self.grid["d_max_m"], n_basins=self.grid["n_basins"]
-            ),
-            optimizer=self.optimizer_config(),
+            grid=GridSpec(d_min_m=1.0, d_max_m=self.grid["d_max_m"]),
             theta_policy=(
                 float(np.deg2rad(self.theta_policy))
                 if not isinstance(self.theta_policy, str)
@@ -131,9 +123,6 @@ class RunConfig:
             wavelength_m=self.wavelength_m,
             workers=workers if workers is not None else self.workers,
         )
-
-
-_SUBDICT_KEYS = {"grid", "optimizer"}
 
 
 def _merge_section(name: str, defaults: dict, given: dict) -> dict:
@@ -178,7 +167,7 @@ def parse_config(
     kwargs: dict = {}
     for key, value in data.items():
         default = getattr(defaults, key)
-        if key in _SUBDICT_KEYS:
+        if key == "grid":
             if not isinstance(value, dict):
                 raise ConfigError(f"key '{key}' must be a JSON object")
             kwargs[key] = _merge_section(key, default, value)
@@ -230,8 +219,8 @@ def _validate(cfg: RunConfig) -> None:
     _require(cfg.cp_fraction >= 0, "key 'cp_fraction' must be nonnegative")
     _require(cfg.tx_power_mw > 0, "key 'tx_power_mw' must be positive")
     _require(cfg.n_antennas >= 1, "key 'n_antennas' must be >= 1")
-    _require(cfg.trials_per_point >= 1, "key 'trials_per_point' must be >= 1")
-    _require(cfg.workers >= 1, "key 'workers' must be >= 1")
+    _check_count("key 'trials_per_point'", cfg.trials_per_point)
+    _check_count("key 'workers'", cfg.workers)
     _require(all(r > 0 for r in cfg.radii_m), "key 'radii_m' entries must be positive")
     max_radius = max(cfg.radii_m)
     d_max = cfg.grid["d_max_m"]
@@ -247,12 +236,24 @@ def _validate(cfg: RunConfig) -> None:
             np.isfinite(cfg.theta_policy),
             "key 'theta_policy' must be 'uniform' or a finite angle in degrees",
         )
-    _require(cfg.grid["n_basins"] >= 1, "key 'grid.n_basins' must be >= 1")
-    try:
-        cfg.optimizer_config()
-    except ValueError as exc:
-        # OptimizerConfig's messages open with the offending field's name.
-        raise ConfigError(f"key 'optimizer.{str(exc).split()[0]}': {exc}") from None
+
+
+def _check_count(name: str, value: int) -> None:
+    _require(value >= 1, f"{name} must be >= 1")
+
+
+def _check_arguments(args) -> None:
+    """Command-line numbers get the checks of the config values they stand in for."""
+    for flag in ("trials", "workers"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            _check_count(f"argument '--{flag}'", value)
+    if hasattr(args, "radius"):
+        _require(args.radius > 0, "argument '--radius' must be positive")
+    if hasattr(args, "theta_deg"):
+        _require(
+            np.isfinite(args.theta_deg), "argument '--theta-deg' must be a finite angle in degrees"
+        )
 
 
 def _check_distance(name: str, distance: float, radius: float, d_max_m: float) -> None:
@@ -408,9 +409,14 @@ def _cmd_crlb_sweep(args, cfg: RunConfig) -> int:
 
 def _cmd_optimize(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.master_seed
+    _require(
+        args.radius < args.distance < np.inf,
+        f"argument '--distance': distance {args.distance} m must be finite and exceed "
+        f"the radius {args.radius} m",
+    )
     geom = UcaGeometry(cfg.n_antennas, args.radius, cfg.wavelength_m)
     pos = PolarPosition(args.distance, float(np.deg2rad(args.theta_deg)))
-    result = optimize_beamformer(geom, pos, cfg.ofdm_config(), cfg.optimizer_config())
+    result = optimize_beamformer(geom, pos, cfg.ofdm_config())
     header = ["element", "re", "im"]
     data = [
         [k, float(np.real(v)), float(np.imag(v))]
@@ -434,7 +440,7 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     truth = PolarPosition(args.distance, float(np.deg2rad(args.theta_deg)))
     # The beam is the one the reproduced trial optimizes, at the noise
     # power of the config even under --zero-noise: its bound needs sigma^2 > 0.
-    beam = optimize_beamformer(geom, truth, sweep.ofdm, sweep.optimizer).beamformer
+    beam = optimize_beamformer(geom, truth, sweep.ofdm).beamformer
     ofdm = dataclasses.replace(sweep.ofdm, sigma2_w=0.0) if args.zero_noise else sweep.ofdm
     bank = synthesize_bank(geom, truth, beam, ofdm, derive_seed(seed, 2))
     result = estimate(bank, geom, grid_for_radius(sweep, args.radius))
@@ -461,6 +467,7 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# monte-carlo's columns: SweepPoint fields, in the order of the published table.
 _SUMMARY_HEADER = [
     "radius_m", "d_m", "rmse_d_m", "rmse_theta_rad", "crlb_d_m", "crlb_theta_rad",
     "convergence_rate", "success_rate", "mean_snr_db", "mean_rate_est_bps",
@@ -468,16 +475,12 @@ _SUMMARY_HEADER = [
 ]
 
 
-def _summary_rows(points) -> list[list]:
-    return [
-        [
-            p.radius_m, p.d_m, p.rmse_d_m, p.rmse_theta_rad, p.crlb_d_m,
-            p.crlb_theta_rad, p.convergence_rate, p.success_rate, p.mean_snr_db,
-            p.mean_rate_est_bps, p.mean_rate_opt_bps, p.n_trials,
-            p.rmse_d_se_m, p.rmse_theta_se_rad,
-        ]
-        for p in points
-    ]
+_RECORDS_HEADER = [f.name for f in dataclasses.fields(TrialRecord)]
+
+
+def _rows(items, header: list[str]) -> list[list]:
+    """A CSV view of dataclass instances: one row each, the ``header`` fields in order."""
+    return [[getattr(item, name) for name in header] for item in items]
 
 
 def _progress(args):
@@ -519,21 +522,11 @@ def _run_sweep(args, cfg: RunConfig):
 
 def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
     seed, sweep, records, points = _run_sweep(args, cfg)
-    write_csv(args.output, _SUMMARY_HEADER, _summary_rows(points), seed, "monte-carlo")
+    write_csv(args.output, _SUMMARY_HEADER, _rows(points, _SUMMARY_HEADER), seed, "monte-carlo")
     write_sidecar(args.output, cfg, seed, "monte-carlo", _sweep_arguments(args, sweep))
     if args.records:
-        header = [
-            "radius_m", "d_true_m", "theta_true_rad", "d_hat_m", "theta_hat_rad",
-            "converged", "success", "snr_db", "rate_est_bps", "rate_opt_bps", "seed",
-        ]
-        rows = [
-            [
-                r.radius_m, r.d_true_m, r.theta_true_rad, r.d_hat_m, r.theta_hat_rad,
-                r.converged, r.success, r.snr_db, r.rate_est_bps, r.rate_opt_bps, r.seed,
-            ]
-            for r in records
-        ]
-        write_csv(args.records, header, rows, seed, "monte-carlo-records")
+        rows = _rows(records, _RECORDS_HEADER)
+        write_csv(args.records, _RECORDS_HEADER, rows, seed, "monte-carlo-records")
     return EXIT_OK
 
 
@@ -559,8 +552,7 @@ _RATE_HEADER = [
 def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
     seed, sweep, _, points = _run_sweep(args, cfg)
     _warn_unless_rate_monotone(points)
-    rows = [[getattr(p, name) for name in _RATE_HEADER] for p in points]
-    write_csv(args.output, _RATE_HEADER, rows, seed, "rate-sweep")
+    write_csv(args.output, _RATE_HEADER, _rows(points, _RATE_HEADER), seed, "rate-sweep")
     write_sidecar(args.output, cfg, seed, "rate-sweep", _sweep_arguments(args, sweep))
     return EXIT_OK
 
@@ -583,6 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_arguments(args)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,12 +22,12 @@ import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .beamformer import OptimizerConfig, conjugate_focus_beamformer, optimize_beamformer
+from .beamformer import conjugate_focus_beamformer, optimize_beamformer
 from .crlb import CrlbBound, UnidentifiableParametersError, crlb_at
 from .estimator import GridSpec, estimate, wrap_angle
 from .geometry import SPEED_OF_LIGHT, PolarPosition, UcaGeometry, rayleigh_distance
@@ -83,14 +83,14 @@ class SweepConfig:
     ``theta_policy`` is either the string 'uniform' (a fresh azimuth per
     trial) or a fixed angle in radians. Of the grid template only
     ``d_max_m`` and ``n_basins`` are read: ``grid_for_radius`` works out
-    the rest per radius.
+    the rest per radius. The beamformer's Newton settings are constants of
+    ``beamformer``.
     """
 
     radii_m: tuple[float, ...]
     distances_m: tuple[float, ...]
     ofdm: OfdmConfig
     grid: GridSpec
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     theta_policy: str | float = "uniform"
     trials_per_point: int = 200
     master_seed: int = 0
@@ -163,18 +163,24 @@ class CrlbPoint:
     status: str
 
 
-def auto_n_theta(geom: UcaGeometry, nodes_per_lobe: float = 4.0) -> int:
+# Grid nodes per correlation main lobe: in angle (``auto_n_theta``) and in
+# range (``adaptive_d_nodes``).
+THETA_NODES_PER_LOBE = 4.0
+RANGE_NODES_PER_LOBE = 3.0
+
+
+def auto_n_theta(geom: UcaGeometry) -> int:
     """Angle grid size sampling the angular correlation main lobe.
 
     The coherence main lobe of the circular aperture has half-width
-    about 2.405 * lambda / (2 pi R); the grid places ``nodes_per_lobe``
+    about 2.405 * lambda / (2 pi R); the grid places THETA_NODES_PER_LOBE
     nodes across the full lobe and rounds up to a multiple of the
     element count, which the polyphase coarse grid requires. Keeping several
     nodes per lobe bounds every node's angular offset well inside the
     basin the downstream refinement can recover from.
     """
     lobe_width = 2.0 * 2.405 * geom.wavelength_m / (2.0 * np.pi * geom.radius_m)
-    target = int(np.ceil(2.0 * np.pi / (lobe_width / nodes_per_lobe)))
+    target = int(np.ceil(2.0 * np.pi / (lobe_width / THETA_NODES_PER_LOBE)))
     target = max(target, geom.n_a)
     blocks = int(np.ceil(target / geom.n_a))
     return blocks * geom.n_a
@@ -194,28 +200,24 @@ def range_correlation_width(geom: UcaGeometry, ofdm: OfdmConfig, d_m: float) -> 
 
 
 def adaptive_d_nodes(
-    geom: UcaGeometry,
-    ofdm: OfdmConfig,
-    d_min_m: float,
-    d_max_m: float,
-    nodes_per_lobe: float = 3.0,
+    geom: UcaGeometry, ofdm: OfdmConfig, d_min_m: float, d_max_m: float
 ) -> tuple[float, ...]:
     """Range nodes with spacing tied to the local correlation width.
 
-    Steps are the width at the current node over ``nodes_per_lobe``. Where
-    the delay lobe c / (2 M df) governs, every step is the same,
-    c / (2 df K) with K = nodes_per_lobe * M, so those rows form one uniform
-    run: when K is an integer (the default 3 M), the coarse grid's bound
-    pass reads them off one K-point FFT (``estimator._row_norms``). The run
-    drifts from d_0 + j c / (2 df K) only by the rounding of the summed
-    steps (6e-11 m over 7800 rows at M = 2048), which that bound measures
-    and covers. Ahead of the run, where the wavefront curvature governs,
-    the steps grow with d; the last node is clamped to ``d_max_m``.
+    Steps are the width at the current node over RANGE_NODES_PER_LOBE.
+    Where the delay lobe c / (2 M df) governs, every step is the same,
+    c / (2 df K) with K = 3 M, so those rows form one uniform run, and the
+    coarse grid's bound pass reads them off one K-point FFT
+    (``estimator._row_norms``). The run drifts from d_0 + j c / (2 df K)
+    only by the rounding of the summed steps (6e-11 m over 7800 rows at
+    M = 2048), which that bound measures and covers. Ahead of the run,
+    where the wavefront curvature governs, the steps grow with d; the last
+    node is clamped to ``d_max_m``.
     """
     nodes = [d_min_m]
     d = d_min_m
     while d < d_max_m:
-        d += range_correlation_width(geom, ofdm, d) / nodes_per_lobe
+        d += range_correlation_width(geom, ofdm, d) / RANGE_NODES_PER_LOBE
         nodes.append(min(d, d_max_m))
     return tuple(nodes)
 
@@ -276,7 +278,7 @@ def run_trial(
     """
     geom = cfg.geometry(radius_m)
     truth = PolarPosition(d_true_m, wrap_angle(theta_true_rad))
-    beam = optimize_beamformer(geom, truth, cfg.ofdm, cfg.optimizer).beamformer
+    beam = optimize_beamformer(geom, truth, cfg.ofdm).beamformer
     bank = synthesize_bank(geom, truth, beam, cfg.ofdm, derive_seed(seed, 2))
     result = estimate(bank, geom, grid_for_radius(cfg, radius_m))
 
@@ -397,7 +399,7 @@ def _cell_bound(
     geom = cfg.geometry(radius_m)
     pos = PolarPosition(d_m, 0.0)
     try:
-        beam = optimize_beamformer(geom, pos, cfg.ofdm, cfg.optimizer).beamformer
+        beam = optimize_beamformer(geom, pos, cfg.ofdm).beamformer
         return crlb_at(geom, pos, beam, cfg.ofdm), beam
     except UnidentifiableParametersError:
         return CrlbBound(np.nan, np.nan, np.nan), None

@@ -115,11 +115,11 @@ class MatchedFilterBank:
     beamformer: np.ndarray
 
 
-def require_unit_norm(f: np.ndarray, tol: float = UNIT_NORM_TOL) -> np.ndarray:
-    """Validate that f is a unit-norm complex vector; returns it as an array."""
+def require_unit_norm(f: np.ndarray) -> np.ndarray:
+    """Validate that f is unit-norm to within UNIT_NORM_TOL; returns it as a complex array."""
     f = np.asarray(f, dtype=complex)
     norm = np.linalg.norm(f)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"beamformer must be unit-norm, got ||f|| = {norm!r}")
     return f
 

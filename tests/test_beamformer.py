@@ -15,7 +15,6 @@ import pytest
 
 from nfisac import (
     OfdmConfig,
-    OptimizerConfig,
     PolarPosition,
     UcaGeometry,
     conjugate_focus_beamformer,
@@ -29,6 +28,7 @@ from nfisac import (
     trace_objective,
     ue_received_snr,
 )
+from nfisac import beamformer as beamformer_module
 from nfisac.beamformer import OptimizerResult, _real_form, _SubspaceModel
 
 from conftest import SIGMA2_W, random_unit_vector
@@ -119,30 +119,35 @@ def wirtinger_gradient(f, geom, pos, config):
 
 
 def armijo_oracle(geom, pos, config):
-    """Project-descend-retract loop with Armijo backtracking in all n_a dims."""
-    opt = OptimizerConfig()
+    """Project-descend-retract loop with Armijo backtracking in all n_a dims.
+
+    Its settings are literals, so the oracle stays independent of the
+    code it checks.
+    """
+    max_iters, grad_tol, initial_step, max_backtracks = 2000, 1e-8, 1.0, 50
+    armijo_c, backtrack_factor = 1e-4, 0.5
     f = conjugate_focus_beamformer(geom, pos)
     oracle = WMatrixTrace(geom, pos, config)
     objective = oracle.objective(f)
     history = [objective]
     direction = oracle.tangent_gradient(f)
     grad_norm = float(np.linalg.norm(direction))
-    tol = opt.grad_tol * grad_norm
+    tol = grad_tol * grad_norm
     iterations = 0
-    while iterations < opt.max_iters and grad_norm > tol:
+    while iterations < max_iters and grad_norm > tol:
         # Armijo model: directional derivative along -direction is -2 ||P||^2.
         expected_slope = 2.0 * grad_norm**2
-        step = opt.initial_step
+        step = initial_step
         accepted = False
-        for _ in range(opt.max_backtracks):
+        for _ in range(max_backtracks):
             # direction is tangent, so |f - step * direction| >= 1.
             candidate = f - step * direction
             candidate = candidate / np.linalg.norm(candidate)
             candidate_obj = oracle.objective(candidate)
-            if candidate_obj <= objective - opt.armijo_c * step * expected_slope:
+            if candidate_obj <= objective - armijo_c * step * expected_slope:
                 accepted = True
                 break
-            step *= opt.backtrack_factor
+            step *= backtrack_factor
         if not accepted:
             break
         f = candidate
@@ -238,11 +243,10 @@ class TestWirtingerGradient:
 
 
 class TestOptimizeBeamformer:
-    def test_zero_iteration_budget_returns_init(self, geom64, pos10, reduced_ofdm):
+    def test_zero_iteration_budget_returns_init(self, monkeypatch, geom64, pos10, reduced_ofdm):
         init = conjugate_focus_beamformer(geom64, pos10)
-        result = optimize_beamformer(
-            geom64, pos10, reduced_ofdm, OptimizerConfig(max_iters=0), init=init
-        )
+        monkeypatch.setattr(beamformer_module, "NEWTON_MAX_STEPS", 0)
+        result = optimize_beamformer(geom64, pos10, reduced_ofdm, init=init)
         np.testing.assert_array_equal(result.beamformer, init)
         assert result.iterations == 0
         assert result.trace_history[0] == trace_objective(init, geom64, pos10, reduced_ofdm)
@@ -253,7 +257,6 @@ class TestOptimizeBeamformer:
             geom64,
             pos10,
             reduced_ofdm,
-            OptimizerConfig(max_iters=300),
             on_iterate=lambda f: norms.append(abs(np.linalg.norm(f) - 1.0)),
         )
         assert np.all(np.diff(result.trace_history) <= 0)
@@ -269,16 +272,13 @@ class TestOptimizeBeamformer:
             baseline = trace_objective(
                 conjugate_focus_beamformer(geom, pos), geom, pos, reduced_ofdm
             )
-            result = optimize_beamformer(
-                geom, pos, reduced_ofdm, OptimizerConfig(max_iters=400)
-            )
+            result = optimize_beamformer(geom, pos, reduced_ofdm)
             assert result.trace_history[-1] <= baseline + 1e-12 * baseline
 
     def test_phase_rotated_init_same_final_trace(self, geom64, pos10, reduced_ofdm):
-        opt = OptimizerConfig(max_iters=200)
         init = conjugate_focus_beamformer(geom64, pos10)
-        a = optimize_beamformer(geom64, pos10, reduced_ofdm, opt, init=init)
-        b = optimize_beamformer(geom64, pos10, reduced_ofdm, opt, init=np.exp(1.3j) * init)
+        a = optimize_beamformer(geom64, pos10, reduced_ofdm, init=init)
+        b = optimize_beamformer(geom64, pos10, reduced_ofdm, init=np.exp(1.3j) * init)
         assert b.trace_history[-1] == pytest.approx(a.trace_history[-1], rel=1e-8)
 
     def test_single_element_has_nothing_to_optimize(self, reduced_ofdm):
@@ -297,9 +297,7 @@ class TestOptimizeBeamformer:
         finals = []
         for _ in range(4):
             init = random_unit_vector(rng, 64)
-            result = optimize_beamformer(
-                geom64, pos10, reduced_ofdm, OptimizerConfig(max_iters=400), init=init
-            )
+            result = optimize_beamformer(geom64, pos10, reduced_ofdm, init=init)
             finals.append(result.trace_history[-1])
         spread = (max(finals) - min(finals)) / min(finals)
         print(f"multistart final-trace dispersion: {spread:.3e}")
@@ -378,17 +376,15 @@ class TestNewtonAgainstOracle:
             # Newton with |lambda| from the projected start: a few steps, not a crawl.
             assert start.converged and start.iterations <= 20
 
-    def test_tolerance_below_rounding_stops_at_the_optimum(self):
+    def test_tolerance_below_rounding_stops_at_the_optimum(self, monkeypatch):
         # At R=2, d=100 the tangent gradient bottoms out near 1e-10 of its
         # starting value; steps that round to no decrease end the search.
-        geom = UcaGeometry(64, 2.0, 0.005)
-        pos = PolarPosition(100.0, 0.7)
-        tight = optimize_beamformer(geom, pos, ofdm_with(128), OptimizerConfig(grad_tol=1e-14))
+        reference = newton_result(2.0, 100.0, 0.7).trace_history[-1]
+        monkeypatch.setattr(beamformer_module, "GRAD_TOL", 1e-14)
+        tight = newton_result(2.0, 100.0, 0.7)
         assert tight.iterations <= 10
         assert np.all(np.diff(tight.trace_history) < 0)
-        assert tight.trace_history[-1] == pytest.approx(
-            newton_result(2.0, 100.0, 0.7).trace_history[-1], rel=1e-12
-        )
+        assert tight.trace_history[-1] == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("radius, d, m", BENCHMARK_CELLS)
     @pytest.mark.parametrize("theta", [0.0, 1.0, 4.0])
@@ -411,17 +407,18 @@ class TestSubspaceModel:
 
     @pytest.mark.parametrize("radius, d, theta", existing_test_positions()[:6])
     @pytest.mark.parametrize("start", ["default", "random"])
-    def test_final_grad_norm_is_the_tangent_w_gradient_norm(self, radius, d, theta, start):
-        # A random 64-dim start lies outside span Q; with max_iters=0 it is
-        # returned as given, and its norm must still be the full-space one.
+    def test_final_grad_norm_is_the_tangent_w_gradient_norm(
+        self, monkeypatch, radius, d, theta, start
+    ):
+        # A random 64-dim start lies outside span Q; with no Newton steps it
+        # is returned as given, and its norm must still be the full-space one.
         geom = UcaGeometry(64, radius, 0.005)
         pos = PolarPosition(d, theta)
         init = None
         if start == "random":
             init = random_unit_vector(np.random.default_rng(int(100 * d)), 64)
-        result = optimize_beamformer(
-            geom, pos, ofdm_with(128), OptimizerConfig(max_iters=0), init=init
-        )
+        monkeypatch.setattr(beamformer_module, "NEWTON_MAX_STEPS", 0)
+        result = optimize_beamformer(geom, pos, ofdm_with(128), init=init)
         expected = np.linalg.norm(
             WMatrixTrace(geom, pos, ofdm_with(128)).tangent_gradient(result.beamformer)
         )

@@ -1,6 +1,7 @@
 """CLI: configuration checks, exit codes and the records CSV."""
 
 import csv
+import dataclasses
 import json
 import re
 import warnings
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 import nfisac
-from nfisac import OptimizerConfig
 from nfisac.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -20,7 +20,7 @@ from nfisac.cli import (
     parse_config,
 )
 from nfisac.estimator import wrap_angle
-from nfisac.harness import SweepPoint, run_trial, run_trials
+from nfisac.harness import SweepPoint, TrialRecord, run_trial, run_trials
 
 # A sweep small enough for tier-1: 8 elements, 16 subcarriers, two trials.
 TINY = {
@@ -31,8 +31,7 @@ TINY = {
     "distances_m": [10.0],
     "trials_per_point": 2,
     "master_seed": 17,
-    "grid": {"d_max_m": 40.0, "n_basins": 4},
-    "optimizer": {"max_iters": 200},
+    "grid": {"d_max_m": 40.0},
 }
 
 
@@ -229,8 +228,10 @@ class TestSidecar:
         assert sidecar["worker_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         assert sidecar["tool"] == f"nfisac {nfisac.__version__}"
         assert sidecar["numpy"] == np.__version__
-        assert sidecar["config"]["grid"] == {"d_max_m": 40.0, "n_basins": 4}
-        assert "lm" not in sidecar["config"]
+        assert sidecar["config"]["grid"] == {"d_max_m": 40.0}
+        assert "lm" not in sidecar["config"] and "optimizer" not in sidecar["config"]
+        records_header = (first / "records.csv").read_text().splitlines()[1]
+        assert records_header.split(",") == [f.name for f in dataclasses.fields(TrialRecord)]
 
         second = tmp_path / "second"
         second.mkdir()
@@ -244,33 +245,30 @@ class TestSidecar:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
-class TestOptimizerSettings:
-    @pytest.mark.parametrize("key, value", [("max_iters", -5), ("max_backtracks", 0)])
-    def test_config_rejects_out_of_range_counts(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be >= "):
-            OptimizerConfig(**{key: value})
-
-    def test_zero_iteration_budget_is_valid(self):
-        assert OptimizerConfig(max_iters=0).max_iters == 0
-
-    @pytest.mark.parametrize(
-        "key, value", [("grad_tol", -1.0), ("max_iters", -3), ("max_backtracks", 0)]
-    )
-    def test_parse_config_names_the_optimizer_key(self, key, value):
-        with pytest.raises(ConfigError, match=f"key 'optimizer.{key}'"):
-            parse_config(overrides={"optimizer": {key: value}})
-
-    @pytest.mark.parametrize("key, value", [("grad_tol", -1.0), ("max_iters", -3)])
-    def test_main_exits_with_usage_code(self, tmp_path, capsys, key, value):
-        config = write_config(tmp_path, {**TINY, "optimizer": {key: value}})
-        output = tmp_path / "beam.csv"
-        code = main([
-            "--config", config, "optimize-beamformer",
-            "--radius", "0.5", "--distance", "10", "--output", str(output),
-        ])
+class TestCommandLineNumbers:
+    @pytest.mark.parametrize("command, flags, named", [
+        ("monte-carlo", ["--trials", "0"], "--trials"),
+        ("monte-carlo", ["--workers", "0"], "--workers"),
+        ("rate-sweep", ["--workers", "-3"], "--workers"),
+        ("optimize-beamformer", ["--radius", "0.5", "--distance", "10", "--theta-deg", "nan"],
+         "--theta-deg"),
+        ("estimate", ["--radius", "0.5", "--distance", "10", "--theta-deg", "inf"],
+         "--theta-deg"),
+        ("optimize-beamformer", ["--radius", "0", "--distance", "10"], "--radius"),
+        ("estimate", ["--radius", "0", "--distance", "10"], "--radius"),
+        ("optimize-beamformer", ["--radius", "0.5", "--distance", "0.3"], "--distance"),
+        ("optimize-beamformer", ["--radius", "0.5", "--distance", "inf"], "--distance"),
+    ])
+    def test_out_of_range_flag_exits_with_usage_code(
+        self, tmp_path, capsys, command, flags, named
+    ):
+        # Each flag gets the check of the config value it stands in for.
+        config = write_config(tmp_path, TINY)
+        output = tmp_path / "out.csv"
+        code = main(["--config", config, command, *flags, "--output", str(output)])
         assert code == EXIT_USAGE
-        assert f"optimizer.{key}" in capsys.readouterr().err
-        assert not output.exists()
+        assert f"argument '{named}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_optimize_prints_a_plain_float_trace(self, tmp_path, capsys):
         config = write_config(tmp_path, TINY)
@@ -285,8 +283,6 @@ class TestOptimizerSettings:
 
 class TestConfigKinds:
     @pytest.mark.parametrize("overrides, key", [
-        ({"optimizer": {"max_iters": "many"}}, "optimizer.max_iters"),
-        ({"grid": {"n_basins": "x"}}, "grid.n_basins"),
         ({"subcarriers": "128"}, "subcarriers"),
         ({"radii_m": "ab"}, "radii_m"),
         ({"workers": 1.5}, "workers"),
@@ -296,15 +292,13 @@ class TestConfigKinds:
         ({"distances_m": []}, "distances_m"),
         ({"distances_m": [10.0, True]}, "distances_m"),
         ({"theta_policy": "random"}, "theta_policy"),
-        ({"grid": {"n_basins": 15.0}}, "grid.n_basins"),
     ])
     def test_parse_config_names_the_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}' must be "):
             parse_config(overrides=overrides)
 
     @pytest.mark.parametrize("overrides", [
-        {"optimizer": {"max_iters": "many"}},
-        {"grid": {"n_basins": "x"}},
+        {"grid": {"d_max_m": "far"}},
         {"subcarriers": "128"},
         {"radii_m": "ab"},
         {"workers": 1.5},
@@ -318,12 +312,15 @@ class TestConfigKinds:
         assert f"key '{key}" in capsys.readouterr().err
         assert not output.exists()
 
-    @pytest.mark.parametrize("key", ["doppler_hz", "carrier_ghz", "grid.n_d", "grid.n_theta", "lm"])
+    @pytest.mark.parametrize("key", [
+        "doppler_hz", "carrier_ghz", "grid.n_d", "grid.n_theta", "grid.n_basins", "lm",
+        "optimizer",
+    ])
     def test_removed_carrier_and_doppler_keys_are_unknown(self, key):
         # The carrier is set by wavelength_mm alone, and the bank's law has
-        # no Doppler term; the grid's nodes and the refinement's settings are
-        # worked out, not configured. A config that names any of them is
-        # rejected.
+        # no Doppler term; the grid's nodes and the solvers' settings are
+        # worked out or constant, not configured. A config that names any of
+        # them is rejected.
         section, _, name = key.rpartition(".")
         overrides = {section: {name: 1.0}} if section else {key: 1.0}
         with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(key)}'"):

@@ -27,13 +27,12 @@ from nfisac import (
     crlb_at,
     crlb_from_fim,
     fim,
-    generate_pilots,
-    noiseless_mean,
     sensitivities,
     steering_vector,
 )
 from nfisac.crlb import CrlbBound, gamma_coefficients
 from nfisac.geometry import SPEED_OF_LIGHT
+from nfisac.signal import generate_pilots, noiseless_mean
 
 from conftest import random_unit_vector
 

@@ -21,16 +21,12 @@ from nfisac import (
     conjugate_focus_beamformer,
     cost,
     estimate,
-    generate_pilots,
     lm_refine,
-    matched_filter_bank,
     mean_product_scale,
-    noiseless_mean,
     optimize_beamformer,
     sensitivities,
     steering_vector,
     synthesize_bank,
-    synthesize_observation,
     xi,
 )
 from nfisac import cli, harness
@@ -42,10 +38,19 @@ from nfisac.estimator import (
     _cost_rows as _cost_rows_fft,
     _evaluate,
     _row_bounds,
+    matched_filter_bank,
     polish_basin,
 )
 from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
-from nfisac.signal import MatchedFilterBank, Observation, delay_phases, phase_factor_grid
+from nfisac.signal import (
+    MatchedFilterBank,
+    Observation,
+    delay_phases,
+    generate_pilots,
+    noiseless_mean,
+    phase_factor_grid,
+    synthesize_observation,
+)
 
 from conftest import random_unit_vector, record_bits
 
@@ -1347,7 +1352,7 @@ class TestIncumbentRule:
             for d_true in distances:
                 for seed in range(2):
                     truth = PolarPosition(d_true, float(rng.uniform(0.0, 2 * math.pi)))
-                    beam = optimize_beamformer(geom, truth, cfg.ofdm, cfg.optimizer).beamformer
+                    beam = optimize_beamformer(geom, truth, cfg.ofdm).beamformer
                     bank = synthesize_bank(geom, truth, beam, cfg.ofdm, 1000 + seed)
                     gaps = np.union1d(
                         np.flatnonzero(np.abs(d_values[:-1] - d_true) < 20.0 * lobe),

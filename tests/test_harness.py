@@ -13,7 +13,6 @@ import pytest
 from nfisac import (
     GridSpec,
     OfdmConfig,
-    OptimizerConfig,
     SweepConfig,
     TrialRecord,
     adaptive_d_nodes,
@@ -33,8 +32,7 @@ def test_pool_records_equal_serial_records():
         radii_m=(0.5,),
         distances_m=(10.0, 20.0),
         ofdm=OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4)),
-        grid=GridSpec(d_min_m=1.0, d_max_m=40.0, n_basins=4),
-        optimizer=OptimizerConfig(max_iters=200),
+        grid=GridSpec(d_min_m=1.0, d_max_m=40.0),
         trials_per_point=1,
         master_seed=23,
         n_a=8,
@@ -78,8 +76,7 @@ def tiny_sweep(**changes):
         radii_m=(0.5,),
         distances_m=(10.0,),
         ofdm=OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 10.0 ** (-10.4)),
-        grid=GridSpec(d_min_m=1.0, d_max_m=40.0, n_basins=4),
-        optimizer=OptimizerConfig(max_iters=200),
+        grid=GridSpec(d_min_m=1.0, d_max_m=40.0),
         trials_per_point=2,
         master_seed=29,
         n_a=8,
@@ -125,7 +122,7 @@ def test_grid_is_built_once_per_radius(monkeypatch):
 
 @pytest.mark.parametrize("radius", [0.5, 5.0])
 def test_the_sweep_grid_is_the_one_derived_recipe(radius):
-    # The config sets only the grid's far end and basin budget; its start,
+    # The config sets only the grid's far end; its start, basin budget,
     # range nodes and angle count follow from the array and the numerology.
     sweep = parse_config().sweep_config(reduced_m=True)
     geom = sweep.geometry(radius)

@@ -13,16 +13,18 @@ from nfisac import (
     UcaGeometry,
     achievable_rate,
     conjugate_focus_beamformer,
-    generate_pilots,
-    matched_filter_bank,
-    noiseless_mean,
     steering_vector,
     synthesize_bank,
-    synthesize_observation,
     ue_received_snr,
 )
 from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
-from nfisac.signal import phase_factor_grid
+from nfisac.estimator import matched_filter_bank
+from nfisac.signal import (
+    generate_pilots,
+    noiseless_mean,
+    phase_factor_grid,
+    synthesize_observation,
+)
 
 from conftest import random_unit_vector
 
