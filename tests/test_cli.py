@@ -292,6 +292,8 @@ class TestConfigKinds:
         ({"distances_m": []}, "distances_m"),
         ({"distances_m": [10.0, True]}, "distances_m"),
         ({"theta_policy": "random"}, "theta_policy"),
+        ({"grid": {"d_max_m": "far"}}, "grid.d_max_m"),
+        ({"grid": {"d_max_m": True}}, "grid.d_max_m"),
     ])
     def test_parse_config_names_the_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}' must be "):
