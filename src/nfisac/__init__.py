@@ -56,8 +56,6 @@ from .harness import (
     SweepConfig,
     SweepPoint,
     TrialRecord,
-    adaptive_d_nodes,
-    auto_n_theta,
     crlb_sweep,
     derive_seed,
     grid_for_radius,

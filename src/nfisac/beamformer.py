@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crlb import (
+    CURVATURE_FLOOR,
     BeamCoupling,
     UnidentifiableParametersError,
     crlb_from_fim,
@@ -55,9 +56,6 @@ from .crlb import (
 )
 from .geometry import PolarPosition, UcaGeometry, sensitivities, steering_vector
 from .signal import OfdmConfig, require_unit_norm
-
-CURVATURE_FLOOR = 1e-12
-"""Smallest |eigenvalue| of the Newton model, relative to the largest."""
 
 # Newton iteration and line search. At most NEWTON_MAX_STEPS steps (0
 # returns the start as given); iteration stops once the tangent gradient

@@ -4,9 +4,10 @@ The config names the scenario and nothing else. Its keys are the fields
 of ``RunConfig``: wavelength_mm, subcarriers, subcarrier_spacing_khz,
 ofdm_symbols, cp_fraction, tx_power_mw, noise_power_dbm, n_antennas,
 radii_m, distances_m, theta_policy, trials_per_point, master_seed,
-workers, and the section grid = {d_max_m}. The solver settings (the
-beamformer's Newton, the refinement, the grid's nodes per lobe and its
-basin budget) are module constants. Values are written in natural units
+workers, and the section grid = {d_max_m}. ``GridSpec.for_array`` builds
+each radius' grid out to d_max_m. The solver settings (the beamformer's
+Newton, the refinement, the grid's nodes per lobe and its basin budget) are
+module constants. Values are written in natural units
 (kHz, mW, dBm, mm, m, degrees) and normalized to SI internally; every run
 writes the fully-resolved config, master seed and command arguments to a
 JSON sidecar next to its output, so any CSV can be regenerated byte for
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .beamformer import optimize_beamformer
-from .estimator import GridSpec, estimate
+from .estimator import GridSpec, estimate, grid_d_min_m
 from .geometry import PolarPosition, UcaGeometry
 from .harness import (
     WORKER_ENV,
@@ -41,7 +42,6 @@ from .harness import (
     TrialRecord,
     crlb_sweep,
     derive_seed,
-    grid_d_min_m,
     grid_for_radius,
     nearfield_guard,
     run_trials,
@@ -110,7 +110,7 @@ class RunConfig:
             radii_m=self.radii_m,
             distances_m=self.distances_m,
             ofdm=self.ofdm_config(reduced_m),
-            # The harness derives the grid's nodes per radius (grid_for_radius).
+            # Only d_max_m is read: grid_for_radius builds each radius' grid.
             grid=GridSpec(d_min_m=1.0, d_max_m=self.grid["d_max_m"]),
             theta_policy=(
                 float(np.deg2rad(self.theta_policy))

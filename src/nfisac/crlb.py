@@ -34,6 +34,13 @@ from .signal import OfdmConfig, require_unit_norm
 DET_RTOL = 1e-12
 """Relative determinant threshold below which the FIM is unidentifiable."""
 
+CURVATURE_FLOOR = 1e-12
+"""Smallest |eigenvalue| of a Newton model, relative to the largest.
+
+Both Newton iterations floor their curvatures with it: the beamformer's and
+the estimator's refinement.
+"""
+
 
 class UnidentifiableParametersError(ValueError):
     """The information matrix is singular: (d, theta) cannot be separated."""

@@ -12,9 +12,10 @@ INCUMBENT_KAPPA over the row's range interval, could still beat the best
 cell found so far (a branch-and-bound, see ``coarse_grid_search``: the
 basins it returns that cost at most G* / INCUMBENT_KAPPA, G* the surface
 minimum, are exactly the full surface's, the best one first). The bound
-pass reads the range profile of a uniform run of range rows off one
-zero-padded inverse FFT of the bank, the OFDM-radar range profile (Sturm &
-Wiesbeck, Proc. IEEE 99(7), 2011), and collapses only the other rows
+pass reads the range profile of the uniform run of range rows the grid
+records (``GridSpec.for_array``) off one zero-padded inverse FFT of the
+bank, the OFDM-radar range profile (Sturm & Wiesbeck, Proc. IEEE 99(7),
+2011), and collapses only the other rows
 directly (``_row_norms``). From each of the best basins' grid nodes,
 damped Newton iterations on the cost itself (``lm_refine``), with its
 exact gradient and Hessian, delay ramp included, find the basin's minimum;
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crlb import fim, mean_product_scale
+from .crlb import CURVATURE_FLOOR, fim, mean_product_scale
 from .geometry import (
     SPEED_OF_LIGHT,
     PolarPosition,
@@ -91,18 +92,16 @@ BOUND_SLACK = 1e-9
 # skips a row whose interval bound, times this, exceeds the best cell found.
 # Basis (sampled, not proven): a single target's profile is a Dirichlet
 # kernel, and sampled at 3 rows per delay lobe (the delay-limited rows of
-# ``harness.adaptive_d_nodes``; the curvature-limited rows are denser) it
+# ``GridSpec.for_array``; the curvature-limited rows are denser) it
 # rises between rows by at most 1 / sinc^2(1/6) = 1.10 in the main lobe and
 # at most sec^2(pi/6) = 4/3 on the sidelobes. No constant holds for every
 # bank: a trigonometric polynomial can vanish at both ends of a gap and not
 # between them.
 INCUMBENT_KAPPA = 2.0
-# Relative tolerance for a range step to count as c / (2 df K): far above the
-# rounding of summed nodes (about 1e-12), far below any distinct step.
-RUN_STEP_TOL = 1e-9
-# Smallest |eigenvalue| of the refinement's Newton model, relative to the
-# largest (the beamformer's Newton uses the same floor).
-CURVATURE_FLOOR = 1e-12
+# Grid nodes per correlation main lobe (``GridSpec.for_array``): in angle, and
+# in range an integer, so the delay-limited rows form a K-point FFT's bins.
+THETA_NODES_PER_LOBE = 4.0
+RANGE_NODES_PER_LOBE = 3
 # The damped Newton refinement (``lm_refine``):
 # - trial steps (cost evaluations after the start) per basin;
 LM_MAX_STEPS = 100
@@ -122,15 +121,33 @@ LM_STEP_TOL_THETA_RAD = 1e-9
 LM_D_MAX_FACTOR = 1.5
 
 
+def grid_d_min_m(radius_m: float) -> float:
+    """Nearest range of a radius' coarse grid: max(2R, 1 m)."""
+    return max(2.0 * radius_m, 1.0)
+
+
+def _lobe_widths(geom: UcaGeometry, config: OfdmConfig) -> tuple[float, float]:
+    """Correlation main lobes: c / (2 M df) in range and 2.405 lambda / (2 pi R) in angle.
+
+    The range lobe is the delay matched filter's; the angle one is the
+    half-width of the circular aperture's coherence main lobe.
+    """
+    range_lobe = SPEED_OF_LIGHT / (2.0 * config.m_subcarriers * config.delta_f_hz)
+    angle_lobe = 2.405 * geom.wavelength_m / (TWO_PI * geom.radius_m)
+    return range_lobe, angle_lobe
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Coarse search grid: range nodes, uniform angles, basin budget.
 
-    Range nodes are uniform over [d_min_m, d_max_m] unless an explicit
-    ``d_nodes`` array is supplied (the harness builds curvature-adaptive
-    nodes: the range correlation narrows like 2 lambda d^2 / R^2 in the
-    deep near field, far below the delay lobe, so uniform spacing either
-    misses close-in peaks or wastes rows far out). ``n_theta`` must be a
+    ``for_array`` builds the grid of an array and numerology, with
+    curvature-adaptive range nodes, and records the uniform run of range
+    rows it lays down in ``uniform_run``: (first, stop, K), rows first to
+    stop - 1 spaced c / (2 df K), whose range profile the bound pass reads
+    off one K-point FFT (``_row_norms``). A hand-built spec has range nodes
+    uniform over [d_min_m, d_max_m], or an explicit ``d_nodes`` array, and
+    no run: all its rows are collapsed directly. ``n_theta`` must be a
     multiple of the element count of the array searched:
     ``coarse_grid_search`` evaluates the angles as n_theta / n_a polyphase
     components of n_a angles each, in tiles of at most GRID_BLOCK_ROWS
@@ -147,6 +164,7 @@ class GridSpec:
     n_theta: int = 4096
     n_basins: int = 15
     d_nodes: tuple[float, ...] | None = None
+    uniform_run: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.d_min_m <= 0.0 or self.d_min_m >= self.d_max_m:
@@ -163,6 +181,61 @@ class GridSpec:
             raise ValueError(
                 f"n_basins={self.n_basins} must lie in [1, n_d * n_theta]"
             )
+        if self.uniform_run is not None:
+            first, stop, size = self.uniform_run
+            if self.d_nodes is None or not 0 <= first < stop <= self.n_d or size < 1:
+                raise ValueError(
+                    f"uniform_run={self.uniform_run} must be (first, stop, K >= 1) "
+                    f"with rows first..stop - 1 among the {self.n_d} explicit nodes"
+                )
+
+    @classmethod
+    def for_array(
+        cls, geom: UcaGeometry, ofdm: OfdmConfig, d_max_m: float, n_basins: int = 15
+    ) -> GridSpec:
+        """The coarse grid of an array and numerology, from ``grid_d_min_m`` out to ``d_max_m``.
+
+        Angles: THETA_NODES_PER_LOBE nodes across the full angular main
+        lobe (``_lobe_widths``), rounded up to a multiple of the element
+        count. Several nodes per lobe keep every node's angular offset well
+        inside the basin the refinement recovers from.
+
+        Ranges: two mechanisms decorrelate a range mismatch, the subcarrier
+        delay ramp, with the d-independent lobe c / (2 M df), and the
+        spherical wavefront curvature across the aperture, whose lobe grows
+        like 2 lambda d^2 / R^2. Each step is the narrower lobe at the
+        current node over RANGE_NODES_PER_LOBE; the last node is clamped to
+        ``d_max_m``. Once the delay lobe governs, it governs every later
+        step, c / (2 df K) with K = RANGE_NODES_PER_LOBE M, so the rows from
+        there to the last unclamped node are the recorded run. It drifts
+        from d_0 + j c / (2 df K) only by the rounding of the summed steps
+        (6e-11 m over 7800 rows at M = 2048), which ``_row_norms`` measures
+        and covers. A grid the delay lobe never governs records no run.
+        """
+        delay_lobe, angle_lobe = _lobe_widths(geom, ofdm)
+        per_turn = int(np.ceil(TWO_PI / (2.0 * angle_lobe / THETA_NODES_PER_LOBE)))
+        d_min_m = grid_d_min_m(geom.radius_m)
+        nodes = [d_min_m]
+        d = d_min_m
+        first = None
+        while d < d_max_m:
+            curvature_lobe = 2.0 * geom.wavelength_m * d**2 / geom.radius_m**2
+            if first is None and delay_lobe <= curvature_lobe:
+                first = len(nodes) - 1
+            d += min(delay_lobe, curvature_lobe) / RANGE_NODES_PER_LOBE
+            nodes.append(min(d, d_max_m))
+        run = None
+        if first is not None:
+            stop = len(nodes) - 1 if d > d_max_m else len(nodes)
+            run = (first, stop, RANGE_NODES_PER_LOBE * ofdm.m_subcarriers)
+        return cls(
+            d_min_m,
+            d_max_m,
+            n_theta=-(-per_turn // geom.n_a) * geom.n_a,
+            n_basins=n_basins,
+            d_nodes=nodes,
+            uniform_run=run,
+        )
 
     def d_values(self) -> np.ndarray:
         if self.d_nodes is not None:
@@ -462,48 +535,27 @@ def _collapse_rows(
     return _row_matmul(delay_comp, bank.aggregates.T)
 
 
-def _uniform_runs(config: OfdmConfig, d_values: np.ndarray) -> list[tuple[int, int, int]]:
-    """Runs of range rows c / (2 df K) apart, K >= M an integer: (first, stop, K).
-
-    A step belongs to a run if it matches c / (2 df K) to RUN_STEP_TOL
-    (relative); a row shared by two runs goes to the first. A run is kept
-    only where its rows * M phasors outnumber the K log2 K butterflies of
-    its FFT, so an isolated step that happens to fit some K stays direct.
-    """
-    steps = np.diff(d_values)
-    if steps.size == 0:
-        return []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.rint(SPEED_OF_LIGHT / (2.0 * config.delta_f_hz * steps))
-        fits = np.abs(steps * (2.0 * config.delta_f_hz * k / SPEED_OF_LIGHT) - 1.0)
-    m = config.m_subcarriers
-    key = np.where((k >= m) & (fits <= RUN_STEP_TOL), k, 0.0)
-    changes = np.flatnonzero(np.diff(key)) + 1
-    runs = []
-    claimed = 0  # first row not yet in a run
-    for start, stop in zip(np.r_[0, changes], np.r_[changes, key.size]):
-        size = int(key[start])
-        first = max(int(start), claimed)
-        if size and (stop + 1 - first) * m >= size * np.log2(size):
-            runs.append((first, int(stop) + 1, size))
-            claimed = int(stop) + 1
-    return runs
-
-
 def _row_norms(
-    config: OfdmConfig, bank: MatchedFilterBank, d_values: np.ndarray
+    config: OfdmConfig,
+    bank: MatchedFilterBank,
+    d_values: np.ndarray,
+    run: tuple[int, int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Range profile ||c(d)|| per row, and an absolute bound on its error.
 
-    Rows on a uniform run (``_uniform_runs``) come from one zero-padded
-    inverse FFT per run: at d_j = d_0 + j c / (2 df K) the collapse is
+    ``run`` = (first, stop, K) is the grid's recorded uniform run
+    (``GridSpec.for_array``). Its rows come from one zero-padded inverse
+    FFT: at d_j = d_0 + j c / (2 df K) the collapse is
     c_k(d_j) = sum_m Z[k, m] e^{j 2 pi m df (Tcp + 2 d_0 / c)} e^{j 2 pi m j / K},
     bin j mod K of a K-point inverse DFT of the ramped bank (the sum is
-    K-periodic in j, so wrapping is exact). Every other row, and every row
-    of a grid without such runs, is collapsed by ``_collapse_rows`` and has
-    error 0. The FFT rows differ from what ``_collapse_rows`` would give by
-    rounding and by the nodes' drift from d_0 + j c / (2 df K); per element
-    that is at most gamma sum_m |Z[k, m]|, with
+    K-periodic in j, so wrapping is exact). The FFT is used only where
+    K >= M, since a shorter one would cut the bank off, and where the run's
+    rows * M phasors outnumber its K log2 K butterflies. Every other row,
+    and every row of a grid without a run, is collapsed by
+    ``_collapse_rows`` and has error 0. The FFT rows differ from what
+    ``_collapse_rows`` would give by rounding and by the nodes' drift from
+    d_0 + j c / (2 df K); per element that is at most gamma sum_m |Z[k, m]|,
+    with
 
         gamma = eps (64 log2 K + M + 16 (phi_max + 1)) + 4 pi (M - 1) df delta / c,
 
@@ -512,18 +564,22 @@ def _row_norms(
     the rounding of both phase arguments, up to phi_max = 2 pi (M - 1) df
     (Tcp + 2 max(d) / c), and of their phasors (16 eps (phi_max + 1)),
     and the phase of the largest drift delta, measured plus 4 eps max(d).
-    The row's error bound is gamma ||(sum_m |Z[k, m]|)_k||_2.
+    The drift is measured, not assumed, so a wrong record loosens the bound
+    but never breaks it. The row's error bound is gamma ||(sum_m |Z[k, m]|)_k||_2.
     """
     norms = np.empty(d_values.size)
     errors = np.zeros(d_values.size)
-    runs = _uniform_runs(config, d_values)
     direct = np.ones(d_values.size, dtype=bool)
     m = np.arange(config.m_subcarriers)
-    eps = np.finfo(float).eps
-    span = m[-1] * config.delta_f_hz
-    phi_max = TWO_PI * span * (config.t_cp_s + 2.0 * d_values.max() / SPEED_OF_LIGHT)
-    l1 = np.linalg.norm(np.sum(np.abs(bank.aggregates), axis=1))
-    for first, stop, size in runs:
+    if run is not None:
+        first, stop, size = run
+        if size < m.size or (stop - first) * m.size < size * np.log2(size):
+            run = None
+    if run is not None:
+        eps = np.finfo(float).eps
+        span = m[-1] * config.delta_f_hz
+        phi_max = TWO_PI * span * (config.t_cp_s + 2.0 * d_values.max() / SPEED_OF_LIGHT)
+        l1 = np.linalg.norm(np.sum(np.abs(bank.aggregates), axis=1))
         d0 = d_values[first]
         j = np.arange(stop - first)
         step = SPEED_OF_LIGHT / (2.0 * config.delta_f_hz * size)
@@ -545,16 +601,20 @@ def _row_norms(
 
 
 def _row_bounds(
-    bank: MatchedFilterBank, geom: UcaGeometry, d_values: np.ndarray
+    bank: MatchedFilterBank,
+    geom: UcaGeometry,
+    d_values: np.ndarray,
+    run: tuple[int, int, int] | None = None,
 ) -> np.ndarray:
     """A lower bound on every computed cost of each range row, shape (rows,).
 
     b(d) = -(lambda / 4 pi)^2 (||c(d)|| + E(d))^2 / (n_a s), from the range
-    profile ||c(d)|| and its error bound E(d) (``_row_norms``; 0 on rows
-    collapsed directly), scaled by 1 + BOUND_SLACK to cover the rounding of
-    the computed costs. See ``coarse_grid_search`` for the derivation.
+    profile ||c(d)|| and its error bound E(d) (``_row_norms`` with the
+    grid's uniform ``run``; 0 on rows collapsed directly), scaled by
+    1 + BOUND_SLACK to cover the rounding of the computed costs. See
+    ``coarse_grid_search`` for the derivation.
     """
-    norms, errors = _row_norms(bank.config, bank, d_values)
+    norms, errors = _row_norms(bank.config, bank, d_values, run)
     scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
         geom.n_a * mean_product_scale(bank.config, geom)
     )
@@ -731,9 +791,10 @@ def coarse_grid_search(
     ``_row_bounds`` therefore scales b by 1 + BOUND_SLACK (1e-9).
 
     FFT rows. The costs of an evaluated row use the collapse
-    ``_collapse_rows`` gives. On a uniform run of rows c / (2 df K) apart (the delay-limited
-    rows of ``harness.adaptive_d_nodes``, K = 3M) the profile instead comes
-    from one zero-padded K-point inverse FFT, ``_row_norms``, whose result
+    ``_collapse_rows`` gives. On the uniform run of rows c / (2 df K) apart
+    that ``GridSpec.for_array`` records (its delay-limited rows, K = 3M),
+    the profile instead comes from one zero-padded K-point inverse FFT,
+    ``_row_norms``, if K >= M and the run is long enough to pay; its result
     ||c^|| differs from the direct ||c|| by at most an absolute margin
     E = gamma ||(sum_m |Z[k, m]|)_k||_2: FFT and collapse rounding, phase
     rounding and the nodes' measured drift from the exact run (gamma is
@@ -805,7 +866,7 @@ def coarse_grid_search(
     theta_values = spec.theta_values()
     n_rows = d_values.size
     n_basins = spec.n_basins
-    row_bounds = _row_bounds(bank, geom, d_values)
+    row_bounds = _row_bounds(bank, geom, d_values, spec.uniform_run)
     # kappa b~(i), b~(i) the lowest bound of row i and its neighbours. kappa
     # scales the range profile ||c||^2 >= 0, so only a negative b~ scales; a
     # row without one (never in the program) is never ruled out by G.
@@ -897,13 +958,10 @@ def _score_scale(geom: UcaGeometry, config: OfdmConfig, basin: PolarPosition) ->
 def _trust_radii(geom: UcaGeometry, config: OfdmConfig) -> tuple[float, float]:
     """Per-iteration step bounds: half the range and angle correlation lobes.
 
-    The delay matched filter decorrelates over c / (2 M df) in range and
-    the circular aperture over 2.405 lambda / (2 pi R) in angle; capping
-    each refinement step at half of these keeps the iteration inside the
-    basin it starts in.
+    Capping each refinement step at half the lobes (``_lobe_widths``)
+    keeps the iteration inside the basin it starts in.
     """
-    range_lobe = SPEED_OF_LIGHT / (2.0 * config.m_subcarriers * config.delta_f_hz)
-    angle_lobe = 2.405 * geom.wavelength_m / (TWO_PI * geom.radius_m)
+    range_lobe, angle_lobe = _lobe_widths(geom, config)
     return 0.5 * range_lobe, 0.5 * angle_lobe
 
 

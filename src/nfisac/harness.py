@@ -22,7 +22,7 @@ import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .beamformer import conjugate_focus_beamformer, optimize_beamformer
 from .crlb import CrlbBound, UnidentifiableParametersError, crlb_at
 from .estimator import GridSpec, estimate, wrap_angle
-from .geometry import SPEED_OF_LIGHT, PolarPosition, UcaGeometry, rayleigh_distance
+from .geometry import PolarPosition, UcaGeometry, rayleigh_distance
 # A trial calls neither generate_pilots nor synthesize_observation; they stay
 # importable here because bench/spans.py wraps them by name on this module.
 from .signal import (  # noqa: F401
@@ -82,9 +82,9 @@ class SweepConfig:
 
     ``theta_policy`` is either the string 'uniform' (a fresh azimuth per
     trial) or a fixed angle in radians. Of the grid template only
-    ``d_max_m`` and ``n_basins`` are read: ``grid_for_radius`` works out
-    the rest per radius. The beamformer's Newton settings are constants of
-    ``beamformer``.
+    ``d_max_m`` and ``n_basins`` are read: ``grid_for_radius`` builds each
+    radius' grid with ``GridSpec.for_array``. The beamformer's Newton
+    settings are constants of ``beamformer``.
     """
 
     radii_m: tuple[float, ...]
@@ -163,99 +163,24 @@ class CrlbPoint:
     status: str
 
 
-# Grid nodes per correlation main lobe: in angle (``auto_n_theta``) and in
-# range (``adaptive_d_nodes``).
-THETA_NODES_PER_LOBE = 4.0
-RANGE_NODES_PER_LOBE = 3.0
-
-
-def auto_n_theta(geom: UcaGeometry) -> int:
-    """Angle grid size sampling the angular correlation main lobe.
-
-    The coherence main lobe of the circular aperture has half-width
-    about 2.405 * lambda / (2 pi R); the grid places THETA_NODES_PER_LOBE
-    nodes across the full lobe and rounds up to a multiple of the
-    element count, which the polyphase coarse grid requires. Keeping several
-    nodes per lobe bounds every node's angular offset well inside the
-    basin the downstream refinement can recover from.
-    """
-    lobe_width = 2.0 * 2.405 * geom.wavelength_m / (2.0 * np.pi * geom.radius_m)
-    target = int(np.ceil(2.0 * np.pi / (lobe_width / THETA_NODES_PER_LOBE)))
-    target = max(target, geom.n_a)
-    blocks = int(np.ceil(target / geom.n_a))
-    return blocks * geom.n_a
-
-
-def range_correlation_width(geom: UcaGeometry, ofdm: OfdmConfig, d_m: float) -> float:
-    """Local width of the range correlation peak at distance d.
-
-    Two mechanisms decorrelate a range mismatch: the subcarrier delay
-    ramp, with the d-independent lobe c / (2 M df), and the spherical
-    wavefront curvature across the aperture, whose lobe grows like
-    2 lambda d^2 / R^2. The narrower one governs.
-    """
-    delay_lobe = SPEED_OF_LIGHT / (2.0 * ofdm.m_subcarriers * ofdm.delta_f_hz)
-    curvature_lobe = 2.0 * geom.wavelength_m * d_m**2 / geom.radius_m**2
-    return min(delay_lobe, curvature_lobe)
-
-
-def adaptive_d_nodes(
-    geom: UcaGeometry, ofdm: OfdmConfig, d_min_m: float, d_max_m: float
-) -> tuple[float, ...]:
-    """Range nodes with spacing tied to the local correlation width.
-
-    Steps are the width at the current node over RANGE_NODES_PER_LOBE.
-    Where the delay lobe c / (2 M df) governs, every step is the same,
-    c / (2 df K) with K = 3 M, so those rows form one uniform run, and the
-    coarse grid's bound pass reads them off one K-point FFT
-    (``estimator._row_norms``). The run drifts from d_0 + j c / (2 df K)
-    only by the rounding of the summed steps (6e-11 m over 7800 rows at
-    M = 2048), which that bound measures and covers. Ahead of the run,
-    where the wavefront curvature governs, the steps grow with d; the last
-    node is clamped to ``d_max_m``.
-    """
-    nodes = [d_min_m]
-    d = d_min_m
-    while d < d_max_m:
-        d += range_correlation_width(geom, ofdm, d) / RANGE_NODES_PER_LOBE
-        nodes.append(min(d, d_max_m))
-    return tuple(nodes)
-
-
-def grid_d_min_m(radius_m: float) -> float:
-    """Nearest range of a radius' coarse grid: max(2R, 1 m)."""
-    return max(2.0 * radius_m, 1.0)
-
-
-# Grid specs kept per process: one per (template, numerology, array, radius).
+# Grid specs kept per process: one per (array, numerology, d_max_m, basin budget).
 GRID_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _grid_spec(
-    grid: GridSpec, ofdm: OfdmConfig, n_a: int, wavelength_m: float, radius_m: float
-) -> GridSpec:
-    geom = UcaGeometry(n_a, radius_m, wavelength_m)
-    d_min = grid_d_min_m(radius_m)
-    return replace(
-        grid,
-        d_min_m=d_min,
-        n_theta=auto_n_theta(geom),
-        d_nodes=adaptive_d_nodes(geom, ofdm, d_min, grid.d_max_m),
-    )
+def _grid_spec(geom: UcaGeometry, ofdm: OfdmConfig, d_max_m: float, n_basins: int) -> GridSpec:
+    return GridSpec.for_array(geom, ofdm, d_max_m, n_basins)
 
 
 def grid_for_radius(cfg: SweepConfig, radius_m: float) -> GridSpec:
-    """The coarse grid of one radius: the template's range and basin budget, derived nodes.
+    """The coarse grid of one radius: ``GridSpec.for_array`` out to the template's ``d_max_m``.
 
-    Ranges run from ``grid_d_min_m`` to the template's ``d_max_m`` on
-    ``adaptive_d_nodes``, angles on ``auto_n_theta``. The spec is built once
-    per radius and reused: it is memoised on the inputs it reads (grid
-    template, OFDM numerology, element count, wavelength and radius), not
-    on the whole sweep, so sweeps that differ only in seed or trial count
-    share it.
+    The spec keeps the template's ``n_basins``. It is built once per radius
+    and reused: it is memoised on the inputs it reads (array, OFDM
+    numerology, ``d_max_m`` and ``n_basins``), not on the whole sweep, so
+    sweeps that differ only in seed or trial count share it.
     """
-    return _grid_spec(cfg.grid, cfg.ofdm, cfg.n_a, cfg.wavelength_m, radius_m)
+    return _grid_spec(cfg.geometry(radius_m), cfg.ofdm, cfg.grid.d_max_m, cfg.grid.n_basins)
 
 
 def _angle_error(est: float, true: float) -> float:

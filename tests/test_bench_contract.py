@@ -8,8 +8,6 @@ from pathlib import Path
 from nfisac import (
     GridSpec,
     PolarPosition,
-    adaptive_d_nodes,
-    auto_n_theta,
     cli,
     conjugate_focus_beamformer,
     estimator,
@@ -19,6 +17,7 @@ from nfisac import (
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 RUN = SPANS.parent / "run.py"
+SETUP_PROBE = SPANS.parent / "setup_probe.py"
 
 
 def load_spans():
@@ -50,12 +49,7 @@ def test_traced_estimate_attributes_are_numbers(geom64, reduced_ofdm):
     bank = synthesize_bank(
         geom64, truth, conjugate_focus_beamformer(geom64, truth), reduced_ofdm, 41
     )
-    spec = GridSpec(
-        d_min_m=1.0,
-        d_max_m=100.0,
-        n_theta=auto_n_theta(geom64),
-        d_nodes=adaptive_d_nodes(geom64, reduced_ofdm, 1.0, 100.0),
-    )
+    spec = GridSpec.for_array(geom64, reduced_ofdm, 100.0)
     spans = load_spans()
     with spans.Tracer({"harness": harness, "estimator": estimator}) as tracer:
         harness.estimate(bank, geom64, spec)
@@ -72,12 +66,18 @@ def test_traced_estimate_attributes_are_numbers(geom64, reduced_ofdm):
 
 
 def test_every_untraced_name_the_benchmark_calls_resolves():
-    # ``bench/run.py`` drives the program through these directly, outside the
-    # tracer: ``harness.run_trials(...)`` or ``program["cli"].parse_config(...)``.
-    called = set(re.findall(r'\b(harness|cli)(?:"\])?\.(\w+)\(', RUN.read_text()))
+    # ``bench/run.py`` and ``bench/setup_probe.py`` drive the program through
+    # these directly, outside the tracer: ``harness.run_trials(...)`` or
+    # ``program["cli"].parse_config(...)``.
+    called = {
+        call
+        for script in (RUN, SETUP_PROBE)
+        for call in re.findall(r'\b(harness|cli)(?:"\])?\.(\w+)\(', script.read_text())
+    }
     assert {
         ("cli", "parse_config"),
         ("harness", "derive_seed"),
+        ("harness", "grid_for_radius"),
         ("harness", "nearfield_guard"),
         ("harness", "run_trials"),
         ("harness", "summarize"),
@@ -94,3 +94,5 @@ def test_every_untraced_name_the_benchmark_calls_resolves():
     sweep = cfg.sweep_config(reduced_m=True, trials=1, seed=77, workers=1)
     harness.nearfield_guard(sweep)
     assert sweep.ofdm.m_subcarriers == 128 and sweep.trials_per_point == 1
+    # ``check_records`` reads the grid's far end off the sweep.
+    assert type(sweep.grid.d_max_m) is float

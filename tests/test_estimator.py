@@ -14,8 +14,6 @@ from nfisac import (
     OfdmConfig,
     PolarPosition,
     UcaGeometry,
-    adaptive_d_nodes,
-    auto_n_theta,
     beam_coupling,
     coarse_grid_search,
     conjugate_focus_beamformer,
@@ -970,12 +968,90 @@ def oracle_row_bounds(bank, geom, d_values):
     return -(1.0 + estimator_module.BOUND_SLACK) * scale * norms**2
 
 
-class TestFftRangeProfileBound:
-    """Row bounds of a uniform run of range nodes come from one zero-padded FFT.
+# Relative tolerance for a range step to count as c / (2 df K): far above the
+# rounding of summed nodes (about 1e-12), far below any distinct step.
+RUN_STEP_TOL = 1e-9
 
-    The adaptive grid below (M = 16, K = 3M = 48) has a curvature-limited
-    head of 75 rows, a uniform run of 58 > K rows, so its FFT bins wrap, and
-    a last node clamped to d_max.
+
+def oracle_uniform_runs(config, d_values):
+    """Oracle: runs of range rows c / (2 df K) apart, K >= M an integer: (first, stop, K).
+
+    Read off the node spacings alone, with no knowledge of the grid recipe.
+    A step belongs to a run if it matches c / (2 df K) to RUN_STEP_TOL
+    (relative); a row shared by two runs goes to the first. A run is kept
+    only where its rows * M phasors outnumber the K log2 K butterflies of
+    its FFT, so an isolated step that happens to fit some K is left out.
+    """
+    steps = np.diff(d_values)
+    if steps.size == 0:
+        return []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.rint(SPEED_OF_LIGHT / (2.0 * config.delta_f_hz * steps))
+        fits = np.abs(steps * (2.0 * config.delta_f_hz * k / SPEED_OF_LIGHT) - 1.0)
+    m = config.m_subcarriers
+    key = np.where((k >= m) & (fits <= RUN_STEP_TOL), k, 0.0)
+    changes = np.flatnonzero(np.diff(key)) + 1
+    runs = []
+    claimed = 0  # first row not yet in a run
+    for start, stop in zip(np.r_[0, changes], np.r_[changes, key.size]):
+        size = int(key[start])
+        first = max(int(start), claimed)
+        if size and (stop + 1 - first) * m >= size * np.log2(size):
+            runs.append((first, int(stop) + 1, size))
+            claimed = int(stop) + 1
+    return runs
+
+
+class TestGridForArray:
+    """``GridSpec.for_array`` builds the grid and records the uniform run it lays down."""
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("reduced_m", [True, False])
+    def test_the_recorded_run_is_the_one_the_node_spacings_show(self, reduced_m, radius):
+        # The paper's and the benchmark's grids: 64 elements, M = 128 or
+        # 2048, d_max = 400 m.
+        config = cli.parse_config().ofdm_config(reduced_m)
+        spec = GridSpec.for_array(UcaGeometry(64, radius, 0.005), config, 400.0)
+        assert oracle_uniform_runs(config, spec.d_values()) == [spec.uniform_run]
+        want = {(True, 0.5): (68, 550, 384), (False, 5.0): (367, 7853, 6144)}
+        assert spec.uniform_run == want.get((reduced_m, radius), spec.uniform_run)
+
+    @pytest.mark.parametrize("radius", [0.5, 5.0])
+    def test_nodes_and_angles_follow_the_array(self, radius):
+        config = OfdmConfig(128, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
+        geom = UcaGeometry(64, radius, 0.005)
+        spec = GridSpec.for_array(geom, config, 400.0)
+        d_values = spec.d_values()
+        assert spec.d_min_m == d_values[0] == max(2.0 * radius, 1.0)
+        assert d_values[-1] == 400.0 and np.all(np.diff(d_values) > 0.0)
+        # No step exceeds a third of the delay lobe.
+        lobe = SPEED_OF_LIGHT / (2.0 * config.m_subcarriers * config.delta_f_hz)
+        assert np.all(np.diff(d_values) <= lobe / 3.0 * (1.0 + 1e-12))
+        assert spec.n_theta % geom.n_a == 0 and spec.n_basins == 15
+
+    def test_a_grid_the_delay_lobe_never_governs_records_no_run(self):
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
+        spec = GridSpec.for_array(UcaGeometry(8, 5.0, 0.005), config, 20.0)
+        assert spec.uniform_run is None
+        assert oracle_uniform_runs(config, spec.d_values()) == []
+
+    def test_only_explicit_nodes_carry_a_run_and_it_must_lie_on_them(self):
+        nodes = tuple(np.linspace(1.0, 10.0, 20))
+        assert GridSpec(1.0, 10.0, d_nodes=nodes).uniform_run is None
+        GridSpec(1.0, 10.0, d_nodes=nodes, uniform_run=(0, 20, 48))
+        for bad in [(0, 21, 48), (-1, 5, 48), (5, 5, 48), (0, 5, 0)]:
+            with pytest.raises(ValueError):
+                GridSpec(1.0, 10.0, d_nodes=nodes, uniform_run=bad)
+        with pytest.raises(ValueError):
+            GridSpec(1.0, 10.0, n_d=20, uniform_run=(0, 5, 48))
+
+
+class TestFftRangeProfileBound:
+    """Row bounds of the recorded uniform run of range nodes come from one zero-padded FFT.
+
+    The grid below (``GridSpec.for_array``, M = 16, K = 3M = 48) has a
+    curvature-limited head of 75 rows, a uniform run of 58 > K rows, so its
+    FFT bins wrap, and a last node clamped to d_max.
     """
 
     M = 16
@@ -984,19 +1060,19 @@ class TestFftRangeProfileBound:
     def grid(self, sigma2, d=60.0, theta=1.1, seed=0):
         config = OfdmConfig(self.M, 2, 480e3, 0.07 / 480e3, 0.1, sigma2)
         geom = UcaGeometry(8, 0.5, 0.005)
-        d_values = np.array(adaptive_d_nodes(geom, config, 1.0, 400.0))
+        spec = GridSpec.for_array(geom, config, 400.0)
         pos = PolarPosition(d, theta)
         f = random_unit_vector(np.random.default_rng(seed), 8)
         obs = synthesize_observation(
             geom, pos, f, config, generate_pilots(config, seed), seed + 1
         )
-        return config, geom, obs, matched_filter_bank(obs), d_values
+        return config, geom, obs, matched_filter_bank(obs), spec
 
     def test_the_grid_has_a_head_a_wrapping_run_and_a_clamped_last_node(self):
-        config, _, _, _, d_values = self.grid(1e-9)
-        assert estimator_module._uniform_runs(config, d_values) == [
-            (self.HEAD, self.STOP, 3 * self.M)
-        ]
+        config, _, _, _, spec = self.grid(1e-9)
+        d_values = spec.d_values()
+        assert spec.uniform_run == (self.HEAD, self.STOP, 3 * self.M)
+        assert oracle_uniform_runs(config, d_values) == [spec.uniform_run]
         assert self.STOP - self.HEAD > 3 * self.M
         assert d_values.size == self.STOP + 1 and d_values[-1] == 400.0
 
@@ -1004,19 +1080,21 @@ class TestFftRangeProfileBound:
     @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
     def test_fft_rows_lie_within_their_margin_of_the_direct_collapse(self, sigma2, drift):
         # drift > 0 stretches the run's steps by that relative amount, within
-        # the run tolerance, so the nodes walk away from d_0 + j c / (2 df K).
-        config, geom, obs, bank, d_values = self.grid(sigma2)
+        # the oracle's run tolerance, so the nodes walk away from
+        # d_0 + j c / (2 df K).
+        config, geom, obs, bank, spec = self.grid(sigma2)
+        d_values = spec.d_values()
         run = slice(self.HEAD, self.STOP)
         step = np.diff(d_values[run])[0]
         d_values[run] += drift * step * np.arange(self.STOP - self.HEAD)
-        norms, errors = estimator_module._row_norms(config, bank, d_values)
+        norms, errors = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
         oracle = oracle_row_norms(config, bank, d_values)
         assert np.all(errors[run] > 0.0)
         assert np.all(np.abs(norms[run] - oracle[run]) <= errors[run])
         direct = np.r_[0 : self.HEAD, self.STOP]
         assert np.all(errors[direct] == 0.0)
         np.testing.assert_allclose(norms[direct], oracle[direct], rtol=1e-12)
-        bounds = _row_bounds(bank, geom, d_values)
+        bounds = _row_bounds(bank, geom, d_values, spec.uniform_run)
         want = oracle_row_bounds(bank, geom, d_values)
         assert np.all(bounds <= want * (1.0 - 1e-12))
         # No looser than the margin allows: |c| + 2E against the oracle's |c|.
@@ -1027,39 +1105,78 @@ class TestFftRangeProfileBound:
     @pytest.mark.parametrize("seed", range(2))
     def test_costs_never_fall_below_the_row_bound(self, seed, sigma2):
         rng = np.random.default_rng(120 + seed)
-        config, geom, obs, bank, d_values = self.grid(
+        config, geom, obs, bank, spec = self.grid(
             sigma2, d=rng.uniform(20.0, 390.0), theta=rng.uniform(0.0, 2 * math.pi),
             seed=seed,
         )
+        d_values = spec.d_values()
         theta_values = 2 * math.pi * np.arange(64) / 64
         costs = _cost_rows_fft(bank, geom, d_values, theta_values)
-        bounds = _row_bounds(bank, geom, d_values)
+        bounds = _row_bounds(bank, geom, d_values, spec.uniform_run)
         assert np.all(costs >= bounds[:, None])
 
     @pytest.mark.parametrize("row", [HEAD + 1, HEAD + 3 * M + 2, STOP - 1])
     def test_bound_is_attained_at_a_noiseless_truth_on_a_run_node(self, row):
-        config, geom, _, _, d_values = self.grid(0.0)
+        config, geom, _, _, spec = self.grid(0.0)
+        d_values = spec.d_values()
         theta_values = 2 * math.pi * np.arange(64) / 64
         pos = PolarPosition(float(d_values[row]), float(theta_values[21]))
         f = random_unit_vector(np.random.default_rng(row), 8)
         obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, 3), 4)
         bank = matched_filter_bank(obs)
         cell = _cost_rows_fft(bank, geom, d_values[row : row + 1], theta_values)[0, 21]
-        bound = _row_bounds(bank, geom, d_values)[row]
+        bound = _row_bounds(bank, geom, d_values, spec.uniform_run)[row]
         assert bound <= cell <= bound * (1.0 - 1e-8)
 
-    def test_a_grid_without_integer_k_steps_is_collapsed_directly(self):
+    def test_a_spec_without_a_run_is_collapsed_directly(self):
+        # A hand-built spec records no run, even on the adaptive nodes; and
         # linspace(6, 18, 70) steps by 0.174 m: K = c / (2 df step) = 1797.4.
-        config, geom, obs, bank, _ = self.grid(1e-9)
-        d_values = np.linspace(6.0, 18.0, 70)
-        assert estimator_module._uniform_runs(config, d_values) == []
-        norms, errors = estimator_module._row_norms(config, bank, d_values)
+        config, geom, obs, bank, adaptive = self.grid(1e-9)
+        assert GridSpec(1.0, 400.0, d_nodes=adaptive.d_nodes).uniform_run is None
+        spec = GridSpec(6.0, 18.0, n_d=70)
+        d_values = spec.d_values()
+        assert spec.uniform_run is None and oracle_uniform_runs(config, d_values) == []
+        norms, errors = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
         assert np.all(errors == 0.0)
         np.testing.assert_allclose(
-            _row_bounds(bank, geom, d_values),
+            _row_bounds(bank, geom, d_values, spec.uniform_run),
             oracle_row_bounds(bank, geom, d_values),
             rtol=1e-12,
         )
+
+    def test_a_run_shorter_than_the_bank_is_collapsed_directly(self):
+        # A spec built for M = 128 records K = 384; searched with an M = 2048
+        # bank, a 384-point FFT would cut the bank off, so every row is
+        # collapsed directly.
+        geom = UcaGeometry(8, 0.5, 0.005)
+        narrow = OfdmConfig(128, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
+        spec = GridSpec.for_array(geom, narrow, 400.0)
+        assert spec.uniform_run[2] == 384
+        config = dataclasses.replace(narrow, m_subcarriers=2048)
+        truth = PolarPosition(float(spec.d_values()[300]), 1.1)
+        bank = synthesize_bank(geom, truth, conjugate_focus_beamformer(geom, truth), config, 6)
+        d_values = spec.d_values()
+        norms, errors = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
+        assert np.all(errors == 0.0)
+        np.testing.assert_allclose(norms, oracle_row_norms(config, bank, d_values), rtol=1e-12)
+        costs = _cost_rows_fft(bank, geom, d_values, 2 * math.pi * np.arange(64) / 64)
+        assert np.all(costs >= _row_bounds(bank, geom, d_values, spec.uniform_run)[:, None])
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_a_shifted_run_loosens_the_bound_but_never_breaks_it(self, shift):
+        # The margin measures the nodes' drift from the recorded lattice, so
+        # a record one row off (into the curvature-limited head, or onto the
+        # clamped last node) only widens it.
+        config, geom, obs, bank, spec = self.grid(1e-9, d=150.0)
+        first, stop, size = spec.uniform_run
+        shifted = dataclasses.replace(spec, uniform_run=(first + shift, stop + shift, size))
+        d_values = spec.d_values()
+        norms, errors = estimator_module._row_norms(config, bank, d_values, shifted.uniform_run)
+        run = slice(first + shift, stop + shift)
+        oracle = oracle_row_norms(config, bank, d_values)
+        assert np.all(np.abs(norms[run] - oracle[run]) <= errors[run])
+        costs = _cost_rows_fft(bank, geom, d_values, 2 * math.pi * np.arange(64) / 64)
+        assert np.all(costs >= _row_bounds(bank, geom, d_values, shifted.uniform_run)[:, None])
 
 
 def count_rows(monkeypatch, spec, real=None):
@@ -1131,7 +1248,9 @@ def search_surface(monkeypatch, surface, rows, n_basins):
         return tile(d_values).copy()
 
     monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
-    monkeypatch.setattr(estimator_module, "_row_bounds", lambda b, g, d: tile(d).min(axis=1))
+    monkeypatch.setattr(
+        estimator_module, "_row_bounds", lambda b, g, d, run: tile(d).min(axis=1)
+    )
     monkeypatch.setattr(estimator_module, "_cost_rows", cost_rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
@@ -1656,13 +1775,7 @@ class TestLockStepRefine:
         truth = PolarPosition(d_true, 1.3)
         f = conjugate_focus_beamformer(geom64, truth)
         bank = synthesize_bank(geom64, truth, f, reduced_ofdm, seed)
-        spec = GridSpec(
-            d_min_m=1.0,
-            d_max_m=400.0,
-            n_theta=auto_n_theta(geom64),
-            n_basins=15,
-            d_nodes=adaptive_d_nodes(geom64, reduced_ofdm, 1.0, 400.0),
-        )
+        spec = GridSpec.for_array(geom64, reduced_ofdm, 400.0)
         starts = [basin.position for basin in coarse_grid_search(bank, geom64, spec)]
         assert len(starts) == spec.n_basins
         return bank, starts
@@ -1741,13 +1854,7 @@ class TestEstimate:
         f = conjugate_focus_beamformer(geom64, pos)
         pilots = generate_pilots(config, 21)
         obs = synthesize_observation(geom64, pos, f, config, pilots, 22)
-        grid = GridSpec(
-            d_min_m=1.0,
-            d_max_m=400.0,
-            n_theta=auto_n_theta(geom64),
-            n_basins=15,
-            d_nodes=adaptive_d_nodes(geom64, config, 1.0, 400.0),
-        )
+        grid = GridSpec.for_array(geom64, config, 400.0)
         result = estimate(matched_filter_bank(obs), geom64, grid)
         assert result.converged
         assert abs(result.d_hat_m - 10.0) < 1e-6
@@ -1763,13 +1870,7 @@ class TestEstimate:
         f = conjugate_focus_beamformer(geom64, pos)
         pilots = generate_pilots(reduced_ofdm, 31)
         obs = synthesize_observation(geom64, pos, f, reduced_ofdm, pilots, 32)
-        grid = GridSpec(
-            d_min_m=1.0,
-            d_max_m=400.0,
-            n_theta=auto_n_theta(geom64),
-            n_basins=15,
-            d_nodes=adaptive_d_nodes(geom64, reduced_ofdm, 1.0, 400.0),
-        )
+        grid = GridSpec.for_array(geom64, reduced_ofdm, 400.0)
         a = estimate(matched_filter_bank(obs), geom64, grid)
         b = estimate(matched_filter_bank(obs), geom64, grid)
         assert a == b

@@ -15,8 +15,7 @@ from nfisac import (
     OfdmConfig,
     SweepConfig,
     TrialRecord,
-    adaptive_d_nodes,
-    auto_n_theta,
+    UcaGeometry,
     estimator,
     grid_for_radius,
     harness,
@@ -98,13 +97,13 @@ def test_grid_is_built_once_per_radius(monkeypatch):
     sweep = tiny_sweep()
     harness._grid_spec.cache_clear()
     built = []
-    original = harness.adaptive_d_nodes
+    original = GridSpec.for_array
 
     def counting(*args, **kwargs):
         built.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "adaptive_d_nodes", counting)
+    monkeypatch.setattr(GridSpec, "for_array", counting)
     cached = run_trials(sweep)
     # A second sweep differing only in its seed reuses the spec.
     run_trials(dataclasses.replace(sweep, master_seed=30, trials_per_point=1))
@@ -123,17 +122,13 @@ def test_grid_is_built_once_per_radius(monkeypatch):
 @pytest.mark.parametrize("radius", [0.5, 5.0])
 def test_the_sweep_grid_is_the_one_derived_recipe(radius):
     # The config sets only the grid's far end; its start, basin budget,
-    # range nodes and angle count follow from the array and the numerology.
+    # range nodes, angle count and uniform run follow from the array and
+    # the numerology.
     sweep = parse_config().sweep_config(reduced_m=True)
-    geom = sweep.geometry(radius)
-    d_min = max(2.0 * radius, 1.0)
-    assert grid_for_radius(sweep, radius) == GridSpec(
-        d_min_m=d_min,
-        d_max_m=400.0,
-        n_theta=auto_n_theta(geom),
-        n_basins=15,
-        d_nodes=adaptive_d_nodes(geom, sweep.ofdm, d_min, 400.0),
-    )
+    spec = grid_for_radius(sweep, radius)
+    assert spec == GridSpec.for_array(UcaGeometry(64, radius, 0.005), sweep.ofdm, 400.0)
+    assert spec.d_min_m == max(2.0 * radius, 1.0) and spec.n_basins == 15
+    assert spec.uniform_run is not None
 
 
 def test_estimated_beam_rate_never_exceeds_the_optimum():
