@@ -45,9 +45,12 @@ and on the polyphase lattice (angle index j = p + q*l, q = n_theta / n_a)
 each angle sum is a batch of length-n_a circular correlations, evaluated
 as circulant matmuls. The search skips single range rows and evaluates
 the rest in tiles, runs of at most GRID_BLOCK_ROWS consecutive rows, one
-``_cost_rows`` call each. It keeps a running top list of basins, so its
-memory is O(GRID_BLOCK_ROWS * n_theta) plus two bounds per range row and an
-n_a x K range profile, however many range rows the grid has.
+``_cost_rows`` call each, which works through its tile in cache-sized
+blocks of b = max(1, KERNEL_BLOCK_CELLS // n_theta) rows. It keeps a
+running top list of basins, so its memory is O(GRID_BLOCK_ROWS * n_theta)
+for the tiles' costs, plus one block's intermediates, O(b (n_theta + n_a^2)),
+in one workspace per search (``_Workspace``), two bounds per range row and
+a K-bin range profile, however many range rows the grid has.
 """
 
 from __future__ import annotations
@@ -76,8 +79,22 @@ from .signal import (
 
 TWO_PI = 2.0 * np.pi
 # Most range rows evaluated in one ``_cost_rows`` call (one tile); the search
-# skips single rows, so this only caps a tile's working memory.
+# skips single rows, so this caps a tile's output, the costs it holds. A tile
+# is not a kernel block (KERNEL_BLOCK_CELLS): shrinking tiles to save memory
+# backfires, since a tile of at most 2 rows has no interior rows, so the seed
+# window sets no skip thresholds (409 rows evaluated per large-aperture
+# trial instead of 66).
 GRID_BLOCK_ROWS = 32
+# Most lattice cells one block of ``_cost_rows`` evaluates at once: rows per
+# block max(1, this // n_theta), capped at GRID_BLOCK_ROWS. A block's
+# intermediates, about 75 bytes a cell plus n_a x 2 n_a complex circulant
+# entries a row, take 2.5 MB at 32,832 angles and 3.4 MB at 3,328, reused
+# block after block, where whole-tile arrays of up to 17 MB each streamed
+# from memory. In a sweep of 2^14 to 2^17 no budget was clearly faster per
+# trial; on small-array (9 rows a block here) 2^14 read slowest, and 2^16 and
+# 2^17 raised its peak RSS by 4 and 9 MiB. ``_row_norms`` takes its range
+# spectrum in blocks of about as many bins.
+KERNEL_BLOCK_CELLS = 2**15
 # Rows on each side of the lowest-bound row in the search's first tile, which
 # holds 2 h + 1 rows clipped to the grid. Its interior minima set the first
 # skip thresholds, the last of them T and the lowest the incumbent G: per
@@ -488,36 +505,46 @@ def cost(candidate: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry) -
     return float(_evaluate([candidate.d_m], [candidate.theta_rad], bank, geom).cost[0])
 
 
-def _phasor(phase: np.ndarray) -> np.ndarray:
-    """e^{j phase}, written as cos and sin into one complex array."""
-    out = np.empty(phase.shape, dtype=complex)
+def _phasor(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{j phase}, written as cos and sin into one complex array (``out`` if given)."""
+    if out is None:
+        out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
 
 
-def _circulants(v: np.ndarray) -> np.ndarray:
-    """Circulant pair [C | C'] of shape (..., n, 2n) for each vector v (..., n).
+def _circulants(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Circulant pair [C | C'] of shape (..., n, 2n) for each vector v (..., n), in ``out`` if given.
 
     C[m, l] = v[(l - m) mod n] convolves a template row with v;
     C'[m, l] = v[(l + 1 + m) mod n] does the same for the reversed row.
     """
     n = v.shape[-1]
+    if out is None:
+        out = np.empty(v.shape + (2 * n,), dtype=v.dtype)
     windows = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([v, v], axis=-1), n, axis=-1
     )
-    return np.concatenate([windows[..., n:0:-1, :], windows[..., 1 : n + 1, :]], axis=-1)
+    out[..., :n] = windows[..., n:0:-1, :]
+    out[..., n:] = windows[..., 1 : n + 1, :]
+    return out
 
 
-def _row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for a 2-D ``a``, each row's bits the same however many rows ``a`` has.
 
     numpy hands a one-row product to gemv, whose sums round unlike gemm's
-    (about 1e-16 relative); a doubled row keeps it on gemm.
+    (about 1e-16 relative); a doubled row keeps it on gemm. The product goes
+    to ``out`` if given.
     """
     if a.shape[0] == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
+        product = (np.concatenate([a, a]) @ b)[:1]
+        if out is None:
+            return product
+        out[...] = product
+        return out
+    return np.matmul(a, b, out=out)
 
 
 def _collapse_rows(
@@ -589,8 +616,17 @@ def _row_norms(
         gamma += 2.0 * TWO_PI * span * drift / SPEED_OF_LIGHT
         tau0 = 2.0 * d0 / SPEED_OF_LIGHT
         ramp = _phasor(TWO_PI * m * config.delta_f_hz * (config.t_cp_s + tau0))
-        spectrum = np.fft.ifft(bank.aggregates * ramp, n=size, axis=1, norm="forward")
-        power = np.sum(spectrum.real**2 + spectrum.imag**2, axis=0)
+        # The profile power, summed over the elements in order (the bits
+        # np.sum over axis 0 gives for a C-ordered bank), from
+        # KERNEL_BLOCK_CELLS bins' worth of elements' spectra at a time
+        # rather than the whole n_a x K spectrum.
+        power = np.zeros(size)
+        per_block = max(1, KERNEL_BLOCK_CELLS // size)
+        for start in range(0, bank.aggregates.shape[0], per_block):
+            block = bank.aggregates[start : start + per_block] * ramp
+            spectrum = np.fft.ifft(block, n=size, axis=1, norm="forward")
+            for element_power in spectrum.real**2 + spectrum.imag**2:
+                power += element_power
         norms[first:stop] = np.sqrt(power[j % size])
         errors[first:stop] = gamma * l1
         direct[first:stop] = False
@@ -621,11 +657,45 @@ def _row_bounds(
     return -(1.0 + BOUND_SLACK) * scale * (norms + errors) ** 2
 
 
+class _Workspace:
+    """The intermediates of one ``_cost_rows`` block, for one angle lattice.
+
+    ``coarse_grid_search`` builds one per search and every block of every
+    tile fills the same arrays through ``out=``, so the kernel allocates
+    nothing per block. A block holds ``rows`` range rows:
+    max(1, KERNEL_BLOCK_CELLS // n_theta), at most GRID_BLOCK_ROWS. Also
+    holds cos u of the lattice's template angles, the same for every row.
+    Raises ValueError unless n_theta is a multiple of n_a.
+    """
+
+    def __init__(self, n_a: int, n_theta: int) -> None:
+        if n_theta % n_a:
+            raise ValueError(
+                f"n_theta={n_theta} must be a multiple of the element count {n_a}"
+            )
+        q = n_theta // n_a
+        half = q // 2 + 1
+        rows = min(max(1, KERNEL_BLOCK_CELLS // n_theta), GRID_BLOCK_ROWS)
+        self.rows = rows
+        self.cosu = np.cos(TWO_PI * (np.arange(half)[:, None] + q * np.arange(n_a)) / n_theta)
+        self.rho = np.empty((rows, half, n_a))
+        self.phase = np.empty((rows, half, n_a))
+        self.a_u = np.empty((rows, half, n_a), dtype=complex)
+        self.ga_u = np.empty((rows, half, n_a), dtype=complex)
+        self.inv_sum = np.empty((rows, half))
+        self.data_circulants = np.empty((rows, n_a, 2 * n_a), dtype=complex)
+        self.beta = np.empty((rows, half, 2 * n_a), dtype=complex)
+        self.data_sum = np.empty((rows, half, 2 * n_a), dtype=complex)
+        self.cost = np.empty((rows, half, 2 * n_a))
+        self.cross = np.empty((rows, half, 2 * n_a))
+
+
 def _cost_rows(
     bank: MatchedFilterBank,
     geom: UcaGeometry,
     d_values: np.ndarray,
     theta_values: np.ndarray,
+    workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """Cost at every (range row, lattice angle) pair, shape (rows, n_theta).
 
@@ -638,48 +708,79 @@ def _cost_rows(
     p with l reversed, so the steering templates are built on phases
     p <= q/2 only, and one matmul against [C | C'] (see ``_circulants``)
     yields each phase and its mirror side by side.
+
+    Blocks. The rows are evaluated in blocks of ``workspace.rows`` rows,
+    about KERNEL_BLOCK_CELLS lattice cells, whose intermediates fill the
+    arrays of ``workspace`` (a ``_Workspace`` of this lattice; one is built
+    if none is given) and so stay in cache; each block's costs go straight
+    into the output. Every operation is per row, so a row's costs are the
+    same bits in whichever tile and block it comes.
+
+    Templates. The phase 2 pi (d - rho) / lambda of a template is reduced
+    to turns before its cosine and sine: x = (d - rho) / lambda, minus
+    rint(x) (exact), times 2 pi. The argument then lies within [-pi, pi],
+    where cos and sin run 1.6 times faster than on phases up to
+    2 pi R / lambda, and its error is about that of x alone: at R = 5 m,
+    rows 10 to 30 m, at most 3.6e-13 rad against 1.0e-12 rad unreduced
+    (a long-double phase from the same rho as reference).
     """
     config = bank.config
     n_a = geom.n_a
     n_theta = theta_values.size
-    if n_theta % n_a:
-        raise ValueError(
-            f"n_theta={n_theta} must be a multiple of the element count {n_a}"
-        )
+    work = workspace or _Workspace(n_a, n_theta)
     q = n_theta // n_a
     half = q // 2 + 1
     rows = d_values.size
-    cosu = np.cos(TWO_PI * (np.arange(half)[:, None] + q * np.arange(n_a)) / n_theta)
-
+    radius = geom.radius_m
     collapsed = _collapse_rows(config, bank, d_values)
-    d = d_values[:, None, None]
-    rho = np.sqrt(d * d + geom.radius_m**2 - 2.0 * d * geom.radius_m * cosu)
-    # Steering templates e^{j 2 pi (d - rho) / lambda}; the 1 / sqrt(n_a)
-    # of the steering vector is folded into the circulants.
-    a_u = _phasor(TWO_PI * (d - rho) / geom.wavelength_m)
-    ga_u = a_u * (geom.wavelength_m / (4.0 * np.pi) / rho)
-    inv_sum = (1.0 / rho**2).sum(axis=2)[:, :, None]
-    beta = _row_matmul(
-        a_u.reshape(rows * half, n_a), _circulants(bank.beamformer / np.sqrt(n_a))
-    )
-    beta = beta.reshape(rows, half, 2 * n_a)
-    data_sum = ga_u @ _circulants(np.conj(collapsed) / np.sqrt(n_a))
-
-    # L = s |beta|^2 sum_k 1/r_k^2 - 2 Re{beta * data_sum}, in place.
-    b_re, b_im = beta.real, beta.imag
-    cost = b_re * b_re
-    cost += b_im * b_im
-    cost *= mean_product_scale(config, geom) * inv_sum
-    cross = b_re * data_sum.real
-    cross -= b_im * data_sum.imag
-    cross *= 2.0
-    cost -= cross
-
-    # cost[:, p, :n_a] is phase p and cost[:, p, n_a:] phase q - p; lay
-    # them out by angle index j = p + q*l.
+    beam = _circulants(bank.beamformer / np.sqrt(n_a))
+    scale = mean_product_scale(config, geom)
     out = np.empty((rows, n_a, q))
-    out[:, :, :half] = cost[:, :, :n_a].transpose(0, 2, 1)
-    out[:, :, half:] = cost[:, q - half : 0 : -1, n_a:].transpose(0, 2, 1)
+    for start in range(0, rows, work.rows):
+        n = min(work.rows, rows - start)
+        d = d_values[start : start + n, None, None]
+        rho, phase, a_u, ga_u = work.rho[:n], work.phase[:n], work.a_u[:n], work.ga_u[:n]
+        inv_sum, beta, data_sum = work.inv_sum[:n], work.beta[:n], work.data_sum[:n]
+        cost, cross = work.cost[:n], work.cross[:n]
+
+        np.multiply(2.0 * d * radius, work.cosu, out=rho)
+        np.subtract(d * d + radius**2, rho, out=rho)
+        np.sqrt(rho, out=rho)
+        np.square(rho, out=phase)
+        np.divide(1.0, phase, out=phase)
+        np.sum(phase, axis=2, out=inv_sum)
+        # Steering templates e^{j 2 pi (d - rho) / lambda}, the phase reduced
+        # to turns; the 1 / sqrt(n_a) of the steering vector is folded into
+        # the circulants. a_u's real part holds the whole turns until then.
+        np.subtract(d, rho, out=phase)
+        phase /= geom.wavelength_m
+        phase -= np.rint(phase, out=a_u.real)
+        phase *= TWO_PI
+        _phasor(phase, out=a_u)
+        np.divide(geom.wavelength_m / (4.0 * np.pi), rho, out=rho)
+        np.multiply(a_u, rho, out=ga_u)
+        _row_matmul(a_u.reshape(n * half, n_a), beam, out=beta.reshape(n * half, 2 * n_a))
+        circulants = _circulants(
+            np.conj(collapsed[start : start + n]) / np.sqrt(n_a), out=work.data_circulants[:n]
+        )
+        np.matmul(ga_u, circulants, out=data_sum)
+
+        # L = s |beta|^2 sum_k 1/r_k^2 - 2 Re{beta * data_sum}, in place.
+        b_re, b_im = beta.real, beta.imag
+        np.multiply(b_re, b_re, out=cost)
+        cost += np.multiply(b_im, b_im, out=cross)
+        inv_sum *= scale
+        cost *= inv_sum[:, :, None]
+        np.multiply(b_re, data_sum.real, out=cross)
+        cross -= np.multiply(b_im, data_sum.imag, out=data_sum.real)
+        cross *= 2.0
+        cost -= cross
+
+        # cost[:, p, :n_a] is phase p and cost[:, p, n_a:] phase q - p; lay
+        # them out by angle index j = p + q*l.
+        block = out[start : start + n]
+        block[:, :, :half] = cost[:, :, :n_a].transpose(0, 2, 1)
+        block[:, :, half:] = cost[:, q - half : 0 : -1, n_a:].transpose(0, 2, 1)
     return out.reshape(rows, n_theta)
 
 
@@ -703,11 +804,16 @@ class _TileEdges:
 
     A cell's 3x3 neighbourhood lies inside its tile except on these rows,
     so their minima are settled once the neighbouring rows are known. The
-    whole tile's costs are held until then, as the unpruned search held
-    them: copying out the two rows instead let the allocator hand the
-    tile's working memory back to the system after every tile, and at
+    whole tile's costs are held until then. With whole-tile kernel
+    temporaries, copying out the two rows instead let the allocator hand
+    the tile's working memory back to the system after every tile, and at
     M = 2048, R = 5 m the next tile's page faults (2 M per grid) made an
-    unpruned search 20 % slower.
+    unpruned search 20 % slower. With the blocked kernel, whose workspace
+    lives for the whole search, copying them out takes fewer faults
+    (57,000 against 67,000 to 74,000 per paper-scale trial, M = 2048,
+    R = 5 m, d = 400 m; 3,400 to 3,700 against 4,000 to 4,500 per
+    large-aperture trial) and no clear time either way (20.2 and 21.5 s
+    against 19.4 and 20.7 s; 176 and 184 ms against 190 and 194 ms).
     """
 
     start: int  # grid index of the tile's first row
@@ -859,13 +965,14 @@ def coarse_grid_search(
     skipped rows, which the full search might not return. The output may
     hold fewer than ``n_basins`` entries. Memory is the costs of the tile
     being evaluated, of the tile awaiting its lower halo and of the seed
-    window, plus two bounds per row and the n_a x K range profile of the
-    bound pass.
+    window, plus the one ``_Workspace`` every block of every tile fills, two
+    bounds per row and the K-bin range profile of the bound pass.
     """
     d_values = spec.d_values()
     theta_values = spec.theta_values()
     n_rows = d_values.size
     n_basins = spec.n_basins
+    workspace = _Workspace(geom.n_a, spec.n_theta)
     row_bounds = _row_bounds(bank, geom, d_values, spec.uniform_run)
     # kappa b~(i), b~(i) the lowest bound of row i and its neighbours. kappa
     # scales the range profile ||c||^2 >= 0, so only a negative b~ scales; a
@@ -893,7 +1000,7 @@ def coarse_grid_search(
 
     def evaluate(start: int, stop: int) -> _TileEdges:
         nonlocal best
-        costs = _cost_rows(bank, geom, d_values[start:stop], theta_values)
+        costs = _cost_rows(bank, geom, d_values[start:stop], theta_values, workspace)
         interior, edges = _tile_minima(start, costs)
         best = merge(interior)
         return edges

@@ -32,10 +32,14 @@ from nfisac import estimator as estimator_module
 from nfisac.crlb import gamma_coefficients
 from nfisac.estimator import (
     GRID_BLOCK_ROWS,
+    TWO_PI,
+    _circulants,
     _collapse_rows,
     _cost_rows as _cost_rows_fft,
     _evaluate,
+    _phasor,
     _row_bounds,
+    _row_matmul,
     matched_filter_bank,
     polish_basin,
 )
@@ -174,6 +178,45 @@ def _cost_rows_direct(obs, geom, bank, d_values, theta_values):
         data = 2.0 * np.real(beta * ((g * a) @ np.conj(collapsed)))
         out[i] = deterministic - data
     return out
+
+
+def _cost_rows_unblocked(bank, geom, d_values, theta_values):
+    """Oracle: the polyphase grid kernel on a whole tile at once, phases not reduced.
+
+    ``_cost_rows`` as it was before its blocks: every intermediate spans the
+    tile, and the template phase 2 pi (d - rho) / lambda goes to cos and sin
+    as it is, up to 2 pi R / lambda.
+    """
+    config = bank.config
+    n_a = geom.n_a
+    n_theta = theta_values.size
+    q = n_theta // n_a
+    half = q // 2 + 1
+    rows = d_values.size
+    cosu = np.cos(TWO_PI * (np.arange(half)[:, None] + q * np.arange(n_a)) / n_theta)
+    collapsed = _collapse_rows(config, bank, d_values)
+    d = d_values[:, None, None]
+    rho = np.sqrt(d * d + geom.radius_m**2 - 2.0 * d * geom.radius_m * cosu)
+    a_u = _phasor(TWO_PI * (d - rho) / geom.wavelength_m)
+    ga_u = a_u * (geom.wavelength_m / (4.0 * np.pi) / rho)
+    inv_sum = (1.0 / rho**2).sum(axis=2)[:, :, None]
+    beta = _row_matmul(
+        a_u.reshape(rows * half, n_a), _circulants(bank.beamformer / np.sqrt(n_a))
+    )
+    beta = beta.reshape(rows, half, 2 * n_a)
+    data_sum = ga_u @ _circulants(np.conj(collapsed) / np.sqrt(n_a))
+    b_re, b_im = beta.real, beta.imag
+    cost = b_re * b_re
+    cost += b_im * b_im
+    cost *= mean_product_scale(config, geom) * inv_sum
+    cross = b_re * data_sum.real
+    cross -= b_im * data_sum.imag
+    cross *= 2.0
+    cost -= cross
+    out = np.empty((rows, n_a, q))
+    out[:, :, :half] = cost[:, :, :n_a].transpose(0, 2, 1)
+    out[:, :, half:] = cost[:, q - half : 0 : -1, n_a:].transpose(0, 2, 1)
+    return out.reshape(rows, n_theta)
 
 
 def _local_minima(costs):
@@ -908,6 +951,77 @@ class TestStreamedGridSearch:
         assert peak < spec.n_d * spec.n_theta * 8 / 4
 
 
+def cli_bank(radius_m, d_m, theta_rad, seed):
+    """Geometry, bank and grid of a conjugate-focused target on the CLI defaults, M = 128."""
+    cfg = cli.parse_config().sweep_config(reduced_m=True, trials=1, seed=seed, workers=1)
+    geom = cfg.geometry(radius_m)
+    truth = PolarPosition(d_m, theta_rad)
+    bank = synthesize_bank(
+        geom, truth, conjugate_focus_beamformer(geom, truth), cfg.ofdm, seed
+    )
+    return geom, bank, harness.grid_for_radius(cfg, radius_m)
+
+
+def rows_around(spec, d_m, count):
+    """``count`` consecutive range nodes of the grid starting ``count // 2`` rows before ``d_m``."""
+    d_values = spec.d_values()
+    first = int(np.searchsorted(d_values, d_m)) - count // 2
+    return d_values[first : first + count]
+
+
+class TestBlockedKernel:
+    """``_cost_rows`` works through a tile in cache-sized blocks, template phases in turns."""
+
+    @pytest.mark.parametrize("n_theta, cells, block", [(8 * 4608, 2**15, 1), (64, 3 * 64, 3)])
+    def test_a_rows_bits_do_not_depend_on_its_kernel_block(
+        self, monkeypatch, n_theta, cells, block
+    ):
+        # n_theta > KERNEL_BLOCK_CELLS makes one-row blocks; at 3 rows a
+        # block, a 32-row tile is ten blocks and a ragged one of 2 rows.
+        monkeypatch.setattr(estimator_module, "KERNEL_BLOCK_CELLS", cells)
+        geom, obs = strong_target(128, 40.0, 2.0)
+        assert estimator_module._Workspace(geom.n_a, n_theta).rows == block
+        bank = matched_filter_bank(obs)
+        d_values = np.linspace(30.0, 50.0, 5 if block == 1 else GRID_BLOCK_ROWS)
+        theta_values = 2 * math.pi * np.arange(n_theta) / n_theta
+        tile = _cost_rows_fft(bank, geom, d_values, theta_values)
+        for row in range(d_values.size):
+            alone = _cost_rows_fft(bank, geom, d_values[row : row + 1], theta_values)
+            np.testing.assert_array_equal(alone[0], tile[row])
+
+    @pytest.mark.parametrize(
+        "radius, d, rows", [(5.0, 20.0, 6), (0.5, 10.0, None)]
+    )
+    def test_matches_the_unblocked_kernel(self, radius, d, rows):
+        # R = 5 m: 32,832 angles, rows near 20 m, unreduced phases up to
+        # 6,300 rad. R = 0.5 m: the whole 551-row grid, in tiles. Reducing
+        # the phase to turns moves a cost by rounding alone.
+        geom, bank, spec = cli_bank(radius, d, 0.7, 8)
+        d_values = spec.d_values() if rows is None else rows_around(spec, d, rows)
+        theta_values = spec.theta_values()
+        for start in range(0, d_values.size, GRID_BLOCK_ROWS):
+            tile = d_values[start : start + GRID_BLOCK_ROWS]
+            got = _cost_rows_fft(bank, geom, tile, theta_values)
+            want = _cost_rows_unblocked(bank, geom, tile, theta_values)
+            error = np.max(np.abs(got - want), axis=1)
+            assert np.all(error <= 1e-12 * np.max(np.abs(want), axis=1))
+
+    def test_a_tile_peaks_below_three_times_its_output(self):
+        # A 32-row tile of the R = 5 m grid, 32,832 angles: its costs take
+        # 8.4 MB. The unblocked kernel peaked at 80 MB, 9.5 times that.
+        geom, bank, spec = cli_bank(5.0, 20.0, 0.7, 8)
+        d_values = rows_around(spec, 20.0, GRID_BLOCK_ROWS)
+        theta_values = spec.theta_values()
+        tracemalloc.start()
+        try:
+            costs = _cost_rows_fft(bank, geom, d_values, theta_values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert costs.shape == (32, 32832)
+        assert peak < 3 * costs.nbytes
+
+
 class TestRangeProfileBound:
     """The row bound lies at or below every computed cost of its row."""
 
@@ -1101,6 +1215,32 @@ class TestFftRangeProfileBound:
         loosest = want * ((oracle + 2.0 * errors) / oracle) ** 2
         assert np.all(bounds >= loosest * (1.0 + 1e-12))
 
+    @pytest.mark.parametrize("cells", [48, 3 * 48, 2**15])
+    def test_the_run_sums_the_elements_spectra_in_order(self, monkeypatch, cells):
+        # _row_norms takes KERNEL_BLOCK_CELLS bins' worth of elements'
+        # spectra at a time: 1, 3 (a ragged last block of 2) or all 8. Each
+        # way the run's norms have the bits of the whole n_a x K spectrum's
+        # power summed over the elements by np.sum, which adds the rows of a
+        # C-ordered array in order: the order of a bank from synthesize_bank
+        # (matched_filter_bank's is Fortran-ordered, and np.sum adds its
+        # rows pairwise).
+        config, geom, obs, bank, spec = self.grid(1e-9)
+        bank = MatchedFilterBank(
+            np.ascontiguousarray(bank.aggregates), bank.config, bank.beamformer
+        )
+        d_values = spec.d_values()
+        first, stop, size = spec.uniform_run
+        tau0 = 2.0 * d_values[first] / SPEED_OF_LIGHT
+        m = np.arange(self.M)
+        ramp = _phasor(TWO_PI * m * config.delta_f_hz * (config.t_cp_s + tau0))
+        spectrum = np.fft.ifft(bank.aggregates * ramp, n=size, axis=1, norm="forward")
+        power = np.sum(spectrum.real**2 + spectrum.imag**2, axis=0)
+        monkeypatch.setattr(estimator_module, "KERNEL_BLOCK_CELLS", cells)
+        norms, _ = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
+        np.testing.assert_array_equal(
+            norms[first:stop], np.sqrt(power[np.arange(stop - first) % size])
+        )
+
     @pytest.mark.parametrize("sigma2", [1e-9, 0.0])
     @pytest.mark.parametrize("seed", range(2))
     def test_costs_never_fall_below_the_row_bound(self, seed, sigma2):
@@ -1188,10 +1328,10 @@ def count_rows(monkeypatch, spec, real=None):
     real = real or estimator_module._cost_rows
     d_all = spec.d_values()
 
-    def counting(bank, geom, d_values, theta_values):
+    def counting(bank, geom, d_values, theta_values, workspace=None):
         first = int(np.searchsorted(d_all, d_values[0]))
         calls.append((first, first + d_values.size))
-        return real(bank, geom, d_values, theta_values)
+        return real(bank, geom, d_values, theta_values, workspace)
 
     monkeypatch.setattr(estimator_module, "_cost_rows", counting)
     return calls
@@ -1237,12 +1377,15 @@ def search_surface(monkeypatch, surface, rows, n_basins):
                     n_theta=surface.shape[1], n_basins=n_basins)
     d_all = spec.d_values()
     calls = []
+    # The search reads the geometry only to size its kernel workspace; one
+    # element divides every n_theta.
+    geom = UcaGeometry(1, 0.5, 0.005)
 
     def tile(d_values):
         start = int(np.searchsorted(d_all, d_values[0]))
         return surface[start : start + d_values.size]
 
-    def cost_rows(bank, geom, d_values, theta_values):
+    def cost_rows(bank, geom, d_values, theta_values, workspace=None):
         first = int(np.searchsorted(d_all, d_values[0]))
         calls.append((first, first + d_values.size))
         return tile(d_values).copy()
@@ -1254,7 +1397,7 @@ def search_surface(monkeypatch, surface, rows, n_basins):
     monkeypatch.setattr(estimator_module, "_cost_rows", cost_rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
-        got = coarse_grid_search(None, None, spec)
+        got = coarse_grid_search(None, geom, spec)
     d_idx, t_idx = np.nonzero(_local_minima(surface))
     values = surface[d_idx, t_idx]
     order = np.lexsort((t_idx, d_idx, values))[:n_basins]
@@ -1262,7 +1405,7 @@ def search_surface(monkeypatch, surface, rows, n_basins):
     assert [(b.d_index, b.theta_index, b.cost) for b in got] == want
     full_calls = calls[:]
     calls.clear()
-    pruned = coarse_grid_search(None, None, spec)
+    pruned = coarse_grid_search(None, geom, spec)
     assert_incumbent_contract(triples(pruned), want, calls)
     return want, full_calls
 
