@@ -6,8 +6,8 @@ ofdm_symbols, cp_fraction, tx_power_mw, noise_power_dbm, n_antennas,
 radii_m, distances_m, theta_policy, trials_per_point, master_seed,
 workers, and the section grid = {d_max_m}. ``GridSpec.for_array`` builds
 each radius' grid out to d_max_m. The solver settings (the beamformer's
-Newton, the refinement, the grid's nodes per lobe and its basin budget) are
-module constants. Values are written in natural units
+Newton, the refinement, the grid's nodes per lobe and the coarse search's
+basin budget) are module constants. Values are written in natural units
 (kHz, mW, dBm, mm, m, degrees) and normalized to SI internally; every run
 writes the fully-resolved config, master seed and command arguments to a
 JSON sidecar next to its output, so any CSV can be regenerated byte for

@@ -19,11 +19,12 @@ bank, the OFDM-radar range profile (Sturm & Wiesbeck, Proc. IEEE 99(7),
 directly (``_row_norms``). From each of the best basins' grid nodes,
 damped Newton iterations on the cost itself (``lm_refine``), with its
 exact gradient and Hessian, delay ramp included, find the basin's minimum;
-the lowest final cost wins. The basins are refined in lock-step: each
-step evaluates the pending candidates of every run still going in one
-batch, and the winner is picked inside ``lm_refine``. A candidate's
-values do not depend on its batch, so this gives what refining each basin
-alone would, bit for bit. Off the grid, every cost, xi and cost
+the lowest final cost wins, the cost each run's last accepted iterate
+was evaluated at. The basins are refined in lock-step: each step
+evaluates the pending candidates of every run still going in one batch,
+and the winner is picked inside ``lm_refine``. A candidate's values do
+not depend on its batch, so this gives what refining each basin alone
+would, bit for bit. Off the grid, every cost, xi and cost
 derivative comes from one candidate evaluator, ``_evaluate``, which takes
 a batch of (range, angle) candidates as (n, n_a) arrays and collapses the
 bank over the subcarriers once per distinct range in the batch. ``cost``
@@ -95,6 +96,9 @@ GRID_BLOCK_ROWS = 32
 # 2^17 raised its peak RSS by 4 and 9 MiB. ``_row_norms`` takes its range
 # spectrum in blocks of about as many bins.
 KERNEL_BLOCK_CELLS = 2**15
+# Most basins the coarse search returns, the refinement's starts. The last of
+# its running list of basins is one of the search's two skip thresholds.
+N_BASINS = 15
 # Rows on each side of the lowest-bound row in the search's first tile, which
 # holds 2 h + 1 rows clipped to the grid. Its interior minima set the first
 # skip thresholds, the last of them T and the lowest the incumbent G: per
@@ -156,7 +160,7 @@ def _lobe_widths(geom: UcaGeometry, config: OfdmConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Coarse search grid: range nodes, uniform angles, basin budget.
+    """Coarse search grid: range nodes and uniform angles.
 
     ``for_array`` builds the grid of an array and numerology, with
     curvature-adaptive range nodes, and records the uniform run of range
@@ -168,18 +172,13 @@ class GridSpec:
     multiple of the element count of the array searched:
     ``coarse_grid_search`` evaluates the angles as n_theta / n_a polyphase
     components of n_a angles each, in tiles of at most GRID_BLOCK_ROWS
-    range rows, and raises ValueError otherwise. ``n_basins`` caps the
-    search's output and sets one of its two skip thresholds, the last basin
-    of its running list; the other is the list's first, the incumbent. The
-    search may return fewer than ``n_basins`` basins: below the top ones it
-    drops the basins of rows the incumbent rules out.
+    range rows, and raises ValueError otherwise.
     """
 
     d_min_m: float
     d_max_m: float
     n_d: int = 256
     n_theta: int = 4096
-    n_basins: int = 15
     d_nodes: tuple[float, ...] | None = None
     uniform_run: tuple[int, int, int] | None = None
 
@@ -189,15 +188,11 @@ class GridSpec:
                 f"need 0 < d_min_m < d_max_m, got ({self.d_min_m}, {self.d_max_m})"
             )
         if self.d_nodes is not None:
-            # A tuple keeps the spec hashable (the harness memoises specs).
+            # A tuple keeps specs comparable: == on an array is elementwise.
             object.__setattr__(self, "d_nodes", tuple(self.d_nodes))
             object.__setattr__(self, "n_d", len(self.d_nodes))
         if self.n_d < 1 or self.n_theta < 1:
             raise ValueError("grid sizes must be positive")
-        if self.n_basins < 1 or self.n_basins > self.n_d * self.n_theta:
-            raise ValueError(
-                f"n_basins={self.n_basins} must lie in [1, n_d * n_theta]"
-            )
         if self.uniform_run is not None:
             first, stop, size = self.uniform_run
             if self.d_nodes is None or not 0 <= first < stop <= self.n_d or size < 1:
@@ -207,9 +202,7 @@ class GridSpec:
                 )
 
     @classmethod
-    def for_array(
-        cls, geom: UcaGeometry, ofdm: OfdmConfig, d_max_m: float, n_basins: int = 15
-    ) -> GridSpec:
+    def for_array(cls, geom: UcaGeometry, ofdm: OfdmConfig, d_max_m: float) -> GridSpec:
         """The coarse grid of an array and numerology, from ``grid_d_min_m`` out to ``d_max_m``.
 
         Angles: THETA_NODES_PER_LOBE nodes across the full angular main
@@ -249,7 +242,6 @@ class GridSpec:
             d_min_m,
             d_max_m,
             n_theta=-(-per_turn // geom.n_a) * geom.n_a,
-            n_basins=n_basins,
             d_nodes=nodes,
             uniform_run=run,
         )
@@ -287,7 +279,10 @@ class MlEstimate:
 
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
-    return float(np.mod(theta, TWO_PI))
+    wrapped = float(np.mod(theta, TWO_PI))
+    # A tiny negative angle wraps to 2 pi - |theta|, which rounds to 2 pi;
+    # the angle it stands for is 0.
+    return 0.0 if wrapped == TWO_PI else wrapped
 
 
 def matched_filter_bank(obs: Observation) -> MatchedFilterBank:
@@ -566,7 +561,7 @@ def _row_norms(
     config: OfdmConfig,
     bank: MatchedFilterBank,
     d_values: np.ndarray,
-    run: tuple[int, int, int] | None = None,
+    run: tuple[int, int, int] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Range profile ||c(d)|| per row, and an absolute bound on its error.
 
@@ -640,7 +635,7 @@ def _row_bounds(
     bank: MatchedFilterBank,
     geom: UcaGeometry,
     d_values: np.ndarray,
-    run: tuple[int, int, int] | None = None,
+    run: tuple[int, int, int] | None,
 ) -> np.ndarray:
     """A lower bound on every computed cost of each range row, shape (rows,).
 
@@ -664,8 +659,9 @@ class _Workspace:
     tile fills the same arrays through ``out=``, so the kernel allocates
     nothing per block. A block holds ``rows`` range rows:
     max(1, KERNEL_BLOCK_CELLS // n_theta), at most GRID_BLOCK_ROWS. Also
-    holds cos u of the lattice's template angles, the same for every row.
-    Raises ValueError unless n_theta is a multiple of n_a.
+    holds the lattice's size ``n_theta`` and cos u of its template angles,
+    the same for every row. Raises ValueError unless n_theta is a multiple
+    of n_a.
     """
 
     def __init__(self, n_a: int, n_theta: int) -> None:
@@ -677,6 +673,7 @@ class _Workspace:
         half = q // 2 + 1
         rows = min(max(1, KERNEL_BLOCK_CELLS // n_theta), GRID_BLOCK_ROWS)
         self.rows = rows
+        self.n_theta = n_theta
         self.cosu = np.cos(TWO_PI * (np.arange(half)[:, None] + q * np.arange(n_a)) / n_theta)
         self.rho = np.empty((rows, half, n_a))
         self.phase = np.empty((rows, half, n_a))
@@ -694,13 +691,12 @@ def _cost_rows(
     bank: MatchedFilterBank,
     geom: UcaGeometry,
     d_values: np.ndarray,
-    theta_values: np.ndarray,
-    workspace: _Workspace | None = None,
+    workspace: _Workspace,
 ) -> np.ndarray:
     """Cost at every (range row, lattice angle) pair, shape (rows, n_theta).
 
-    ``theta_values`` must be the uniform lattice theta_j = 2 pi j / n_theta
-    with n_theta a multiple of n_a; only its size is read. Writing
+    The angles are the uniform lattice theta_j = 2 pi j / n_theta of
+    ``workspace``, n_theta a multiple of n_a. Writing
     j = p + q*l with q = n_theta / n_a puts the relative angle of element
     k at lattice index p + q*(l - k), so for each phase p both element
     sums are length-n_a circular correlations along l: matmuls against
@@ -711,8 +707,7 @@ def _cost_rows(
 
     Blocks. The rows are evaluated in blocks of ``workspace.rows`` rows,
     about KERNEL_BLOCK_CELLS lattice cells, whose intermediates fill the
-    arrays of ``workspace`` (a ``_Workspace`` of this lattice; one is built
-    if none is given) and so stay in cache; each block's costs go straight
+    arrays of ``workspace`` and so stay in cache; each block's costs go straight
     into the output. Every operation is per row, so a row's costs are the
     same bits in whichever tile and block it comes.
 
@@ -726,8 +721,7 @@ def _cost_rows(
     """
     config = bank.config
     n_a = geom.n_a
-    n_theta = theta_values.size
-    work = workspace or _Workspace(n_a, n_theta)
+    n_theta = workspace.n_theta
     q = n_theta // n_a
     half = q // 2 + 1
     rows = d_values.size
@@ -736,14 +730,15 @@ def _cost_rows(
     beam = _circulants(bank.beamformer / np.sqrt(n_a))
     scale = mean_product_scale(config, geom)
     out = np.empty((rows, n_a, q))
-    for start in range(0, rows, work.rows):
-        n = min(work.rows, rows - start)
+    for start in range(0, rows, workspace.rows):
+        n = min(workspace.rows, rows - start)
         d = d_values[start : start + n, None, None]
-        rho, phase, a_u, ga_u = work.rho[:n], work.phase[:n], work.a_u[:n], work.ga_u[:n]
-        inv_sum, beta, data_sum = work.inv_sum[:n], work.beta[:n], work.data_sum[:n]
-        cost, cross = work.cost[:n], work.cross[:n]
+        rho, phase = workspace.rho[:n], workspace.phase[:n]
+        a_u, ga_u = workspace.a_u[:n], workspace.ga_u[:n]
+        inv_sum, beta = workspace.inv_sum[:n], workspace.beta[:n]
+        data_sum, cost, cross = workspace.data_sum[:n], workspace.cost[:n], workspace.cross[:n]
 
-        np.multiply(2.0 * d * radius, work.cosu, out=rho)
+        np.multiply(2.0 * d * radius, workspace.cosu, out=rho)
         np.subtract(d * d + radius**2, rho, out=rho)
         np.sqrt(rho, out=rho)
         np.square(rho, out=phase)
@@ -761,7 +756,7 @@ def _cost_rows(
         np.multiply(a_u, rho, out=ga_u)
         _row_matmul(a_u.reshape(n * half, n_a), beam, out=beta.reshape(n * half, 2 * n_a))
         circulants = _circulants(
-            np.conj(collapsed[start : start + n]) / np.sqrt(n_a), out=work.data_circulants[:n]
+            np.conj(collapsed[start : start + n]) / np.sqrt(n_a), out=workspace.data_circulants[:n]
         )
         np.matmul(ga_u, circulants, out=data_sum)
 
@@ -787,15 +782,15 @@ def _cost_rows(
 def _row_min(costs: np.ndarray) -> np.ndarray:
     """Min over each cell and its two angular neighbours; angles wrap.
 
-    Both neighbours are slices of one copy padded by the wrapped angle on
-    each side.
+    Built in one output array: first the min with the left neighbour, then
+    with the right one, the wrapped first and last angles on their own.
     """
-    padded = np.empty((costs.shape[0], costs.shape[1] + 2))
-    padded[:, 1:-1] = costs
-    padded[:, 0] = costs[:, -1]
-    padded[:, -1] = costs[:, 0]
-    out = np.minimum(padded[:, :-2], padded[:, 2:])
-    return np.minimum(out, costs, out=out)
+    out = np.empty_like(costs)
+    np.minimum(costs[:, :-1], costs[:, 1:], out=out[:, 1:])
+    np.minimum(costs[:, -1], costs[:, 0], out=out[:, 0])
+    np.minimum(out[:, :-1], costs[:, 1:], out=out[:, :-1])
+    np.minimum(out[:, -1], costs[:, 0], out=out[:, -1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -803,22 +798,14 @@ class _TileEdges:
     """First and last rows of an evaluated tile, awaiting the rows around it.
 
     A cell's 3x3 neighbourhood lies inside its tile except on these rows,
-    so their minima are settled once the neighbouring rows are known. The
-    whole tile's costs are held until then. With whole-tile kernel
-    temporaries, copying out the two rows instead let the allocator hand
-    the tile's working memory back to the system after every tile, and at
-    M = 2048, R = 5 m the next tile's page faults (2 M per grid) made an
-    unpruned search 20 % slower. With the blocked kernel, whose workspace
-    lives for the whole search, copying them out takes fewer faults
-    (57,000 against 67,000 to 74,000 per paper-scale trial, M = 2048,
-    R = 5 m, d = 400 m; 3,400 to 3,700 against 4,000 to 4,500 per
-    large-aperture trial) and no clear time either way (20.2 and 21.5 s
-    against 19.4 and 20.7 s; 176 and 184 ms against 190 and 194 ms).
+    so their minima are settled once the neighbouring rows are known. Only
+    copies of the edge rows are held until then, so the tile's costs can
+    be freed.
     """
 
     start: int  # grid index of the tile's first row
     rows: np.ndarray  # tile indices of the edge rows: first and last, or the one row
-    costs: np.ndarray  # the tile's costs, (tile rows, n_theta)
+    costs: np.ndarray  # (len(rows), n_theta): the edge rows' costs
     neigh: np.ndarray  # (len(rows), n_theta): min over each neighbourhood inside the tile
     halo: np.ndarray  # (2, n_theta): row-min of the first and last rows
 
@@ -840,7 +827,7 @@ def _tile_minima(start: int, costs: np.ndarray) -> tuple[tuple, _TileEdges]:
     edge = np.array(sorted({0, last}))
     edge_neigh = np.minimum(row_min[np.maximum(edge - 1, 0)], row_min[np.minimum(edge + 1, last)])
     np.minimum(edge_neigh, row_min[edge], out=edge_neigh)
-    edges = _TileEdges(start, edge, costs, edge_neigh, row_min[[0, -1]])
+    edges = _TileEdges(start, edge, costs[edge], edge_neigh, row_min[[0, -1]])
     return (inner[d_idx, t_idx], d_idx + start + 1, t_idx), edges
 
 
@@ -857,9 +844,8 @@ def _edge_minima(
         np.minimum(neigh[0], above, out=neigh[0])
     if below is not None:
         np.minimum(neigh[-1], below, out=neigh[-1])
-    costs = edges.costs[edges.rows]
-    r_idx, t_idx = np.nonzero(costs <= neigh)
-    return costs[r_idx, t_idx], edges.rows[r_idx] + edges.start, t_idx
+    r_idx, t_idx = np.nonzero(edges.costs <= neigh)
+    return edges.costs[r_idx, t_idx], edges.rows[r_idx] + edges.start, t_idx
 
 
 def _run_length(flags: np.ndarray) -> int:
@@ -874,7 +860,7 @@ def coarse_grid_search(
     """Rank grid-local minima of the bank's cost surface, lowest cost first.
 
     The bank is the data, and its ``config`` and ``beamformer`` interpret
-    it. Returns at most ``spec.n_basins`` basins; ties break on the lowest
+    it. Returns at most N_BASINS basins; ties break on the lowest
     (range index, angle index) pair so the output is deterministic. It is
     a branch-and-bound over range rows that skips every row which cannot
     hold a top basin, or whose range interval cannot beat the best cell
@@ -918,7 +904,7 @@ def coarse_grid_search(
     row and that row, clipped to the grid (split into tiles if wider than
     GRID_BLOCK_ROWS); its minima seed the running top list. Then the rows
     are streamed in order. A row i is skipped iff its bound exceeds T, the
-    list's last entry once it holds ``n_basins`` minima (infinite before),
+    list's last entry once it holds N_BASINS minima (infinite before),
     or kappa b~(i) > G, the incumbent rule: G is the list's first entry,
     kappa = INCUMBENT_KAPPA, and b~(i) = min(b(i - 1), b(i), b(i + 1)) (one
     neighbour at a grid edge) bounds the row's range interval on both
@@ -944,7 +930,7 @@ def coarse_grid_search(
     interval holds no point that beats it.
 
     Exactness. The rules alone give this, whatever kappa's basis. Let V be
-    the full surface's ``n_basins``-th basin value (infinite if it has
+    the full surface's N_BASINS-th basin value (infinite if it has
     fewer minima), G* its minimum, l = G* / kappa and m = min(V, l). A row
     the incumbent rule skips costs more than G / kappa >= l in every cell,
     since b >= b~ and G >= G*. The list holds true minima, and next to a
@@ -952,7 +938,7 @@ def coarse_grid_search(
     such a cell costs more than that neighbour, hence more than the T of
     the skip or than l. T never drops below m: by induction, a list whose
     last entry costs less than m holds no such edge cell, so it would hold
-    ``n_basins`` true minima below V. So every cell of a skipped row costs
+    N_BASINS true minima below V. So every cell of a skipped row costs
     more than m, and cannot be the lower neighbour of a cell costing at
     most m. Cells costing at most m are thus evaluated and classified as on
     the full surface, with the same costs (a row's costs do not depend on
@@ -960,18 +946,17 @@ def coarse_grid_search(
     output in the full search's lexsort((t, d, value)) order. If V <= l,
     the output is the full search's; so it is when G* >= 0, where the
     incumbent rule cannot fire. Otherwise it is the full search's entries
-    that cost at most l, then up to ``n_basins`` minus their number of
+    that cost at most l, then up to N_BASINS minus their number of
     others, each costing more than l: true minima and edge cells next to
     skipped rows, which the full search might not return. The output may
-    hold fewer than ``n_basins`` entries. Memory is the costs of the tile
-    being evaluated, of the tile awaiting its lower halo and of the seed
-    window, plus the one ``_Workspace`` every block of every tile fills, two
-    bounds per row and the K-bin range profile of the bound pass.
+    hold fewer than N_BASINS entries. Memory is the costs of the tile
+    being evaluated and the edge rows of the tiles awaiting their halo (the
+    last streamed tile and the seed window's), plus the one ``_Workspace``
+    every block of every tile fills, two bounds per row and the K-bin range
+    profile of the bound pass.
     """
     d_values = spec.d_values()
-    theta_values = spec.theta_values()
     n_rows = d_values.size
-    n_basins = spec.n_basins
     workspace = _Workspace(geom.n_a, spec.n_theta)
     row_bounds = _row_bounds(bank, geom, d_values, spec.uniform_run)
     # kappa b~(i), b~(i) the lowest bound of row i and its neighbours. kappa
@@ -986,21 +971,21 @@ def coarse_grid_search(
 
     def merge(found):
         values, d_idx, t_idx = (np.concatenate(pair) for pair in zip(best, found))
-        if values.size > n_basins:
-            keep = values <= np.partition(values, n_basins - 1)[n_basins - 1]
+        if values.size > N_BASINS:
+            keep = values <= np.partition(values, N_BASINS - 1)[N_BASINS - 1]
             values, d_idx, t_idx = values[keep], d_idx[keep], t_idx[keep]
-        order = np.lexsort((t_idx, d_idx, values))[:n_basins]
+        order = np.lexsort((t_idx, d_idx, values))[:N_BASINS]
         return values[order], d_idx[order], t_idx[order]
 
     def ruled_out(start: int, stop: int) -> np.ndarray:
         values = best[0]
-        threshold = values[-1] if values.size == n_basins else np.inf
+        threshold = values[-1] if values.size == N_BASINS else np.inf
         incumbent = values[0] if values.size else np.inf
         return (row_bounds[start:stop] > threshold) | (interval_bounds[start:stop] > incumbent)
 
     def evaluate(start: int, stop: int) -> _TileEdges:
         nonlocal best
-        costs = _cost_rows(bank, geom, d_values[start:stop], theta_values, workspace)
+        costs = _cost_rows(bank, geom, d_values[start:stop], workspace)
         interior, edges = _tile_minima(start, costs)
         best = merge(interior)
         return edges
@@ -1018,7 +1003,7 @@ def coarse_grid_search(
     while row < n_rows:
         if row in held:
             edges = held.pop(row)
-            stop = row + edges.costs.shape[0]
+            stop = row + int(edges.rows[-1]) + 1
         else:
             end = lo if row < lo else n_rows
             scanned = min(row + GRID_BLOCK_ROWS, end)
@@ -1042,6 +1027,7 @@ def coarse_grid_search(
         best = merge(_edge_minima(pending, above, None))
 
     values, d_idx, t_idx = best
+    theta_values = spec.theta_values()
     return [
         GridBasin(
             position=PolarPosition(float(d_values[d]), float(theta_values[t])),
@@ -1079,19 +1065,19 @@ class Refinement(NamedTuple):
     converged: bool
     iterations: int  # trial steps the winning run evaluated
     basin_index: int  # index of its start
-    cost: float  # plain cost at ``position``, as ``cost`` gives it
+    cost: float  # cost at ``position`` from its evaluation with derivatives
 
 
 def _newton_run(
     basin: PolarPosition, bank: MatchedFilterBank, geom: UcaGeometry, d_hi: float
-) -> Generator[PolarPosition, tuple, tuple[PolarPosition, bool, int]]:
+) -> Generator[PolarPosition, tuple, tuple[PolarPosition, bool, int, float]]:
     """Damped Newton iterations on the cost L from one start, as a generator.
 
     It yields each candidate it needs evaluated, the (clamped) start first,
     and is sent back that candidate's (cost, gradient, Hessian) from
     ``_evaluate`` with derivatives; it returns (position, converged, trial
-    steps evaluated). See ``lm_refine`` for the iteration; ``d_hi`` is its
-    ``d_max_m``.
+    steps evaluated, cost at the position as sent back). See ``lm_refine``
+    for the iteration; ``d_hi`` is its ``d_max_m``.
     """
     config = bank.config
     d_lo = geom.radius_m * (1.0 + 1e-6)
@@ -1164,7 +1150,7 @@ def _newton_run(
         if settled(gradient, hessian, step):
             converged = True
             break
-    return current, converged, iterations
+    return current, converged, iterations, value
 
 
 def lm_refine(
@@ -1206,13 +1192,13 @@ def lm_refine(
     Lock-step. Each start runs its own iteration (``_newton_run``); at each
     step the pending candidates of every run still going are evaluated in
     one ``_evaluate`` call, and a run that stops drops out of the batch.
-    After the last step one plain ``_evaluate`` call gives the cost at
-    every run's final position, and the winner is the lowest
-    (cost, start index) pair. Batching keeps the bits: ``_evaluate`` takes
-    every product per candidate (``_row_dots`` and stacked matmuls), so a
-    candidate's cost, gradient and Hessian do not depend on the batch it
-    comes in, each run takes the steps it takes alone, and each final cost
-    is the one ``cost`` gives. Raises ValueError without starts.
+    Each run ends with the cost its final position was evaluated at, and
+    the winner is the lowest (cost, start index) pair; that cost comes with
+    derivatives, so it rounds apart from what ``cost`` gives in the last
+    bits. Batching keeps the bits: ``_evaluate`` takes every product per
+    candidate (``_row_dots`` and stacked matmuls), so a candidate's cost,
+    gradient and Hessian do not depend on the batch it comes in, and each
+    run takes the steps it takes alone. Raises ValueError without starts.
     """
     if not starts:
         raise ValueError("lm_refine needs at least one start")
@@ -1234,13 +1220,9 @@ def lm_refine(
             except StopIteration as stop:
                 finals[index] = stop.value
         pending = going
-    positions = [position for position, _, _ in finals]
-    costs = _evaluate(
-        [p.d_m for p in positions], [p.theta_rad for p in positions], bank, geom
-    ).cost
-    index = min(range(len(finals)), key=lambda i: (costs[i], i))
-    position, converged, iterations = finals[index]
-    return Refinement(position, converged, iterations, index, float(costs[index]))
+    index = min(range(len(finals)), key=lambda i: (finals[i][3], i))
+    position, converged, iterations, value = finals[index]
+    return Refinement(position, converged, iterations, index, float(value))
 
 
 def polish_basin(
@@ -1312,7 +1294,7 @@ def estimate(
     it.
     The grid basins' nodes start one ``lm_refine`` call, which refines them
     all in lock-step and picks the refined position with the lowest cost,
-    ties to the better-ranked basin; the estimate carries that run's
+    ties to the better-ranked basin; the estimate carries that run's cost,
     converged flag and step count.
     The refinement keeps the range below LM_D_MAX_FACTOR times the grid's
     d_max_m. Deterministic given (bank, grid); degenerate inputs produce

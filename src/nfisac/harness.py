@@ -82,8 +82,8 @@ class SweepConfig:
 
     ``theta_policy`` is either the string 'uniform' (a fresh azimuth per
     trial) or a fixed angle in radians. Of the grid template only
-    ``d_max_m`` and ``n_basins`` are read: ``grid_for_radius`` builds each
-    radius' grid with ``GridSpec.for_array``. The beamformer's Newton
+    ``d_max_m`` is read: ``grid_for_radius`` builds each radius' grid with
+    ``GridSpec.for_array``. The beamformer's Newton
     settings are constants of ``beamformer``.
     """
 
@@ -163,28 +163,27 @@ class CrlbPoint:
     status: str
 
 
-# Grid specs kept per process: one per (array, numerology, d_max_m, basin budget).
+# Grid specs kept per process: one per (array, numerology, d_max_m).
 GRID_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _grid_spec(geom: UcaGeometry, ofdm: OfdmConfig, d_max_m: float, n_basins: int) -> GridSpec:
-    return GridSpec.for_array(geom, ofdm, d_max_m, n_basins)
+def _grid_spec(geom: UcaGeometry, ofdm: OfdmConfig, d_max_m: float) -> GridSpec:
+    return GridSpec.for_array(geom, ofdm, d_max_m)
 
 
 def grid_for_radius(cfg: SweepConfig, radius_m: float) -> GridSpec:
     """The coarse grid of one radius: ``GridSpec.for_array`` out to the template's ``d_max_m``.
 
-    The spec keeps the template's ``n_basins``. It is built once per radius
-    and reused: it is memoised on the inputs it reads (array, OFDM
-    numerology, ``d_max_m`` and ``n_basins``), not on the whole sweep, so
-    sweeps that differ only in seed or trial count share it.
+    It is built once per radius and reused: it is memoised on the inputs it
+    reads (array, OFDM numerology and ``d_max_m``), not on the whole sweep,
+    so sweeps that differ only in seed or trial count share it.
     """
-    return _grid_spec(cfg.geometry(radius_m), cfg.ofdm, cfg.grid.d_max_m, cfg.grid.n_basins)
+    return _grid_spec(cfg.geometry(radius_m), cfg.ofdm, cfg.grid.d_max_m)
 
 
 def _angle_error(est: float, true: float) -> float:
-    """Signed angular error wrapped to (-pi, pi]."""
+    """Signed angular error wrapped to [-pi, pi)."""
     return float((est - true + np.pi) % (2.0 * np.pi) - np.pi)
 
 

@@ -25,6 +25,7 @@ from nfisac import (
     sensitivities,
     steering_vector,
     synthesize_bank,
+    wrap_angle,
     xi,
 )
 from nfisac import cli, harness
@@ -40,6 +41,7 @@ from nfisac.estimator import (
     _phasor,
     _row_bounds,
     _row_matmul,
+    _Workspace,
     matched_filter_bank,
     polish_basin,
 )
@@ -232,14 +234,24 @@ def _local_minima(costs):
 def oracle_search(obs, geom, bank, spec):
     """Full-surface search: every cost, the minima mask, one global lexsort.
 
-    Returns (range index, angle index, cost) for the best ``spec.n_basins``
-    minima, lowest cost first, ties on the lowest index pair.
+    Returns (range index, angle index, cost) for the best N_BASINS minima,
+    lowest cost first, ties on the lowest index pair.
     """
     costs = _cost_rows_direct(obs, geom, bank, spec.d_values(), spec.theta_values())
     d_idx, t_idx = np.nonzero(_local_minima(costs))
     values = costs[d_idx, t_idx]
-    order = np.lexsort((t_idx, d_idx, values))[: spec.n_basins]
+    order = np.lexsort((t_idx, d_idx, values))[: estimator_module.N_BASINS]
     return [(int(d_idx[i]), int(t_idx[i]), float(values[i])) for i in order]
+
+
+@pytest.mark.parametrize("theta, want", [
+    (-1e-17, 0.0), (-1e-300, 0.0), (-0.0, 0.0), (2 * math.pi, 0.0), (-2 * math.pi, 0.0),
+    (-0.5, 2 * math.pi - 0.5), (7.0, 7.0 - 2 * math.pi),
+])
+def test_wrap_angle_lands_in_one_half_open_turn(theta, want):
+    # A tiny negative angle wraps to 2 pi - |theta|, which rounds to 2 pi.
+    got = wrap_angle(theta)
+    assert got == want and 0.0 <= got < 2 * math.pi
 
 
 class TestMatchedFilterBank:
@@ -536,10 +548,11 @@ class TestBatchedEvaluator:
             _evaluate(np.array([pos.d_m, geom.radius_m]), np.zeros(2), bank, geom)
 
     @pytest.mark.parametrize("seed", [76, 77, 78])
-    def test_polish_matches_the_scalar_scan(self, seed):
+    def test_polish_matches_the_scalar_scan(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         config, geom, pos, f, obs = small_observation(rng, n=2, m=16, n_a=8, sigma2=1e-7)
-        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=40, n_theta=64, n_basins=4)
+        monkeypatch.setattr(estimator_module, "N_BASINS", 4)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=40, n_theta=64)
         bank = matched_filter_bank(obs)
         for basin in coarse_grid_search(bank, geom, spec):
             got = polish_basin(basin.position, bank, geom, spec)
@@ -741,11 +754,12 @@ class TestCostDerivatives:
 
 
 class TestCoarseGridSearch:
-    def test_truth_on_node_is_first_basin(self):
+    def test_truth_on_node_is_first_basin(self, monkeypatch):
         rng = np.random.default_rng(53)
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(8, 0.5, 0.005)
-        spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=31, n_theta=64, n_basins=5)
+        monkeypatch.setattr(estimator_module, "N_BASINS", 5)
+        spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=31, n_theta=64)
         d_true = float(spec.d_values()[12])
         theta_true = float(spec.theta_values()[17])
         pos = PolarPosition(d_true, theta_true)
@@ -755,16 +769,17 @@ class TestCoarseGridSearch:
         basins = coarse_grid_search(matched_filter_bank(obs), geom, spec)
         assert basins[0].d_index == 12 and basins[0].theta_index == 17
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         rng = np.random.default_rng(54)
         config, geom, pos, f, obs = small_observation(rng, n_a=4)
-        spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=16, n_theta=32, n_basins=6)
+        monkeypatch.setattr(estimator_module, "N_BASINS", 6)
+        spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=16, n_theta=32)
         bank = matched_filter_bank(obs)
         a = coarse_grid_search(bank, geom, spec)
         b = coarse_grid_search(bank, geom, spec)
         assert a == b
 
-    def test_tie_breaking_on_flat_surface(self, small_ofdm):
+    def test_tie_breaking_on_flat_surface(self, monkeypatch, small_ofdm):
         # A zero observation with a tiny radius gives a theta-independent
         # cost per range row; ties resolve toward low indices.
         geom = UcaGeometry(2, 1e-6, 0.005)
@@ -772,17 +787,19 @@ class TestCoarseGridSearch:
         rng = np.random.default_rng(55)
         f = random_unit_vector(rng, 2)
         obs = Observation(np.zeros((2, 4, 2), dtype=complex), pilots, small_ofdm, f)
-        spec = GridSpec(d_min_m=5.0, d_max_m=6.0, n_d=3, n_theta=8, n_basins=4)
+        monkeypatch.setattr(estimator_module, "N_BASINS", 4)
+        spec = GridSpec(d_min_m=5.0, d_max_m=6.0, n_d=3, n_theta=8)
         basins = coarse_grid_search(matched_filter_bank(obs), geom, spec)
         assert len(basins) == 4
         assert (basins[0].d_index, basins[0].theta_index) == (2, 0)
         assert [b.theta_index for b in basins] == [0, 1, 2, 3]
 
-    def test_truth_between_nodes_lands_within_cell(self):
+    def test_truth_between_nodes_lands_within_cell(self, monkeypatch):
         rng = np.random.default_rng(56)
         config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(16, 0.5, 0.005)
-        spec = GridSpec(d_min_m=8.0, d_max_m=14.0, n_d=41, n_theta=256, n_basins=8)
+        monkeypatch.setattr(estimator_module, "N_BASINS", 8)
+        spec = GridSpec(d_min_m=8.0, d_max_m=14.0, n_d=41, n_theta=256)
         d_step = (14.0 - 8.0) / 40
         t_step = 2 * math.pi / 256
         for trial in range(20):
@@ -802,7 +819,7 @@ class TestCoarseGridSearch:
         bank = matched_filter_bank(obs)
         d_values = np.linspace(6.0, 18.0, 23)
         theta_values = 2 * math.pi * np.arange(64) / 64
-        fft_rows = _cost_rows_fft(bank, geom, d_values, theta_values)
+        fft_rows = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
         direct_rows = _cost_rows_direct(obs, geom, bank, d_values, theta_values)
         assert np.max(np.abs(fft_rows - direct_rows)) / np.max(np.abs(direct_rows)) < 1e-11
 
@@ -869,7 +886,7 @@ class TestStreamedGridSearch:
     def test_row_counts_around_the_block_size(self, n_d):
         rng = np.random.default_rng(60 + n_d)
         config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8, sigma2=1e-7)
-        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=n_d, n_theta=64, n_basins=15)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=n_d, n_theta=64)
         assert_matches_oracle(obs, geom, spec)
 
     @pytest.mark.parametrize("row, angle", [(0, 0), (69, 63)])
@@ -880,7 +897,7 @@ class TestStreamedGridSearch:
         # whose mirrored minima tie to rounding.
         config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 1e-11)
         geom = UcaGeometry(8, 0.5, 0.005)
-        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=70, n_theta=64, n_basins=15)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=70, n_theta=64)
         pos = PolarPosition(float(spec.d_values()[row]), float(spec.theta_values()[angle]))
         f = conjugate_focus_beamformer(geom, pos)
         pilots = generate_pilots(config, 12)
@@ -896,8 +913,7 @@ class TestStreamedGridSearch:
         nodes = list(np.linspace(6.0, 18.0, 70))
         edge = GRID_BLOCK_ROWS - 1
         nodes.insert(edge + 1, nodes[edge])
-        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_theta=64, n_basins=15,
-                        d_nodes=tuple(nodes))
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_theta=64, d_nodes=tuple(nodes))
         pos = PolarPosition(nodes[edge], float(spec.theta_values()[21]))
         f = conjugate_focus_beamformer(geom, pos)
         pilots = generate_pilots(config, 13)
@@ -906,12 +922,13 @@ class TestStreamedGridSearch:
         assert [(d, t) for d, t, _ in want[:2]] == [(edge, 21), (edge + 1, 21)]
         assert want[0][2] == want[1][2]
 
-    def test_budget_larger_than_the_minima(self):
+    def test_budget_larger_than_the_minima(self, monkeypatch):
         rng = np.random.default_rng(61)
         config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8)
-        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=5, n_theta=16, n_basins=80)
+        monkeypatch.setattr(estimator_module, "N_BASINS", 80)
+        spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=5, n_theta=16)
         want = assert_matches_oracle(obs, geom, spec)
-        assert len(want) < spec.n_basins
+        assert len(want) < estimator_module.N_BASINS
 
     @pytest.mark.parametrize("n_theta", [64, 8])
     def test_a_rows_costs_do_not_depend_on_its_tile(self, n_theta):
@@ -921,12 +938,32 @@ class TestStreamedGridSearch:
         geom, obs = strong_target(128, 40.0, 2.0)
         bank = matched_filter_bank(obs)
         d_values = np.linspace(30.0, 50.0, GRID_BLOCK_ROWS)
-        theta_values = 2 * math.pi * np.arange(n_theta) / n_theta
-        whole = _cost_rows_fft(bank, geom, d_values, theta_values)
+        workspace = _Workspace(geom.n_a, n_theta)
+        whole = _cost_rows_fft(bank, geom, d_values, workspace)
         for size in (1, 2, 3, 9):
             for start in range(0, d_values.size - size + 1, 5):
-                part = _cost_rows_fft(bank, geom, d_values[start : start + size], theta_values)
+                part = _cost_rows_fft(bank, geom, d_values[start : start + size], workspace)
                 np.testing.assert_array_equal(part, whole[start : start + size])
+
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 64])
+    def test_row_min_wraps_the_angles(self, n_theta):
+        costs = np.random.default_rng(n_theta).normal(size=(3, n_theta))
+        neighbours = np.minimum(np.roll(costs, 1, axis=1), np.roll(costs, -1, axis=1))
+        want = np.minimum(neighbours, costs)
+        np.testing.assert_array_equal(estimator_module._row_min(costs), want)
+
+    @pytest.mark.parametrize("rows", [1, 2, GRID_BLOCK_ROWS])
+    def test_a_held_tile_keeps_at_most_two_rows_of_costs(self, rows):
+        # A tile's edge rows wait for the rows around it; what waits must be
+        # copies of at most two rows, so the tile's costs can be freed.
+        costs = np.random.default_rng(rows).normal(size=(rows, 64))
+        _, edges = estimator_module._tile_minima(5, costs)
+        for field in dataclasses.fields(edges):
+            held = getattr(edges, field.name)
+            if isinstance(held, np.ndarray):
+                assert held.size <= 2 * costs.shape[1]
+                assert not np.shares_memory(held, costs)
+        np.testing.assert_array_equal(edges.costs, costs[sorted({0, rows - 1})])
 
     def test_angle_count_must_be_a_multiple_of_the_elements(self):
         rng = np.random.default_rng(62)
@@ -939,7 +976,7 @@ class TestStreamedGridSearch:
         # The full float64 surface would be n_d * n_theta * 8 = 32 MB.
         rng = np.random.default_rng(63)
         config, geom, pos, f, obs = small_observation(rng, n=2, m=4, n_a=8)
-        spec = GridSpec(d_min_m=2.0, d_max_m=40.0, n_d=4000, n_theta=1024, n_basins=15)
+        spec = GridSpec(d_min_m=2.0, d_max_m=40.0, n_d=4000, n_theta=1024)
         bank = matched_filter_bank(obs)
         tracemalloc.start()
         try:
@@ -980,13 +1017,13 @@ class TestBlockedKernel:
         # block, a 32-row tile is ten blocks and a ragged one of 2 rows.
         monkeypatch.setattr(estimator_module, "KERNEL_BLOCK_CELLS", cells)
         geom, obs = strong_target(128, 40.0, 2.0)
-        assert estimator_module._Workspace(geom.n_a, n_theta).rows == block
+        workspace = _Workspace(geom.n_a, n_theta)
+        assert workspace.rows == block
         bank = matched_filter_bank(obs)
         d_values = np.linspace(30.0, 50.0, 5 if block == 1 else GRID_BLOCK_ROWS)
-        theta_values = 2 * math.pi * np.arange(n_theta) / n_theta
-        tile = _cost_rows_fft(bank, geom, d_values, theta_values)
+        tile = _cost_rows_fft(bank, geom, d_values, workspace)
         for row in range(d_values.size):
-            alone = _cost_rows_fft(bank, geom, d_values[row : row + 1], theta_values)
+            alone = _cost_rows_fft(bank, geom, d_values[row : row + 1], workspace)
             np.testing.assert_array_equal(alone[0], tile[row])
 
     @pytest.mark.parametrize(
@@ -999,9 +1036,10 @@ class TestBlockedKernel:
         geom, bank, spec = cli_bank(radius, d, 0.7, 8)
         d_values = spec.d_values() if rows is None else rows_around(spec, d, rows)
         theta_values = spec.theta_values()
+        workspace = _Workspace(geom.n_a, spec.n_theta)
         for start in range(0, d_values.size, GRID_BLOCK_ROWS):
             tile = d_values[start : start + GRID_BLOCK_ROWS]
-            got = _cost_rows_fft(bank, geom, tile, theta_values)
+            got = _cost_rows_fft(bank, geom, tile, workspace)
             want = _cost_rows_unblocked(bank, geom, tile, theta_values)
             error = np.max(np.abs(got - want), axis=1)
             assert np.all(error <= 1e-12 * np.max(np.abs(want), axis=1))
@@ -1011,10 +1049,10 @@ class TestBlockedKernel:
         # 8.4 MB. The unblocked kernel peaked at 80 MB, 9.5 times that.
         geom, bank, spec = cli_bank(5.0, 20.0, 0.7, 8)
         d_values = rows_around(spec, 20.0, GRID_BLOCK_ROWS)
-        theta_values = spec.theta_values()
         tracemalloc.start()
         try:
-            costs = _cost_rows_fft(bank, geom, d_values, theta_values)
+            # The workspace counts: the search builds one per call.
+            costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, spec.n_theta))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1042,9 +1080,8 @@ class TestRangeProfileBound:
             np.sort(rng.uniform(radius, 30.0, 40)),
             [pos.d_m],
         ])
-        theta_values = 2 * math.pi * np.arange(64) / 64
-        costs = _cost_rows_fft(bank, geom, d_values, theta_values)
-        bounds = _row_bounds(bank, geom, d_values)
+        costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
+        bounds = _row_bounds(bank, geom, d_values, None)
         assert np.all(costs >= bounds[:, None])
 
     @pytest.mark.parametrize("seed", range(3))
@@ -1061,8 +1098,8 @@ class TestRangeProfileBound:
         obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, seed), 5)
         bank = matched_filter_bank(obs)
         d_values = np.array([pos.d_m])
-        cell = _cost_rows_fft(bank, geom, d_values, theta_values)[0, j]
-        bound = _row_bounds(bank, geom, d_values)[0]
+        cell = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))[0, j]
+        bound = _row_bounds(bank, geom, d_values, None)[0]
         assert bound <= cell <= bound * (1.0 - 1e-8)
 
 
@@ -1141,7 +1178,7 @@ class TestGridForArray:
         # No step exceeds a third of the delay lobe.
         lobe = SPEED_OF_LIGHT / (2.0 * config.m_subcarriers * config.delta_f_hz)
         assert np.all(np.diff(d_values) <= lobe / 3.0 * (1.0 + 1e-12))
-        assert spec.n_theta % geom.n_a == 0 and spec.n_basins == 15
+        assert spec.n_theta % geom.n_a == 0
 
     def test_a_grid_the_delay_lobe_never_governs_records_no_run(self):
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
@@ -1250,8 +1287,7 @@ class TestFftRangeProfileBound:
             seed=seed,
         )
         d_values = spec.d_values()
-        theta_values = 2 * math.pi * np.arange(64) / 64
-        costs = _cost_rows_fft(bank, geom, d_values, theta_values)
+        costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
         bounds = _row_bounds(bank, geom, d_values, spec.uniform_run)
         assert np.all(costs >= bounds[:, None])
 
@@ -1264,7 +1300,7 @@ class TestFftRangeProfileBound:
         f = random_unit_vector(np.random.default_rng(row), 8)
         obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, 3), 4)
         bank = matched_filter_bank(obs)
-        cell = _cost_rows_fft(bank, geom, d_values[row : row + 1], theta_values)[0, 21]
+        cell = _cost_rows_fft(bank, geom, d_values[row : row + 1], _Workspace(geom.n_a, 64))[0, 21]
         bound = _row_bounds(bank, geom, d_values, spec.uniform_run)[row]
         assert bound <= cell <= bound * (1.0 - 1e-8)
 
@@ -1299,7 +1335,7 @@ class TestFftRangeProfileBound:
         norms, errors = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
         assert np.all(errors == 0.0)
         np.testing.assert_allclose(norms, oracle_row_norms(config, bank, d_values), rtol=1e-12)
-        costs = _cost_rows_fft(bank, geom, d_values, 2 * math.pi * np.arange(64) / 64)
+        costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
         assert np.all(costs >= _row_bounds(bank, geom, d_values, spec.uniform_run)[:, None])
 
     @pytest.mark.parametrize("shift", [-1, 1])
@@ -1315,7 +1351,7 @@ class TestFftRangeProfileBound:
         run = slice(first + shift, stop + shift)
         oracle = oracle_row_norms(config, bank, d_values)
         assert np.all(np.abs(norms[run] - oracle[run]) <= errors[run])
-        costs = _cost_rows_fft(bank, geom, d_values, 2 * math.pi * np.arange(64) / 64)
+        costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
         assert np.all(costs >= _row_bounds(bank, geom, d_values, shifted.uniform_run)[:, None])
 
 
@@ -1328,10 +1364,10 @@ def count_rows(monkeypatch, spec, real=None):
     real = real or estimator_module._cost_rows
     d_all = spec.d_values()
 
-    def counting(bank, geom, d_values, theta_values, workspace=None):
+    def counting(bank, geom, d_values, workspace):
         first = int(np.searchsorted(d_all, d_values[0]))
         calls.append((first, first + d_values.size))
-        return real(bank, geom, d_values, theta_values, workspace)
+        return real(bank, geom, d_values, workspace)
 
     monkeypatch.setattr(estimator_module, "_cost_rows", counting)
     return calls
@@ -1370,11 +1406,11 @@ def search_surface(monkeypatch, surface, rows, n_basins):
     INCUMBENT_KAPPA = inf, which turns the incumbent rule off, the result
     must be the full-surface selection; at the module value, the search
     must meet its contract against it (``assert_incumbent_contract``).
-    Returns the selection as (range index, angle index, cost), and the
-    (first, stop) rows of every evaluation of the first run in call order.
+    ``n_basins`` stands in for N_BASINS. Returns the selection as (range
+    index, angle index, cost), and the (first, stop) rows of every
+    evaluation of the first run in call order.
     """
-    spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=surface.shape[0],
-                    n_theta=surface.shape[1], n_basins=n_basins)
+    spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=surface.shape[0], n_theta=surface.shape[1])
     d_all = spec.d_values()
     calls = []
     # The search reads the geometry only to size its kernel workspace; one
@@ -1385,12 +1421,13 @@ def search_surface(monkeypatch, surface, rows, n_basins):
         start = int(np.searchsorted(d_all, d_values[0]))
         return surface[start : start + d_values.size]
 
-    def cost_rows(bank, geom, d_values, theta_values, workspace=None):
+    def cost_rows(bank, geom, d_values, workspace):
         first = int(np.searchsorted(d_all, d_values[0]))
         calls.append((first, first + d_values.size))
         return tile(d_values).copy()
 
     monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
+    monkeypatch.setattr(estimator_module, "N_BASINS", n_basins)
     monkeypatch.setattr(
         estimator_module, "_row_bounds", lambda b, g, d, run: tile(d).min(axis=1)
     )
@@ -1419,10 +1456,10 @@ class TestPrunedGridSearch:
     """
 
     # 300 rows: 10 tiles of GRID_BLOCK_ROWS = 32.
-    SPEC = GridSpec(d_min_m=5.0, d_max_m=100.0, n_d=300, n_theta=64, n_basins=15)
+    SPEC = GridSpec(d_min_m=5.0, d_max_m=100.0, n_d=300, n_theta=64)
 
     def lowest_bound_row(self, obs, geom, spec):
-        bounds = _row_bounds(matched_filter_bank(obs), geom, spec.d_values())
+        bounds = _row_bounds(matched_filter_bank(obs), geom, spec.d_values(), spec.uniform_run)
         return int(np.argmin(bounds))
 
     def test_high_snr_skips_rows_and_matches_the_full_surface(self, monkeypatch):
@@ -1459,7 +1496,7 @@ class TestPrunedGridSearch:
         # in tiles of its own, before any other row.
         monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
         geom, obs = strong_target(128, 40.0, 2.0)
-        spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=61, n_theta=64, n_basins=15)
+        spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=61, n_theta=64)
         tiles = seed_tiles(self.lowest_bound_row(obs, geom, spec), spec.n_d, rows)
         calls = count_rows(monkeypatch, spec)
         assert_matches_oracle(obs, geom, spec)
@@ -1555,11 +1592,12 @@ class TestPrunedGridSearch:
         # The running list never fills, so the threshold stays infinite.
         monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", 4)
         geom, obs = strong_target(128, 40.0, 2.0)
-        spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=40, n_theta=16, n_basins=640)
+        monkeypatch.setattr(estimator_module, "N_BASINS", 640)
+        spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=40, n_theta=16)
         tiles = seed_tiles(self.lowest_bound_row(obs, geom, spec), spec.n_d, 4)
         calls = count_rows(monkeypatch, spec)
         want = assert_matches_oracle(obs, geom, spec)
-        assert len(want) < spec.n_basins
+        assert len(want) < estimator_module.N_BASINS
         assert evaluated_rows(calls) == list(range(spec.n_d))
         assert calls[: len(tiles)] == tiles
         assert all(stop - first <= 4 for first, stop in calls)
@@ -1648,7 +1686,7 @@ class TestIncumbentRule:
             without = evaluated_rows(calls)
         calls = count_rows(monkeypatch, spec)
         basins = coarse_grid_search(bank, geom, spec)
-        bounds = _row_bounds(bank, geom, spec.d_values())
+        bounds = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
         first, stop = seed_tiles(int(np.argmin(bounds)), spec.n_d)[0]
         assert calls[0] == (first, stop)
         assert first < basins[0].d_index < stop - 1
@@ -1659,7 +1697,7 @@ class TestIncumbentRule:
         skipped = np.setdiff1d(np.arange(spec.n_d), evaluated_rows(calls))
         # T only falls, so a row bounded at or below its last value cannot
         # have been skipped by the T rule.
-        last = basins[-1].cost if len(basins) == spec.n_basins else np.inf
+        last = basins[-1].cost if len(basins) == estimator_module.N_BASINS else np.inf
         assert np.all(ruled_out[skipped[bounds[skipped] <= last]])
         checked = skipped[ruled_out[skipped]]
         assert checked.size > spec.n_d // 2
@@ -1747,17 +1785,13 @@ class TestLmRefine:
 
 
 def record_refinement(monkeypatch):
-    """Record every (d, theta, evaluation) that ``lm_refine`` evaluates with derivatives, in order.
-
-    The plain-cost call that ranks the refined positions is not recorded.
-    """
+    """Record every (d, theta, evaluation) that ``lm_refine`` evaluates, in order."""
     seen = []
     original = estimator_module._evaluate
 
     def recording(d_m, theta_rad, *args, **kwargs):
         out = original(d_m, theta_rad, *args, **kwargs)
-        if kwargs.get("with_derivatives"):
-            seen.append((float(d_m[0]), float(theta_rad[0]), out))
+        seen.append((float(d_m[0]), float(theta_rad[0]), out))
         return out
 
     monkeypatch.setattr(estimator_module, "_evaluate", recording)
@@ -1896,7 +1930,7 @@ class TestNewtonRefine:
 
 
 def oracle_refine(starts, bank, geom, d_max):
-    """The per-basin loop: refine each start alone, rank by the plain cost, ties to the lower index.
+    """The per-basin loop: refine each start alone, rank by its cost, ties to the lower index.
 
     Returns (position, converged, iterations, basin index, cost), the fields
     of ``lm_refine``'s result.
@@ -1904,7 +1938,7 @@ def oracle_refine(starts, bank, geom, d_max):
     best = None
     for index, start in enumerate(starts):
         run = lm_refine([start], bank, geom, d_max)
-        key = (cost(run.position, bank, geom), index)
+        key = (run.cost, index)
         if best is None or key < best[0]:
             best = (key, run)
     (value, index), run = best
@@ -1920,7 +1954,7 @@ class TestLockStepRefine:
         bank = synthesize_bank(geom64, truth, f, reduced_ofdm, seed)
         spec = GridSpec.for_array(geom64, reduced_ofdm, 400.0)
         starts = [basin.position for basin in coarse_grid_search(bank, geom64, spec)]
-        assert len(starts) == spec.n_basins
+        assert len(starts) == estimator_module.N_BASINS
         return bank, starts
 
     def record_batches(self, monkeypatch):
@@ -1948,11 +1982,12 @@ class TestLockStepRefine:
         got = lm_refine(starts, bank, geom64, d_max)
         assert tuple(got) == want
         assert type(got.converged) is bool and type(got.iterations) is int
-        # One batched derivative evaluation per step, the starts first, then
-        # one plain call for the final positions.
-        assert [with_derivatives for with_derivatives, _ in calls] == [True] * (1 + max(steps)) + [False]
+        # One batched derivative evaluation per step, the starts first, and
+        # no other call.
+        assert [with_derivatives for with_derivatives, _ in calls] == [True] * (1 + max(steps))
         assert calls[0][1] == [start.d_m for start in starts]
-        assert len(calls[-1][1]) == len(starts)
+        # The winner's cost is its derivative evaluation's, to rounding.
+        assert got.cost == pytest.approx(cost(got.position, bank, geom64), rel=1e-12, abs=0.0)
 
     def test_starts_clamped_onto_the_range_bounds(self, monkeypatch, geom64, reduced_ofdm):
         bank, starts = self.noisy_starts(geom64, reduced_ofdm, 34, 200.0)
@@ -2002,10 +2037,11 @@ class TestEstimate:
         assert result.converged
         assert abs(result.d_hat_m - 10.0) < 1e-6
         assert abs(result.theta_hat_rad - 0.7) < 1e-8
+        # The cost comes from the winner's evaluation with derivatives.
         assert result.cost == pytest.approx(
             cost(PolarPosition(result.d_hat_m, result.theta_hat_rad),
                  matched_filter_bank(obs), geom64),
-            rel=1e-9,
+            rel=1e-12,
         )
 
     def test_identical_observations_identical_estimates(self, geom64, reduced_ofdm):

@@ -121,14 +121,21 @@ def test_grid_is_built_once_per_radius(monkeypatch):
 
 @pytest.mark.parametrize("radius", [0.5, 5.0])
 def test_the_sweep_grid_is_the_one_derived_recipe(radius):
-    # The config sets only the grid's far end; its start, basin budget,
-    # range nodes, angle count and uniform run follow from the array and
-    # the numerology.
+    # The config sets only the grid's far end; its start, range nodes,
+    # angle count and uniform run follow from the array and the numerology.
     sweep = parse_config().sweep_config(reduced_m=True)
     spec = grid_for_radius(sweep, radius)
     assert spec == GridSpec.for_array(UcaGeometry(64, radius, 0.005), sweep.ofdm, 400.0)
-    assert spec.d_min_m == max(2.0 * radius, 1.0) and spec.n_basins == 15
+    assert spec.d_min_m == max(2.0 * radius, 1.0)
     assert spec.uniform_run is not None
+
+
+def test_angle_error_wraps_to_the_half_open_interval_below_pi():
+    # Half a turn either way reads -pi, never +pi.
+    for estimate, truth in [(math.pi, 0.0), (0.0, math.pi), (-math.pi, 0.0), (3 * math.pi, 0.0)]:
+        assert harness._angle_error(estimate, truth) == -math.pi
+    errors = [harness._angle_error(0.01 * k, 0.3) for k in range(-1000, 1001)]
+    assert all(-math.pi <= error < math.pi for error in errors)
 
 
 def test_estimated_beam_rate_never_exceeds_the_optimum():
