@@ -6,7 +6,7 @@ transmit beamforming on the unit sphere, grid-initialized maximum
 likelihood estimation, and a Monte Carlo harness with a CSV-emitting CLI.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .beamformer import (
     OptimizerResult,

@@ -204,7 +204,6 @@ def optimize_beamformer(
     pos: PolarPosition,
     config: OfdmConfig,
     init: np.ndarray | None = None,
-    on_iterate=None,
 ) -> OptimizerResult:
     """Riemannian Newton descent of the CRLB trace in the coupling subspace.
 
@@ -219,11 +218,10 @@ def optimize_beamformer(
 
     Objective values come from ``trace_objective``. ``trace_history``
     holds the start and every accepted step, so it is non-increasing and
-    has ``iterations + 1`` entries; ``on_iterate(f)`` is called with the
-    start and each accepted iterate. ``final_grad_norm`` is the norm of
+    has ``iterations + 1`` entries. ``final_grad_norm`` is the norm of
     the full-space tangent gradient at the result, and ``converged`` means
-    it fell to ``GRAD_TOL`` times its value at the start. The settings
-    are read when called, so a patched module constant takes effect.
+    it fell to ``GRAD_TOL`` times its value at the start. The settings are
+    read when called, so a patched module constant takes effect.
     """
     if init is None:
         f = conjugate_focus_beamformer(geom, pos)
@@ -237,8 +235,6 @@ def optimize_beamformer(
         f /= np.linalg.norm(f)
         objective = trace_objective(f, geom, pos, config)
     history = [objective]
-    if on_iterate is not None:
-        on_iterate(f)
 
     grad_norm = model.tangent_grad_norm(f)
     tol = GRAD_TOL * grad_norm
@@ -268,8 +264,6 @@ def optimize_beamformer(
         f = candidate
         objective = candidate_obj
         history.append(objective)
-        if on_iterate is not None:
-            on_iterate(f)
         iterations += 1
         grad_norm = model.tangent_grad_norm(f)
 

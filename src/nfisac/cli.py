@@ -1,22 +1,26 @@
 """Command-line front end: JSON config, subcommands, plot-ready CSV.
 
-The config names the scenario and nothing else. Its keys are the fields
-of ``RunConfig``: wavelength_mm, subcarriers, subcarrier_spacing_khz,
-ofdm_symbols, cp_fraction, tx_power_mw, noise_power_dbm, n_antennas,
-radii_m, distances_m, theta_policy, trials_per_point, master_seed,
-workers, and the section grid = {d_max_m}. ``GridSpec.for_array`` builds
-each radius' grid out to d_max_m. The solver settings (the beamformer's
-Newton, the refinement, the grid's nodes per lobe and the coarse search's
-basin budget) are module constants. Values are written in natural units
-(kHz, mW, dBm, mm, m, degrees) and normalized to SI internally; every run
-writes the fully-resolved config, master seed and command arguments to a
-JSON sidecar next to its output, so any CSV can be regenerated byte for
-byte from the sidecar alone (see ``write_sidecar``). A config value of the
-wrong kind (a string for a count, a bool for a number) is a config error
-that names its key, and a command-line number out of its config value's
-range is one that names its flag. ``-v/--verbose`` prints one progress
-line per finished Monte Carlo trial to stderr and changes no output. Exit
-codes: 0 success, 1 usage/config error, 2 runtime error.
+The config names the scenario and nothing else. It is one flat JSON
+object whose keys are the fields of ``RunConfig``: wavelength_mm,
+subcarriers, subcarrier_spacing_khz, ofdm_symbols, cp_fraction,
+tx_power_mw, noise_power_dbm, n_antennas, radii_m, distances_m,
+theta_policy, trials_per_point, master_seed, workers and grid_d_max_m.
+``GridSpec.for_array`` builds each radius' grid out to grid_d_max_m. The
+solver settings (the beamformer's Newton, the refinement, the grid's
+nodes per lobe and the coarse search's basin budget) are module
+constants. Values are written in natural units (kHz, mW, dBm, mm, m,
+degrees) and normalized to SI internally; every run writes the
+fully-resolved config, master seed and command arguments to a JSON
+sidecar next to its output, so any CSV can be regenerated byte for byte
+from the sidecar alone (see ``write_sidecar``). The ``monte-carlo`` CSVs
+have one column per field of the dataclass they list, in field order:
+``SweepPoint`` for the summary, ``TrialRecord`` for the records. A config
+value of the wrong kind (a string for a count, a bool for a number, NaN
+or an infinity anywhere) is a config error that names its key, and a
+command-line number out of its config value's range is one that names
+its flag. ``-v/--verbose`` prints one progress line per finished Monte
+Carlo trial to stderr and changes no output. Exit codes: 0 success,
+1 usage/config error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .geometry import PolarPosition, UcaGeometry
 from .harness import (
     WORKER_ENV,
     SweepConfig,
+    SweepPoint,
     TrialRecord,
     crlb_sweep,
     derive_seed,
@@ -82,7 +87,7 @@ class RunConfig:
     trials_per_point: int = 200
     master_seed: int = 20260810
     workers: int = 1
-    grid: dict = field(default_factory=lambda: {"d_max_m": 400.0})
+    grid_d_max_m: float = 400.0
 
     def ofdm_config(self, reduced_m: bool = False) -> OfdmConfig:
         spacing = self.subcarrier_spacing_khz * 1e3
@@ -111,7 +116,7 @@ class RunConfig:
             distances_m=self.distances_m,
             ofdm=self.ofdm_config(reduced_m),
             # Only d_max_m is read: grid_for_radius builds each radius' grid.
-            grid=GridSpec(d_min_m=1.0, d_max_m=self.grid["d_max_m"]),
+            grid=GridSpec(d_min_m=1.0, d_max_m=self.grid_d_max_m),
             theta_policy=(
                 float(np.deg2rad(self.theta_policy))
                 if not isinstance(self.theta_policy, str)
@@ -123,17 +128,6 @@ class RunConfig:
             wavelength_m=self.wavelength_m,
             workers=workers if workers is not None else self.workers,
         )
-
-
-def _merge_section(name: str, defaults: dict, given: dict) -> dict:
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{name}.{sorted(unknown)[0]}' in configuration"
-        )
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
 
 
 def parse_config(
@@ -166,21 +160,14 @@ def parse_config(
 
     kwargs: dict = {}
     for key, value in data.items():
-        default = getattr(defaults, key)
-        if key == "grid":
-            if not isinstance(value, dict):
-                raise ConfigError(f"key '{key}' must be a JSON object")
-            kwargs[key] = _merge_section(key, default, value)
-            for name, entry in value.items():
-                _check_kind(f"{key}.{name}", entry, default[name])
-        elif key in ("radii_m", "distances_m"):
+        if key in ("radii_m", "distances_m"):
             _require(
                 isinstance(value, (list, tuple)) and value and all(map(_is_number, value)),
-                f"key '{key}' must be a nonempty list of numbers, got {value!r}",
+                f"key '{key}' must be a nonempty list of finite numbers, got {value!r}",
             )
             kwargs[key] = tuple(float(v) for v in value)
         else:
-            _check_kind(key, value, default)
+            _check_kind(key, value, getattr(defaults, key))
             kwargs[key] = value
     cfg = RunConfig(**kwargs)
     _validate(cfg)
@@ -193,21 +180,24 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: ``json.load`` also reads NaN and +-Infinity, which are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _check_kind(key: str, value, default) -> None:
-    """A value must be of its default's kind: an integer, or any number.
+    """A value must be of its default's kind: an integer, or any finite number.
 
-    A string default ('uniform') also admits a number; bools are never
-    numbers here.
+    A string default ('uniform') also admits a finite number; bools are
+    never numbers here.
     """
     if isinstance(default, str):
-        ok, kind = value == default or _is_number(value), f"'{default}' or a number"
+        ok, kind = value == default or _is_number(value), f"'{default}' or a finite number"
     elif isinstance(default, int):
         ok, kind = _is_number(value) and isinstance(value, int), "an integer"
     else:
-        ok, kind = _is_number(value), "a number"
+        ok, kind = _is_number(value), "a finite number"
     _require(ok, f"key '{key}' must be {kind}, got {value!r}")
 
 
@@ -223,19 +213,14 @@ def _validate(cfg: RunConfig) -> None:
     _check_count("key 'workers'", cfg.workers)
     _require(all(r > 0 for r in cfg.radii_m), "key 'radii_m' entries must be positive")
     max_radius = max(cfg.radii_m)
-    d_max = cfg.grid["d_max_m"]
+    d_max = cfg.grid_d_max_m
     _require(
         d_max > grid_d_min_m(max_radius),
-        f"key 'grid.d_max_m' = {d_max} m must exceed max(2 x largest radius, 1 m) "
+        f"key 'grid_d_max_m' = {d_max} m must exceed max(2 x largest radius, 1 m) "
         f"= {grid_d_min_m(max_radius)} m",
     )
     for distance in cfg.distances_m:
         _check_distance("key 'distances_m'", distance, max_radius, d_max)
-    if not isinstance(cfg.theta_policy, str):
-        _require(
-            np.isfinite(cfg.theta_policy),
-            "key 'theta_policy' must be 'uniform' or a finite angle in degrees",
-        )
 
 
 def _check_count(name: str, value: int) -> None:
@@ -257,7 +242,7 @@ def _check_arguments(args) -> None:
 
 
 def _check_distance(name: str, distance: float, radius: float, d_max_m: float) -> None:
-    """A distance must lie on the coarse grid of the radius: [max(2R, 1 m), d_max_m].
+    """A distance must lie on the coarse grid of the radius: [max(2R, 1 m), grid_d_max_m].
 
     Outside it no grid node lies near the target, so the estimate lands
     elsewhere, yet still reads converged.
@@ -266,16 +251,8 @@ def _check_distance(name: str, distance: float, radius: float, d_max_m: float) -
     _require(
         d_min <= distance <= d_max_m,
         f"{name}: distance {distance} m lies outside [{d_min}, {d_max_m}] m, "
-        f"the range grid of radius {radius} m",
+        f"the range grid of radius {radius} m from max(2R, 1 m) to grid_d_max_m",
     )
-
-
-def resolved_config_dict(cfg: RunConfig) -> dict:
-    """JSON-serializable view of the fully-resolved configuration."""
-    out = dataclasses.asdict(cfg)
-    out["radii_m"] = list(cfg.radii_m)
-    out["distances_m"] = list(cfg.distances_m)
-    return out
 
 
 def write_sidecar(
@@ -297,7 +274,7 @@ def write_sidecar(
         "command": command,
         "master_seed": seed,
         "arguments": arguments,
-        "config": resolved_config_dict(cfg),
+        "config": dataclasses.asdict(cfg),
     }
     if "workers" in arguments:
         sidecar["worker_env"] = dict(WORKER_ENV)
@@ -378,12 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--reduced-m", action="store_true", help="use M = 128 subcarriers")
     mc.add_argument("--workers", type=int, default=None)
 
-    rate = sub.add_parser("rate-sweep", help="achievable-rate curves C_est and C_opt")
-    rate.add_argument("--output", required=True)
-    rate.add_argument("--trials", type=int, default=None)
-    rate.add_argument("--reduced-m", action="store_true")
-    rate.add_argument("--workers", type=int, default=None)
-
     return parser
 
 
@@ -434,7 +405,7 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 
 def _cmd_estimate(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.master_seed
-    _check_distance("argument '--distance'", args.distance, args.radius, cfg.grid["d_max_m"])
+    _check_distance("argument '--distance'", args.distance, args.radius, cfg.grid_d_max_m)
     sweep = cfg.sweep_config(reduced_m=args.reduced_m, seed=seed)
     geom = sweep.geometry(args.radius)
     truth = PolarPosition(args.distance, float(np.deg2rad(args.theta_deg)))
@@ -467,20 +438,11 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# monte-carlo's columns: SweepPoint fields, in the order of the published table.
-_SUMMARY_HEADER = [
-    "radius_m", "d_m", "rmse_d_m", "rmse_theta_rad", "crlb_d_m", "crlb_theta_rad",
-    "convergence_rate", "success_rate", "mean_snr_db", "mean_rate_est_bps",
-    "mean_rate_opt_bps", "n_trials", "rmse_d_se_m", "rmse_theta_se_rad",
-]
-
-
-_RECORDS_HEADER = [f.name for f in dataclasses.fields(TrialRecord)]
-
-
-def _rows(items, header: list[str]) -> list[list]:
-    """A CSV view of dataclass instances: one row each, the ``header`` fields in order."""
-    return [[getattr(item, name) for name in header] for item in items]
+def _write_table(path: str, cls, items, seed: int, command: str) -> None:
+    """CSV of dataclass instances: one column per field of ``cls``, in field order."""
+    header = [f.name for f in dataclasses.fields(cls)]
+    rows = [[getattr(item, name) for name in header] for item in items]
+    write_csv(path, header, rows, seed, command)
 
 
 def _progress(args):
@@ -500,60 +462,20 @@ def _progress(args):
     return report
 
 
-def _sweep_arguments(args, sweep: SweepConfig) -> dict:
-    """Resolved arguments of a Monte Carlo command, defaults filled in."""
-    return {
-        "trials": sweep.trials_per_point,
-        "reduced_m": args.reduced_m,
-        "workers": sweep.workers,
-    }
-
-
-def _run_sweep(args, cfg: RunConfig):
-    """The Monte Carlo both sweep commands print: (seed, sweep, records, summary points)."""
+def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.master_seed
     sweep = cfg.sweep_config(
         reduced_m=args.reduced_m, trials=args.trials, seed=seed, workers=args.workers
     )
     nearfield_guard(sweep)
     records = run_trials(sweep, _progress(args))
-    return seed, sweep, records, summarize(sweep, records)
-
-
-def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
-    seed, sweep, records, points = _run_sweep(args, cfg)
-    write_csv(args.output, _SUMMARY_HEADER, _rows(points, _SUMMARY_HEADER), seed, "monte-carlo")
-    write_sidecar(args.output, cfg, seed, "monte-carlo", _sweep_arguments(args, sweep))
+    _write_table(args.output, SweepPoint, summarize(sweep, records), seed, "monte-carlo")
+    arguments = {
+        "trials": sweep.trials_per_point, "reduced_m": args.reduced_m, "workers": sweep.workers,
+    }
+    write_sidecar(args.output, cfg, seed, "monte-carlo", arguments)
     if args.records:
-        rows = _rows(records, _RECORDS_HEADER)
-        write_csv(args.records, _RECORDS_HEADER, rows, seed, "monte-carlo-records")
-    return EXIT_OK
-
-
-def _warn_unless_rate_monotone(points) -> None:
-    """Warn for each radius whose mean C_opt does not grow with mean SNR.
-
-    A sanity check, warning grade: with the conjugate-focus beam, the
-    optimum rate should rise with the received SNR along each radius.
-    """
-    for radius in dict.fromkeys(p.radius_m for p in points):
-        rows = sorted((p for p in points if p.radius_m == radius), key=lambda p: p.mean_snr_db)
-        rates = [p.mean_rate_opt_bps for p in rows]
-        if any(b < a for a, b in zip(rates, rates[1:])):
-            warnings.warn(f"C_opt is not monotone in SNR for radius {radius} m", stacklevel=2)
-
-
-# rate-sweep's columns: SweepPoint fields, so its rows are a view of monte-carlo's.
-_RATE_HEADER = [
-    "radius_m", "d_m", "mean_snr_db", "mean_rate_est_bps", "mean_rate_opt_bps", "n_trials",
-]
-
-
-def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
-    seed, sweep, _, points = _run_sweep(args, cfg)
-    _warn_unless_rate_monotone(points)
-    write_csv(args.output, _RATE_HEADER, _rows(points, _RATE_HEADER), seed, "rate-sweep")
-    write_sidecar(args.output, cfg, seed, "rate-sweep", _sweep_arguments(args, sweep))
+        _write_table(args.records, TrialRecord, records, seed, "monte-carlo-records")
     return EXIT_OK
 
 
@@ -562,7 +484,6 @@ _COMMANDS = {
     "optimize-beamformer": _cmd_optimize,
     "estimate": _cmd_estimate,
     "monte-carlo": _cmd_monte_carlo,
-    "rate-sweep": _cmd_rate_sweep,
 }
 
 

@@ -183,9 +183,10 @@ class GridSpec:
     uniform_run: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.d_min_m <= 0.0 or self.d_min_m >= self.d_max_m:
+        # Written so that NaN, for which every comparison is False, fails too.
+        if not 0.0 < self.d_min_m < self.d_max_m < np.inf:
             raise ValueError(
-                f"need 0 < d_min_m < d_max_m, got ({self.d_min_m}, {self.d_max_m})"
+                f"need 0 < d_min_m < d_max_m < inf, got ({self.d_min_m}, {self.d_max_m})"
             )
         if self.d_nodes is not None:
             # A tuple keeps specs comparable: == on an array is elementwise.
@@ -222,6 +223,9 @@ class GridSpec:
         (6e-11 m over 7800 rows at M = 2048), which ``_row_norms`` measures
         and covers. A grid the delay lobe never governs records no run.
         """
+        if not np.isfinite(d_max_m):
+            # The node loop below would never reach it.
+            raise ValueError(f"d_max_m must be finite, got {d_max_m}")
         delay_lobe, angle_lobe = _lobe_widths(geom, ofdm)
         per_turn = int(np.ceil(TWO_PI / (2.0 * angle_lobe / THETA_NODES_PER_LOBE)))
         d_min_m = grid_d_min_m(geom.radius_m)

@@ -1,8 +1,8 @@
 """Monte Carlo driver over radius and distance: one trial engine and a bound table.
 
 ``run_trials`` runs every trial of a sweep and ``summarize`` reduces the
-records to one RMSE/CRLB/rate row per (radius, distance) cell; the
-``monte-carlo`` and ``rate-sweep`` commands both print views of those rows.
+records to one RMSE/CRLB/rate row per (radius, distance) cell, which the
+``monte-carlo`` command prints with the records.
 ``crlb_sweep`` is the deterministic bound table, with no trials.
 
 One trial = optimize the transmit beam at the true position, draw the
@@ -82,9 +82,9 @@ class SweepConfig:
 
     ``theta_policy`` is either the string 'uniform' (a fresh azimuth per
     trial) or a fixed angle in radians. Of the grid template only
-    ``d_max_m`` is read: ``grid_for_radius`` builds each radius' grid with
-    ``GridSpec.for_array``. The beamformer's Newton
-    settings are constants of ``beamformer``.
+    ``d_max_m`` is read, the config's grid_d_max_m: ``grid_for_radius``
+    builds each radius' grid with ``GridSpec.for_array``. The beamformer's
+    Newton settings are constants of ``beamformer``.
     """
 
     radii_m: tuple[float, ...]
@@ -132,14 +132,15 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated results for one (radius, distance) cell."""
+    """Aggregated results for one (radius, distance) cell.
+
+    The field order is the column order of the published summary table.
+    """
 
     radius_m: float
     d_m: float
     rmse_d_m: float
     rmse_theta_rad: float
-    rmse_d_se_m: float
-    rmse_theta_se_rad: float
     crlb_d_m: float
     crlb_theta_rad: float
     convergence_rate: float
@@ -148,6 +149,8 @@ class SweepPoint:
     mean_rate_est_bps: float
     mean_rate_opt_bps: float
     n_trials: int
+    rmse_d_se_m: float
+    rmse_theta_se_rad: float
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 import csv
 import dataclasses
 import json
+import math
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +15,11 @@ from nfisac.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
-    _warn_unless_rate_monotone,
     main,
     parse_config,
 )
 from nfisac.estimator import wrap_angle
-from nfisac.harness import SweepPoint, TrialRecord, run_trial, run_trials
+from nfisac.harness import TrialRecord, run_trial, run_trials
 
 # A sweep small enough for tier-1: 8 elements, 16 subcarriers, two trials.
 TINY = {
@@ -31,7 +30,7 @@ TINY = {
     "distances_m": [10.0],
     "trials_per_point": 2,
     "master_seed": 17,
-    "grid": {"d_max_m": 40.0},
+    "grid_d_max_m": 40.0,
 }
 
 
@@ -42,14 +41,14 @@ def write_config(tmp_path, data):
 
 
 class TestDistanceRange:
-    """A distance must lie on the grid of the largest radius: [max(2R, 1 m), grid.d_max_m]."""
+    """A distance must lie on the grid of the largest radius: [max(2R, 1 m), grid_d_max_m]."""
 
     @pytest.mark.parametrize("distances", [[0.8], [150.0]])
     def test_config_distance_off_the_grid_names_the_key(self, distances):
         # Off the grid the estimate is wrong yet reads converged (M = 128,
         # R = 0.5 m: d = 150 m with the grid ending at 100 m gave 33-87 m,
         # d = 0.8 m gave 1.01-1.06 m).
-        overrides = {"radii_m": [0.5], "distances_m": distances, "grid": {"d_max_m": 100.0}}
+        overrides = {"radii_m": [0.5], "distances_m": distances, "grid_d_max_m": 100.0}
         with pytest.raises(ConfigError, match="^key 'distances_m': distance "):
             parse_config(overrides=overrides)
 
@@ -59,9 +58,9 @@ class TestDistanceRange:
         assert cfg.distances_m == (10.0, 400.0)
 
     def test_d_max_must_exceed_the_grid_start(self):
-        with pytest.raises(ConfigError, match="^key 'grid.d_max_m' = 10.0 m must exceed "):
+        with pytest.raises(ConfigError, match="^key 'grid_d_max_m' = 10.0 m must exceed "):
             parse_config(overrides={"radii_m": [5.0], "distances_m": [10.0],
-                                    "grid": {"d_max_m": 10.0}})
+                                    "grid_d_max_m": 10.0})
 
     @pytest.mark.parametrize("distance", ["0.8", "41"])
     def test_estimate_distance_off_the_grid_exits_with_usage_code(
@@ -107,8 +106,7 @@ class TestUnidentifiableCell:
         # One element at theta = 0: crlb-sweep flags the cell, and the
         # summary of its trials carries NaN bounds instead of aborting.
         config = write_config(tmp_path, {
-            "n_antennas": 1, "radii_m": [0.5], "distances_m": [10.0],
-            "grid": {"d_max_m": 40.0},
+            "n_antennas": 1, "radii_m": [0.5], "distances_m": [10.0], "grid_d_max_m": 40.0,
         })
         output = tmp_path / "summary.csv"
         code = main([
@@ -158,47 +156,28 @@ class TestEstimate:
         assert float(found.group(2)) == pytest.approx(40.0, abs=1e-6)
 
 
-class TestRateSweep:
-    def test_rows_are_the_monte_carlo_summary_columns(self, tmp_path):
-        config = write_config(tmp_path, {**TINY, "distances_m": [10.0, 20.0]})
-        paths = {name: tmp_path / f"{name}.csv" for name in ("monte-carlo", "rate-sweep")}
-        for command, path in paths.items():
-            argv = ["--config", config, "--seed", "31", command, "--output", str(path)]
-            assert main(argv) == EXIT_OK
-        tables = {
-            command: list(csv.DictReader(path.read_text().splitlines()[1:]))
-            for command, path in paths.items()
-        }
-        rate = tables["rate-sweep"]
-        assert list(rate[0]) == [
-            "radius_m", "d_m", "mean_snr_db", "mean_rate_est_bps", "mean_rate_opt_bps",
-            "n_trials",
-        ]
-        assert len(rate) == 2
-        assert rate == [{name: row[name] for name in rate[0]} for row in tables["monte-carlo"]]
+class TestSummaryCsv:
+    # The published table's columns; a reorder of SweepPoint must not move them.
+    COLUMNS = [
+        "radius_m", "d_m", "rmse_d_m", "rmse_theta_rad", "crlb_d_m", "crlb_theta_rad",
+        "convergence_rate", "success_rate", "mean_snr_db", "mean_rate_est_bps",
+        "mean_rate_opt_bps", "n_trials", "rmse_d_se_m", "rmse_theta_se_rad",
+    ]
 
-    @staticmethod
-    def points(snr_and_rate, radius=0.5):
-        return [
-            SweepPoint(
-                radius_m=radius, d_m=10.0 * (i + 1), rmse_d_m=0.0, rmse_theta_rad=0.0,
-                rmse_d_se_m=0.0, rmse_theta_se_rad=0.0, crlb_d_m=1.0, crlb_theta_rad=1.0,
-                convergence_rate=1.0, success_rate=1.0, mean_snr_db=snr,
-                mean_rate_est_bps=rate, mean_rate_opt_bps=rate, n_trials=1,
-            )
-            for i, (snr, rate) in enumerate(snr_and_rate)
-        ]
+    def test_header_is_the_published_column_order(self, tmp_path):
+        config = write_config(tmp_path, TINY)
+        output = tmp_path / "summary.csv"
+        assert main(["--config", config, "monte-carlo", "--output", str(output)]) == EXIT_OK
+        assert output.read_text().splitlines()[1].split(",") == self.COLUMNS
 
-    def test_c_opt_warning_fires_only_off_monotone(self):
-        # Rows come in distance order; the check sorts each radius by SNR.
-        monotone = self.points([(20.0, 6.0), (5.0, 2.0), (12.0, 4.0)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _warn_unless_rate_monotone(monotone)
-        broken = self.points([(20.0, 6.0), (5.0, 2.0), (12.0, 1.0)], radius=2.0)
-        with pytest.warns(UserWarning, match="not monotone in SNR for radius 2.0 m") as seen:
-            _warn_unless_rate_monotone(monotone + broken)
-        assert len(seen) == 1
+    def test_rate_sweep_is_not_a_command(self, tmp_path, capsys):
+        # Its columns are all in the monte-carlo summary.
+        output = tmp_path / "rates.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["rate-sweep", "--output", str(output)])
+        assert exited.value.code == EXIT_USAGE
+        assert "invalid choice: 'rate-sweep'" in capsys.readouterr().err
+        assert not output.exists()
 
 
 def rerun_argv(sidecar, config_path, outputs):
@@ -228,8 +207,8 @@ class TestSidecar:
         assert sidecar["worker_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         assert sidecar["tool"] == f"nfisac {nfisac.__version__}"
         assert sidecar["numpy"] == np.__version__
-        assert sidecar["config"]["grid"] == {"d_max_m": 40.0}
-        assert "lm" not in sidecar["config"] and "optimizer" not in sidecar["config"]
+        assert sidecar["config"]["grid_d_max_m"] == 40.0
+        assert not {"grid", "lm", "optimizer"} & set(sidecar["config"])
         records_header = (first / "records.csv").read_text().splitlines()[1]
         assert records_header.split(",") == [f.name for f in dataclasses.fields(TrialRecord)]
 
@@ -249,7 +228,7 @@ class TestCommandLineNumbers:
     @pytest.mark.parametrize("command, flags, named", [
         ("monte-carlo", ["--trials", "0"], "--trials"),
         ("monte-carlo", ["--workers", "0"], "--workers"),
-        ("rate-sweep", ["--workers", "-3"], "--workers"),
+        ("monte-carlo", ["--workers", "-3"], "--workers"),
         ("optimize-beamformer", ["--radius", "0.5", "--distance", "10", "--theta-deg", "nan"],
          "--theta-deg"),
         ("estimate", ["--radius", "0.5", "--distance", "10", "--theta-deg", "inf"],
@@ -288,19 +267,44 @@ class TestConfigKinds:
         ({"workers": 1.5}, "workers"),
         ({"workers": True}, "workers"),
         ({"tx_power_mw": False}, "tx_power_mw"),
-        ({"grid": {"d_max_m": "far"}}, "grid.d_max_m"),
         ({"distances_m": []}, "distances_m"),
         ({"distances_m": [10.0, True]}, "distances_m"),
         ({"theta_policy": "random"}, "theta_policy"),
-        ({"grid": {"d_max_m": "far"}}, "grid.d_max_m"),
-        ({"grid": {"d_max_m": True}}, "grid.d_max_m"),
+        ({"grid_d_max_m": "far"}, "grid_d_max_m"),
+        ({"grid_d_max_m": True}, "grid_d_max_m"),
     ])
     def test_parse_config_names_the_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}' must be "):
             parse_config(overrides=overrides)
 
+    # json.load reads NaN, Infinity and -Infinity. An infinite grid_d_max_m
+    # made the grid builder lay nodes forever; a NaN noise power made a run
+    # that exited 0 with NaN bounds and rates.
+    NON_FINITE = [
+        ({"noise_power_dbm": math.nan}, "noise_power_dbm"),
+        ({"theta_policy": -math.inf}, "theta_policy"),
+        ({"distances_m": [10.0, math.inf]}, "distances_m"),
+        ({"radii_m": [math.nan]}, "radii_m"),
+        ({"grid_d_max_m": math.inf}, "grid_d_max_m"),
+    ]
+
+    @pytest.mark.parametrize("overrides, key", NON_FINITE)
+    def test_non_finite_numbers_are_refused_by_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"^key '{key}' must be .*finite"):
+            parse_config(overrides=overrides)
+
+    @pytest.mark.parametrize("overrides, key", NON_FINITE[::2])
+    def test_non_finite_file_values_exit_with_usage_code(self, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path, {**TINY, **overrides})
+        assert re.search(r"NaN|Infinity", Path(config).read_text())
+        output = tmp_path / "summary.csv"
+        code = main(["--config", config, "monte-carlo", "--output", str(output)])
+        assert code == EXIT_USAGE
+        assert f"key '{key}' must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     @pytest.mark.parametrize("overrides", [
-        {"grid": {"d_max_m": "far"}},
+        {"grid_d_max_m": "far"},
         {"subcarriers": "128"},
         {"radii_m": "ab"},
         {"workers": 1.5},
@@ -314,39 +318,42 @@ class TestConfigKinds:
         assert f"key '{key}" in capsys.readouterr().err
         assert not output.exists()
 
-    @pytest.mark.parametrize("key", [
-        "doppler_hz", "carrier_ghz", "grid.n_d", "grid.n_theta", "grid.n_basins", "lm",
-        "optimizer",
+    @pytest.mark.parametrize("overrides, key", [
+        ({"doppler_hz": 1.0}, "doppler_hz"),
+        ({"carrier_ghz": 1.0}, "carrier_ghz"),
+        ({"lm": 1.0}, "lm"),
+        ({"optimizer": 1.0}, "optimizer"),
+        *(({"grid": {name: 1.0}}, "grid") for name in ("n_d", "n_theta", "n_basins")),
+        ({"grid": {"d_max_m": 400.0}}, "grid"),
     ])
-    def test_removed_carrier_and_doppler_keys_are_unknown(self, key):
+    def test_removed_carrier_and_doppler_keys_are_unknown(self, overrides, key):
         # The carrier is set by wavelength_mm alone, and the bank's law has
         # no Doppler term; the grid's nodes and the solvers' settings are
-        # worked out or constant, not configured. A config that names any of
-        # them is rejected.
-        section, _, name = key.rpartition(".")
-        overrides = {section: {name: 1.0}} if section else {key: 1.0}
-        with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(key)}'"):
+        # worked out or constant, not configured, and the one grid setting
+        # is the flat key grid_d_max_m. A config that names any of them,
+        # the old grid section included, is rejected.
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}'"):
             parse_config(overrides=overrides)
 
     def test_numbers_of_either_json_kind_are_accepted(self):
         cfg = parse_config(overrides={
             "tx_power_mw": 100, "theta_policy": 30, "radii_m": [1], "distances_m": [10, 40],
-            "grid": {"d_max_m": 40},
+            "grid_d_max_m": 40,
         })
         assert cfg.radii_m == (1.0,) and cfg.theta_policy == 30
-        assert cfg.distances_m == (10.0, 40.0) and cfg.grid["d_max_m"] == 40
+        assert cfg.distances_m == (10.0, 40.0) and cfg.grid_d_max_m == 40
 
 
 class TestVerbose:
-    @pytest.mark.parametrize("command", ["monte-carlo", "rate-sweep"])
-    def test_progress_on_stderr_and_identical_outputs(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("records", [True, False])
+    def test_progress_on_stderr_and_identical_outputs(self, tmp_path, capsys, records):
         config = write_config(tmp_path, TINY)
         outputs = {}
         for flags in ([], ["--verbose"]):
             out = tmp_path / ("verbose" if flags else "quiet")
             out.mkdir()
-            argv = ["--config", config, *flags, command, "--output", str(out / "main.csv")]
-            if command == "monte-carlo":
+            argv = ["--config", config, *flags, "monte-carlo", "--output", str(out / "main.csv")]
+            if records:
                 argv += ["--records", str(out / "records.csv")]
             assert main(argv) == EXIT_OK
             captured = capsys.readouterr()

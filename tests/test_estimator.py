@@ -1196,6 +1196,18 @@ class TestGridForArray:
         with pytest.raises(ValueError):
             GridSpec(1.0, 10.0, n_d=20, uniform_run=(0, 5, 48))
 
+    @pytest.mark.parametrize("d_min, d_max", [(1.0, math.nan), (math.nan, 10.0), (1.0, math.inf)])
+    def test_range_limits_must_be_finite(self, d_min, d_max):
+        # d_min >= nan is False, so a test written as "reject if d_min >= d_max" lets NaN through.
+        with pytest.raises(ValueError, match="need 0 < d_min_m < d_max_m < inf"):
+            GridSpec(d_min, d_max)
+
+    def test_an_infinite_d_max_is_refused_before_laying_nodes(self):
+        # Nodes are laid until they pass d_max_m, which never happens at inf.
+        config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
+        with pytest.raises(ValueError, match="d_max_m must be finite"):
+            GridSpec.for_array(UcaGeometry(8, 0.5, 0.005), config, math.inf)
+
 
 class TestFftRangeProfileBound:
     """Row bounds of the recorded uniform run of range nodes come from one zero-padded FFT.
