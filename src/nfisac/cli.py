@@ -10,10 +10,11 @@ solver settings (the beamformer's Newton, the refinement, the grid's
 nodes per lobe and the coarse search's basin budget) are module
 constants. Values are written in natural units (kHz, mW, dBm, mm, m,
 degrees) and normalized to SI internally; every run writes the
-fully-resolved config, master seed and command arguments to a JSON
-sidecar next to its output, so any CSV can be regenerated byte for byte
-from the sidecar alone (see ``write_sidecar``). The ``monte-carlo`` CSVs
-have one column per field of the dataclass they list, in field order:
+fully-resolved config, master seed and command arguments, and the
+compute environment, to a JSON sidecar next to its output, so any CSV
+can be regenerated byte for byte from the sidecar alone (see
+``write_sidecar``). The ``monte-carlo`` CSVs have one column per field
+of the dataclass they list, in field order:
 ``SweepPoint`` for the summary, ``TrialRecord`` for the records. A config
 value of the wrong kind (a string for a count, a bool for a number, NaN
 or an infinity anywhere) is a config error that names its key, and a
@@ -255,6 +256,16 @@ def _check_distance(name: str, distance: float, radius: float, d_max_m: float) -
     )
 
 
+def _blas_build() -> dict | None:
+    """Name, version and build configuration of numpy's BLAS, or None if numpy cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 takes no mode
+        return None
+    keys = ("name", "version", "openblas configuration")
+    return {key: blas[key] for key in keys if key in blas}
+
+
 def write_sidecar(
     output_path: str, cfg: RunConfig, seed: int, command: str, arguments: dict
 ) -> None:
@@ -264,13 +275,25 @@ def write_sidecar(
     booleans); output paths are left out. Rerunning ``command`` with
     ``--config`` holding ``config``, ``--seed master_seed`` and
     ``--<dest with - for _> value`` for each argument (a bare flag when True)
-    regenerates the output byte for byte. A command that takes ``workers``
-    also records ``worker_env``, the environment its pool workers start
-    with (one BLAS thread each).
+    regenerates the output byte for byte. The compute environment goes
+    along, since it sets the speed but not the output: ``blas``, the BLAS
+    build numpy reports (None where it cannot); ``cpu_count``, the CPUs
+    the run could use (its affinity set where the OS has one); and
+    ``thread_env``, each BLAS thread variable of WORKER_ENV as found in the
+    environment (None when unset). A command that takes ``workers`` also
+    records ``worker_env``, the environment its pool workers start with
+    (one BLAS thread each).
     """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
     sidecar = {
         "tool": f"nfisac {__version__}",
         "numpy": np.__version__,
+        "blas": _blas_build(),
+        "cpu_count": cpus,
+        "thread_env": {name: os.environ.get(name) for name in WORKER_ENV},
         "command": command,
         "master_seed": seed,
         "arguments": arguments,

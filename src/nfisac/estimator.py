@@ -8,10 +8,14 @@ into it. A two-stage grid search (delay compensation per range row,
 then an O(n_a) correlation per angle cell) ranks candidate basins of the
 negative-log-likelihood surface, evaluating only the range rows whose
 range-profile lower bound could still hold a top basin and, scaled by
-INCUMBENT_KAPPA over the row's range interval, could still beat the best
-cell found so far (a branch-and-bound, see ``coarse_grid_search``: the
-basins it returns that cost at most G* / INCUMBENT_KAPPA, G* the surface
-minimum, are exactly the full surface's, the best one first). The bound
+INCUMBENT_KAPPA over the row's range interval, could still beat the
+incumbent (a branch-and-bound, see ``coarse_grid_search``). The
+incumbent is min(G, W): G the best cell found so far, W the lowest cost
+the refinement has reached from the basins of the search's first tile,
+the seed window, whose runs ``estimate`` begins inside the search
+(``_SeedRuns``). The basins the search returns that cost at most
+min(G*, W) / INCUMBENT_KAPPA, G* the surface minimum, are exactly the
+full surface's, the best one first if it costs at most W. The bound
 pass reads the range profile of the uniform run of range rows the grid
 records (``GridSpec.for_array``) off one zero-padded inverse FFT of the
 bank, the OFDM-radar range profile (Sturm & Wiesbeck, Proc. IEEE 99(7),
@@ -20,11 +24,14 @@ directly (``_row_norms``). From each of the best basins' grid nodes,
 damped Newton iterations on the cost itself (``lm_refine``), with its
 exact gradient and Hessian, delay ramp included, find the basin's minimum;
 the lowest final cost wins, the cost each run's last accepted iterate
-was evaluated at. The basins are refined in lock-step: each step
-evaluates the pending candidates of every run still going in one batch,
-and the winner is picked inside ``lm_refine``. A candidate's values do
-not depend on its batch, so this gives what refining each basin alone
-would, bit for bit. Off the grid, every cost, xi and cost
+was evaluated at. The basins are refined in lock-step (``_lock_step``):
+each step evaluates the pending candidates of every run still going in
+one batch, and the winner is picked inside ``lm_refine``. The seed
+window's runs take their first steps during the search, pause, and are
+resumed by ``lm_refine`` if their starts are still among the basins, so
+no candidate is evaluated twice. A candidate's values do not depend on
+its batch, so this gives what refining each basin alone would, bit for
+bit. Off the grid, every cost, xi and cost
 derivative comes from one candidate evaluator, ``_evaluate``, which takes
 a batch of (range, angle) candidates as (n, n_a) arrays and collapses the
 bank over the subcarriers once per distinct range in the batch. ``cost``
@@ -56,7 +63,7 @@ a K-bin range profile, however many range rows the grid has.
 
 from __future__ import annotations
 
-from collections.abc import Generator, Sequence
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,8 +90,8 @@ TWO_PI = 2.0 * np.pi
 # skips single rows, so this caps a tile's output, the costs it holds. A tile
 # is not a kernel block (KERNEL_BLOCK_CELLS): shrinking tiles to save memory
 # backfires, since a tile of at most 2 rows has no interior rows, so the seed
-# window sets no skip thresholds (409 rows evaluated per large-aperture
-# trial instead of 66).
+# window sets no skip thresholds and no refined incumbent (408 rows evaluated
+# per large-aperture trial instead of 49, over chunks 0-7 of benchmark seed 11).
 GRID_BLOCK_ROWS = 32
 # Most lattice cells one block of ``_cost_rows`` evaluates at once: rows per
 # block max(1, this // n_theta), capped at GRID_BLOCK_ROWS. A block's
@@ -101,9 +108,10 @@ KERNEL_BLOCK_CELLS = 2**15
 N_BASINS = 15
 # Rows on each side of the lowest-bound row in the search's first tile, which
 # holds 2 h + 1 rows clipped to the grid. Its interior minima set the first
-# skip thresholds, the last of them T and the lowest the incumbent G: per
-# large-aperture trial h = 1, 4 and 16 evaluate 72, 67 and 67 rows, per
-# wideband trial 9, 13 and 37.
+# skip thresholds, the last of them T and the lowest the incumbent G, and
+# their refinement runs set W: per large-aperture trial h = 1, 4 and 16
+# evaluate 56, 49 and 49 rows, per wideband trial 8, 13 and 37 (means over
+# chunks 0-7 of benchmark seed 11).
 SEED_HALF_ROWS = 4
 # Relative slack on the range-profile cost bound, far above the rounding of
 # the computed costs (about n_a * eps relative).
@@ -859,7 +867,10 @@ def _run_length(flags: np.ndarray) -> int:
 
 
 def coarse_grid_search(
-    bank: MatchedFilterBank, geom: UcaGeometry, spec: GridSpec
+    bank: MatchedFilterBank,
+    geom: UcaGeometry,
+    spec: GridSpec,
+    refine_seed: Callable[[list[PolarPosition]], float] | None = None,
 ) -> list[GridBasin]:
     """Rank grid-local minima of the bank's cost surface, lowest cost first.
 
@@ -867,11 +878,17 @@ def coarse_grid_search(
     it. Returns at most N_BASINS basins; ties break on the lowest
     (range index, angle index) pair so the output is deterministic. It is
     a branch-and-bound over range rows that skips every row which cannot
-    hold a top basin, or whose range interval cannot beat the best cell
-    found so far. Its entries that cost at most G* / INCUMBENT_KAPPA (G*
-    the surface minimum) are exactly the full search's, in its order, ahead
-    of the rest, and the full search's best basin always comes first; see
-    Exactness for the rest.
+    hold a top basin, or whose range interval cannot beat the incumbent,
+    min(G, W): G the best cell found so far, W what ``refine_seed``
+    returns. If given, ``refine_seed`` is called once, after the seed
+    window (see Search), if it holds a basin and G already rules out some
+    row, with the positions of its basins, best first; it returns W, a
+    cost that the caller guarantees its estimate will not exceed
+    (``estimate`` hands it the refinement, ``_SeedRuns``). Otherwise W is
+    infinite and the incumbent is G. The entries that cost at most min(G*, W) /
+    INCUMBENT_KAPPA (G* the surface minimum) are exactly the full
+    search's, in its order, ahead of the rest, and the full search's best
+    basin comes first whenever it costs at most W; see Exactness.
 
     Bound. A row's cost is L = s |beta|^2 S - 2 Re{beta D} with
     S = sum_k 1/rho_k^2 and D = sum_k (lambda / (4 pi rho_k)) a_k conj(c_k)
@@ -909,14 +926,16 @@ def coarse_grid_search(
     GRID_BLOCK_ROWS); its minima seed the running top list. Then the rows
     are streamed in order. A row i is skipped iff its bound exceeds T, the
     list's last entry once it holds N_BASINS minima (infinite before),
-    or kappa b~(i) > G, the incumbent rule: G is the list's first entry,
+    or kappa b~(i) > min(G, W), the incumbent rule: G is the list's first
+    entry, W is set once from the seed window's basins (above),
     kappa = INCUMBENT_KAPPA, and b~(i) = min(b(i - 1), b(i), b(i + 1)) (one
     neighbour at a grid edge) bounds the row's range interval on both
-    sides. Since b <= 0, the incumbent rule never fires while G >= 0, nor
-    at kappa = inf; a row whose b~ is not negative, which the program's
-    bounds never give, is not ruled out by it. Each run of rows that are
-    not skipped is evaluated in tiles that never cross the seed window; T
-    and G may tighten inside a tile, which is still evaluated whole.
+    sides. Since b <= 0, the incumbent rule never fires while
+    min(G, W) >= 0, nor at kappa = inf; a row whose b~ is not negative,
+    which the program's bounds never give, is not ruled out by it. Each
+    run of rows that are not skipped is evaluated in tiles that never
+    cross the seed window; T and G may tighten inside a tile, which is
+    still evaluated whole.
     Nothing is evaluated across a run of skipped rows, so T and G hold
     still there, and its end is found in windows of doubling size: O(run)
     work, not O(rows left). A skipped row acts as the grid edge for its
@@ -927,17 +946,25 @@ def coarse_grid_search(
     L >= -(lambda / 4 pi)^2 ||c(d)||^2 / (n_a s). Between rows i - 1 and i,
     ||c(d)||^2 stays within kappa times the larger end sample (the basis of
     kappa is stated at INCUMBENT_KAPPA: sampled, not proven), so on the
-    interval (d_{i-1}, d_{i+1}) the cost is at least kappa b~(i) > G. The
-    best grid basin is always a refinement start (it heads the output) and
-    Newton never accepts a step that raises the cost, so the estimate costs
-    at most G (to rounding far below kappa's margin), and a skipped row's
-    interval holds no point that beats it.
+    interval (d_{i-1}, d_{i+1}) the cost is at least
+    kappa b~(i) > min(G, W). The best grid basin is always a refinement
+    start (it heads the output), ``estimate`` keeps the run that set W
+    among its runs even if its start leaves the list, and Newton never
+    accepts a step that raises the cost, so the estimate costs at most
+    min(G, W) (G to rounding far below kappa's margin; W exactly, since
+    it is a cost that run was evaluated at), and a skipped row's interval
+    holds no point that beats it. Proven: each skipped row's cells cost
+    more than min(G, W) / kappa. Sampled: the interval claim, through kappa.
 
     Exactness. The rules alone give this, whatever kappa's basis. Let V be
     the full surface's N_BASINS-th basin value (infinite if it has
-    fewer minima), G* its minimum, l = G* / kappa and m = min(V, l). A row
-    the incumbent rule skips costs more than G / kappa >= l in every cell,
-    since b >= b~ and G >= G*. The list holds true minima, and next to a
+    fewer minima), G* its minimum, l = min(G*, W) / kappa and
+    m = min(V, l). A row the incumbent rule skips costs more than
+    min(G, W) / kappa >= l in every cell, since b >= b~ and G >= G*. The
+    full search's best cell is never skipped while G* <= W: its row has
+    b~ <= G* <= min(G, W), so kappa b~ <= b~ when G* < 0, and no rule
+    fires at G* >= 0; its bound is at most G* <= T, since every list
+    entry is a cell's cost. The list holds true minima, and next to a
     skipped row possibly edge cells whose skipped neighbour costs less;
     such a cell costs more than that neighbour, hence more than the T of
     the skip or than l. T never drops below m: by induction, a list whose
@@ -948,8 +975,8 @@ def coarse_grid_search(
     the full surface, with the same costs (a row's costs do not depend on
     the tile it is evaluated in: see ``_row_matmul``), and they head the
     output in the full search's lexsort((t, d, value)) order. If V <= l,
-    the output is the full search's; so it is when G* >= 0, where the
-    incumbent rule cannot fire. Otherwise it is the full search's entries
+    the output is the full search's; so it is when min(G*, W) >= 0, where
+    the incumbent rule cannot fire. Otherwise it is the full search's entries
     that cost at most l, then up to N_BASINS minus their number of
     others, each costing more than l: true minima and edge cells next to
     skipped rows, which the full search might not return. The output may
@@ -971,7 +998,12 @@ def coarse_grid_search(
     np.minimum(lowest[:-1], row_bounds[1:], out=lowest[:-1])
     interval_bounds = np.full(n_rows, -np.inf)
     np.multiply(INCUMBENT_KAPPA, lowest, out=interval_bounds, where=lowest < 0.0)
+    theta_values = spec.theta_values()
     best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+    refined = np.inf  # W, once the seed window's basins are refined
+
+    def position(d: int, t: int) -> PolarPosition:
+        return PolarPosition(float(d_values[d]), float(theta_values[t]))
 
     def merge(found):
         values, d_idx, t_idx = (np.concatenate(pair) for pair in zip(best, found))
@@ -984,7 +1016,7 @@ def coarse_grid_search(
     def ruled_out(start: int, stop: int) -> np.ndarray:
         values = best[0]
         threshold = values[-1] if values.size == N_BASINS else np.inf
-        incumbent = values[0] if values.size else np.inf
+        incumbent = min(values[0] if values.size else np.inf, refined)
         return (row_bounds[start:stop] > threshold) | (interval_bounds[start:stop] > incumbent)
 
     def evaluate(start: int, stop: int) -> _TileEdges:
@@ -1001,6 +1033,12 @@ def coarse_grid_search(
         start: evaluate(start, min(start + GRID_BLOCK_ROWS, hi))
         for start in range(lo, hi, GRID_BLOCK_ROWS)
     }
+    # W only tightens the incumbent rule. Where G rules out no row yet, the
+    # search is noise-limited: there W (at most 1.26 G at d = 200 m) ruled out
+    # no row either, and the stream displaces most seed basins, whose runs'
+    # steps would be wasted.
+    if refine_seed is not None and best[0].size and np.any(interval_bounds > best[0][0]):
+        refined = refine_seed([position(d, t) for d, t in zip(best[1], best[2])])
     pending = None  # edges of the previous tile; None if its rows were skipped
     above = None  # halo of the row just above the pending tile
     row = 0
@@ -1031,10 +1069,9 @@ def coarse_grid_search(
         best = merge(_edge_minima(pending, above, None))
 
     values, d_idx, t_idx = best
-    theta_values = spec.theta_values()
     return [
         GridBasin(
-            position=PolarPosition(float(d_values[d]), float(theta_values[t])),
+            position=position(d, t),
             cost=float(v),
             d_index=int(d),
             theta_index=int(t),
@@ -1157,11 +1194,84 @@ def _newton_run(
     return current, converged, iterations, value
 
 
+def _lock_step(
+    runs: list[Generator],
+    pending: dict[int, PolarPosition],
+    finals: list,
+    bank: MatchedFilterBank,
+    geom: UcaGeometry,
+    until: int | None = None,
+) -> dict[int, PolarPosition]:
+    """Advance Newton runs (``_newton_run``) in lock-step, one batched evaluation per step.
+
+    ``pending`` maps the index in ``runs`` of each run still going to the
+    candidate it awaits; each step evaluates all of them in one
+    ``_evaluate`` call with derivatives and sends each run its values. A
+    run that stops leaves ``pending`` and puts what it returns in
+    ``finals``. Steps are taken until no run is pending, or until run
+    ``until`` has stopped; returns the runs still pending then, each with
+    the candidate it awaits, not yet evaluated.
+    """
+    while pending and (until is None or finals[until] is None):
+        batch = _evaluate(
+            [p.d_m for p in pending.values()],
+            [p.theta_rad for p in pending.values()],
+            bank, geom, with_derivatives=True,
+        )
+        going = {}
+        for row, index in enumerate(pending):
+            try:
+                going[index] = runs[index].send(
+                    (batch.cost[row], batch.gradient[row], batch.hessian[row])
+                )
+            except StopIteration as stop:
+                finals[index] = stop.value
+        pending = going
+    return pending
+
+
+class _SeedRuns:
+    """Newton runs begun from the seed window's basins, to give the coarse grid its incumbent W.
+
+    ``estimate`` hands one to ``coarse_grid_search`` as ``refine_seed``,
+    which calls it once with the seed window's basins, best first. It
+    starts a run from each (``_newton_run``) and advances them in
+    lock-step (``_lock_step``) until the run from the best one stops. W is
+    the lowest final cost among the runs stopped by then, and
+    ``kept`` the start of the run that set it (the lower index on a tie).
+    The other runs pause, each with the candidate it awaits not yet
+    evaluated. ``lm_refine`` takes the runs whose starts it is given out of
+    ``runs`` and resumes them, so no candidate is evaluated twice; the rest
+    are dropped. A run's steps do not depend on when or in which batch
+    they are taken, so a resumed run ends where a run begun in
+    ``lm_refine`` would.
+    """
+
+    def __init__(self, bank: MatchedFilterBank, geom: UcaGeometry, d_max_m: float) -> None:
+        self.bank, self.geom, self.d_max_m = bank, geom, d_max_m
+        # start -> (run, the candidate it awaits or None, its end or None)
+        self.runs: dict[PolarPosition, tuple] = {}
+        self.kept: PolarPosition | None = None
+
+    def __call__(self, starts: list[PolarPosition]) -> float:
+        runs = [_newton_run(start, self.bank, self.geom, self.d_max_m) for start in starts]
+        finals = [None] * len(runs)
+        pending = {index: next(run) for index, run in enumerate(runs)}
+        pending = _lock_step(runs, pending, finals, self.bank, self.geom, until=0)
+        for index, start in enumerate(starts):
+            self.runs[start] = (runs[index], pending.get(index), finals[index])
+        stopped = [index for index, final in enumerate(finals) if final is not None]
+        index = min(stopped, key=lambda i: (finals[i][3], i))
+        self.kept = starts[index]
+        return float(finals[index][3])
+
+
 def lm_refine(
     starts: Sequence[PolarPosition],
     bank: MatchedFilterBank,
     geom: UcaGeometry,
     d_max_m: float,
+    begun: _SeedRuns | None = None,
 ) -> Refinement:
     """Damped Newton iterations on the cost L from each start, in lock-step; the best wins.
 
@@ -1195,35 +1305,36 @@ def lm_refine(
 
     Lock-step. Each start runs its own iteration (``_newton_run``); at each
     step the pending candidates of every run still going are evaluated in
-    one ``_evaluate`` call, and a run that stops drops out of the batch.
-    Each run ends with the cost its final position was evaluated at, and
-    the winner is the lowest (cost, start index) pair; that cost comes with
-    derivatives, so it rounds apart from what ``cost`` gives in the last
-    bits. Batching keeps the bits: ``_evaluate`` takes every product per
-    candidate (``_row_dots`` and stacked matmuls), so a candidate's cost,
-    gradient and Hessian do not depend on the batch it comes in, and each
-    run takes the steps it takes alone. Raises ValueError without starts.
+    one ``_evaluate`` call, and a run that stops drops out of the batch
+    (``_lock_step``). Each run ends with the cost its final position was
+    evaluated at, and the winner is the lowest (cost, start index) pair;
+    that cost comes with derivatives, so it rounds apart from what ``cost``
+    gives in the last bits. Batching keeps the bits: ``_evaluate`` takes
+    every product per candidate (``_row_dots`` and stacked matmuls), so a
+    candidate's cost, gradient and Hessian do not depend on the batch it
+    comes in, and each run takes the steps it takes alone. ``begun``
+    holds runs already begun from some of the starts (the seed window's,
+    see ``_SeedRuns``): such a start's run is taken from it, paused runs
+    resume with the candidate they await and stopped ones keep their end,
+    so each candidate is evaluated once and the result is what runs begun
+    here would give. Raises ValueError without starts.
     """
     if not starts:
         raise ValueError("lm_refine needs at least one start")
-    runs = [_newton_run(start, bank, geom, d_max_m) for start in starts]
-    pending = {index: next(run) for index, run in enumerate(runs)}
-    finals = [None] * len(runs)
-    while pending:
-        batch = _evaluate(
-            [p.d_m for p in pending.values()],
-            [p.theta_rad for p in pending.values()],
-            bank, geom, with_derivatives=True,
-        )
-        going = {}
-        for row, index in enumerate(pending):
-            try:
-                going[index] = runs[index].send(
-                    (batch.cost[row], batch.gradient[row], batch.hessian[row])
-                )
-            except StopIteration as stop:
-                finals[index] = stop.value
-        pending = going
+    runs, pending, finals = [], {}, [None] * len(starts)
+    for index, start in enumerate(starts):
+        run, candidate, final = (None, None, None)
+        if begun is not None:
+            run, candidate, final = begun.runs.pop(start, (None, None, None))
+        if run is None:
+            run = _newton_run(start, bank, geom, d_max_m)
+            candidate = next(run)
+        runs.append(run)
+        if final is None:
+            pending[index] = candidate
+        else:
+            finals[index] = final
+    _lock_step(runs, pending, finals, bank, geom)
     index = min(range(len(finals)), key=lambda i: (finals[i][3], i))
     position, converged, iterations, value = finals[index]
     return Refinement(position, converged, iterations, index, float(value))
@@ -1296,22 +1407,33 @@ def estimate(
 
     The bank is the data, and its ``config`` and ``beamformer`` interpret
     it.
-    The grid basins' nodes start one ``lm_refine`` call, which refines them
-    all in lock-step and picks the refined position with the lowest cost,
-    ties to the better-ranked basin; the estimate carries that run's cost,
-    converged flag and step count.
-    The refinement keeps the range below LM_D_MAX_FACTOR times the grid's
-    d_max_m. Deterministic given (bank, grid); degenerate inputs produce
+    The search hands the seed window's basins to a ``_SeedRuns`` (where G
+    already rules out a row), which begins their refinement runs and
+    returns W, the search's refined incumbent. The grid basins' nodes then
+    start one ``lm_refine`` call, which resumes the seed runs whose starts
+    are still among them and refines every start in lock-step, and picks
+    the refined position with the lowest cost, ties to the better-ranked
+    basin; the estimate carries that run's cost, converged flag and step
+    count. The start of the run that set W joins the starts, after the
+    basins, if the search no longer lists it, so the estimate costs at most
+    W; its ``basin_index`` is then the number of basins. The refinement
+    keeps the range below LM_D_MAX_FACTOR times the grid's d_max_m.
+    Deterministic given (bank, grid); degenerate inputs produce
     converged=False estimates rather than raising.
     """
+    d_max_m = LM_D_MAX_FACTOR * spec.d_max_m
+    seed_runs = _SeedRuns(bank, geom, d_max_m)
     # ``spec`` goes by keyword: the benchmark's tracer (bench/spans.py) reads the
     # grid size from kwargs["spec"] before it tries a fourth positional argument.
-    basins = coarse_grid_search(bank, geom, spec=spec)
+    basins = coarse_grid_search(bank, geom, spec=spec, refine_seed=seed_runs)
     starts = [basin.position for basin in basins]
+    if seed_runs.kept is not None and seed_runs.kept not in starts:
+        # The run that set W stays a candidate: the estimate costs at most W.
+        starts.append(seed_runs.kept)
     if not starts:
         # No local minimum (pathological flat surface): fall back to mid-grid.
         starts = [PolarPosition(float(np.sqrt(spec.d_min_m * spec.d_max_m)), 0.0)]
-    best = lm_refine(starts, bank, geom, LM_D_MAX_FACTOR * spec.d_max_m)
+    best = lm_refine(starts, bank, geom, d_max_m, seed_runs)
     return MlEstimate(
         d_hat_m=best.position.d_m,
         theta_hat_rad=best.position.theta_rad,

@@ -207,6 +207,7 @@ class TestSidecar:
         assert sidecar["worker_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         assert sidecar["tool"] == f"nfisac {nfisac.__version__}"
         assert sidecar["numpy"] == np.__version__
+        assert {"blas", "cpu_count", "thread_env"} <= set(sidecar)
         assert sidecar["config"]["grid_d_max_m"] == 40.0
         assert not {"grid", "lm", "optimizer"} & set(sidecar["config"])
         records_header = (first / "records.csv").read_text().splitlines()[1]
@@ -222,6 +223,26 @@ class TestSidecar:
         assert code == EXIT_OK
         for name in ("summary.csv", "records.csv"):
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+    def test_records_the_compute_environment(self, tmp_path, monkeypatch):
+        # The BLAS build numpy reports, the usable CPUs and the BLAS thread
+        # variables as found, unset ones as null.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        output = tmp_path / "crlb.csv"
+        assert main(["--config", write_config(tmp_path, TINY), "crlb-sweep",
+                     "--output", str(output)]) == EXIT_OK
+        sidecar = json.loads((tmp_path / "crlb.csv.config.json").read_text())
+        assert sidecar["thread_env"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
+        assert type(sidecar["cpu_count"]) is int and sidecar["cpu_count"] >= 1
+        try:
+            reported = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except TypeError:  # numpy before 1.26
+            assert sidecar["blas"] is None
+        else:
+            assert sidecar["blas"]["name"] == reported["name"]
+            assert sidecar["blas"]["version"] == reported["version"]
 
 
 class TestCommandLineNumbers:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -34,6 +35,7 @@ from nfisac.crlb import gamma_coefficients
 from nfisac.estimator import (
     GRID_BLOCK_ROWS,
     TWO_PI,
+    MlEstimate,
     _circulants,
     _collapse_rows,
     _cost_rows as _cost_rows_fft,
@@ -829,22 +831,26 @@ def triples(basins):
     return [(b.d_index, b.theta_index, b.cost) for b in basins]
 
 
-def assert_incumbent_contract(got, full, calls):
+def assert_incumbent_contract(got, full, calls, refined=np.inf):
     """The search at the module INCUMBENT_KAPPA against its own full output.
 
     ``got`` and ``full`` are (range index, angle index, cost) triples of the
     search with and without the incumbent rule, ``calls`` the (first, stop)
-    rows of the first's evaluations. With G* the surface minimum (the full
-    output's first cost), the entries costing at most G* / kappa are the full
-    output's, in its order, ahead of every other entry; for G* >= 0 the rule
-    cannot fire and the outputs are equal. No entry comes from a row that was
-    not evaluated, and no row is evaluated twice.
+    rows of the first's evaluations, ``refined`` the W the first search was
+    given (none: infinite). With G* the surface minimum (the full output's
+    first cost), the entries costing at most min(G*, W) / kappa are the full
+    output's, in its order, ahead of every other entry, and the full output's
+    first entry comes first if it costs at most W; for min(G*, W) >= 0 the
+    rule cannot fire and the outputs are equal. No entry comes from a row
+    that was not evaluated, and no row is evaluated twice.
     """
     rows = evaluated_rows(calls)
     assert len(rows) == len(set(rows))
     assert {d for d, _, _ in got} <= set(rows)
-    assert got[0] == full[0]
     least = full[0][2]
+    if least <= refined:
+        assert got[0] == full[0]
+    least = min(least, refined)
     if least >= 0.0:
         assert got == full
         return
@@ -1411,15 +1417,27 @@ def strong_target(m, d, theta, sigma2=1e-13):
     return geom, obs
 
 
-def search_surface(monkeypatch, surface, rows, n_basins):
+def seed_minima(surface, rows, n_basins):
+    """The seed tiles' best interior minima as (cost, range index, angle index), best first."""
+    found = []
+    for first, stop in seed_tiles(int(np.argmin(surface.min(axis=1))), surface.shape[0], rows):
+        d_idx, t_idx = np.nonzero(_local_minima(surface[first:stop])[1:-1])
+        found += [(surface[first + 1 + d, t], first + 1 + d, t) for d, t in zip(d_idx, t_idx)]
+    return sorted(found)[:n_basins]
+
+
+def search_surface(monkeypatch, surface, rows, n_basins, refined=None):
     """Run the search on a given cost surface whose row bounds are the row minima.
 
     The tightest valid bound tests the skip logic alone. With
     INCUMBENT_KAPPA = inf, which turns the incumbent rule off, the result
     must be the full-surface selection; at the module value, the search
     must meet its contract against it (``assert_incumbent_contract``).
-    ``n_basins`` stands in for N_BASINS. Returns the selection as (range
-    index, angle index, cost), and the (first, stop) rows of every
+    ``n_basins`` stands in for N_BASINS. Given ``refined``, the second
+    search gets a ``refine_seed`` that returns it as W, and must hand it the
+    seed tiles' interior minima, once, if it has any and the best of them,
+    G, already rules out a row (kappa b~ > G). Returns the selection as
+    (range index, angle index, cost), and the (first, stop) rows of every
     evaluation of the first run in call order.
     """
     spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=surface.shape[0], n_theta=surface.shape[1])
@@ -1454,8 +1472,30 @@ def search_surface(monkeypatch, surface, rows, n_basins):
     assert [(b.d_index, b.theta_index, b.cost) for b in got] == want
     full_calls = calls[:]
     calls.clear()
-    pruned = coarse_grid_search(None, geom, spec)
-    assert_incumbent_contract(triples(pruned), want, calls)
+    if refined is None:
+        pruned = coarse_grid_search(None, geom, spec)
+        assert_incumbent_contract(triples(pruned), want, calls)
+        return want, full_calls
+    handed = []
+
+    def refine_seed(starts):
+        handed.append(starts)
+        return refined
+
+    pruned = coarse_grid_search(None, geom, spec, refine_seed=refine_seed)
+    seeds = seed_minima(surface, rows, n_basins)
+    bounds = surface.min(axis=1)
+    lowest = np.minimum.reduce([bounds, np.r_[bounds[1:], 0.0], np.r_[0.0, bounds[:-1]]])
+    kappa = estimator_module.INCUMBENT_KAPPA
+    if not (seeds and np.any((lowest < 0.0) & (kappa * lowest > seeds[0][0]))):
+        assert handed == []
+        refined = np.inf
+    else:
+        d_values, theta_values = spec.d_values(), spec.theta_values()
+        assert handed == [
+            [PolarPosition(float(d_values[d]), float(theta_values[t])) for _, d, t in seeds]
+        ]
+    assert_incumbent_contract(triples(pruned), want, calls, refined)
     return want, full_calls
 
 
@@ -1536,6 +1576,22 @@ class TestPrunedGridSearch:
         wells = rng.integers(0, surface.shape, size=(4, 2))
         surface[wells[:, 0], wells[:, 1]] -= rng.uniform(3.0, 6.0, size=4)
         search_surface(monkeypatch, surface, rows, n_basins=6)
+
+    @pytest.mark.parametrize("floor", [0.0, -10.0])
+    @pytest.mark.parametrize("factor", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("rows", [1, 3, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_surface_under_a_refined_incumbent(self, monkeypatch, seed, rows, factor, floor):
+        # The same surfaces with a W of factor times the surface minimum G*:
+        # above it (0.5), below it but above kappa G* (1.5), and below
+        # kappa G* (3.0), where no entry is sure to be the full search's.
+        # One-row tiles have no interior, so no W is asked for; nor is one
+        # on the surfaces lowered by 10, where G rules out no row.
+        rng = np.random.default_rng(100 + seed)
+        surface = rng.normal(size=(70, 16)) + floor
+        wells = rng.integers(0, surface.shape, size=(4, 2))
+        surface[wells[:, 0], wells[:, 1]] -= rng.uniform(3.0, 6.0, size=4)
+        search_surface(monkeypatch, surface, rows, n_basins=6, refined=factor * surface.min())
 
     def test_seed_edge_rows_wait_for_their_neighbours(self, monkeypatch):
         # Tiles of 4 rows. The seed window (rows 4-12 around a well of -20
@@ -1748,6 +1804,216 @@ class TestIncumbentRule:
         assert record.success
 
 
+@functools.lru_cache(maxsize=None)
+def sweep_trial(radius_m, d_m, reduced_m, seed):
+    """Bank, geometry and grid of a one-cell, one-trial sweep, drawn as ``run_trial`` does."""
+    cfg = cli.parse_config(
+        overrides={"radii_m": [radius_m], "distances_m": [d_m]}
+    ).sweep_config(reduced_m=reduced_m, trials=1, seed=seed, workers=1)
+    ((_, radius, d_true, theta, trial_seed),) = harness._trial_args(cfg)
+    geom = cfg.geometry(radius)
+    truth = PolarPosition(d_true, wrap_angle(theta))
+    beam = optimize_beamformer(geom, truth, cfg.ofdm).beamformer
+    bank = synthesize_bank(geom, truth, beam, cfg.ofdm, harness.derive_seed(trial_seed, 2))
+    return bank, geom, harness.grid_for_radius(cfg, radius)
+
+
+def estimate_without_w(bank, geom, spec):
+    """What ``estimate`` gives with the incumbent G alone: every run begun in ``lm_refine``."""
+    starts = [basin.position for basin in coarse_grid_search(bank, geom, spec)]
+    run = lm_refine(starts, bank, geom, estimator_module.LM_D_MAX_FACTOR * spec.d_max_m)
+    return MlEstimate(
+        run.position.d_m, run.position.theta_rad, run.cost, run.converged, run.iterations,
+        run.basin_index,
+    )
+
+
+def record_w(monkeypatch):
+    """Record the seed starts and the W of every ``_SeedRuns`` call, in order."""
+    seen = []
+    real = estimator_module._SeedRuns.__call__
+
+    def recording(self, starts):
+        refined = real(self, starts)
+        seen.append((list(starts), refined))
+        return refined
+
+    monkeypatch.setattr(estimator_module._SeedRuns, "__call__", recording)
+    return seen
+
+
+# Rows the large-aperture trial of ``TestRefinedIncumbent`` evaluated when the
+# refined incumbent W was added; 67 without it.
+LARGE_APERTURE_ROWS = 49
+
+
+class TestRefinedIncumbent:
+    """The incumbent is min(G, W), W the lowest cost a run from the seed window's basins reached."""
+
+    def test_skipped_rows_hold_no_point_below_w(self, monkeypatch):
+        # A target whose best grid cell costs 0.68 times the seed runs' W:
+        # G alone skips 128 of the 300 rows, min(G, W) 239. On every skipped
+        # row whose interval bound rules it out, a dense lattice over its
+        # range interval, 4x the grid's angles, must cost more than W.
+        spec = TestPrunedGridSearch.SPEC
+        geom, obs = strong_target(128, 40.0, 2.0, sigma2=1e-10)
+        bank = matched_filter_bank(obs)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_rows(mp, spec)
+            coarse_grid_search(bank, geom, spec)
+            without = evaluated_rows(calls)
+        seen = record_w(monkeypatch)
+        calls = count_rows(monkeypatch, spec)
+        runs = estimator_module._SeedRuns(bank, geom, 150.0)
+        basins = coarse_grid_search(bank, geom, spec, refine_seed=runs)
+        ((_, refined),) = seen
+        assert refined < basins[0].cost
+        bounds = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
+        lowest = np.minimum.reduce([bounds, np.r_[bounds[1:], 0.0], np.r_[0.0, bounds[:-1]]])
+        kappa = estimator_module.INCUMBENT_KAPPA
+        ruled_out = kappa * lowest > refined
+        assert len(without) - len(evaluated_rows(calls)) > spec.n_d // 3
+        skipped = np.setdiff1d(np.arange(spec.n_d), evaluated_rows(calls))
+        last = basins[-1].cost if len(basins) == estimator_module.N_BASINS else np.inf
+        assert np.all(ruled_out[skipped[bounds[skipped] <= last]])
+        checked = skipped[ruled_out[skipped]]
+        # Rows that G alone would not have ruled out are among them.
+        assert np.sum(kappa * lowest[checked] <= basins[0].cost) > spec.n_d // 3
+        d_values = spec.d_values()
+        d_lo = d_values[np.maximum(checked - 1, 0)]
+        d_hi = d_values[np.minimum(checked + 1, spec.n_d - 1)]
+        d_lattice = (d_lo[:, None] + np.linspace(0.0, 1.0, 16) * (d_hi - d_lo)[:, None]).ravel()
+        theta = 2 * math.pi * np.arange(4 * spec.n_theta) / (4 * spec.n_theta)
+        for d_part in np.array_split(d_lattice, -(-d_lattice.size // 256)):
+            d, t = np.meshgrid(d_part, theta, indexing="ij")
+            costs = _evaluate(d.ravel(), t.ravel(), bank, geom).cost
+            assert costs.min() > refined
+
+    @pytest.mark.parametrize("d_true, sigma2", [(25.0, 1e-10), (40.0, 1e-10), (80.0, 1e-11)])
+    def test_the_estimate_costs_at_most_w(self, monkeypatch, d_true, sigma2):
+        geom, obs = strong_target(128, d_true, 2.0, sigma2=sigma2)
+        bank = matched_filter_bank(obs)
+        seen = record_w(monkeypatch)
+        result = estimate(bank, geom, TestPrunedGridSearch.SPEC)
+        ((_, refined),) = seen
+        assert result.cost <= refined
+        assert result == estimate_without_w(bank, geom, TestPrunedGridSearch.SPEC)
+
+    def test_the_run_that_set_w_stays_a_candidate(self, monkeypatch):
+        # A search that drops the start of the run that set W from its list:
+        # the estimate still refines it, after the listed basins, and costs
+        # at most W.
+        geom, obs = strong_target(128, 40.0, 2.0, sigma2=1e-10)
+        bank = matched_filter_bank(obs)
+        seen = record_w(monkeypatch)
+        found, listed = [], []
+        real_search = estimator_module.coarse_grid_search
+
+        def search(bank, geom, spec, refine_seed=None):
+            found.extend(real_search(bank, geom, spec, refine_seed=refine_seed))
+            listed.extend(b for b in found if b.position != refine_seed.kept)
+            return listed
+
+        monkeypatch.setattr(estimator_module, "coarse_grid_search", search)
+        result = estimate(bank, geom, TestPrunedGridSearch.SPEC)
+        ((_, refined),) = seen
+        assert len(listed) == len(found) - 1
+        assert result.cost == refined and result.basin_index == len(listed)
+
+    def test_a_seed_window_without_interior_minima_begins_no_run(self, monkeypatch):
+        # Two rows: the seed window is one tile with no interior row, so the
+        # search asks for no W and the estimate is the one G alone gives.
+        geom, obs = strong_target(128, 40.0, 2.0)
+        bank = matched_filter_bank(obs)
+        spec = GridSpec(d_min_m=39.8, d_max_m=40.3, n_d=2, n_theta=64)
+        seen = record_w(monkeypatch)
+        got = estimate(bank, geom, spec)
+        assert seen == []
+        assert got == estimate_without_w(bank, geom, spec)
+
+    def test_large_aperture_trial_evaluates_fewer_rows_and_keeps_its_estimate(
+        self, monkeypatch
+    ):
+        # A trial shaped like the benchmark's large-aperture workload: 64
+        # elements, R = 5 m, M = 128, d = 20 m, on the sweep's grid.
+        bank, geom, spec = sweep_trial(5.0, 20.0, True, 77)
+        want = estimate_without_w(bank, geom, spec)
+        calls = count_rows(monkeypatch, spec)
+        coarse_grid_search(bank, geom, spec)
+        without = evaluated_rows(calls)
+        calls.clear()
+        got = estimate(bank, geom, spec)
+        rows = evaluated_rows(calls)
+        assert len(rows) == len(set(rows))
+        assert len(rows) < len(without)
+        assert len(rows) <= LARGE_APERTURE_ROWS
+        assert got == want
+
+    def test_wideband_trial_evaluates_the_same_rows(self, monkeypatch):
+        # M = 2048, R = 0.5 m, d = 10 m: W does not rule out a row G keeps.
+        bank, geom, spec = sweep_trial(0.5, 10.0, False, 77)
+        calls = count_rows(monkeypatch, spec)
+        coarse_grid_search(bank, geom, spec)
+        without = evaluated_rows(calls)
+        calls.clear()
+        got = estimate(bank, geom, spec)
+        assert evaluated_rows(calls) == without
+        assert got == estimate_without_w(bank, geom, spec)
+
+    def test_a_noise_limited_trial_begins_no_seed_run(self, monkeypatch):
+        # The small-array cell at d = 200 m: G rules out no row after the
+        # seed window, so no seed run is begun, and every row is evaluated.
+        bank, geom, spec = sweep_trial(0.5, 200.0, True, 77)
+        want = estimate_without_w(bank, geom, spec)
+        seen = record_w(monkeypatch)
+        calls = count_rows(monkeypatch, spec)
+        got = estimate(bank, geom, spec)
+        assert seen == []
+        assert evaluated_rows(calls) == list(range(spec.n_d))
+        assert got == want
+
+    def test_each_candidate_is_evaluated_once(self, monkeypatch):
+        # The derivative candidates of a large-aperture trial are those of
+        # every final start's run alone, plus the steps the displaced seed
+        # runs took before they paused: as many batches as the best seed
+        # basin's run took. One displaced run here makes 13 evaluations
+        # alone, the best seed basin's run 8.
+        bank, geom, spec = sweep_trial(5.0, 20.0, True, 84)
+        d_max = estimator_module.LM_D_MAX_FACTOR * spec.d_max_m
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record_w(mp)
+            finals = []
+            real_refine = estimator_module.lm_refine
+
+            def refine(starts, *args):
+                finals.append(list(starts))
+                return real_refine(starts, *args)
+
+            mp.setattr(estimator_module, "lm_refine", refine)
+            calls = record_batches(mp)
+            estimate(bank, geom, spec)
+        ((seeds, _),) = seen
+        (starts,) = finals
+        displaced = [start for start in seeds if start not in starts]
+        assert displaced and set(seeds) - set(displaced)
+
+        def candidates(batches):
+            return [c for _, d_m, theta_rad in batches for c in zip(d_m, theta_rad)]
+
+        def alone(start):
+            with pytest.MonkeyPatch.context() as mp:
+                batches = record_batches(mp)
+                lm_refine([start], bank, geom, d_max)
+            return candidates(batches)
+
+        paused = len(alone(seeds[0]))
+        assert max(len(alone(start)) for start in displaced) > paused
+        want = [c for start in starts for c in alone(start)]
+        want += [c for start in displaced for c in alone(start)[:paused]]
+        assert all(with_derivatives for with_derivatives, _, _ in calls)
+        assert sorted(candidates(calls)) == sorted(want)
+
+
 class TestLmRefine:
     def test_zero_noise_recovery_from_offset(self, geom64):
         config = OfdmConfig(128, 4, 480e3, 0.07 / 480e3, 0.1, 0.0)
@@ -1941,6 +2207,19 @@ class TestNewtonRefine:
         assert refined == start and not converged and iterations == 0
 
 
+def record_batches(monkeypatch):
+    """Record each ``_evaluate`` call as (with derivatives, candidate ranges, candidate angles)."""
+    calls = []
+    original = estimator_module._evaluate
+
+    def recording(d_m, theta_rad, *args, **kwargs):
+        calls.append((bool(kwargs.get("with_derivatives")), list(d_m), list(theta_rad)))
+        return original(d_m, theta_rad, *args, **kwargs)
+
+    monkeypatch.setattr(estimator_module, "_evaluate", recording)
+    return calls
+
+
 def oracle_refine(starts, bank, geom, d_max):
     """The per-basin loop: refine each start alone, rank by its cost, ties to the lower index.
 
@@ -1969,18 +2248,6 @@ class TestLockStepRefine:
         assert len(starts) == estimator_module.N_BASINS
         return bank, starts
 
-    def record_batches(self, monkeypatch):
-        """Record each ``_evaluate`` call as (with derivatives, candidate ranges)."""
-        calls = []
-        original = estimator_module._evaluate
-
-        def recording(d_m, theta_rad, *args, **kwargs):
-            calls.append((bool(kwargs.get("with_derivatives")), list(d_m)))
-            return original(d_m, theta_rad, *args, **kwargs)
-
-        monkeypatch.setattr(estimator_module, "_evaluate", recording)
-        return calls
-
     @pytest.mark.parametrize("seed,d_true", [(31, 50.0), (32, 200.0), (33, 200.0)])
     def test_grid_basins_match_the_per_basin_loop(
         self, monkeypatch, geom64, reduced_ofdm, seed, d_true
@@ -1990,13 +2257,13 @@ class TestLockStepRefine:
         steps = [lm_refine([start], bank, geom64, d_max).iterations for start in starts]
         assert len(set(steps)) > 1  # the runs stop at different steps
         want = oracle_refine(starts, bank, geom64, d_max)
-        calls = self.record_batches(monkeypatch)
+        calls = record_batches(monkeypatch)
         got = lm_refine(starts, bank, geom64, d_max)
         assert tuple(got) == want
         assert type(got.converged) is bool and type(got.iterations) is int
         # One batched derivative evaluation per step, the starts first, and
         # no other call.
-        assert [with_derivatives for with_derivatives, _ in calls] == [True] * (1 + max(steps))
+        assert [with_derivatives for with_derivatives, _, _ in calls] == [True] * (1 + max(steps))
         assert calls[0][1] == [start.d_m for start in starts]
         # The winner's cost is its derivative evaluation's, to rounding.
         assert got.cost == pytest.approx(cost(got.position, bank, geom64), rel=1e-12, abs=0.0)
@@ -2006,7 +2273,7 @@ class TestLockStepRefine:
         d_max = 600.0
         starts = [PolarPosition(0.2, 1.0), *starts[:4], PolarPosition(900.0, 2.0)]
         want = oracle_refine(starts, bank, geom64, d_max)
-        calls = self.record_batches(monkeypatch)
+        calls = record_batches(monkeypatch)
         assert tuple(lm_refine(starts, bank, geom64, d_max)) == want
         # The first batch holds the starts, the outer two clamped onto the bounds.
         first = calls[0][1]
