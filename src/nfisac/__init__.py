@@ -15,44 +15,27 @@ from .beamformer import (
     trace_objective,
 )
 from .crlb import (
-    BeamCoupling,
     CrlbBound,
     FisherMatrix,
     UnidentifiableParametersError,
-    beam_coupling,
     crlb_at,
     crlb_from_fim,
     fim,
-    fim_scale,
-    mean_product_scale,
 )
-from .estimator import (
-    GridBasin,
-    GridSpec,
-    MatchedFilterBank,
-    MlEstimate,
-    coarse_grid_search,
-    cost,
-    estimate,
-    lm_refine,
-    wrap_angle,
-    xi,
-)
+from .estimator import MlEstimate, cost, estimate, lm_refine, wrap_angle
 from .geometry import (
     SPEED_OF_LIGHT,
-    GeometrySensitivities,
     PolarPosition,
     UcaGeometry,
     element_angles,
     element_gains,
     element_ranges,
     rayleigh_distance,
-    sensitivities,
     steering_vector,
     ula_rayleigh_distance,
 )
+from .grid import GridSpec, coarse_grid_search
 from .harness import (
-    CrlbPoint,
     SweepConfig,
     SweepPoint,
     TrialRecord,
@@ -64,8 +47,24 @@ from .harness import (
     summarize,
 )
 from .signal import (
+    MatchedFilterBank,
     OfdmConfig,
     achievable_rate,
     synthesize_bank,
     ue_received_snr,
 )
+
+# What the CLI's commands and a user's script need, pinned by tests/test_api.py.
+# Internals (couplings, sensitivities, grid basins, scales, xi) stay in their modules.
+__all__ = [
+    "CrlbBound", "FisherMatrix", "GridSpec", "MatchedFilterBank", "MlEstimate",
+    "OfdmConfig", "OptimizerResult", "PolarPosition", "SPEED_OF_LIGHT",
+    "SweepConfig", "SweepPoint", "TrialRecord", "UcaGeometry",
+    "UnidentifiableParametersError", "achievable_rate", "coarse_grid_search",
+    "conjugate_focus_beamformer", "cost", "crlb_at", "crlb_from_fim", "crlb_sweep",
+    "derive_seed", "element_angles", "element_gains", "element_ranges", "estimate",
+    "fim", "grid_for_radius", "lm_refine", "optimize_beamformer",
+    "rayleigh_distance", "run_trial", "run_trials", "steering_vector", "summarize",
+    "synthesize_bank", "trace_objective", "ue_received_snr",
+    "ula_rayleigh_distance", "wrap_angle",
+]

@@ -31,12 +31,12 @@ decrease. Candidates are scored by ``trace_objective``.
 Stopping rule. Iteration stops when the tangent gradient norm falls to
 ``GRAD_TOL`` times its value at the start (``converged``), when
 ``NEWTON_MAX_STEPS`` Newton steps have been taken, or when the line search
-finds no certified decrease. The norm is that of the full-space tangent
-gradient, read off the subspace model: Tr(C) depends on f only through
-B^T f, so its conjugate-coordinate gradient d Tr(C) / d f* lies in
-span(conj B) = span Q, and at a unit f in span Q the tangent part of
-that gradient has norm (1/2) |grad_x F| (Absil, Mahony and Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008, ch. 3 and 6).
+finds no certified decrease or the Newton model has no step. The norm is
+that of the full-space tangent gradient, read off the subspace model: Tr(C)
+depends on f only through B^T f, so its conjugate-coordinate gradient
+d Tr(C) / d f* lies in span(conj B) = span Q, and at a unit f in span Q the
+tangent part of that gradient has norm (1/2) |grad_x F| (Absil, Mahony and
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 3 and 6).
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crlb import (
-    CURVATURE_FLOOR,
     BeamCoupling,
     UnidentifiableParametersError,
     crlb_from_fim,
     fim,
     fim_scale,
+    floored_newton_step,
     gamma_coefficients,
 )
 from .geometry import PolarPosition, UcaGeometry, sensitivities, steering_vector
@@ -157,12 +157,13 @@ class _SubspaceModel:
             np.sum((half_grad - rho * x) ** 2) + rho**2 * np.real(np.vdot(outside, outside))
         ))
 
-    def newton_step(self, f: np.ndarray) -> tuple[np.ndarray, float]:
+    def newton_step(self, f: np.ndarray) -> tuple[np.ndarray, float] | None:
         """Newton step on F(x) in the coupling subspace, mapped back to f.
 
         Returns (step, decrease): moving to f + t * step (then
         renormalizing) lowers the trace by about t * decrease for small t,
-        with decrease > 0 the model's predicted first-order decrease.
+        with decrease > 0 the model's predicted first-order decrease. None
+        where the model has no step (``crlb.floored_newton_step``).
         """
         k = self.basis.shape[1]
         _, x, (quad_r, quad_t, quad_x), (g_r, g_t, g_x) = self._forms_at(f)
@@ -190,13 +191,11 @@ class _SubspaceModel:
         # Orthonormal complement of the invariant directions x and j x.
         phase_dir = np.concatenate([-x[k:], x[:k]])
         frame = np.linalg.qr(np.column_stack([x, phase_dir, np.eye(2 * k)]))[0][:, 2:]
-        eigvals, eigvecs = np.linalg.eigh(frame.T @ hess @ frame)
-        curvature = np.abs(eigvals)
-        curvature = np.maximum(curvature, CURVATURE_FLOOR * curvature.max(initial=0.0))
-        coeffs = eigvecs.T @ (frame.T @ grad)
-        dx = -frame @ (eigvecs @ (coeffs / curvature))
-        step = self.basis @ (dx[:k] + 1j * dx[k:])
-        return step, float(np.sum(coeffs**2 / curvature))
+        newton = floored_newton_step(frame.T @ hess @ frame, frame.T @ grad)
+        if newton is None:
+            return None
+        dx = frame @ newton[0]
+        return self.basis @ (dx[:k] + 1j * dx[k:]), newton[1]
 
 
 def optimize_beamformer(
@@ -241,7 +240,10 @@ def optimize_beamformer(
     iterations = 0
 
     while iterations < NEWTON_MAX_STEPS and grad_norm > tol:
-        step_dir, decrease = model.newton_step(f)
+        newton = model.newton_step(f)
+        if newton is None:
+            break
+        step_dir, decrease = newton
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             # The step is orthogonal to f and j f, so |f + step * step_dir| >= 1.

@@ -39,8 +39,9 @@ import numpy as np
 
 from . import __version__
 from .beamformer import optimize_beamformer
-from .estimator import GridSpec, estimate, grid_d_min_m
+from .estimator import estimate
 from .geometry import PolarPosition, UcaGeometry
+from .grid import GridSpec, grid_d_min_m
 from .harness import (
     WORKER_ENV,
     SweepConfig,
@@ -381,8 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_crlb_sweep(args, cfg: RunConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _cmd_crlb_sweep(args, cfg: RunConfig, seed: int) -> int:
     sweep = cfg.sweep_config(seed=seed)
     rows = crlb_sweep(sweep)
     header = [
@@ -401,8 +401,7 @@ def _cmd_crlb_sweep(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(args, cfg: RunConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _cmd_optimize(args, cfg: RunConfig, seed: int) -> int:
     _require(
         args.radius < args.distance < np.inf,
         f"argument '--distance': distance {args.distance} m must be finite and exceed "
@@ -426,8 +425,7 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args, cfg: RunConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _cmd_estimate(args, cfg: RunConfig, seed: int) -> int:
     _check_distance("argument '--distance'", args.distance, args.radius, cfg.grid_d_max_m)
     sweep = cfg.sweep_config(reduced_m=args.reduced_m, seed=seed)
     geom = sweep.geometry(args.radius)
@@ -485,8 +483,7 @@ def _progress(args):
     return report
 
 
-def _cmd_monte_carlo(args, cfg: RunConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _cmd_monte_carlo(args, cfg: RunConfig, seed: int) -> int:
     sweep = cfg.sweep_config(
         reduced_m=args.reduced_m, trials=args.trials, seed=seed, workers=args.workers
     )
@@ -520,7 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         _check_arguments(args)
-        return _COMMANDS[args.command](args, cfg)
+        seed = args.seed if args.seed is not None else cfg.master_seed
+        return _COMMANDS[args.command](args, cfg, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,11 +35,29 @@ DET_RTOL = 1e-12
 """Relative determinant threshold below which the FIM is unidentifiable."""
 
 CURVATURE_FLOOR = 1e-12
-"""Smallest |eigenvalue| of a Newton model, relative to the largest.
+"""Smallest |eigenvalue| of a Newton model, relative to the largest (``floored_newton_step``)."""
 
-Both Newton iterations floor their curvatures with it: the beamformer's and
-the estimator's refinement.
-"""
+
+def floored_newton_step(
+    hessian: np.ndarray, gradient: np.ndarray, damping: float = 0.0
+) -> tuple[np.ndarray, float] | None:
+    """Damped Newton step on the model g^T x + x^T H x / 2, and its predicted decrease.
+
+    Over the eigenpairs (e, V) of H the step is -V (V^T g) / c' with
+    c' = max(|e|, CURVATURE_FLOOR max|e|) + damping max|e|, a descent
+    direction even at a saddle or on a ridge; the decrease, sum (V^T g)^2 / c',
+    is its first-order decrease. Both Newton iterations step here, the
+    beamformer's and the estimator's refinement. A flat model, or one with
+    NaN entries (max|e| not > 0), has no step: returns None.
+    """
+    eigvals, eigvecs = np.linalg.eigh(hessian)
+    curvature = np.abs(eigvals)
+    top = curvature.max(initial=0.0)
+    if not top > 0.0:
+        return None
+    curvature = np.maximum(curvature, CURVATURE_FLOOR * top) + damping * top
+    coeffs = eigvecs.T @ gradient
+    return -(eigvecs @ (coeffs / curvature)), float(np.sum(coeffs**2 / curvature))
 
 
 class UnidentifiableParametersError(ValueError):
@@ -110,7 +128,7 @@ def mean_product_scale(config: OfdmConfig, geom: UcaGeometry) -> float:
 
     This is the constant in front of the deterministic matched-filter
     terms (mu^H mu = scale * |beta|^2 * sum 1/r_k^2); sharing it with the
-    ML module keeps Fisher and score arithmetic consistent.
+    ML module keeps Fisher and cost arithmetic consistent.
     """
     return (
         config.n_symbols

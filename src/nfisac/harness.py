@@ -29,8 +29,9 @@ import numpy as np
 
 from .beamformer import conjugate_focus_beamformer, optimize_beamformer
 from .crlb import CrlbBound, UnidentifiableParametersError, crlb_at
-from .estimator import GridSpec, estimate, wrap_angle
+from .estimator import estimate, wrap_angle
 from .geometry import PolarPosition, UcaGeometry, rayleigh_distance
+from .grid import GridSpec
 # A trial calls neither generate_pilots nor synthesize_observation; they stay
 # importable here because bench/spans.py wraps them by name on this module.
 from .signal import (  # noqa: F401

@@ -21,15 +21,15 @@ from nfisac import (
     crlb_at,
     crlb_from_fim,
     fim,
-    fim_scale,
     optimize_beamformer,
-    sensitivities,
     steering_vector,
     trace_objective,
     ue_received_snr,
 )
 from nfisac import beamformer as beamformer_module
 from nfisac.beamformer import OptimizerResult, _real_form, _SubspaceModel
+from nfisac.crlb import fim_scale
+from nfisac.geometry import sensitivities
 
 from conftest import SIGMA2_W, random_unit_vector
 
@@ -424,7 +424,7 @@ class TestConjugateFocus:
         assert abs(np.linalg.norm(conjugate_focus_beamformer(geom64, pos10)) - 1) < 1e-12
 
     def test_unit_transmit_coupling(self, geom64, pos10):
-        from nfisac import beam_coupling
+        from nfisac.crlb import beam_coupling
 
         coupling = beam_coupling(geom64, pos10, conjugate_focus_beamformer(geom64, pos10))
         assert abs(coupling.beta) == pytest.approx(1.0, abs=1e-12)

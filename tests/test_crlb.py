@@ -22,16 +22,20 @@ from nfisac import (
     PolarPosition,
     UcaGeometry,
     UnidentifiableParametersError,
-    beam_coupling,
     conjugate_focus_beamformer,
     crlb_at,
     crlb_from_fim,
     fim,
-    sensitivities,
     steering_vector,
 )
-from nfisac.crlb import CrlbBound, gamma_coefficients
-from nfisac.geometry import SPEED_OF_LIGHT
+from nfisac.crlb import (
+    CURVATURE_FLOOR,
+    CrlbBound,
+    beam_coupling,
+    floored_newton_step,
+    gamma_coefficients,
+)
+from nfisac.geometry import SPEED_OF_LIGHT, sensitivities
 from nfisac.signal import generate_pilots, noiseless_mean
 
 from conftest import random_unit_vector
@@ -397,3 +401,35 @@ class TestClosedForm:
             bound = crlb_at(geom64, pos, f, reduced_ofdm)
             assert bound.var_d >= previous
             previous = bound.var_d
+
+
+class TestFlooredNewtonStep:
+    """The one Newton step both solvers take (beamformer and refinement)."""
+
+    def test_positive_definite_model_gives_the_newton_step(self):
+        hessian = np.array([[4.0, 1.0], [1.0, 3.0]])
+        gradient = np.array([1.0, -2.0])
+        step, decrease = floored_newton_step(hessian, gradient)
+        np.testing.assert_allclose(step, -np.linalg.solve(hessian, gradient), rtol=1e-14)
+        assert decrease == pytest.approx(gradient @ np.linalg.solve(hessian, gradient), rel=1e-14)
+
+    def test_saddle_and_ridge_give_descent_directions(self):
+        gradient = np.array([1.0, 1.0])
+        for hessian in (np.diag([2.0, -1.0]), np.diag([2.0, 0.0])):
+            step, decrease = floored_newton_step(hessian, gradient)
+            assert gradient @ step < 0.0 and decrease > 0.0
+        # The ridge's zero curvature is floored at CURVATURE_FLOOR times the top one.
+        step, _ = floored_newton_step(np.diag([2.0, 0.0]), gradient)
+        assert step[1] == pytest.approx(-1.0 / (CURVATURE_FLOOR * 2.0), rel=1e-12)
+
+    def test_damping_shortens_the_step(self):
+        hessian, gradient = np.diag([2.0, 1.0]), np.array([1.0, 1.0])
+        plain, _ = floored_newton_step(hessian, gradient)
+        damped, _ = floored_newton_step(hessian, gradient, 1.0)
+        np.testing.assert_allclose(damped, -gradient / (np.diag(hessian) + 2.0), rtol=1e-14)
+        assert np.linalg.norm(damped) < np.linalg.norm(plain)
+
+    def test_flat_or_nan_model_has_no_step(self):
+        assert floored_newton_step(np.zeros((2, 2)), np.ones(2)) is None
+        assert floored_newton_step(np.zeros((0, 0)), np.zeros(0)) is None
+        assert floored_newton_step(np.full((2, 2), np.nan), np.ones(2)) is None

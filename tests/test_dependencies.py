@@ -1,4 +1,7 @@
-"""The package imports the standard library, numpy and itself, and nothing else."""
+"""The package imports the standard library, numpy and itself, and nothing else.
+
+No module of it exceeds 1,000 lines.
+"""
 
 import ast
 import sys
@@ -24,3 +27,9 @@ def test_every_module_imports_only_the_stdlib_numpy_and_the_package():
     assert modules
     foreign = {(path.name, root) for path in modules for root in imported_roots(path) - ALLOWED}
     assert not foreign
+
+
+def test_no_module_exceeds_a_thousand_lines():
+    lengths = {path.name: len(path.read_text().splitlines()) for path in PACKAGE.rglob("*.py")}
+    assert lengths
+    assert {name: n for name, n in lengths.items() if n > 1000} == {}

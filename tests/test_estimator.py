@@ -15,39 +15,33 @@ from nfisac import (
     OfdmConfig,
     PolarPosition,
     UcaGeometry,
-    beam_coupling,
     coarse_grid_search,
     conjugate_focus_beamformer,
     cost,
     estimate,
     lm_refine,
-    mean_product_scale,
     optimize_beamformer,
-    sensitivities,
     steering_vector,
     synthesize_bank,
     wrap_angle,
-    xi,
 )
 from nfisac import cli, harness
 from nfisac import estimator as estimator_module
-from nfisac.crlb import gamma_coefficients
-from nfisac.estimator import (
+from nfisac import grid as grid_module
+from nfisac.crlb import beam_coupling, gamma_coefficients, mean_product_scale
+from nfisac.estimator import MlEstimate, _evaluate, matched_filter_bank, polish_basin, xi
+from nfisac.grid import (
     GRID_BLOCK_ROWS,
     TWO_PI,
-    MlEstimate,
     _circulants,
     _collapse_rows,
     _cost_rows as _cost_rows_fft,
-    _evaluate,
     _phasor,
     _row_bounds,
     _row_matmul,
     _Workspace,
-    matched_filter_bank,
-    polish_basin,
 )
-from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges
+from nfisac.geometry import SPEED_OF_LIGHT, element_gains, element_ranges, sensitivities
 from nfisac.signal import (
     MatchedFilterBank,
     Observation,
@@ -242,7 +236,7 @@ def oracle_search(obs, geom, bank, spec):
     costs = _cost_rows_direct(obs, geom, bank, spec.d_values(), spec.theta_values())
     d_idx, t_idx = np.nonzero(_local_minima(costs))
     values = costs[d_idx, t_idx]
-    order = np.lexsort((t_idx, d_idx, values))[: estimator_module.N_BASINS]
+    order = np.lexsort((t_idx, d_idx, values))[: grid_module.N_BASINS]
     return [(int(d_idx[i]), int(t_idx[i]), float(values[i])) for i in order]
 
 
@@ -553,7 +547,7 @@ class TestBatchedEvaluator:
     def test_polish_matches_the_scalar_scan(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         config, geom, pos, f, obs = small_observation(rng, n=2, m=16, n_a=8, sigma2=1e-7)
-        monkeypatch.setattr(estimator_module, "N_BASINS", 4)
+        monkeypatch.setattr(grid_module, "N_BASINS", 4)
         spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=40, n_theta=64)
         bank = matched_filter_bank(obs)
         for basin in coarse_grid_search(bank, geom, spec):
@@ -612,7 +606,7 @@ def derivative_errors(obs, geom, d_m, theta_rad):
         (at(d + hd, t).gradient[0] - at(d - hd, t).gradient[0]) / (2 * hd),
         (at(d, t + ht).gradient[0] - at(d, t - ht).gradient[0]) / (2 * ht),
     ])
-    radii = np.array(estimator_module._trust_radii(geom, config))
+    radii = 0.5 * np.array(grid_module._lobe_widths(geom, config))
     scaled = np.outer(radii, radii)
     g_ref = np.max(np.abs(radii * grad))
     h_ref = np.max(np.abs(scaled * hess))
@@ -736,7 +730,7 @@ class TestCostDerivatives:
             )
             grad_d, grad_t = batch.gradient[0]
             f_d, f_t = oracle_scores(candidate, obs, geom, bank, config)
-            scale = estimator_module._score_scale(geom, config, candidate)
+            scale = 0.5 * estimator_module._gradient_scale(geom, config, candidate)
             assert abs(grad_t + 2.0 * f_t) <= 1e-12 * scale
             ramp = ramp_gradient_oracle(candidate, obs, geom, bank)
             assert abs(grad_d + 2.0 * f_d - ramp) <= 1e-12 * scale
@@ -760,7 +754,7 @@ class TestCoarseGridSearch:
         rng = np.random.default_rng(53)
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(8, 0.5, 0.005)
-        monkeypatch.setattr(estimator_module, "N_BASINS", 5)
+        monkeypatch.setattr(grid_module, "N_BASINS", 5)
         spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=31, n_theta=64)
         d_true = float(spec.d_values()[12])
         theta_true = float(spec.theta_values()[17])
@@ -774,7 +768,7 @@ class TestCoarseGridSearch:
     def test_deterministic(self, monkeypatch):
         rng = np.random.default_rng(54)
         config, geom, pos, f, obs = small_observation(rng, n_a=4)
-        monkeypatch.setattr(estimator_module, "N_BASINS", 6)
+        monkeypatch.setattr(grid_module, "N_BASINS", 6)
         spec = GridSpec(d_min_m=5.0, d_max_m=20.0, n_d=16, n_theta=32)
         bank = matched_filter_bank(obs)
         a = coarse_grid_search(bank, geom, spec)
@@ -789,7 +783,7 @@ class TestCoarseGridSearch:
         rng = np.random.default_rng(55)
         f = random_unit_vector(rng, 2)
         obs = Observation(np.zeros((2, 4, 2), dtype=complex), pilots, small_ofdm, f)
-        monkeypatch.setattr(estimator_module, "N_BASINS", 4)
+        monkeypatch.setattr(grid_module, "N_BASINS", 4)
         spec = GridSpec(d_min_m=5.0, d_max_m=6.0, n_d=3, n_theta=8)
         basins = coarse_grid_search(matched_filter_bank(obs), geom, spec)
         assert len(basins) == 4
@@ -800,7 +794,7 @@ class TestCoarseGridSearch:
         rng = np.random.default_rng(56)
         config = OfdmConfig(32, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(16, 0.5, 0.005)
-        monkeypatch.setattr(estimator_module, "N_BASINS", 8)
+        monkeypatch.setattr(grid_module, "N_BASINS", 8)
         spec = GridSpec(d_min_m=8.0, d_max_m=14.0, n_d=41, n_theta=256)
         d_step = (14.0 - 8.0) / 40
         t_step = 2 * math.pi / 256
@@ -854,7 +848,7 @@ def assert_incumbent_contract(got, full, calls, refined=np.inf):
     if least >= 0.0:
         assert got == full
         return
-    level = least / estimator_module.INCUMBENT_KAPPA
+    level = least / grid_module.INCUMBENT_KAPPA
     head = [entry for entry in full if entry[2] <= level]
     assert got[: len(head)] == head
     assert all(cost > level for _, _, cost in got[len(head) :])
@@ -871,7 +865,7 @@ def assert_matches_oracle(obs, geom, spec):
     """
     bank = matched_filter_bank(obs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+        mp.setattr(grid_module, "INCUMBENT_KAPPA", np.inf)
         got = coarse_grid_search(bank, geom, spec)
     want = oracle_search(obs, geom, bank, spec)
     assert [(b.d_index, b.theta_index) for b in got] == [(d, t) for d, t, _ in want]
@@ -931,10 +925,10 @@ class TestStreamedGridSearch:
     def test_budget_larger_than_the_minima(self, monkeypatch):
         rng = np.random.default_rng(61)
         config, geom, pos, f, obs = small_observation(rng, n=2, m=6, n_a=8)
-        monkeypatch.setattr(estimator_module, "N_BASINS", 80)
+        monkeypatch.setattr(grid_module, "N_BASINS", 80)
         spec = GridSpec(d_min_m=6.0, d_max_m=18.0, n_d=5, n_theta=16)
         want = assert_matches_oracle(obs, geom, spec)
-        assert len(want) < estimator_module.N_BASINS
+        assert len(want) < grid_module.N_BASINS
 
     @pytest.mark.parametrize("n_theta", [64, 8])
     def test_a_rows_costs_do_not_depend_on_its_tile(self, n_theta):
@@ -956,14 +950,14 @@ class TestStreamedGridSearch:
         costs = np.random.default_rng(n_theta).normal(size=(3, n_theta))
         neighbours = np.minimum(np.roll(costs, 1, axis=1), np.roll(costs, -1, axis=1))
         want = np.minimum(neighbours, costs)
-        np.testing.assert_array_equal(estimator_module._row_min(costs), want)
+        np.testing.assert_array_equal(grid_module._row_min(costs), want)
 
     @pytest.mark.parametrize("rows", [1, 2, GRID_BLOCK_ROWS])
     def test_a_held_tile_keeps_at_most_two_rows_of_costs(self, rows):
         # A tile's edge rows wait for the rows around it; what waits must be
         # copies of at most two rows, so the tile's costs can be freed.
         costs = np.random.default_rng(rows).normal(size=(rows, 64))
-        _, edges = estimator_module._tile_minima(5, costs)
+        _, edges = grid_module._tile_minima(5, costs)
         for field in dataclasses.fields(edges):
             held = getattr(edges, field.name)
             if isinstance(held, np.ndarray):
@@ -1021,7 +1015,7 @@ class TestBlockedKernel:
     ):
         # n_theta > KERNEL_BLOCK_CELLS makes one-row blocks; at 3 rows a
         # block, a 32-row tile is ten blocks and a ragged one of 2 rows.
-        monkeypatch.setattr(estimator_module, "KERNEL_BLOCK_CELLS", cells)
+        monkeypatch.setattr(grid_module, "KERNEL_BLOCK_CELLS", cells)
         geom, obs = strong_target(128, 40.0, 2.0)
         workspace = _Workspace(geom.n_a, n_theta)
         assert workspace.rows == block
@@ -1122,7 +1116,7 @@ def oracle_row_bounds(bank, geom, d_values):
         geom.n_a * mean_product_scale(bank.config, geom)
     )
     norms = oracle_row_norms(bank.config, bank, d_values)
-    return -(1.0 + estimator_module.BOUND_SLACK) * scale * norms**2
+    return -(1.0 + grid_module.BOUND_SLACK) * scale * norms**2
 
 
 # Relative tolerance for a range step to count as c / (2 df K): far above the
@@ -1256,7 +1250,7 @@ class TestFftRangeProfileBound:
         run = slice(self.HEAD, self.STOP)
         step = np.diff(d_values[run])[0]
         d_values[run] += drift * step * np.arange(self.STOP - self.HEAD)
-        norms, errors = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
+        norms, errors = grid_module._row_norms(config, bank, d_values, spec.uniform_run)
         oracle = oracle_row_norms(config, bank, d_values)
         assert np.all(errors[run] > 0.0)
         assert np.all(np.abs(norms[run] - oracle[run]) <= errors[run])
@@ -1290,8 +1284,8 @@ class TestFftRangeProfileBound:
         ramp = _phasor(TWO_PI * m * config.delta_f_hz * (config.t_cp_s + tau0))
         spectrum = np.fft.ifft(bank.aggregates * ramp, n=size, axis=1, norm="forward")
         power = np.sum(spectrum.real**2 + spectrum.imag**2, axis=0)
-        monkeypatch.setattr(estimator_module, "KERNEL_BLOCK_CELLS", cells)
-        norms, _ = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
+        monkeypatch.setattr(grid_module, "KERNEL_BLOCK_CELLS", cells)
+        norms, _ = grid_module._row_norms(config, bank, d_values, spec.uniform_run)
         np.testing.assert_array_equal(
             norms[first:stop], np.sqrt(power[np.arange(stop - first) % size])
         )
@@ -1330,7 +1324,7 @@ class TestFftRangeProfileBound:
         spec = GridSpec(6.0, 18.0, n_d=70)
         d_values = spec.d_values()
         assert spec.uniform_run is None and oracle_uniform_runs(config, d_values) == []
-        norms, errors = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
+        norms, errors = grid_module._row_norms(config, bank, d_values, spec.uniform_run)
         assert np.all(errors == 0.0)
         np.testing.assert_allclose(
             _row_bounds(bank, geom, d_values, spec.uniform_run),
@@ -1350,7 +1344,7 @@ class TestFftRangeProfileBound:
         truth = PolarPosition(float(spec.d_values()[300]), 1.1)
         bank = synthesize_bank(geom, truth, conjugate_focus_beamformer(geom, truth), config, 6)
         d_values = spec.d_values()
-        norms, errors = estimator_module._row_norms(config, bank, d_values, spec.uniform_run)
+        norms, errors = grid_module._row_norms(config, bank, d_values, spec.uniform_run)
         assert np.all(errors == 0.0)
         np.testing.assert_allclose(norms, oracle_row_norms(config, bank, d_values), rtol=1e-12)
         costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
@@ -1365,7 +1359,7 @@ class TestFftRangeProfileBound:
         first, stop, size = spec.uniform_run
         shifted = dataclasses.replace(spec, uniform_run=(first + shift, stop + shift, size))
         d_values = spec.d_values()
-        norms, errors = estimator_module._row_norms(config, bank, d_values, shifted.uniform_run)
+        norms, errors = grid_module._row_norms(config, bank, d_values, shifted.uniform_run)
         run = slice(first + shift, stop + shift)
         oracle = oracle_row_norms(config, bank, d_values)
         assert np.all(np.abs(norms[run] - oracle[run]) <= errors[run])
@@ -1379,7 +1373,7 @@ def count_rows(monkeypatch, spec, real=None):
     The calls go on to ``real``, by default the ``_cost_rows`` in place.
     """
     calls = []
-    real = real or estimator_module._cost_rows
+    real = real or grid_module._cost_rows
     d_all = spec.d_values()
 
     def counting(bank, geom, d_values, workspace):
@@ -1387,7 +1381,7 @@ def count_rows(monkeypatch, spec, real=None):
         calls.append((first, first + d_values.size))
         return real(bank, geom, d_values, workspace)
 
-    monkeypatch.setattr(estimator_module, "_cost_rows", counting)
+    monkeypatch.setattr(grid_module, "_cost_rows", counting)
     return calls
 
 
@@ -1402,7 +1396,7 @@ def seed_tiles(row, n_d, rows=GRID_BLOCK_ROWS):
     They cut the window of SEED_HALF_ROWS rows either side of ``row``,
     clipped to the grid, into tiles of at most ``rows`` rows.
     """
-    half = estimator_module.SEED_HALF_ROWS
+    half = grid_module.SEED_HALF_ROWS
     first, stop = max(row - half, 0), min(row + half + 1, n_d)
     return [(start, min(start + rows, stop)) for start in range(first, stop, rows)]
 
@@ -1456,14 +1450,14 @@ def search_surface(monkeypatch, surface, rows, n_basins, refined=None):
         calls.append((first, first + d_values.size))
         return tile(d_values).copy()
 
-    monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
-    monkeypatch.setattr(estimator_module, "N_BASINS", n_basins)
+    monkeypatch.setattr(grid_module, "GRID_BLOCK_ROWS", rows)
+    monkeypatch.setattr(grid_module, "N_BASINS", n_basins)
     monkeypatch.setattr(
-        estimator_module, "_row_bounds", lambda b, g, d, run: tile(d).min(axis=1)
+        grid_module, "_row_bounds", lambda b, g, d, run: tile(d).min(axis=1)
     )
-    monkeypatch.setattr(estimator_module, "_cost_rows", cost_rows)
+    monkeypatch.setattr(grid_module, "_cost_rows", cost_rows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+        mp.setattr(grid_module, "INCUMBENT_KAPPA", np.inf)
         got = coarse_grid_search(None, geom, spec)
     d_idx, t_idx = np.nonzero(_local_minima(surface))
     values = surface[d_idx, t_idx]
@@ -1486,7 +1480,7 @@ def search_surface(monkeypatch, surface, rows, n_basins, refined=None):
     seeds = seed_minima(surface, rows, n_basins)
     bounds = surface.min(axis=1)
     lowest = np.minimum.reduce([bounds, np.r_[bounds[1:], 0.0], np.r_[0.0, bounds[:-1]]])
-    kappa = estimator_module.INCUMBENT_KAPPA
+    kappa = grid_module.INCUMBENT_KAPPA
     if not (seeds and np.any((lowest < 0.0) & (kappa * lowest > seeds[0][0]))):
         assert handed == []
         refined = np.inf
@@ -1546,7 +1540,7 @@ class TestPrunedGridSearch:
         # One- and two-row tiles have no interior: every minimum waits on
         # the tiles around it. A seed window wider than a tile is evaluated
         # in tiles of its own, before any other row.
-        monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", rows)
+        monkeypatch.setattr(grid_module, "GRID_BLOCK_ROWS", rows)
         geom, obs = strong_target(128, 40.0, 2.0)
         spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=61, n_theta=64)
         tiles = seed_tiles(self.lowest_bound_row(obs, geom, spec), spec.n_d, rows)
@@ -1650,7 +1644,7 @@ class TestPrunedGridSearch:
         surface[20, 11] = -10.0
         want, calls = search_surface(monkeypatch, surface, rows, n_basins=4)
         tiles = seed_tiles(row, surface.shape[0], rows)
-        assert tiles[-1][1] - tiles[0][0] == estimator_module.SEED_HALF_ROWS + 1
+        assert tiles[-1][1] - tiles[0][0] == grid_module.SEED_HALF_ROWS + 1
         assert calls[: len(tiles)] == tiles
         assert want[0][:2] == (row, 6)
         rows_seen = evaluated_rows(calls)
@@ -1658,14 +1652,14 @@ class TestPrunedGridSearch:
 
     def test_budget_larger_than_the_minima_evaluates_every_row_once(self, monkeypatch):
         # The running list never fills, so the threshold stays infinite.
-        monkeypatch.setattr(estimator_module, "GRID_BLOCK_ROWS", 4)
+        monkeypatch.setattr(grid_module, "GRID_BLOCK_ROWS", 4)
         geom, obs = strong_target(128, 40.0, 2.0)
-        monkeypatch.setattr(estimator_module, "N_BASINS", 640)
+        monkeypatch.setattr(grid_module, "N_BASINS", 640)
         spec = GridSpec(d_min_m=30.0, d_max_m=50.0, n_d=40, n_theta=16)
         tiles = seed_tiles(self.lowest_bound_row(obs, geom, spec), spec.n_d, 4)
         calls = count_rows(monkeypatch, spec)
         want = assert_matches_oracle(obs, geom, spec)
-        assert len(want) < estimator_module.N_BASINS
+        assert len(want) < grid_module.N_BASINS
         assert evaluated_rows(calls) == list(range(spec.n_d))
         assert calls[: len(tiles)] == tiles
         assert all(stop - first <= 4 for first, stop in calls)
@@ -1733,7 +1727,7 @@ class TestIncumbentRule:
                         profile_power(cfg.ofdm, bank, first), profile_power(cfg.ofdm, bank, last)
                     )
                     excess = between.reshape(points.shape).max(axis=1) / ends
-                    assert excess.max() <= estimator_module.INCUMBENT_KAPPA
+                    assert excess.max() <= grid_module.INCUMBENT_KAPPA
 
     @pytest.mark.parametrize("d_true, sigma2", [(25.0, 1e-10), (80.0, 1e-11)])
     def test_skipped_rows_hold_no_point_below_the_incumbent(self, monkeypatch, d_true, sigma2):
@@ -1748,7 +1742,7 @@ class TestIncumbentRule:
         geom, obs = strong_target(128, d_true, 2.0, sigma2=sigma2)
         bank = matched_filter_bank(obs)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+            mp.setattr(grid_module, "INCUMBENT_KAPPA", np.inf)
             calls = count_rows(mp, spec)
             coarse_grid_search(bank, geom, spec)
             without = evaluated_rows(calls)
@@ -1760,12 +1754,12 @@ class TestIncumbentRule:
         assert first < basins[0].d_index < stop - 1
         incumbent = basins[0].cost
         lowest = np.minimum.reduce([bounds, np.r_[bounds[1:], 0.0], np.r_[0.0, bounds[:-1]]])
-        ruled_out = estimator_module.INCUMBENT_KAPPA * lowest > incumbent
+        ruled_out = grid_module.INCUMBENT_KAPPA * lowest > incumbent
         assert len(without) - len(evaluated_rows(calls)) > spec.n_d // 2
         skipped = np.setdiff1d(np.arange(spec.n_d), evaluated_rows(calls))
         # T only falls, so a row bounded at or below its last value cannot
         # have been skipped by the T rule.
-        last = basins[-1].cost if len(basins) == estimator_module.N_BASINS else np.inf
+        last = basins[-1].cost if len(basins) == grid_module.N_BASINS else np.inf
         assert np.all(ruled_out[skipped[bounds[skipped] <= last]])
         checked = skipped[ruled_out[skipped]]
         assert checked.size > spec.n_d // 2
@@ -1797,7 +1791,7 @@ class TestIncumbentRule:
         rows = evaluated_rows(calls)
         assert len(rows) == len(set(rows)) and len(rows) < GRID_BLOCK_ROWS
         calls.clear()
-        monkeypatch.setattr(estimator_module, "INCUMBENT_KAPPA", np.inf)
+        monkeypatch.setattr(grid_module, "INCUMBENT_KAPPA", np.inf)
         full = harness.run_trial(*args)
         assert evaluated_rows(calls) == list(range(spec.n_d))
         assert record_bits(record) == record_bits(full)
@@ -1821,7 +1815,7 @@ def sweep_trial(radius_m, d_m, reduced_m, seed):
 def estimate_without_w(bank, geom, spec):
     """What ``estimate`` gives with the incumbent G alone: every run begun in ``lm_refine``."""
     starts = [basin.position for basin in coarse_grid_search(bank, geom, spec)]
-    run = lm_refine(starts, bank, geom, estimator_module.LM_D_MAX_FACTOR * spec.d_max_m)
+    run = lm_refine(starts, bank, geom, estimator_module.RANGE_CAP_FACTOR * spec.d_max_m)
     return MlEstimate(
         run.position.d_m, run.position.theta_rad, run.cost, run.converged, run.iterations,
         run.basin_index,
@@ -1870,11 +1864,11 @@ class TestRefinedIncumbent:
         assert refined < basins[0].cost
         bounds = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
         lowest = np.minimum.reduce([bounds, np.r_[bounds[1:], 0.0], np.r_[0.0, bounds[:-1]]])
-        kappa = estimator_module.INCUMBENT_KAPPA
+        kappa = grid_module.INCUMBENT_KAPPA
         ruled_out = kappa * lowest > refined
         assert len(without) - len(evaluated_rows(calls)) > spec.n_d // 3
         skipped = np.setdiff1d(np.arange(spec.n_d), evaluated_rows(calls))
-        last = basins[-1].cost if len(basins) == estimator_module.N_BASINS else np.inf
+        last = basins[-1].cost if len(basins) == grid_module.N_BASINS else np.inf
         assert np.all(ruled_out[skipped[bounds[skipped] <= last]])
         checked = skipped[ruled_out[skipped]]
         # Rows that G alone would not have ruled out are among them.
@@ -1979,7 +1973,7 @@ class TestRefinedIncumbent:
         # basin's run took. One displaced run here makes 13 evaluations
         # alone, the best seed basin's run 8.
         bank, geom, spec = sweep_trial(5.0, 20.0, True, 84)
-        d_max = estimator_module.LM_D_MAX_FACTOR * spec.d_max_m
+        d_max = estimator_module.RANGE_CAP_FACTOR * spec.d_max_m
         with pytest.MonkeyPatch.context() as mp:
             seen = record_w(mp)
             finals = []
@@ -2030,7 +2024,7 @@ class TestLmRefine:
         assert abs(refined.theta_rad - 0.7) < 1e-8
 
     def test_zero_iteration_budget(self, monkeypatch, geom64):
-        monkeypatch.setattr(estimator_module, "LM_MAX_STEPS", 0)
+        monkeypatch.setattr(estimator_module, "REFINE_STEP_BUDGET", 0)
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         pos = PolarPosition(10.0, 0.7)
         f = conjugate_focus_beamformer(geom64, pos)
@@ -2114,9 +2108,9 @@ class TestNewtonRefine:
         bank = matched_filter_bank(obs)
         d_max = 600.0
         d_lo = geom64.radius_m * (1.0 + 1e-6)
-        radii = np.array(estimator_module._trust_radii(geom64, reduced_ofdm))
+        radii = 0.5 * np.array(grid_module._lobe_widths(geom64, reduced_ofdm))
         step_tol = np.array(
-            [estimator_module.LM_STEP_TOL_D_M, estimator_module.LM_STEP_TOL_THETA_RAD]
+            [estimator_module.STEP_TOL_D_M, estimator_module.STEP_TOL_THETA_RAD]
         )
         minima = []
         for _ in range(8):
@@ -2126,7 +2120,7 @@ class TestNewtonRefine:
             run = lm_refine([start], bank, geom64, d_max)
             refined, converged, iterations = run.position, run.converged, run.iterations
             monkeypatch.undo()
-            assert iterations == len(seen) - 1 <= estimator_module.LM_MAX_STEPS
+            assert iterations == len(seen) - 1 <= estimator_module.REFINE_STEP_BUDGET
             # Descent: the returned iterate is the last accepted one, and its
             # cost never exceeds the start's (the plain cost rounds apart
             # from the derivative evaluation's by far less than 1e-12).
@@ -2169,7 +2163,7 @@ class TestNewtonRefine:
         assert d_lo < refined.d_m < d_max
         assert abs(refined.d_m - (d_lo if d_min < 1.0 else d_max)) < 1e-6
         assert not converged
-        assert iterations <= estimator_module.LM_MAX_STEPS
+        assert iterations <= estimator_module.REFINE_STEP_BUDGET
 
     def test_a_saddle_start_descends_to_the_minimum(self, monkeypatch, geom64):
         # L = c ((d - 10)^2 + ((theta - 1) / s)^2 (-1 + (theta - 1)^2 / s^2)) has
@@ -2245,7 +2239,7 @@ class TestLockStepRefine:
         bank = synthesize_bank(geom64, truth, f, reduced_ofdm, seed)
         spec = GridSpec.for_array(geom64, reduced_ofdm, 400.0)
         starts = [basin.position for basin in coarse_grid_search(bank, geom64, spec)]
-        assert len(starts) == estimator_module.N_BASINS
+        assert len(starts) == grid_module.N_BASINS
         return bank, starts
 
     @pytest.mark.parametrize("seed,d_true", [(31, 50.0), (32, 200.0), (33, 200.0)])
@@ -2282,7 +2276,7 @@ class TestLockStepRefine:
 
     def test_zero_iteration_budget_ranks_the_starts(self, monkeypatch, geom64, reduced_ofdm):
         bank, starts = self.noisy_starts(geom64, reduced_ofdm, 35, 50.0)
-        monkeypatch.setattr(estimator_module, "LM_MAX_STEPS", 0)
+        monkeypatch.setattr(estimator_module, "REFINE_STEP_BUDGET", 0)
         d_max = 600.0
         got = lm_refine(starts, bank, geom64, d_max)
         assert tuple(got) == oracle_refine(starts, bank, geom64, d_max)

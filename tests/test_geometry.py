@@ -13,10 +13,10 @@ from nfisac import (
     element_gains,
     element_ranges,
     rayleigh_distance,
-    sensitivities,
     steering_vector,
     ula_rayleigh_distance,
 )
+from nfisac.geometry import sensitivities
 
 
 class TestElementAngles:
