@@ -4,9 +4,12 @@ The sweeps are rebuilt as the benchmark builds them (``bench/run.py``,
 ``build_sweep``): ``cli.parse_config`` with the workload's radii and distances
 as overrides, then ``RunConfig.sweep_config`` with the workload's subcarrier
 count and trials per cell, serially. The stored file holds every field of
-every record, floats as exact hex strings, beside the environment that
-produced them: the numpy version, the BLAS build numpy reports, and the
-machine. ``tests/test_golden_records.py`` reruns the trials and compares.
+every record and the ML estimate's cost of every trial, floats as exact hex
+strings, beside the environment that produced them: the numpy version, the
+BLAS build numpy reports, and the machine. A record carries no cost, and the
+estimate depends on the cost only through comparisons, so the costs catch a
+rounding change the records cannot see. ``tests/test_golden_records.py``
+reruns the trials and compares.
 
 Regenerate after a change that moves records on purpose, and say in
 CHANGES.md how many records changed, which fields, and why:
@@ -23,6 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from nfisac import cli, harness
+from nfisac.beamformer import optimize_beamformer
+from nfisac.estimator import estimate, wrap_angle
+from nfisac.geometry import PolarPosition
+from nfisac.signal import synthesize_bank
 
 DATA_PATH = Path(__file__).resolve().parent / "data" / "golden_records.json"
 SEEDS = (77, 5151)
@@ -49,13 +56,33 @@ def record_hex(record: harness.TrialRecord) -> dict:
     }
 
 
-def run_all() -> dict[str, list[dict]]:
-    """Records of every (workload, seed) chunk, keyed "workload/seed"."""
-    return {
-        f"{workload}/{seed}": [record_hex(r) for r in harness.run_trials(build_sweep(workload, seed))]
-        for workload in WORKLOADS
-        for seed in SEEDS
-    }
+def trial_costs(cfg: harness.SweepConfig) -> list[str]:
+    """``MlEstimate.cost`` of each trial of the sweep as an exact hex string, in record order.
+
+    Each trial's bank is redrawn and estimated as ``harness.run_trial`` does.
+    """
+    costs = []
+    for _, radius, distance, theta, seed in harness._trial_args(cfg):
+        geom = cfg.geometry(radius)
+        truth = PolarPosition(distance, wrap_angle(theta))
+        beam = optimize_beamformer(geom, truth, cfg.ofdm).beamformer
+        bank = synthesize_bank(geom, truth, beam, cfg.ofdm, harness.derive_seed(seed, 2))
+        result = estimate(bank, geom, harness.grid_for_radius(cfg, radius))
+        costs.append(((float(radius), float(distance), seed), float(result.cost).hex()))
+    # run_trials sorts its records by (radius, distance, seed).
+    return [cost for _, cost in sorted(costs)]
+
+
+def run_all() -> tuple[dict[str, list[dict]], dict[str, list[str]]]:
+    """Records and estimate costs of every (workload, seed) chunk, keyed "workload/seed"."""
+    records, costs = {}, {}
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            cfg = build_sweep(workload, seed)
+            key = f"{workload}/{seed}"
+            records[key] = [record_hex(r) for r in harness.run_trials(cfg)]
+            costs[key] = trial_costs(cfg)
+    return records, costs
 
 
 def _cpu_model() -> str:
@@ -81,7 +108,8 @@ def environment() -> dict:
 
 def main() -> None:
     DATA_PATH.parent.mkdir(exist_ok=True)
-    data = {"environment": environment(), "seeds": list(SEEDS), "records": run_all()}
+    records, costs = run_all()
+    data = {"environment": environment(), "seeds": list(SEEDS), "records": records, "costs": costs}
     with open(DATA_PATH, "w") as handle:
         json.dump(data, handle, indent=1)
         handle.write("\n")

@@ -1,4 +1,4 @@
-"""Stored trial records pin the estimator's output (see ``golden_records.py``)."""
+"""Stored trial records and estimate costs pin the estimator's output (see ``golden_records.py``)."""
 
 import json
 import math
@@ -6,6 +6,12 @@ import math
 import golden_records
 
 REL_TOL = 1e-9
+
+
+def close(want: str, got: str) -> bool:
+    """Two hex floats within REL_TOL relative of each other, or both NaN."""
+    a, b = float.fromhex(want), float.fromhex(got)
+    return a == b or abs(a - b) <= REL_TOL * max(abs(a), abs(b)) or (math.isnan(a) and math.isnan(b))
 
 
 def test_trial_records_match_the_stored_ones():
@@ -16,11 +22,11 @@ def test_trial_records_match_the_stored_ones():
     bitwise = here == stored["environment"]
     comparison = "bit for bit" if bitwise else f"to {REL_TOL:g} relative (environment differs)"
     print(f"golden records compared {comparison}")
-    fresh = golden_records.run_all()
-    assert fresh.keys() == stored["records"].keys()
+    fresh, fresh_costs = golden_records.run_all()
+    assert fresh.keys() == stored["records"].keys() == stored["costs"].keys()
     assert sum(map(len, fresh.values())) == 16
     for key, records in stored["records"].items():
-        assert len(fresh[key]) == len(records), key
+        assert len(fresh[key]) == len(records) == len(stored["costs"][key]), key
         for want, got in zip(records, fresh[key]):
             where = f"{key} seed {want['seed']}, compared {comparison}"
             if bitwise:
@@ -29,8 +35,9 @@ def test_trial_records_match_the_stored_ones():
             assert got.keys() == want.keys(), where
             for name, value in want.items():
                 if isinstance(value, str):
-                    a, b = float.fromhex(value), float.fromhex(got[name])
-                    close = a == b or abs(a - b) <= REL_TOL * max(abs(a), abs(b))
-                    assert close or (math.isnan(a) and math.isnan(b)), f"{where}: {name}"
+                    assert close(value, got[name]), f"{where}: {name}"
                 else:
                     assert got[name] == value, f"{where}: {name}"
+        for want, got, record in zip(stored["costs"][key], fresh_costs[key], records):
+            where = f"{key} seed {record['seed']}: estimate cost, compared {comparison}"
+            assert got == want if bitwise else close(want, got), where
