@@ -13,7 +13,8 @@ degrees) and normalized to SI internally; every run writes the
 fully-resolved config, master seed and command arguments, and the
 compute environment, to a JSON sidecar next to its output, so any CSV
 can be regenerated byte for byte from the sidecar alone (see
-``write_sidecar``). The ``monte-carlo`` CSVs have one column per field
+``write_sidecar``); ``monte-carlo`` also records its trials' wall time
+and the peak RSS. The ``monte-carlo`` CSVs have one column per field
 of the dataclass they list, in field order:
 ``SweepPoint`` for the summary, ``TrialRecord`` for the records. A config
 value of the wrong kind (a string for a count, a bool for a number, NaN
@@ -36,6 +37,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on every platform (Windows has none)
+    resource = None
 
 from . import __version__
 from .beamformer import optimize_beamformer
@@ -267,8 +273,25 @@ def _blas_build() -> dict | None:
     return {key: blas[key] for key in keys if key in blas}
 
 
+def _peak_rss_mb() -> float | None:
+    """Larger of this process's and its largest child's peak RSS in MiB; None without ``resource``."""
+    if resource is None:
+        return None
+    peak = max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    )
+    # ru_maxrss counts bytes on macOS and KiB elsewhere.
+    return peak / (1024.0**2 if sys.platform == "darwin" else 1024.0)
+
+
 def write_sidecar(
-    output_path: str, cfg: RunConfig, seed: int, command: str, arguments: dict
+    output_path: str,
+    cfg: RunConfig,
+    seed: int,
+    command: str,
+    arguments: dict,
+    run_cost: dict | None = None,
 ) -> None:
     """JSON sidecar: tool and numpy versions, config, seed, and the command's resolved arguments.
 
@@ -283,7 +306,10 @@ def write_sidecar(
     ``thread_env``, each BLAS thread variable of WORKER_ENV as found in the
     environment (None when unset). A command that takes ``workers`` also
     records ``worker_env``, the environment its pool workers start with
-    (one BLAS thread each).
+    (one BLAS thread each). ``run_cost``, if given, is added as it stands:
+    ``monte-carlo`` records ``wall_s``, the seconds its trials took, and
+    ``peak_rss_mb`` (``_peak_rss_mb``). Like the environment, they describe
+    the run, and a rerun need not reproduce them.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -302,6 +328,7 @@ def write_sidecar(
     }
     if "workers" in arguments:
         sidecar["worker_env"] = dict(WORKER_ENV)
+    sidecar.update(run_cost or {})
     with open(str(output_path) + ".config.json", "w") as handle:
         json.dump(sidecar, handle, indent=2)
         handle.write("\n")
@@ -488,12 +515,14 @@ def _cmd_monte_carlo(args, cfg: RunConfig, seed: int) -> int:
         reduced_m=args.reduced_m, trials=args.trials, seed=seed, workers=args.workers
     )
     nearfield_guard(sweep)
+    start = time.perf_counter()
     records = run_trials(sweep, _progress(args))
+    run_cost = {"wall_s": time.perf_counter() - start, "peak_rss_mb": _peak_rss_mb()}
     _write_table(args.output, SweepPoint, summarize(sweep, records), seed, "monte-carlo")
     arguments = {
         "trials": sweep.trials_per_point, "reduced_m": args.reduced_m, "workers": sweep.workers,
     }
-    write_sidecar(args.output, cfg, seed, "monte-carlo", arguments)
+    write_sidecar(args.output, cfg, seed, "monte-carlo", arguments, run_cost)
     if args.records:
         _write_table(args.records, TrialRecord, records, seed, "monte-carlo-records")
     return EXIT_OK

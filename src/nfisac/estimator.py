@@ -169,7 +169,7 @@ def _evaluate(
         ramp = (bank.aggregates @ weighted)[inverse]
         collapsed = ramp[:, :, 0]
     else:
-        collapsed = _collapse_rows(config, bank, distinct)[inverse]
+        collapsed = _collapse_rows(bank, distinct)[inverse]
     d = d_m[:, None]
     phi = np.asarray(theta_rad, dtype=float)[:, None] - element_angles(geom)
     radius = geom.radius_m

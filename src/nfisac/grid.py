@@ -57,15 +57,18 @@ SEED_HALF_ROWS = 4
 # the computed costs (about n_a * eps relative).
 BOUND_SLACK = 1e-9
 # Most the range profile ||c(d)||^2 may rise between two grid rows above the
-# larger of its two row samples; the incumbent rule of ``coarse_grid_search``
-# skips a row whose interval bound, times this, exceeds the best cell found.
-# Basis (sampled, not proven): a single target's profile is a Dirichlet
-# kernel, and sampled at 3 rows per delay lobe (the delay-limited rows of
-# ``GridSpec.for_array``; the curvature-limited rows are denser) it
-# rises between rows by at most 1 / sinc^2(1/6) = 1.10 in the main lobe and
+# larger of its two row samples, as a factor: the sampled term kappa b~ of a
+# row's interval bound (``_interval_bounds``), which the incumbent rule of
+# ``coarse_grid_search`` compares with the best cost found. Basis (sampled,
+# not proven): a single target's profile is a Dirichlet kernel, and sampled
+# at 3 rows per delay lobe (the delay-limited rows of ``GridSpec.for_array``)
+# it rises between rows by at most 1 / sinc^2(1/6) = 1.10 in the main lobe and
 # at most sec^2(pi/6) = 4/3 on the sidelobes. No constant holds for every
 # bank: a trigonometric polynomial can vanish at both ends of a gap and not
-# between them.
+# between them. The interval bound's other term, b_B, is proven, and is the
+# tighter one on the curvature-limited rows, whose gaps are far below a delay
+# lobe (0.053 m against 2.44 m near d = 20 m at R = 5 m, M = 128); kappa
+# stays for the delay-limited rows away from the target, where b_B is looser.
 INCUMBENT_KAPPA = 2.0
 # Grid nodes per correlation main lobe (``GridSpec.for_array``): in angle, and
 # in range an integer, so the delay-limited rows form a K-point FFT's bins.
@@ -242,15 +245,14 @@ def _row_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     return np.matmul(a, b, out=out)
 
 
-def _collapse_rows(
-    config: OfdmConfig, bank: MatchedFilterBank, d_values: np.ndarray
-) -> np.ndarray:
+def _collapse_rows(bank: MatchedFilterBank, d_values: np.ndarray) -> np.ndarray:
     """Delay-compensated bank c_k(d) per range row, shape (rows, n_a).
 
     c_k(d) = sum_m e^{+j 2 pi m df (Tcp + 2d/c)} Z[k, m]; a row comes out
     bit for bit the same whichever caller collapses it, with whichever
     other rows.
     """
+    config = bank.config
     tau = 2.0 * d_values[:, None] / SPEED_OF_LIGHT
     m = np.arange(config.m_subcarriers)
     delay_comp = _phasor(TWO_PI * m[None, :] * config.delta_f_hz * (config.t_cp_s + tau))
@@ -258,12 +260,14 @@ def _collapse_rows(
 
 
 def _row_norms(
-    config: OfdmConfig,
     bank: MatchedFilterBank,
     d_values: np.ndarray,
     run: tuple[int, int, int] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Range profile ||c(d)|| per row, and an absolute bound on its error.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Range profile ||c(d)|| per row, an absolute bound on its error, and the bank's l1.
+
+    l1 = ||(sum_m |Z[k, m]|)_k||_2 bounds ||c(d)|| at every range d, on
+    the grid or off it, since |c_k(d)| <= sum_m |Z[k, m]|.
 
     ``run`` = (first, stop, K) is the grid's recorded uniform run
     (``GridSpec.for_array``). Its rows come from one zero-padded inverse
@@ -287,8 +291,10 @@ def _row_norms(
     (Tcp + 2 max(d) / c), and of their phasors (16 eps (phi_max + 1)),
     and the phase of the largest drift delta, measured plus 4 eps max(d).
     The drift is measured, not assumed, so a wrong record loosens the bound
-    but never breaks it. The row's error bound is gamma ||(sum_m |Z[k, m]|)_k||_2.
+    but never breaks it. The row's error bound is gamma l1.
     """
+    config = bank.config
+    l1 = float(np.linalg.norm(np.sum(np.abs(bank.aggregates), axis=1)))
     norms = np.empty(d_values.size)
     errors = np.zeros(d_values.size)
     direct = np.ones(d_values.size, dtype=bool)
@@ -301,7 +307,6 @@ def _row_norms(
         eps = np.finfo(float).eps
         span = m[-1] * config.delta_f_hz
         phi_max = TWO_PI * span * (config.t_cp_s + 2.0 * d_values.max() / SPEED_OF_LIGHT)
-        l1 = np.linalg.norm(np.sum(np.abs(bank.aggregates), axis=1))
         d0 = d_values[first]
         j = np.arange(stop - first)
         step = SPEED_OF_LIGHT / (2.0 * config.delta_f_hz * size)
@@ -326,9 +331,9 @@ def _row_norms(
         errors[first:stop] = gamma * l1
         direct[first:stop] = False
     if np.any(direct):
-        collapsed = _collapse_rows(config, bank, d_values[direct])
+        collapsed = _collapse_rows(bank, d_values[direct])
         norms[direct] = np.sqrt(np.sum(collapsed.real**2 + collapsed.imag**2, axis=1))
-    return norms, errors
+    return norms, errors, l1
 
 
 def _row_bounds(
@@ -336,20 +341,50 @@ def _row_bounds(
     geom: UcaGeometry,
     d_values: np.ndarray,
     run: tuple[int, int, int] | None,
-) -> np.ndarray:
-    """A lower bound on every computed cost of each range row, shape (rows,).
+) -> tuple[np.ndarray, float]:
+    """A lower bound on every computed cost of each range row, shape (rows,), and a floor.
 
     b(d) = -(lambda / 4 pi)^2 (||c(d)|| + E(d))^2 / (n_a s), from the range
     profile ||c(d)|| and its error bound E(d) (``_row_norms`` with the
     grid's uniform ``run``; 0 on rows collapsed directly), scaled by
-    1 + BOUND_SLACK to cover the rounding of the computed costs. See
-    ``coarse_grid_search`` for the derivation.
+    1 + BOUND_SLACK to cover the rounding of the computed costs. The floor
+    is the same bound at the profile's ceiling l1 (``_row_norms``), below
+    every cost at every range. See ``coarse_grid_search`` for the derivation.
     """
-    norms, errors = _row_norms(bank.config, bank, d_values, run)
-    scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
+    norms, errors, l1 = _row_norms(bank, d_values, run)
+    scale = -(1.0 + BOUND_SLACK) * (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
         geom.n_a * mean_product_scale(bank.config, geom)
     )
-    return -(1.0 + BOUND_SLACK) * scale * (norms + errors) ** 2
+    return scale * (norms + errors) ** 2, scale * l1**2
+
+
+def _interval_bounds(
+    bank: MatchedFilterBank, d_values: np.ndarray, row_bounds: np.ndarray, floor: float
+) -> np.ndarray:
+    """A lower bound on the cost over each row's range interval (d_{i-1}, d_{i+1}), shape (rows,).
+
+    max(kappa b~(i), b_B(i)), with b~(i) = min(b(i - 1), b(i), b(i + 1))
+    (one neighbour at a grid edge) from ``row_bounds`` b and
+    b_B(i) = b~(i) + floor (h_i omega / 4)^2 from the ``floor`` of
+    ``_row_bounds``: h_i is the wider of the row's two gaps (the one gap at
+    a grid edge) and omega = 4 pi (M - 1) df / c. kappa = INCUMBENT_KAPPA
+    scales the range profile ||c||^2 >= 0, so only a negative b~ scales; a
+    row without one (never in the program) gets b_B alone. b_B is proven and
+    kappa b~ sampled; see ``coarse_grid_search``, Incumbent.
+    """
+    lowest = row_bounds.copy()
+    np.minimum(lowest[1:], row_bounds[:-1], out=lowest[1:])
+    np.minimum(lowest[:-1], row_bounds[1:], out=lowest[:-1])
+    gaps = np.diff(d_values)
+    reach = np.zeros(d_values.size)
+    reach[:-1] = gaps
+    np.maximum(reach[1:], gaps, out=reach[1:])
+    config = bank.config
+    omega = 2.0 * TWO_PI * (config.m_subcarriers - 1) * config.delta_f_hz / SPEED_OF_LIGHT
+    proven = lowest + floor * (reach * (omega / 4.0)) ** 2
+    sampled = np.full(d_values.size, -np.inf)
+    np.multiply(INCUMBENT_KAPPA, lowest, out=sampled, where=lowest < 0.0)
+    return np.maximum(sampled, proven)
 
 
 class _Workspace:
@@ -426,7 +461,7 @@ def _cost_rows(
     half = q // 2 + 1
     rows = d_values.size
     radius = geom.radius_m
-    collapsed = _collapse_rows(config, bank, d_values)
+    collapsed = _collapse_rows(bank, d_values)
     beam = _circulants(bank.beamformer / np.sqrt(n_a))
     scale = mean_product_scale(config, geom)
     out = np.empty((rows, n_a, q))
@@ -574,7 +609,8 @@ def coarse_grid_search(
     cost that the caller guarantees its estimate will not exceed
     (``estimator.estimate`` hands it ``estimator._SeedRuns``). Otherwise W is
     infinite and the incumbent is G. The entries that cost at most min(G*, W) /
-    INCUMBENT_KAPPA (G* the surface minimum) are exactly the full
+    INCUMBENT_KAPPA (G* the surface minimum), or at most min(G*, W) where
+    the proven interval term alone ruled out a row, are exactly the full
     search's, in its order, ahead of the rest, and the full search's best
     basin comes first whenever it costs at most W; see Exactness.
 
@@ -605,7 +641,8 @@ def coarse_grid_search(
     / (n_a s), which lies at or below the direct bound; on the adaptive
     grids it is at most a few 1e-7 (relative) looser.
 
-    Search. All rows are bounded in one ``_row_bounds`` call. A tile is
+    Search. All rows are bounded in one ``_row_bounds`` call, and their
+    interval bounds built from it in one ``_interval_bounds`` call. A tile is
     a run of consecutive rows evaluated in one ``_cost_rows`` call, at
     most GRID_BLOCK_ROWS of them; its interior rows' minima are final at
     once, since their neighbourhoods lie inside it. The first tile is the
@@ -614,13 +651,11 @@ def coarse_grid_search(
     GRID_BLOCK_ROWS); its minima seed the running top list. Then the rows
     are streamed in order. A row i is skipped iff its bound exceeds T, the
     list's last entry once it holds N_BASINS minima (infinite before),
-    or kappa b~(i) > min(G, W), the incumbent rule: G is the list's first
-    entry, W is set once from the seed window's basins (above),
-    kappa = INCUMBENT_KAPPA, and b~(i) = min(b(i - 1), b(i), b(i + 1)) (one
-    neighbour at a grid edge) bounds the row's range interval on both
-    sides. Since b <= 0, the incumbent rule never fires while
-    min(G, W) >= 0, nor at kappa = inf; a row whose b~ is not negative,
-    which the program's bounds never give, is not ruled out by it. Each
+    or B(i) > min(G, W), the incumbent rule: G is the list's first entry,
+    W is set once from the seed window's basins (above), and the interval
+    bound B(i) = max(kappa b~(i), b_B(i)) bounds the cost over the row's
+    range interval on both sides (see Incumbent). Since b <= 0, B <= 0 and
+    the incumbent rule never fires while min(G, W) >= 0. Each
     run of rows that are not skipped is evaluated in tiles that never
     cross the seed window; T and G may tighten inside a tile, which is
     still evaluated whole.
@@ -631,26 +666,50 @@ def coarse_grid_search(
     once, and its edge rows once the rows around it are known.
 
     Incumbent. L >= b holds off the grid too: at every (d, theta),
-    L >= -(lambda / 4 pi)^2 ||c(d)||^2 / (n_a s). Between rows i - 1 and i,
-    ||c(d)||^2 stays within kappa times the larger end sample (the basis of
-    kappa is stated at INCUMBENT_KAPPA: sampled, not proven), so on the
-    interval (d_{i-1}, d_{i+1}) the cost is at least
-    kappa b~(i) > min(G, W). The best grid basin is always a refinement
-    start (it heads the output), ``estimator.estimate`` keeps the run that set W
-    among its runs even if its start leaves the list, and Newton never
-    accepts a step that raises the cost, so the estimate costs at most
-    min(G, W) (G to rounding far below kappa's margin; W exactly, since
-    it is a cost that run was evaluated at), and a skipped row's interval
-    holds no point that beats it. Proven: each skipped row's cells cost
-    more than min(G, W) / kappa. Sampled: the interval claim, through kappa.
+    L >= -(lambda / 4 pi)^2 P(d) / (n_a s), P(d) = ||c(d)||^2. Row i's
+    interval bound (``_interval_bounds``) is the larger of two lower bounds
+    on the cost over its range interval (d_{i-1}, d_{i+1}), both built on
+    b~(i) = min(b(i - 1), b(i), b(i + 1)) (one neighbour at a grid edge):
+    - b_B(i), proven. P is a real trigonometric polynomial in d whose
+      frequencies are multiples of 4 pi df / c, up to
+      omega = 4 pi (M - 1) df / c, and 0 <= P <= P^ = l1^2
+      (``_row_norms``). Bernstein's inequality (S. Bernstein, 1912;
+      Rahman & Schmeisser, Analytic Theory of Polynomials, 2002, ch. 14),
+      applied twice to P - P^ / 2, gives |P''| <= omega^2 P^ / 2, so on a
+      gap of length h, P is at most the larger end sample plus
+      h^2 omega^2 P^ / 16, the error bound of linear interpolation. With
+      h_i the wider of the row's two gaps and the floor
+      b^ = -(1 + BOUND_SLACK) (lambda / 4 pi)^2 P^ / (n_a s) of
+      ``_row_bounds``, the cost on the interval is at least
+      b_B(i) = b~(i) + b^ (h_i omega / 4)^2.
+    - kappa b~(i), sampled: between rows, P stays within kappa times the
+      larger end sample (the basis of kappa is stated at INCUMBENT_KAPPA).
+    b_B is the tighter term on curvature-limited rows, which lie far closer
+    together than the delay lobe, and near the target; kappa b~ on
+    delay-limited rows away from it. The best grid basin is always a
+    refinement start (it heads the output), ``estimator.estimate`` keeps the
+    run that set W among its runs even if its start leaves the list, and
+    Newton never accepts a step that raises the cost, so the estimate costs
+    at most min(G, W) (G to rounding far below the BOUND_SLACK margin; W
+    exactly, since it is a cost that run was evaluated at), and a skipped
+    row's interval holds no point that beats it. Proven: each skipped row's
+    cells cost more than min(G, W) / kappa, and more than min(G, W) where
+    b_B rules the row out, as does its whole interval then. Sampled,
+    through kappa: the interval claim of a row that only kappa b~ rules
+    out.
 
     Exactness. The rules alone give this, whatever kappa's basis. Let V be
     the full surface's N_BASINS-th basin value (infinite if it has
-    fewer minima), G* its minimum, l = min(G*, W) / kappa and
-    m = min(V, l). A row the incumbent rule skips costs more than
-    min(G, W) / kappa >= l in every cell, since b >= b~ and G >= G*. The
-    full search's best cell is never skipped while G* <= W: its row has
-    b~ <= G* <= min(G, W), so kappa b~ <= b~ when G* < 0, and no rule
+    fewer minima), G* its minimum, l = min(G*, W) / kappa, or
+    l = min(G*, W) if b_B ruled out a row that kappa b~ did not, and
+    m = min(V, l). A row the incumbent rule skips costs more than l in
+    every cell: more than min(G, W) / kappa where kappa b~ rules it out,
+    since b >= b~, and more than min(G, W) where b_B does, since b >= b_B;
+    and G >= G*. So where b_B rules out a row that kappa b~ does not, only
+    the entries costing at most min(G*, W) are sure to be the full
+    search's: its best basin when that costs at most W, and exact ties.
+    The full search's best cell is never skipped while G* <= W: its row has
+    b_B <= b~ <= G* <= min(G, W), kappa b~ <= b~ when G* < 0, and no rule
     fires at G* >= 0; its bound is at most G* <= T, since every list
     entry is a cell's cost. The list holds true minima, and next to a
     skipped row possibly edge cells whose skipped neighbour costs less;
@@ -677,15 +736,8 @@ def coarse_grid_search(
     d_values = spec.d_values()
     n_rows = d_values.size
     workspace = _Workspace(geom.n_a, spec.n_theta)
-    row_bounds = _row_bounds(bank, geom, d_values, spec.uniform_run)
-    # kappa b~(i), b~(i) the lowest bound of row i and its neighbours. kappa
-    # scales the range profile ||c||^2 >= 0, so only a negative b~ scales; a
-    # row without one (never in the program) is never ruled out by G.
-    lowest = row_bounds.copy()
-    np.minimum(lowest[1:], row_bounds[:-1], out=lowest[1:])
-    np.minimum(lowest[:-1], row_bounds[1:], out=lowest[:-1])
-    interval_bounds = np.full(n_rows, -np.inf)
-    np.multiply(INCUMBENT_KAPPA, lowest, out=interval_bounds, where=lowest < 0.0)
+    row_bounds, floor = _row_bounds(bank, geom, d_values, spec.uniform_run)
+    interval_bounds = _interval_bounds(bank, d_values, row_bounds, floor)
     theta_values = spec.theta_values()
     best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
     refined = np.inf  # W, once the seed window's basins are refined

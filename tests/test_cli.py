@@ -208,6 +208,7 @@ class TestSidecar:
         assert sidecar["tool"] == f"nfisac {nfisac.__version__}"
         assert sidecar["numpy"] == np.__version__
         assert {"blas", "cpu_count", "thread_env"} <= set(sidecar)
+        assert sidecar["wall_s"] > 0.0 and sidecar["peak_rss_mb"] > 0.0
         assert sidecar["config"]["grid_d_max_m"] == 40.0
         assert not {"grid", "lm", "optimizer"} & set(sidecar["config"])
         records_header = (first / "records.csv").read_text().splitlines()[1]
@@ -378,10 +379,11 @@ class TestVerbose:
                 argv += ["--records", str(out / "records.csv")]
             assert main(argv) == EXIT_OK
             captured = capsys.readouterr()
-            outputs[bool(flags)] = (
-                captured.out,
-                {p.name: p.read_bytes() for p in sorted(out.iterdir())},
-            )
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            # The sidecar's run cost differs from run to run; the rest must not.
+            sidecar = json.loads(files.pop("main.csv.config.json"))
+            assert sidecar.pop("wall_s") > 0.0 and sidecar.pop("peak_rss_mb") > 0.0
+            outputs[bool(flags)] = (captured.out, files, list(sidecar.items()))
             lines = captured.err.splitlines()
             if flags:
                 assert [line.split(" done:")[0] for line in lines] == ["trial 1/2", "trial 2/2"]
