@@ -274,14 +274,17 @@ def _blas_build() -> dict | None:
 
 
 def _peak_rss_mb() -> float | None:
-    """Larger of this process's and its largest child's peak RSS in MiB; None without ``resource``."""
+    """Peak RSS in MiB: the larger of this process's and its largest child's.
+
+    None where the ``resource`` module is missing. ru_maxrss counts bytes
+    on macOS and KiB elsewhere.
+    """
     if resource is None:
         return None
     peak = max(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
     )
-    # ru_maxrss counts bytes on macOS and KiB elsewhere.
     return peak / (1024.0**2 if sys.platform == "darwin" else 1024.0)
 
 

@@ -352,9 +352,10 @@ def _row_bounds(
     every cost at every range. See ``coarse_grid_search`` for the derivation.
     """
     norms, errors, l1 = _row_norms(bank, d_values, run)
-    scale = -(1.0 + BOUND_SLACK) * (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
+    scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
         geom.n_a * mean_product_scale(bank.config, geom)
     )
+    scale *= -(1.0 + BOUND_SLACK)
     return scale * (norms + errors) ** 2, scale * l1**2
 
 

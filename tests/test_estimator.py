@@ -826,7 +826,7 @@ def triples(basins):
 
 
 def incumbent_rule_off(monkeypatch):
-    """Switch the incumbent rule off: every row's interval bound is -inf, so none rules a row out."""
+    """Switch the incumbent rule off: every row's interval bound is -inf and rules out no row."""
     monkeypatch.setattr(
         grid_module,
         "_interval_bounds",
@@ -2076,7 +2076,9 @@ class TestProvenIntervalBound:
         geom = cfg.geometry(radius)
         d_values = harness.grid_for_radius(cfg, radius).d_values()
         rng = np.random.default_rng(29)
-        truths = [PolarPosition(d, float(rng.uniform(0.0, 2 * math.pi))) for d in (d_true, 2.3 * d_true)]
+        truths = [
+            PolarPosition(d, float(rng.uniform(0.0, 2 * math.pi))) for d in (d_true, 2.3 * d_true)
+        ]
         beam = conjugate_focus_beamformer(geom, truths[0])
         noisy = synthesize_bank(geom, truths[0], beam, config, 31).aggregates
         quiet = dataclasses.replace(config, sigma2_w=0.0)
@@ -2101,7 +2103,7 @@ class TestProvenIntervalBound:
 
     @pytest.mark.parametrize("n_rows", [1, 2, 9])
     def test_interval_bounds_are_the_larger_term_row_by_row(self, n_rows):
-        # Uneven gaps, bounds of both signs, one at zero: each row's
+        # Uneven gaps, negative bounds and one at zero: each row's
         # max(kappa b~, b_B) from its own neighbours, written out per row.
         rng = np.random.default_rng(41 + n_rows)
         d_values = 10.0 + np.cumsum(rng.uniform(0.01, 0.3, n_rows))

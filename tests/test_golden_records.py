@@ -1,4 +1,4 @@
-"""Stored trial records and estimate costs pin the estimator's output (see ``golden_records.py``)."""
+"""Stored trial records and estimate costs pin the estimator's output (``golden_records.py``)."""
 
 import json
 import math
@@ -11,7 +11,9 @@ REL_TOL = 1e-9
 def close(want: str, got: str) -> bool:
     """Two hex floats within REL_TOL relative of each other, or both NaN."""
     a, b = float.fromhex(want), float.fromhex(got)
-    return a == b or abs(a - b) <= REL_TOL * max(abs(a), abs(b)) or (math.isnan(a) and math.isnan(b))
+    if math.isnan(a) and math.isnan(b):
+        return True
+    return a == b or abs(a - b) <= REL_TOL * max(abs(a), abs(b))
 
 
 def test_trial_records_match_the_stored_ones():
