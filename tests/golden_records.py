@@ -5,11 +5,14 @@ The sweeps are rebuilt as the benchmark builds them (``bench/run.py``,
 as overrides, then ``RunConfig.sweep_config`` with the workload's subcarrier
 count and trials per cell, serially. The stored file holds every field of
 every record and the ML estimate's cost of every trial, floats as exact hex
-strings, beside the environment that produced them: the numpy version, the
+strings, and the coarse search's basins (range index, angle index) of every
+trial, beside the environment that produced them: the numpy version, the
 BLAS build numpy reports, and the machine. A record carries no cost, and the
 estimate depends on the cost only through comparisons, so the costs catch a
-rounding change the records cannot see. ``tests/test_golden_records.py``
-reruns the trials and compares.
+rounding change the records cannot see; the basins catch a change in what
+the coarse search hands the refinement. Costs and basins come from the same
+``run_trials`` pass as the records. ``tests/test_golden_records.py`` reruns
+the trials and compares.
 
 Regenerate after a change that moves records on purpose, and say in
 CHANGES.md how many records changed, which fields, and why:
@@ -25,11 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nfisac import cli, harness
-from nfisac.beamformer import optimize_beamformer
-from nfisac.estimator import estimate, wrap_angle
-from nfisac.geometry import PolarPosition
-from nfisac.signal import synthesize_bank
+from nfisac import cli, estimator, harness
 
 DATA_PATH = Path(__file__).resolve().parent / "data" / "golden_records.json"
 SEEDS = (77, 5151)
@@ -56,33 +55,57 @@ def record_hex(record: harness.TrialRecord) -> dict:
     }
 
 
-def trial_costs(cfg: harness.SweepConfig) -> list[str]:
-    """``MlEstimate.cost`` of each trial of the sweep as an exact hex string, in record order.
+def run_chunk(cfg: harness.SweepConfig) -> tuple[list[dict], list[str], list[list]]:
+    """Records, estimate costs and grid basins of a serial sweep's trials, in record order.
 
-    Each trial's bank is redrawn and estimated as ``harness.run_trial`` does.
+    One ``harness.run_trials`` pass: ``harness.estimate`` and
+    ``estimator.coarse_grid_search`` are wrapped while it runs, and each
+    trial's ``MlEstimate.cost`` (an exact hex string) and basins
+    ([range index, angle index] pairs, best first) are keyed by the record
+    that the trial's progress call hands back.
     """
-    costs = []
-    for _, radius, distance, theta, seed in harness._trial_args(cfg):
-        geom = cfg.geometry(radius)
-        truth = PolarPosition(distance, wrap_angle(theta))
-        beam = optimize_beamformer(geom, truth, cfg.ofdm).beamformer
-        bank = synthesize_bank(geom, truth, beam, cfg.ofdm, harness.derive_seed(seed, 2))
-        result = estimate(bank, geom, harness.grid_for_radius(cfg, radius))
-        costs.append(((float(radius), float(distance), seed), float(result.cost).hex()))
-    # run_trials sorts its records by (radius, distance, seed).
-    return [cost for _, cost in sorted(costs)]
+    seen = {}
+    real_estimate, real_search = harness.estimate, estimator.coarse_grid_search
+
+    def estimating(*args, **kwargs):
+        result = real_estimate(*args, **kwargs)
+        seen["cost"] = float(result.cost).hex()
+        return result
+
+    def searching(*args, **kwargs):
+        basins = real_search(*args, **kwargs)
+        seen["basins"] = [[b.d_index, b.theta_index] for b in basins]
+        return basins
+
+    by_trial = {}
+
+    def progress(done, total, record):
+        by_trial[(record.radius_m, record.d_true_m, record.seed)] = (
+            seen.pop("cost"),
+            seen.pop("basins"),
+        )
+
+    harness.estimate, estimator.coarse_grid_search = estimating, searching
+    try:
+        records = harness.run_trials(cfg, progress)
+    finally:
+        harness.estimate, estimator.coarse_grid_search = real_estimate, real_search
+    keys = [(r.radius_m, r.d_true_m, r.seed) for r in records]
+    return (
+        [record_hex(r) for r in records],
+        [by_trial[key][0] for key in keys],
+        [by_trial[key][1] for key in keys],
+    )
 
 
-def run_all() -> tuple[dict[str, list[dict]], dict[str, list[str]]]:
-    """Records and estimate costs of every (workload, seed) chunk, keyed "workload/seed"."""
-    records, costs = {}, {}
+def run_all() -> tuple[dict[str, list[dict]], dict[str, list[str]], dict[str, list[list]]]:
+    """Records, estimate costs and grid basins of every (workload, seed) chunk, keyed "workload/seed"."""
+    records, costs, basins = {}, {}, {}
     for workload in WORKLOADS:
         for seed in SEEDS:
-            cfg = build_sweep(workload, seed)
             key = f"{workload}/{seed}"
-            records[key] = [record_hex(r) for r in harness.run_trials(cfg)]
-            costs[key] = trial_costs(cfg)
-    return records, costs
+            records[key], costs[key], basins[key] = run_chunk(build_sweep(workload, seed))
+    return records, costs, basins
 
 
 def _cpu_model() -> str:
@@ -108,8 +131,14 @@ def environment() -> dict:
 
 def main() -> None:
     DATA_PATH.parent.mkdir(exist_ok=True)
-    records, costs = run_all()
-    data = {"environment": environment(), "seeds": list(SEEDS), "records": records, "costs": costs}
+    records, costs, basins = run_all()
+    data = {
+        "environment": environment(),
+        "seeds": list(SEEDS),
+        "records": records,
+        "costs": costs,
+        "basins": basins,
+    }
     with open(DATA_PATH, "w") as handle:
         json.dump(data, handle, indent=1)
         handle.write("\n")
