@@ -8,14 +8,17 @@ OFDM-radar range profile (Sturm & Wiesbeck, Proc. IEEE 99(7), 2011), and
 its docstring states that bound, the incumbent rule and what of the full
 search's output is kept exactly. ``_cost_rows`` evaluates a tile of rows:
 one delay collapse of the bank per row, then every angle as length-n_a
-circular correlations on the polyphase lattice. The search's memory is
-O(GRID_BLOCK_ROWS * n_theta) for a tile's costs plus one kernel block's
-intermediates, O(b (n_theta + n_a^2)) with b = max(1, KERNEL_BLOCK_CELLS
-// n_theta), however many range rows the grid has.
+circular correlations on the polyphase lattice, in single precision from
+the template phasors on, under a proven rounding margin per row
+(``_row_bounds``). The search's memory is O(GRID_BLOCK_ROWS * n_theta)
+float32 costs for a tile plus one kernel block's intermediates,
+O(b (n_theta + n_a^2)) with b = max(1, KERNEL_BLOCK_CELLS // n_theta), kept
+per angle lattice (``_workspace``), however many range rows the grid has.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -35,13 +38,16 @@ TWO_PI = 2.0 * np.pi
 GRID_BLOCK_ROWS = 32
 # Most lattice cells one block of ``_cost_rows`` evaluates at once: rows per
 # block max(1, this // n_theta), capped at GRID_BLOCK_ROWS. A block's
-# intermediates, about 75 bytes a cell plus n_a x 2 n_a complex circulant
-# entries a row, take 2.5 MB at 32,832 angles and 3.4 MB at 3,328, reused
-# block after block, where whole-tile arrays of up to 17 MB each streamed
-# from memory. In a sweep of 2^14 to 2^17 no budget was clearly faster per
-# trial; on small-array (9 rows a block here) 2^14 read slowest, and 2^16 and
-# 2^17 raised its peak RSS by 4 and 9 MiB. ``_row_norms`` takes its range
-# spectrum in blocks of about as many bins.
+# intermediates, about 45 bytes a cell (float64 ranges and turns, the rest
+# single precision) plus n_a x 2 n_a complex64 circulant entries a row, take
+# 1.6 MB at 32,832 angles and 2.0 MB at 3,328, reused block after block,
+# where whole-tile arrays of up to 17 MB each streamed from memory. In a
+# sweep of 2^14 to 2^17 (three fresh runs each, 24 to 12 trials a run) no
+# budget was faster on every workload: on small-array (9 rows a block here)
+# 2^16 and 2^17 read 31-34 ms a trial against 38-42 ms, with 2.5 and 5 MiB
+# more peak RSS, while large-aperture and wideband showed no order.
+# ``_row_norms`` takes its range spectrum and ``_tile_minima`` its candidates
+# in blocks of about as many cells.
 KERNEL_BLOCK_CELLS = 2**15
 # Most basins the coarse search returns, the refinement's starts. The last of
 # its running list of basins is one of the search's two skip thresholds.
@@ -53,8 +59,11 @@ N_BASINS = 15
 # evaluate 56, 49 and 49 rows, per wideband trial 8, 13 and 37 (means over
 # chunks 0-7 of benchmark seed 11).
 SEED_HALF_ROWS = 4
-# Relative slack on the range-profile cost bound, far above the rounding of
-# the computed costs (about n_a * eps relative).
+# Relative slack on the range-profile cost bound b, far above the float64
+# rounding of the range profile and of the refinement's costs (about n_a * eps
+# relative). The grid's own costs are single precision, whose rounding scales
+# with s |beta|^2 S rather than with b; the absolute margin E32 of
+# ``_row_bounds`` covers them.
 BOUND_SLACK = 1e-9
 # Most the range profile ||c(d)||^2 may rise between two grid rows above the
 # larger of its two row samples, as a factor: the sampled term kappa b~ of a
@@ -341,37 +350,96 @@ def _row_bounds(
     geom: UcaGeometry,
     d_values: np.ndarray,
     run: tuple[int, int, int] | None,
-) -> tuple[np.ndarray, float]:
-    """A lower bound on every computed cost of each range row, shape (rows,), and a floor.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per range row a lower bound on the cost and a rounding margin, shape (rows,) each, and a floor.
 
     b(d) = -(lambda / 4 pi)^2 (||c(d)|| + E(d))^2 / (n_a s), from the range
     profile ||c(d)|| and its error bound E(d) (``_row_norms`` with the
     grid's uniform ``run``; 0 on rows collapsed directly), scaled by
-    1 + BOUND_SLACK to cover the rounding of the computed costs. The floor
-    is the same bound at the profile's ceiling l1 (``_row_norms``), below
-    every cost at every range. See ``coarse_grid_search`` for the derivation.
+    1 + BOUND_SLACK, lies below the cost of every point of row d. The
+    margin E32(d) bounds how far a cost ``_cost_rows`` computes in single
+    precision may lie from that cost, so every computed cost of the row is
+    at least b(d) - E32(d). The floor is b at the profile's ceiling l1
+    (``_row_norms``), below every cost at every range. See
+    ``coarse_grid_search`` for the derivations.
+
+    E32 is a forward error bound (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3) at the float32 unit roundoff
+    u = 2^-24, gamma_n = n u / (1 - n u), on the kernel's steps after its
+    float64 ranges and turns; float64 rounding, 2^-29 u relative, is
+    absorbed in the spare u of each count below. Each template a_k and
+    gain-weighted template g_k a_k enters its matmul within
+    e_in = (pi + 4 sqrt 2 + 4) u of its value relative to |g_k a_k|: the
+    phase's cast (pi u), float32 cos and sin (4 u each; measured 1.2 u on
+    [-pi, pi]), and the casts and product of the gain and the circulant
+    vectors (u each). A complex inner product of n_a terms errs by at most
+    sqrt 2 gamma_{2 n_a} sum_k |x_k| |y_k| in any summation order (its real
+    and imaginary parts are real ones of 2 n_a terms; Higham 2002, section
+    3.1), so with eta = sqrt 2 gamma_{2 n_a} (1 + e_in) + e_in the computed
+    beta and D lie within eta B and eta D of theirs. Here
+    |beta| <= B = ||f||_1 / sqrt n_a, and
+    |D| <= D(d) = (lambda / 4 pi) sqrt(S_max(d) / n_a) (||c(d)|| + E(d)) by
+    Cauchy-Schwarz, with S = sum_k 1 / rho_k^2 at most its largest value
+    over all angles, S_max(d) = n_a (1 + r) / ((d^2 - R^2) (1 - r)),
+    r = (R / d)^n_a: the elements lie at angles 2 pi k / n_a, where
+    sum_k 1 / rho_k^2 = n_a (d^(2 n_a) - R^(2 n_a)) / ((d^2 - R^2)
+    (d^(2 n_a) - 2 (d R)^n_a cos(n_a theta) + R^(2 n_a))). The cost
+    arithmetic then adds gamma_5 to the term s |beta|^2 S, gamma_2 to
+    2 Re{beta D} and u to their difference, so that
+
+        E32 = s S_max B^2 (gamma_5 (1 + eta)^2 + (2 + eta) eta
+                           + u (1 + gamma_5) (1 + eta)^2)
+              + 2 B D ((gamma_2 + u (1 + gamma_2)) (1 + eta)^2 + (2 + eta) eta),
+
+    infinite on rows at d <= R, where S has no bound. Underflow is not
+    covered: the costs of the sweeps lie many decades above float32's.
     """
     norms, errors, l1 = _row_norms(bank, d_values, run)
-    scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (
-        geom.n_a * mean_product_scale(bank.config, geom)
-    )
-    scale *= -(1.0 + BOUND_SLACK)
-    return scale * (norms + errors) ** 2, scale * l1**2
+    n_a = geom.n_a
+    scale = mean_product_scale(bank.config, geom)
+    b_scale = (geom.wavelength_m / (4.0 * np.pi)) ** 2 / (n_a * scale)
+    b_scale *= -(1.0 + BOUND_SLACK)
+    profile = norms + errors
+
+    u = float(np.finfo(np.float32).eps) / 2.0
+    gamma_2, gamma_5, gamma_inner = (k * u / (1.0 - k * u) for k in (2, 5, 2 * n_a))
+    e_in = (np.pi + 4.0 * np.sqrt(2.0) + 4.0) * u
+    eta = np.sqrt(2.0) * gamma_inner * (1.0 + e_in) + e_in
+    grown = (1.0 + eta) ** 2
+    beam = float(np.sum(np.abs(bank.beamformer))) / np.sqrt(n_a)
+    margins = np.full(d_values.size, np.inf)
+    far = d_values > geom.radius_m
+    d_far = d_values[far]
+    ratio = (geom.radius_m / d_far) ** n_a
+    s_max = n_a * (1.0 + ratio) / ((d_far**2 - geom.radius_m**2) * (1.0 - ratio))
+    d_max = geom.wavelength_m / (4.0 * np.pi) * np.sqrt(s_max / n_a) * profile[far]
+    margins[far] = scale * s_max * beam**2 * (
+        gamma_5 * grown + (2.0 + eta) * eta + u * (1.0 + gamma_5) * grown
+    ) + 2.0 * beam * d_max * ((gamma_2 + u * (1.0 + gamma_2)) * grown + (2.0 + eta) * eta)
+    return b_scale * profile**2, margins, b_scale * l1**2
 
 
 def _interval_bounds(
-    bank: MatchedFilterBank, d_values: np.ndarray, row_bounds: np.ndarray, floor: float
+    bank: MatchedFilterBank,
+    d_values: np.ndarray,
+    row_bounds: np.ndarray,
+    margins: np.ndarray,
+    floor: float,
 ) -> np.ndarray:
     """A lower bound on the cost over each row's range interval (d_{i-1}, d_{i+1}), shape (rows,).
 
-    max(kappa b~(i), b_B(i)), with b~(i) = min(b(i - 1), b(i), b(i + 1))
-    (one neighbour at a grid edge) from ``row_bounds`` b and
-    b_B(i) = b~(i) + floor (h_i omega / 4)^2 from the ``floor`` of
-    ``_row_bounds``: h_i is the wider of the row's two gaps (the one gap at
-    a grid edge) and omega = 4 pi (M - 1) df / c. kappa = INCUMBENT_KAPPA
-    scales the range profile ||c||^2 >= 0, so only a negative b~ scales; a
-    row without one (never in the program) gets b_B alone. b_B is proven and
-    kappa b~ sampled; see ``coarse_grid_search``, Incumbent.
+    max(min(kappa b~(i), kappa b'(i)), min(b_B(i), b'(i))), with
+    b~(i) = min(b(i - 1), b(i), b(i + 1)) (one neighbour at a grid edge)
+    from ``row_bounds`` b, b_B(i) = b~(i) + floor (h_i omega / 4)^2 from the
+    ``floor`` of ``_row_bounds``, and b'(i) = b(i) - E32(i) the row's bound
+    on the costs the kernel computes, E32 the row's ``margins``: h_i is the
+    wider of the row's two gaps (the one gap at a grid edge) and
+    omega = 4 pi (M - 1) df / c. kappa = INCUMBENT_KAPPA scales the range
+    profile ||c||^2 >= 0, so only a negative b~ scales; a row without one
+    (never in the program) gets the b_B term alone. b_B is proven and
+    kappa b~ sampled; capping each term by the row's own b' makes a row it
+    rules out cost more than the incumbent (kappa b~) or its kappa-th part
+    in every computed cell too; see ``coarse_grid_search``, Incumbent.
     """
     lowest = row_bounds.copy()
     np.minimum(lowest[1:], row_bounds[:-1], out=lowest[1:])
@@ -385,19 +453,23 @@ def _interval_bounds(
     proven = lowest + floor * (reach * (omega / 4.0)) ** 2
     sampled = np.full(d_values.size, -np.inf)
     np.multiply(INCUMBENT_KAPPA, lowest, out=sampled, where=lowest < 0.0)
-    return np.maximum(sampled, proven)
+    computed = row_bounds - margins
+    return np.maximum(
+        np.minimum(sampled, INCUMBENT_KAPPA * computed), np.minimum(proven, computed)
+    )
 
 
 class _Workspace:
     """The intermediates of one ``_cost_rows`` block, for one angle lattice.
 
-    ``coarse_grid_search`` builds one per search and every block of every
-    tile fills the same arrays through ``out=``, so the kernel allocates
-    nothing per block. A block holds ``rows`` range rows:
-    max(1, KERNEL_BLOCK_CELLS // n_theta), at most GRID_BLOCK_ROWS. Also
-    holds the lattice's size ``n_theta`` and cos u of its template angles,
-    the same for every row. Raises ValueError unless n_theta is a multiple
-    of n_a.
+    ``_workspace`` keeps one per lattice, and every block of every tile of
+    every search on it fills the same arrays through ``out=``, so the kernel
+    allocates nothing per block. A block holds ``rows`` range rows:
+    max(1, KERNEL_BLOCK_CELLS // n_theta), at most GRID_BLOCK_ROWS. The
+    ranges and turns are float64, everything from the phasors on float32
+    (see ``_cost_rows``). Also holds the lattice's size ``n_theta`` and
+    cos u of its template angles, the same for every row. Raises ValueError
+    unless n_theta is a multiple of n_a.
     """
 
     def __init__(self, n_a: int, n_theta: int) -> None:
@@ -412,15 +484,29 @@ class _Workspace:
         self.n_theta = n_theta
         self.cosu = np.cos(TWO_PI * (np.arange(half)[:, None] + q * np.arange(n_a)) / n_theta)
         self.rho = np.empty((rows, half, n_a))
-        self.phase = np.empty((rows, half, n_a))
-        self.a_u = np.empty((rows, half, n_a), dtype=complex)
-        self.ga_u = np.empty((rows, half, n_a), dtype=complex)
+        self.turns = np.empty((rows, half, n_a))
         self.inv_sum = np.empty((rows, half))
-        self.data_circulants = np.empty((rows, n_a, 2 * n_a), dtype=complex)
-        self.beta = np.empty((rows, half, 2 * n_a), dtype=complex)
-        self.data_sum = np.empty((rows, half, 2 * n_a), dtype=complex)
-        self.cost = np.empty((rows, half, 2 * n_a))
-        self.cross = np.empty((rows, half, 2 * n_a))
+        self.phase = np.empty((rows, half, n_a), dtype=np.float32)
+        self.gain = np.empty((rows, half, n_a), dtype=np.float32)
+        self.scaled_sum = np.empty((rows, half), dtype=np.float32)
+        self.a_u = np.empty((rows, half, n_a), dtype=np.complex64)
+        self.ga_u = np.empty((rows, half, n_a), dtype=np.complex64)
+        self.data_circulants = np.empty((rows, n_a, 2 * n_a), dtype=np.complex64)
+        self.beta = np.empty((rows, half, 2 * n_a), dtype=np.complex64)
+        self.data_sum = np.empty((rows, half, 2 * n_a), dtype=np.complex64)
+        self.cost = np.empty((rows, half, 2 * n_a), dtype=np.float32)
+        self.cross = np.empty((rows, half, 2 * n_a), dtype=np.float32)
+
+
+@functools.lru_cache(maxsize=4)
+def _workspace(n_a: int, n_theta: int) -> _Workspace:
+    """The one ``_Workspace`` of a lattice, built on first use and kept.
+
+    A sweep searches one lattice per radius, so its searches reuse a few
+    arrays instead of faulting fresh ones in on every trial. The arrays are
+    shared: no two searches of one lattice may run at once in one process.
+    """
+    return _Workspace(n_a, n_theta)
 
 
 def _cost_rows(
@@ -429,7 +515,7 @@ def _cost_rows(
     d_values: np.ndarray,
     workspace: _Workspace,
 ) -> np.ndarray:
-    """Cost at every (range row, lattice angle) pair, shape (rows, n_theta).
+    """Cost at every (range row, lattice angle) pair, shape (rows, n_theta), in float32.
 
     The angles are the uniform lattice theta_j = 2 pi j / n_theta of
     ``workspace``, n_theta a multiple of n_a. Writing
@@ -448,12 +534,19 @@ def _cost_rows(
     same bits in whichever tile and block it comes.
 
     Templates. The phase 2 pi (d - rho) / lambda of a template is reduced
-    to turns before its cosine and sine: x = (d - rho) / lambda, minus
-    rint(x) (exact), times 2 pi. The argument then lies within [-pi, pi],
-    where cos and sin run 1.6 times faster than on phases up to
-    2 pi R / lambda, and its error is about that of x alone: at R = 5 m,
-    rows 10 to 30 m, at most 3.6e-13 rad against 1.0e-12 rad unreduced
-    (a long-double phase from the same rho as reference).
+    to turns in float64 before its cosine and sine, since it runs up to
+    2 pi R / lambda: x = (d - rho) / lambda, minus rint(x) (exact), times
+    2 pi, within 3.6e-13 rad of a long-double phase from the same rho at
+    R = 5 m, rows 10 to 30 m. The reduced phase, in [-pi, pi], is cast to
+    float32.
+
+    Precision. rho, the turns, S = sum_k 1 / rho_k^2 and the collapse
+    (``_collapse_rows``) are float64; from the phase's cast on, cos and sin,
+    the gain lambda / (4 pi rho), both circulant correlations (complex64
+    matmuls) and the cost arithmetic are float32. numpy's float32 cos and
+    sin run about 20 times faster than float64 here. A computed cost lies
+    within its row's margin E32 (``_row_bounds``) of the cost in exact
+    arithmetic from the same float64 rho, turns and collapse.
     """
     config = bank.config
     n_a = geom.n_a
@@ -463,33 +556,34 @@ def _cost_rows(
     rows = d_values.size
     radius = geom.radius_m
     collapsed = _collapse_rows(bank, d_values)
-    beam = _circulants(bank.beamformer / np.sqrt(n_a))
+    beam = _circulants((bank.beamformer / np.sqrt(n_a)).astype(np.complex64))
     scale = mean_product_scale(config, geom)
-    out = np.empty((rows, n_a, q))
+    out = np.empty((rows, n_a, q), dtype=np.float32)
     for start in range(0, rows, workspace.rows):
         n = min(workspace.rows, rows - start)
         d = d_values[start : start + n, None, None]
-        rho, phase = workspace.rho[:n], workspace.phase[:n]
-        a_u, ga_u = workspace.a_u[:n], workspace.ga_u[:n]
-        inv_sum, beta = workspace.inv_sum[:n], workspace.beta[:n]
+        rho, turns, inv_sum = workspace.rho[:n], workspace.turns[:n], workspace.inv_sum[:n]
+        phase, gain, scaled_sum = workspace.phase[:n], workspace.gain[:n], workspace.scaled_sum[:n]
+        a_u, ga_u, beta = workspace.a_u[:n], workspace.ga_u[:n], workspace.beta[:n]
         data_sum, cost, cross = workspace.data_sum[:n], workspace.cost[:n], workspace.cross[:n]
 
         np.multiply(2.0 * d * radius, workspace.cosu, out=rho)
         np.subtract(d * d + radius**2, rho, out=rho)
         np.sqrt(rho, out=rho)
-        np.square(rho, out=phase)
-        np.divide(1.0, phase, out=phase)
-        np.sum(phase, axis=2, out=inv_sum)
+        np.square(rho, out=turns)
+        np.divide(1.0, turns, out=turns)
+        np.sum(turns, axis=2, out=inv_sum)
+        np.multiply(inv_sum, scale, out=scaled_sum)
+        np.divide(geom.wavelength_m / (4.0 * np.pi), rho, out=gain)
         # Steering templates e^{j 2 pi (d - rho) / lambda}, the phase reduced
-        # to turns; the 1 / sqrt(n_a) of the steering vector is folded into
-        # the circulants. a_u's real part holds the whole turns until then.
-        np.subtract(d, rho, out=phase)
-        phase /= geom.wavelength_m
-        phase -= np.rint(phase, out=a_u.real)
-        phase *= TWO_PI
+        # to turns in float64 (rho's array holds the whole turns); the
+        # 1 / sqrt(n_a) of the steering vector is folded into the circulants.
+        np.subtract(d, rho, out=turns)
+        turns /= geom.wavelength_m
+        turns -= np.rint(turns, out=rho)
+        np.multiply(turns, TWO_PI, out=phase)
         _phasor(phase, out=a_u)
-        np.divide(geom.wavelength_m / (4.0 * np.pi), rho, out=rho)
-        np.multiply(a_u, rho, out=ga_u)
+        np.multiply(a_u, gain, out=ga_u)
         _row_matmul(a_u.reshape(n * half, n_a), beam, out=beta.reshape(n * half, 2 * n_a))
         circulants = _circulants(
             np.conj(collapsed[start : start + n]) / np.sqrt(n_a), out=workspace.data_circulants[:n]
@@ -500,8 +594,7 @@ def _cost_rows(
         b_re, b_im = beta.real, beta.imag
         np.multiply(b_re, b_re, out=cost)
         cost += np.multiply(b_im, b_im, out=cross)
-        inv_sum *= scale
-        cost *= inv_sum[:, :, None]
+        cost *= scaled_sum[:, :, None]
         np.multiply(b_re, data_sum.real, out=cross)
         cross -= np.multiply(b_im, data_sum.imag, out=data_sum.real)
         cross *= 2.0
@@ -546,25 +639,53 @@ class _TileEdges:
     halo: np.ndarray  # (2, n_theta): row-min of the first and last rows
 
 
-def _tile_minima(start: int, costs: np.ndarray) -> tuple[tuple, _TileEdges]:
-    """Local minima of a tile's interior rows, and its edge rows for later.
+def _tile_minima(
+    start: int, costs: np.ndarray, threshold: float
+) -> tuple[tuple, _TileEdges]:
+    """Local minima of a tile's interior rows that cost at most ``threshold``, and its edge rows.
 
-    A cell is a minimum iff it equals the min over its 3x3 neighbourhood
-    (angles wrap). Interior minima come back as (values, range indices,
-    angle indices) and are final.
+    A cell is a minimum iff it is no higher than any cell of its 3x3
+    neighbourhood (angles wrap). Interior minima costing at most
+    ``threshold`` come back as (values, range indices, angle indices), in
+    row-major order, and are final. The candidates, cells at most the
+    threshold and no higher than their two angular neighbours, are found
+    KERNEL_BLOCK_CELLS cells' worth of rows at a time, and only they are
+    compared with the rows above and below, so nothing tile-sized is
+    allocated.
     """
-    row_min = _row_min(costs)
-    neigh = np.minimum(row_min[:-2], row_min[2:])
-    np.minimum(neigh, row_min[1:-1], out=neigh)
-    inner = costs[1:-1]
-    # flatnonzero and divmod give nonzero's indices several times faster.
-    d_idx, t_idx = np.divmod(np.flatnonzero(inner <= neigh), costs.shape[1])
-    last = costs.shape[0] - 1
+    rows, n_theta = costs.shape
+    per_block = max(1, KERNEL_BLOCK_CELLS // n_theta)
+    empty = np.empty(0, dtype=np.intp)
+    found = [(costs[:0, 0], empty, empty)]
+    for first in range(1, rows - 1, per_block):
+        block = costs[first : min(first + per_block, rows - 1)]
+        keep = block <= threshold
+        lower = np.empty_like(keep)
+        np.less_equal(block[:, 1:], block[:, :-1], out=lower[:, 1:])
+        np.less_equal(block[:, 0], block[:, -1], out=lower[:, 0])
+        keep &= lower
+        np.less_equal(block[:, :-1], block[:, 1:], out=lower[:, :-1])
+        np.less_equal(block[:, -1], block[:, 0], out=lower[:, -1])
+        keep &= lower
+        # flatnonzero and divmod give nonzero's indices several times faster.
+        d_idx, t_idx = np.divmod(np.flatnonzero(keep), n_theta)
+        d_idx += first
+        values = costs[d_idx, t_idx]
+        for step in (-1, 0, 1):
+            t_near = (t_idx + step) % n_theta
+            keep = values <= costs[d_idx - 1, t_near]
+            keep &= values <= costs[d_idx + 1, t_near]
+            values, d_idx, t_idx = values[keep], d_idx[keep], t_idx[keep]
+        found.append((values, d_idx, t_idx))
+    last = rows - 1
     edge = np.array(sorted({0, last}))
-    edge_neigh = np.minimum(row_min[np.maximum(edge - 1, 0)], row_min[np.minimum(edge + 1, last)])
-    np.minimum(edge_neigh, row_min[edge], out=edge_neigh)
-    edges = _TileEdges(start, edge, costs[edge], edge_neigh, row_min[[0, -1]])
-    return (inner[d_idx, t_idx], d_idx + start + 1, t_idx), edges
+    # Row-min of the first two and the last two rows (a row twice in a
+    # tile of fewer than four).
+    row_min = _row_min(costs[[0, min(1, last), max(last - 1, 0), last]])
+    edge_neigh = np.minimum(row_min[[0, 2]], row_min[[1, 3]])[: edge.size]
+    edges = _TileEdges(start, edge, costs[edge], edge_neigh, row_min[[0, 3]])
+    values, d_idx, t_idx = (np.concatenate(part) for part in zip(*found))
+    return (values, d_idx + start, t_idx), edges
 
 
 def _edge_minima(
@@ -609,11 +730,14 @@ def coarse_grid_search(
     row, with the positions of its basins, best first; it returns W, a
     cost that the caller guarantees its estimate will not exceed
     (``estimator.estimate`` hands it ``estimator._SeedRuns``). Otherwise W is
-    infinite and the incumbent is G. The entries that cost at most min(G*, W) /
+    infinite and the incumbent is G. The surface searched is the one
+    ``_cost_rows`` computes, in single precision (see Bound), and its costs
+    are what the basins carry. The entries that cost at most min(G*, W) /
     INCUMBENT_KAPPA (G* the surface minimum), or at most min(G*, W) where
     the proven interval term alone ruled out a row, are exactly the full
-    search's, in its order, ahead of the rest, and the full search's best
-    basin comes first whenever it costs at most W; see Exactness.
+    search's on that surface, in its order, ahead of the rest, and the full
+    search's best basin comes first whenever it costs at most W; see
+    Exactness.
 
     Bound. A row's cost is L = s |beta|^2 S - 2 Re{beta D} with
     S = sum_k 1/rho_k^2 and D = sum_k (lambda / (4 pi rho_k)) a_k conj(c_k)
@@ -622,11 +746,23 @@ def coarse_grid_search(
     |D|^2 <= (lambda / 4 pi)^2 S ||c||^2 / n_a. So every angle of row d
     costs at least b(d) = -(lambda / 4 pi)^2 ||c(d)||^2 / (n_a s), a
     multiple of the noncoherent range profile (the OFDM-radar
-    periodogram). Writing L = s S |beta - beta*|^2 - |D|^2 / (s S), the
-    rounding of the computed L is about n_a eps (s |beta|^2 S
-    + 2 |beta| |D|): at most about 8 n_a eps |b| (1e-13 |b| at 64 elements)
-    when |beta| <= 2 |beta*|, and far below L - b otherwise.
-    ``_row_bounds`` therefore scales b by 1 + BOUND_SLACK (1e-9).
+    periodogram), whatever the ranges rho_k: so for the float64 rho the
+    kernel computes too. Writing L = s S |beta - beta*|^2 - |D|^2 / (s S),
+    the float64 rounding of L (the refinement's) is about n_a eps
+    (s |beta|^2 S + 2 |beta| |D|): at most about 8 n_a eps |b| (1e-13 |b|
+    at 64 elements) when |beta| <= 2 |beta*|, and far below L - b
+    otherwise. ``_row_bounds`` therefore scales b by 1 + BOUND_SLACK (1e-9).
+
+    Single precision. ``_cost_rows`` computes the costs the search ranks in
+    float32 from the template phasors on (rho, the turns, S and c stay
+    float64). That rounding scales with s |beta|^2 S, not with b, so no
+    relative slack covers it: ``_row_bounds`` gives each row an absolute
+    margin E32(d) from a forward error analysis (stated there), and every
+    computed cost of row d lies within E32(d) of L, so at or above
+    b'(d) = b(d) - E32(d). E32 is 1e-5 to 3e-5 of |b| at the benchmark
+    workloads' targets and exceeds |b| only on the rows nearest the array;
+    it is 200 to 2,500 times the largest error measured on seeded banks.
+    Wherever a bound meets computed costs, it is b' (Search, Incumbent).
 
     FFT rows. The costs of an evaluated row use the collapse
     ``_collapse_rows`` gives. On the uniform run of rows c / (2 df K) apart
@@ -650,27 +786,31 @@ def coarse_grid_search(
     seed window, the SEED_HALF_ROWS rows on each side of the lowest-bound
     row and that row, clipped to the grid (split into tiles if wider than
     GRID_BLOCK_ROWS); its minima seed the running top list. Then the rows
-    are streamed in order. A row i is skipped iff its bound exceeds T, the
+    are streamed in order. A row i is skipped iff b'(i) exceeds T, the
     list's last entry once it holds N_BASINS minima (infinite before),
-    or B(i) > min(G, W), the incumbent rule: G is the list's first entry,
-    W is set once from the seed window's basins (above), and the interval
-    bound B(i) = max(kappa b~(i), b_B(i)) bounds the cost over the row's
-    range interval on both sides (see Incumbent). Since b <= 0, B <= 0 and
-    the incumbent rule never fires while min(G, W) >= 0. Each
+    or B(i) > min(G + E32(g), W), the incumbent rule: G is the list's first
+    entry, g its row, W is set once from the seed window's basins (above),
+    and the interval bound B(i) bounds the cost over the row's range
+    interval on both sides and, by b'(i), every computed cost of the row
+    (see Incumbent). Since b' <= 0, B <= 0 and the incumbent rule never
+    fires while min(G, W) >= 0. Each
     run of rows that are not skipped is evaluated in tiles that never
     cross the seed window; T and G may tighten inside a tile, which is
     still evaluated whole.
     Nothing is evaluated across a run of skipped rows, so T and G hold
     still there, and its end is found in windows of doubling size: O(run)
     work, not O(rows left). A skipped row acts as the grid edge for its
-    neighbours' halo. An evaluated tile's interior minima join the list at
-    once, and its edge rows once the rows around it are known.
+    neighbours' halo. An evaluated tile's interior minima that cost at most
+    T join the list at once (the list keeps the N_BASINS lowest and T only
+    falls, so no other could stay in it), and its edge rows' minima once
+    the rows around it are known.
 
     Incumbent. L >= b holds off the grid too: at every (d, theta),
     L >= -(lambda / 4 pi)^2 P(d) / (n_a s), P(d) = ||c(d)||^2. Row i's
     interval bound (``_interval_bounds``) is the larger of two lower bounds
     on the cost over its range interval (d_{i-1}, d_{i+1}), both built on
-    b~(i) = min(b(i - 1), b(i), b(i + 1)) (one neighbour at a grid edge):
+    b~(i) = min(b(i - 1), b(i), b(i + 1)) (one neighbour at a grid edge),
+    each capped by the row's own b'(i), kappa b~ by kappa b'(i):
     - b_B(i), proven. P is a real trigonometric polynomial in d whose
       frequencies are multiples of 4 pi df / c, up to
       omega = 4 pi (M - 1) df / c, and 0 <= P <= P^ = l1^2
@@ -691,28 +831,33 @@ def coarse_grid_search(
     refinement start (it heads the output), ``estimator.estimate`` keeps the
     run that set W among its runs even if its start leaves the list, and
     Newton never accepts a step that raises the cost, so the estimate costs
-    at most min(G, W) (G to rounding far below the BOUND_SLACK margin; W
-    exactly, since it is a cost that run was evaluated at), and a skipped
-    row's interval holds no point that beats it. Proven: each skipped row's
-    cells cost more than min(G, W) / kappa, and more than min(G, W) where
-    b_B rules the row out, as does its whole interval then. Sampled,
-    through kappa: the interval claim of a row that only kappa b~ rules
-    out.
+    at most min(G + E32(g), W): G's node costs within E32(g) of G in exact
+    arithmetic, and the refinement's float64 cost of it differs from that by
+    float64 rounding alone, orders of magnitude below E32; W exactly, since
+    it is a cost that run was evaluated at. So a skipped row's interval
+    holds no point that beats the estimate. Proven: each skipped row's
+    computed cells cost more than min(G, W) / kappa, and more than
+    min(G, W) where the b_B term rules the row out, since they cost at
+    least b'(i); the interval then holds no point below min(G + E32(g), W).
+    Sampled, through kappa: the interval claim of a row that only the
+    kappa term rules out.
 
-    Exactness. The rules alone give this, whatever kappa's basis. Let V be
-    the full surface's N_BASINS-th basin value (infinite if it has
-    fewer minima), G* its minimum, l = min(G*, W) / kappa, or
-    l = min(G*, W) if b_B ruled out a row that kappa b~ did not, and
-    m = min(V, l). A row the incumbent rule skips costs more than l in
-    every cell: more than min(G, W) / kappa where kappa b~ rules it out,
-    since b >= b~, and more than min(G, W) where b_B does, since b >= b_B;
-    and G >= G*. So where b_B rules out a row that kappa b~ does not, only
-    the entries costing at most min(G*, W) are sure to be the full
-    search's: its best basin when that costs at most W, and exact ties.
-    The full search's best cell is never skipped while G* <= W: its row has
-    b_B <= b~ <= G* <= min(G, W), kappa b~ <= b~ when G* < 0, and no rule
-    fires at G* >= 0; its bound is at most G* <= T, since every list
-    entry is a cell's cost. The list holds true minima, and next to a
+    Exactness. The rules alone give this, whatever kappa's basis; every
+    cost in it is one ``_cost_rows`` computes. Let V be the full surface's
+    N_BASINS-th basin value (infinite if it has fewer minima), G* its
+    minimum, l = min(G*, W) / kappa, or l = min(G*, W) if the b_B term
+    ruled out a row that the kappa term did not, and m = min(V, l). A row
+    the incumbent rule skips costs more than l in every cell: more than
+    min(G, W) / kappa where its kappa term rules it out, since
+    kappa b'(i) > min(G + E32(g), W) >= min(G, W), and more than min(G, W)
+    where its b_B term does, since b'(i) does too; and G >= G*. So where
+    the b_B term rules out a row that the kappa term does not, only the
+    entries costing at most min(G*, W) are sure to be the full search's:
+    its best basin when that costs at most W, and exact ties. The full
+    search's best cell is never skipped while G* <= W: its row has
+    b' <= G* <= min(G, W), so both capped terms are at most G* when
+    G* < 0, and no rule fires at G* >= 0; its b' is at most G* <= T, since
+    every list entry is a cell's cost. The list holds true minima, and next to a
     skipped row possibly edge cells whose skipped neighbour costs less;
     such a cell costs more than that neighbour, hence more than the T of
     the skip or than l. T never drops below m: by induction, a list whose
@@ -728,19 +873,21 @@ def coarse_grid_search(
     that cost at most l, then up to N_BASINS minus their number of
     others, each costing more than l: true minima and edge cells next to
     skipped rows, which the full search might not return. The output may
-    hold fewer than N_BASINS entries. Memory is the costs of the tile
-    being evaluated and the edge rows of the tiles awaiting their halo (the
-    last streamed tile and the seed window's), plus the one ``_Workspace``
-    every block of every tile fills, two bounds per row and the K-bin range
-    profile of the bound pass.
+    hold fewer than N_BASINS entries. Memory is the float32 costs of the
+    tile being evaluated and the edge rows of the tiles awaiting their halo
+    (the last streamed tile and the seed window's), plus the lattice's one
+    ``_Workspace`` (``_workspace``) that every block of every tile fills,
+    three bounds per row and the K-bin range profile of the bound pass.
     """
     d_values = spec.d_values()
     n_rows = d_values.size
-    workspace = _Workspace(geom.n_a, spec.n_theta)
-    row_bounds, floor = _row_bounds(bank, geom, d_values, spec.uniform_run)
-    interval_bounds = _interval_bounds(bank, d_values, row_bounds, floor)
+    workspace = _workspace(geom.n_a, spec.n_theta)
+    row_bounds, margins, floor = _row_bounds(bank, geom, d_values, spec.uniform_run)
+    computed_bounds = row_bounds - margins
+    interval_bounds = _interval_bounds(bank, d_values, row_bounds, margins, floor)
     theta_values = spec.theta_values()
-    best = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+    empty = np.empty(0, dtype=np.intp)
+    best = (np.empty(0, dtype=np.float32), empty, empty)
     refined = np.inf  # W, once the seed window's basins are refined
 
     def position(d: int, t: int) -> PolarPosition:
@@ -754,16 +901,26 @@ def coarse_grid_search(
         order = np.lexsort((t_idx, d_idx, values))[:N_BASINS]
         return values[order], d_idx[order], t_idx[order]
 
-    def ruled_out(start: int, stop: int) -> np.ndarray:
+    def threshold() -> float:
+        """T: the list's last entry once it holds N_BASINS minima, else infinite."""
         values = best[0]
-        threshold = values[-1] if values.size == N_BASINS else np.inf
-        incumbent = min(values[0] if values.size else np.inf, refined)
-        return (row_bounds[start:stop] > threshold) | (interval_bounds[start:stop] > incumbent)
+        return values[-1] if values.size == N_BASINS else np.inf
+
+    def best_cell() -> float:
+        """G plus its row's margin, above G's cost on the float64 surface; infinite before G."""
+        values = best[0]
+        return float(values[0]) + margins[best[1][0]] if values.size else np.inf
+
+    def ruled_out(start: int, stop: int) -> np.ndarray:
+        incumbent = min(best_cell(), refined)
+        return (computed_bounds[start:stop] > threshold()) | (
+            interval_bounds[start:stop] > incumbent
+        )
 
     def evaluate(start: int, stop: int) -> _TileEdges:
         nonlocal best
         costs = _cost_rows(bank, geom, d_values[start:stop], workspace)
-        interior, edges = _tile_minima(start, costs)
+        interior, edges = _tile_minima(start, costs, threshold())
         best = merge(interior)
         return edges
 
@@ -778,7 +935,7 @@ def coarse_grid_search(
     # search is noise-limited: there W (at most 1.26 G at d = 200 m) ruled out
     # no row either, and the stream displaces most seed basins, whose runs'
     # steps would be wasted.
-    if refine_seed is not None and best[0].size and np.any(interval_bounds > best[0][0]):
+    if refine_seed is not None and best[0].size and np.any(interval_bounds > best_cell()):
         refined = refine_seed([position(d, t) for d, t in zip(best[1], best[2])])
     pending = None  # edges of the previous tile; None if its rows were skipped
     above = None  # halo of the row just above the pending tile

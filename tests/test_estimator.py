@@ -817,7 +817,8 @@ class TestCoarseGridSearch:
         theta_values = 2 * math.pi * np.arange(64) / 64
         fft_rows = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
         direct_rows = _cost_rows_direct(obs, geom, bank, d_values, theta_values)
-        assert np.max(np.abs(fft_rows - direct_rows)) / np.max(np.abs(direct_rows)) < 1e-11
+        _, margins, _ = _row_bounds(bank, geom, d_values, None)
+        assert np.all(np.abs(fft_rows - direct_rows) <= margins[:, None])
 
 
 def triples(basins):
@@ -830,7 +831,7 @@ def incumbent_rule_off(monkeypatch):
     monkeypatch.setattr(
         grid_module,
         "_interval_bounds",
-        lambda bank, d_values, bounds, floor: np.full(d_values.size, -np.inf),
+        lambda bank, d_values, bounds, margins, floor: np.full(d_values.size, -np.inf),
     )
 
 
@@ -841,11 +842,11 @@ def search_interval_bounds(bank, geom, spec):
     with b~ < 0, so ``_interval_bounds`` gives b_B there.
     """
     d_values = spec.d_values()
-    bounds, floor = _row_bounds(bank, geom, d_values, spec.uniform_run)
-    interval = grid_module._interval_bounds(bank, d_values, bounds, floor)
+    bounds, margins, floor = _row_bounds(bank, geom, d_values, spec.uniform_run)
+    interval = grid_module._interval_bounds(bank, d_values, bounds, margins, floor)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid_module, "INCUMBENT_KAPPA", np.inf)
-        proven = grid_module._interval_bounds(bank, d_values, bounds, floor)
+        proven = grid_module._interval_bounds(bank, d_values, bounds, margins, floor)
     return interval, proven
 
 
@@ -887,7 +888,7 @@ def assert_incumbent_contract(got, full, calls, interval, proven, refined=np.inf
 
 
 def assert_matches_oracle(obs, geom, spec):
-    """Streamed search and full-surface oracle agree on indices; costs to 1e-11.
+    """Streamed search and full-surface oracle agree on indices; costs to their rows' margins.
 
     The compared run has the incumbent rule switched off
     (``incumbent_rule_off``); a second run with it must meet its contract
@@ -903,7 +904,8 @@ def assert_matches_oracle(obs, geom, spec):
     assert [(b.d_index, b.theta_index) for b in got] == [(d, t) for d, t, _ in want]
     costs = np.array([b.cost for b in got])
     oracle_costs = np.array([c for _, _, c in want])
-    assert np.max(np.abs(costs - oracle_costs)) <= 1e-11 * np.max(np.abs(oracle_costs))
+    _, margins, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
+    assert np.all(np.abs(costs - oracle_costs) <= margins[[b.d_index for b in got]])
     with pytest.MonkeyPatch.context() as mp:
         calls = count_rows(mp, spec, _cost_rows_fft)
         pruned = coarse_grid_search(bank, geom, spec)
@@ -990,13 +992,37 @@ class TestStreamedGridSearch:
         # A tile's edge rows wait for the rows around it; what waits must be
         # copies of at most two rows, so the tile's costs can be freed.
         costs = np.random.default_rng(rows).normal(size=(rows, 64))
-        _, edges = grid_module._tile_minima(5, costs)
+        _, edges = grid_module._tile_minima(5, costs, np.inf)
         for field in dataclasses.fields(edges):
             held = getattr(edges, field.name)
             if isinstance(held, np.ndarray):
                 assert held.size <= 2 * costs.shape[1]
                 assert not np.shares_memory(held, costs)
         np.testing.assert_array_equal(edges.costs, costs[sorted({0, rows - 1})])
+
+    @pytest.mark.parametrize("cells", [2**15, 3 * 64])
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 3, GRID_BLOCK_ROWS])
+    def test_tile_minima_are_the_unfiltered_ones_at_most_the_threshold(
+        self, monkeypatch, rows, n_theta, cells
+    ):
+        # Costs of four levels make plateaus of equal cells; a lone lowest
+        # cell sits at each end of the angles, where they wrap. 3 x 64 cells
+        # take the candidates in blocks of 3 rows, the last one ragged.
+        monkeypatch.setattr(grid_module, "KERNEL_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(rows * 100 + n_theta)
+        costs = rng.integers(0, 4, size=(rows, n_theta)).astype(np.float32)
+        if rows > 2:
+            costs[1, 0] = costs[rows - 2, n_theta - 1] = -1.0
+        d_all, t_all = np.nonzero(_local_minima(costs)[1:-1])
+        values = costs[1:-1][d_all, t_all]
+        for threshold in (np.inf, 2.0, 0.0, -1.0, -2.0):
+            keep = values <= threshold
+            (got, d_idx, t_idx), _ = grid_module._tile_minima(7, costs, threshold)
+            assert got.dtype == costs.dtype
+            np.testing.assert_array_equal(got, values[keep])
+            np.testing.assert_array_equal(d_idx, d_all[keep] + 8)
+            np.testing.assert_array_equal(t_idx, t_all[keep])
 
     def test_angle_count_must_be_a_multiple_of_the_elements(self):
         rng = np.random.default_rng(62)
@@ -1064,18 +1090,20 @@ class TestBlockedKernel:
     )
     def test_matches_the_unblocked_kernel(self, radius, d, rows):
         # R = 5 m: 32,832 angles, rows near 20 m, unreduced phases up to
-        # 6,300 rad. R = 0.5 m: the whole 551-row grid, in tiles. Reducing
-        # the phase to turns moves a cost by rounding alone.
+        # 6,300 rad. R = 0.5 m: the whole 551-row grid, in tiles. The
+        # single-precision kernel lies within its rows' margins of the
+        # float64 one.
         geom, bank, spec = cli_bank(radius, d, 0.7, 8)
         d_values = spec.d_values() if rows is None else rows_around(spec, d, rows)
         theta_values = spec.theta_values()
         workspace = _Workspace(geom.n_a, spec.n_theta)
+        _, margins, _ = _row_bounds(bank, geom, d_values, None)
         for start in range(0, d_values.size, GRID_BLOCK_ROWS):
             tile = d_values[start : start + GRID_BLOCK_ROWS]
             got = _cost_rows_fft(bank, geom, tile, workspace)
             want = _cost_rows_unblocked(bank, geom, tile, theta_values)
             error = np.max(np.abs(got - want), axis=1)
-            assert np.all(error <= 1e-12 * np.max(np.abs(want), axis=1))
+            assert np.all(error <= margins[start : start + GRID_BLOCK_ROWS])
 
     def test_a_tile_peaks_below_three_times_its_output(self):
         # A 32-row tile of the R = 5 m grid, 32,832 angles: its costs take
@@ -1114,13 +1142,14 @@ class TestRangeProfileBound:
             [pos.d_m],
         ])
         costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
-        bounds, _ = _row_bounds(bank, geom, d_values, None)
+        bounds, _, _ = _row_bounds(bank, geom, d_values, None)
         assert np.all(costs >= bounds[:, None])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bound_is_attained_at_a_noiseless_truth_on_a_node(self, seed):
         # At the truth of a noiseless observation both inequalities behind
-        # the bound are equalities: only the rounding slack separates them.
+        # the bound are equalities: only rounding separates the computed
+        # cell from it, by at most the row's margin.
         rng = np.random.default_rng(90 + seed)
         config = OfdmConfig(16, 2, 480e3, 0.07 / 480e3, 0.1, 0.0)
         geom = UcaGeometry(8, 0.5, 0.005)
@@ -1132,8 +1161,8 @@ class TestRangeProfileBound:
         bank = matched_filter_bank(obs)
         d_values = np.array([pos.d_m])
         cell = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))[0, j]
-        bound = _row_bounds(bank, geom, d_values, None)[0][0]
-        assert bound <= cell <= bound * (1.0 - 1e-8)
+        (bound,), (margin,), _ = _row_bounds(bank, geom, d_values, None)
+        assert bound - margin <= cell <= bound + margin
 
 
 def oracle_row_norms(bank, d_values):
@@ -1290,7 +1319,7 @@ class TestFftRangeProfileBound:
         direct = np.r_[0 : self.HEAD, self.STOP]
         assert np.all(errors[direct] == 0.0)
         np.testing.assert_allclose(norms[direct], oracle[direct], rtol=1e-12)
-        bounds, _ = _row_bounds(bank, geom, d_values, spec.uniform_run)
+        bounds, _, _ = _row_bounds(bank, geom, d_values, spec.uniform_run)
         want = oracle_row_bounds(bank, geom, d_values)
         assert np.all(bounds <= want * (1.0 - 1e-12))
         # No looser than the margin allows: |c| + 2E against the oracle's |c|.
@@ -1333,7 +1362,7 @@ class TestFftRangeProfileBound:
         )
         d_values = spec.d_values()
         costs = _cost_rows_fft(bank, geom, d_values, _Workspace(geom.n_a, 64))
-        bounds, _ = _row_bounds(bank, geom, d_values, spec.uniform_run)
+        bounds, _, _ = _row_bounds(bank, geom, d_values, spec.uniform_run)
         assert np.all(costs >= bounds[:, None])
 
     @pytest.mark.parametrize("row", [HEAD + 1, HEAD + 3 * M + 2, STOP - 1])
@@ -1346,8 +1375,8 @@ class TestFftRangeProfileBound:
         obs = synthesize_observation(geom, pos, f, config, generate_pilots(config, 3), 4)
         bank = matched_filter_bank(obs)
         cell = _cost_rows_fft(bank, geom, d_values[row : row + 1], _Workspace(geom.n_a, 64))[0, 21]
-        bound = _row_bounds(bank, geom, d_values, spec.uniform_run)[0][row]
-        assert bound <= cell <= bound * (1.0 - 1e-8)
+        bounds, margins, _ = _row_bounds(bank, geom, d_values, spec.uniform_run)
+        assert bounds[row] - margins[row] <= cell <= bounds[row] + margins[row]
 
     def test_a_spec_without_a_run_is_collapsed_directly(self):
         # A hand-built spec records no run, even on the adaptive nodes; and
@@ -1493,10 +1522,14 @@ def search_surface(monkeypatch, surface, rows, n_basins, refined=None):
     monkeypatch.setattr(grid_module, "GRID_BLOCK_ROWS", rows)
     monkeypatch.setattr(grid_module, "N_BASINS", n_basins)
     monkeypatch.setattr(
-        grid_module, "_row_bounds", lambda b, g, d, run: (tile(d).min(axis=1), surface.min())
+        grid_module,
+        "_row_bounds",
+        lambda b, g, d, run: (tile(d).min(axis=1), np.zeros(d.size), surface.min()),
     )
     monkeypatch.setattr(
-        grid_module, "_interval_bounds", lambda b, d, bounds, floor: kappa_interval_bounds(bounds)
+        grid_module,
+        "_interval_bounds",
+        lambda b, d, bounds, margins, floor: kappa_interval_bounds(bounds),
     )
     monkeypatch.setattr(grid_module, "_cost_rows", cost_rows)
     with pytest.MonkeyPatch.context() as mp:
@@ -1547,7 +1580,7 @@ class TestPrunedGridSearch:
     SPEC = GridSpec(d_min_m=5.0, d_max_m=100.0, n_d=300, n_theta=64)
 
     def lowest_bound_row(self, obs, geom, spec):
-        bounds, _ = _row_bounds(matched_filter_bank(obs), geom, spec.d_values(), spec.uniform_run)
+        bounds, _, _ = _row_bounds(matched_filter_bank(obs), geom, spec.d_values(), spec.uniform_run)
         return int(np.argmin(bounds))
 
     def test_high_snr_skips_rows_and_matches_the_full_surface(self, monkeypatch):
@@ -1789,7 +1822,7 @@ class TestIncumbentRule:
             without = evaluated_rows(calls)
         calls = count_rows(monkeypatch, spec)
         basins = coarse_grid_search(bank, geom, spec)
-        bounds, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
+        bounds, _, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
         first, stop = seed_tiles(int(np.argmin(bounds)), spec.n_d)[0]
         assert calls[0] == (first, stop)
         assert first < basins[0].d_index < stop - 1
@@ -1905,7 +1938,7 @@ class TestRefinedIncumbent:
         basins = coarse_grid_search(bank, geom, spec, refine_seed=runs)
         ((_, refined),) = seen
         assert refined < basins[0].cost
-        bounds, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
+        bounds, _, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
         interval, _ = search_interval_bounds(bank, geom, spec)
         ruled_out = interval > refined
         assert len(without) - len(evaluated_rows(calls)) > spec.n_d // 3
@@ -2112,7 +2145,7 @@ class TestProvenIntervalBound:
         floor = -2.0
         config = OfdmConfig(128, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
         bank = MatchedFilterBank(np.zeros((1, 128), dtype=complex), config, np.ones(1))
-        got = grid_module._interval_bounds(bank, d_values, bounds, floor)
+        got = grid_module._interval_bounds(bank, d_values, bounds, np.zeros(n_rows), floor)
         omega = 4.0 * np.pi * 127 * 480e3 / SPEED_OF_LIGHT
         for i in range(n_rows):
             around = range(max(i - 1, 0), min(i + 2, n_rows))
@@ -2121,6 +2154,33 @@ class TestProvenIntervalBound:
             proven = lowest + floor * max(gaps) ** 2 * omega**2 / 16.0
             sampled = grid_module.INCUMBENT_KAPPA * lowest if lowest < 0.0 else -np.inf
             assert got[i] == pytest.approx(max(sampled, proven), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 9])
+    def test_each_term_is_capped_by_the_rows_bound_on_its_computed_costs(self, n_rows):
+        # Drawn margins, one of them infinite: each row's
+        # max(min(kappa b~, kappa b'), min(b_B, b')), b' = b - E32 its own.
+        rng = np.random.default_rng(51 + n_rows)
+        d_values = 10.0 + np.cumsum(rng.uniform(0.01, 0.3, n_rows))
+        bounds = -rng.uniform(0.0, 1.0, n_rows)
+        margins = rng.uniform(0.0, 0.5, n_rows)
+        margins[rng.integers(n_rows)] = np.inf
+        floor = -2.0
+        config = OfdmConfig(128, 2, 480e3, 0.07 / 480e3, 0.1, 1e-9)
+        bank = MatchedFilterBank(np.zeros((1, 128), dtype=complex), config, np.ones(1))
+        got = grid_module._interval_bounds(bank, d_values, bounds, margins, floor)
+        no_margins = grid_module._interval_bounds(bank, d_values, bounds, 0.0 * bounds, floor)
+        kappa = grid_module.INCUMBENT_KAPPA
+        omega = 4.0 * np.pi * 127 * 480e3 / SPEED_OF_LIGHT
+        for i in range(n_rows):
+            around = range(max(i - 1, 0), min(i + 2, n_rows))
+            lowest = min(bounds[j] for j in around)
+            gaps = [abs(d_values[j] - d_values[i]) for j in around]
+            proven = lowest + floor * max(gaps) ** 2 * omega**2 / 16.0
+            own = bounds[i] - margins[i]
+            want = max(min(kappa * lowest, kappa * own), min(proven, own))
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert got[i] <= no_margins[i]
+        assert np.all(got[margins == np.inf] == -np.inf)
 
     @pytest.mark.parametrize("workload", ["large-aperture", "wideband"])
     def test_two_extreme_subcarriers_attain_the_bound(self, workload):
@@ -2165,7 +2225,7 @@ class TestProvenIntervalBound:
         basins = coarse_grid_search(bank, geom, spec, refine_seed=runs)
         ((_, refined),) = seen
         incumbent = min(basins[0].cost, refined)
-        bounds, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
+        bounds, _, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
         _, proven = search_interval_bounds(bank, geom, spec)
         skipped = np.setdiff1d(np.arange(spec.n_d), evaluated_rows(calls))
         only_proven = (proven > incumbent) & (kappa_interval_bounds(bounds) <= incumbent)
@@ -2198,6 +2258,77 @@ class TestProvenIntervalBound:
         assert len(rows) == len(set(rows)) and len(rows) < GRID_BLOCK_ROWS
         incumbent_rule_off(monkeypatch)
         assert record_bits(record) == record_bits(harness.run_trial(*args))
+
+
+class TestRoundingMargin:
+    """The rounding margin E32 of ``_row_bounds`` covers the single-precision kernel.
+
+    Every cost ``_cost_rows`` computes lies within its row's margin of the
+    float64 oracle ``_cost_rows_direct``, so at or above b - E32.
+    """
+
+    @staticmethod
+    def workload_bank(workload, kind):
+        """Geometry, grid, bank and true ranges of a seeded bank on a workload's grid."""
+        radii, distances, reduced_m = bench_workloads()[workload]
+        cfg = cli.parse_config(
+            overrides={"radii_m": list(radii), "distances_m": list(distances)}
+        ).sweep_config(reduced_m=reduced_m, trials=1, seed=5, workers=1)
+        config = cfg.ofdm
+        radius, d_true = radii[0], distances[-1]
+        geom = cfg.geometry(radius)
+        rng = np.random.default_rng(37)
+        truths = [
+            PolarPosition(d, float(rng.uniform(0.0, 2 * math.pi))) for d in (d_true, 2.3 * d_true)
+        ]
+        beam = optimize_beamformer(geom, truths[0], config).beamformer
+        noisy = synthesize_bank(geom, truths[0], beam, config, 43).aggregates
+        quiet = dataclasses.replace(config, sigma2_w=0.0)
+        echoes = [synthesize_bank(geom, truth, beam, quiet, 43).aggregates for truth in truths]
+        aggregates = {
+            "noise only": noisy - echoes[0],
+            "one target": noisy,
+            "two targets": noisy + echoes[1],
+        }[kind]
+        bank = MatchedFilterBank(aggregates, config, beam)
+        return geom, harness.grid_for_radius(cfg, radius), bank, [t.d_m for t in truths]
+
+    @pytest.mark.parametrize("kind", ["noise only", "one target", "two targets"])
+    @pytest.mark.parametrize("workload", ["small-array", "large-aperture", "wideband"])
+    def test_kernel_costs_lie_within_the_margin_of_the_float64_oracle(self, workload, kind):
+        # Rows at each target and far from them: the grid's first, a middle
+        # and its last row. The oracle takes every 8th angle of the lattice.
+        geom, spec, bank, d_true = self.workload_bank(workload, kind)
+        d_values = spec.d_values()
+        at = [int(np.argmin(np.abs(d_values - d))) for d in d_true if d < d_values[-1]]
+        rows = np.unique(at + [0, d_values.size // 2, d_values.size - 1])
+        d_rows = d_values[rows]
+        costs = _cost_rows_fft(bank, geom, d_rows, _Workspace(geom.n_a, spec.n_theta))
+        want = _cost_rows_direct(bank, geom, bank, d_rows, spec.theta_values()[::8])
+        bounds, margins, _ = _row_bounds(bank, geom, d_values, spec.uniform_run)
+        assert np.all(np.isfinite(margins[rows]))
+        assert np.all(np.abs(costs[:, ::8] - want) <= margins[rows, None])
+        assert np.all(costs >= (bounds - margins)[rows, None])
+
+    def test_float32_cos_and_sin_stay_within_the_assumed_error(self):
+        # E32 takes each of them to err by at most 4 u on [-pi, pi].
+        u = np.finfo(np.float32).eps / 2.0
+        phase = np.linspace(-np.pi, np.pi, 4_000_001).astype(np.float32)
+        exact = phase.astype(np.float64)
+        assert np.max(np.abs(np.cos(phase) - np.cos(exact))) <= 4.0 * u
+        assert np.max(np.abs(np.sin(phase) - np.sin(exact))) <= 4.0 * u
+
+    def test_the_best_cell_plus_its_margin_is_above_its_float64_cost(self):
+        # The incumbent rule reads G + E32(G's row): at least the float64
+        # cost of G's node, where the refinement begins.
+        bank, geom, spec = sweep_trial(0.5, 10.0, True, 77)
+        (best, *_) = coarse_grid_search(bank, geom, spec)
+        _, margins, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
+        float64_cost = _evaluate(
+            [best.position.d_m], [best.position.theta_rad], bank, geom
+        ).cost[0]
+        assert best.cost + margins[best.d_index] >= float64_cost
+        assert abs(best.cost - float64_cost) <= margins[best.d_index]
 
 
 class TestLmRefine:
