@@ -759,7 +759,7 @@ def coarse_grid_search(
     relative slack covers it: ``_row_bounds`` gives each row an absolute
     margin E32(d) from a forward error analysis (stated there), and every
     computed cost of row d lies within E32(d) of L, so at or above
-    b'(d) = b(d) - E32(d). E32 is 1e-5 to 3e-5 of |b| at the benchmark
+    b'(d) = b(d) - E32(d). E32 is 2e-5 to 1e-4 of |b| at the benchmark
     workloads' targets and exceeds |b| only on the rows nearest the array;
     it is 200 to 2,500 times the largest error measured on seeded banks.
     Wherever a bound meets computed costs, it is b' (Search, Incumbent).

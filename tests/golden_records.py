@@ -99,7 +99,7 @@ def run_chunk(cfg: harness.SweepConfig) -> tuple[list[dict], list[str], list[lis
 
 
 def run_all() -> tuple[dict[str, list[dict]], dict[str, list[str]], dict[str, list[list]]]:
-    """Records, estimate costs and grid basins of every (workload, seed) chunk, keyed "workload/seed"."""
+    """Records, estimate costs and grid basins of each chunk, keyed "workload/seed"."""
     records, costs, basins = {}, {}, {}
     for workload in WORKLOADS:
         for seed in SEEDS:

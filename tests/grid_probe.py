@@ -29,7 +29,7 @@ from nfisac import cli, grid, harness
 
 
 def probe_cell(radius: float, distance: float, reduced_m: bool, trials: int, seed: int) -> dict:
-    """Rows per trial, ms per trial, us per evaluated row and the record hash of one cell's trials."""
+    """Rows and ms per trial, us per evaluated row and the record hash of one cell's trials."""
     cfg = cli.parse_config(
         overrides={"radii_m": [radius], "distances_m": [distance]}
     ).sweep_config(reduced_m=reduced_m, trials=trials, seed=seed, workers=1)

@@ -1580,7 +1580,8 @@ class TestPrunedGridSearch:
     SPEC = GridSpec(d_min_m=5.0, d_max_m=100.0, n_d=300, n_theta=64)
 
     def lowest_bound_row(self, obs, geom, spec):
-        bounds, _, _ = _row_bounds(matched_filter_bank(obs), geom, spec.d_values(), spec.uniform_run)
+        bank = matched_filter_bank(obs)
+        bounds, _, _ = _row_bounds(bank, geom, spec.d_values(), spec.uniform_run)
         return int(np.argmin(bounds))
 
     def test_high_snr_skips_rows_and_matches_the_full_surface(self, monkeypatch):

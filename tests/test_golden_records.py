@@ -1,4 +1,4 @@
-"""Stored trial records, estimate costs and grid basins pin the estimator's output (``golden_records.py``)."""
+"""Stored records, estimate costs and grid basins pin the estimator (``golden_records.py``)."""
 
 import json
 import math
